@@ -3,8 +3,8 @@
 Three legs over the pluggable backends of :mod:`repro.rmesh.backends`:
 
 * **equivalence** -- every benchmark stack's reference state solved with
-  ``direct``, ``cg``, and ``amg`` (which falls back to cg when pyamg is
-  absent); max-IR must agree with direct within ``EQUIV_RTOL`` relative.
+  ``direct`` and ``cg``; max-IR must agree with direct within
+  ``EQUIV_RTOL`` relative.
 * **warm-start** -- a fig5-style TSV-count sweep over off-chip DDR3 at a
   finer-than-production pitch, solved twice with the cg backend: cold
   (a fresh solver, hence a fresh factor preconditioner, per point) and
@@ -84,7 +84,6 @@ def _bench_equivalence() -> dict:
     """Leg 1: every backend agrees with direct on every benchmark."""
     from repro.designs import all_benchmarks, benchmark
     from repro.perf.cache import cached_build_stack, clear_caches
-    from repro.rmesh.backends import amg_available
 
     rows = {}
     worst = 0.0
@@ -96,13 +95,12 @@ def _bench_equivalence() -> dict:
         maps = stack.power_maps(state)
         reference = None
         rows[name] = {}
-        for backend in ("direct", "cg", "amg"):
+        for backend in ("direct", "cg"):
             solver = stack.solver_for(backend)
             result = solver.solve_power_maps(maps)
             ir = result.max_drop_mv()
             rows[name][backend] = {
                 "max_ir_mv": round(ir, 6),
-                "resolved": result.backend,
                 "iterations": result.iterations,
             }
             if backend == "direct":
@@ -118,7 +116,6 @@ def _bench_equivalence() -> dict:
     return {
         "per_benchmark": rows,
         "worst_rel_err": float(f"{worst:.3e}"),
-        "amg_available": amg_available(),
     }
 
 

@@ -45,7 +45,7 @@ from repro.pdn.config import Bonding
 from repro.pdn.stackup import build_stack
 from repro.perf.parallel import WORKERS_ENV
 from repro.resil.checkpoint import CHECKPOINT_ENV
-from repro.rmesh.backends import BACKENDS, SOLVER_ENV, resolve_backend
+from repro.rmesh.backends import BACKENDS, RETIRED_BACKENDS, SOLVER_ENV, resolve_backend
 from repro.perf.timers import report as perf_report
 from repro.power.state import MemoryState
 
@@ -636,10 +636,10 @@ def _global_options() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--solver",
-        choices=BACKENDS,
+        choices=(*BACKENDS, *RETIRED_BACKENDS),
         help="linear solver backend for all DC solves (default: direct, or "
-        f"the {SOLVER_ENV} environment variable; amg falls back to cg "
-        "when pyamg is unavailable)",
+        f"the {SOLVER_ENV} environment variable; amg is a retired alias "
+        "of cg)",
     )
     common.add_argument(
         "--log-level",

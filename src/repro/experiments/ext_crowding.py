@@ -8,11 +8,13 @@ the main design options.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.designs import off_chip_ddr3
 from repro.experiments.base import ExperimentResult, Row, register
 from repro.pdn import Bonding, BumpLocation, TSVLocation, build_stack
 from repro.power import MemoryState
-from repro.rmesh.currents import BranchCurrentAnalysis
+from repro.rmesh.branches import CrowdingReport, extract_branches
 
 
 @register("ext_crowding")
@@ -32,10 +34,11 @@ def run(fast: bool = True) -> ExperimentResult:
     for label, config in options.items():
         stack = build_stack(bench.stack, config)
         result = stack.solve_state(state)
-        analysis = BranchCurrentAnalysis(result.raw)
+        branches = extract_branches(result.raw.model, result.raw.drops)
         # The interface feeding the active top die is the stressed one.
-        report = analysis.interface_crowding("dram3/M3", "dram4/M3")
-        supply = analysis.supply_crowding()
+        mask = branches.interface_mask("dram3/M3", "dram4/M3")
+        report = CrowdingReport(np.abs(branches.links.current[mask]))
+        supply = CrowdingReport(np.abs(branches.supply.current))
         rows.append(
             Row(
                 label=label,

@@ -15,7 +15,6 @@ from repro.rmesh.backends import (
     BACKENDS,
     DEFAULT_BACKEND,
     SOLVER_ENV,
-    amg_available,
     make_operator,
     resolve_backend,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "SOLVER_ENV",
-    "amg_available",
     "make_operator",
     "resolve_backend",
 ]

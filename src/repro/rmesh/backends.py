@@ -38,12 +38,14 @@ This module makes the strategy pluggable:
       residuals).  A complete factorization of an SPD matrix, applied as
       ``x -> U^-1 L^-1 x``, is its exact SPD inverse up to rounding.
 
-``amg``
-    Algebraic multigrid via ``pyamg`` when importable -- the smoothed-
-    aggregation hierarchy is itself a reusable preconditioner for CG.
-    When ``pyamg`` is missing the backend **falls back to ``cg``** with
-    a one-time warning and a ``solver.amg_fallbacks`` counter bump, so
-    ``REPRO_SOLVER=amg`` is safe to set everywhere.
+``amg`` is a retired name (the algebraic-multigrid backend was removed):
+:func:`resolve_backend` maps it to ``cg`` with a one-time warning, so
+``REPRO_SOLVER=amg`` and ``--solver amg`` keep working.
+
+:func:`make_operator` is the one place that factorizes or iterates a
+conductance system: the DC :class:`~repro.rmesh.solve.StackSolver` and
+the backward-Euler :class:`~repro.rmesh.transient.TransientSolver` both
+build their operators through it.
 
 Selection order: explicit argument > ``REPRO_SOLVER`` environment
 variable > ``direct``.  Iteration counts, preconditioner reuse, and
@@ -56,7 +58,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,7 +83,10 @@ CG_MAXITER_ENV = "REPRO_CG_MAXITER"
 CG_PRECOND_ENV = "REPRO_CG_PRECOND"
 
 #: Known backend names, resolution-order independent.
-BACKENDS = ("direct", "cg", "amg")
+BACKENDS = ("direct", "cg")
+
+#: Retired backend names still accepted, mapped to their replacement.
+RETIRED_BACKENDS = {"amg": "cg"}
 
 #: Known preconditioner kinds for the cg backend.
 PRECONDITIONERS = ("factor", "jacobi")
@@ -108,7 +113,7 @@ RECORD_EVERY = 64
 #: Process-global convergence-trace buffer cap.
 MAX_TRACES = 512
 
-_amg_warned = False
+_retired_warned: Set[str] = set()
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +165,7 @@ def trace_enabled() -> bool:
 
 def trace_every() -> int:
     """Sampling period: one traced solve per this many (min 1)."""
-    raw = os.environ.get(TRACE_EVERY_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_TRACE_EVERY
+    return envcfg.env_int(TRACE_EVERY_ENV, DEFAULT_TRACE_EVERY, minimum=1)
 
 
 def record_trace(trace: ResidualTrace) -> None:
@@ -211,6 +212,12 @@ def resolve_backend(choice: Optional[str] = None) -> str:
     """Resolve a backend name: argument > ``REPRO_SOLVER`` > direct."""
     name = choice or os.environ.get(SOLVER_ENV) or DEFAULT_BACKEND
     name = name.strip().lower()
+    if name in RETIRED_BACKENDS:
+        target = RETIRED_BACKENDS[name]
+        if name not in _retired_warned:
+            _retired_warned.add(name)
+            _log.warning("solver backend %r is retired; using %r", name, target)
+        name = target
     if name not in BACKENDS:
         raise ConfigurationError(
             f"unknown solver backend {name!r}; known: {list(BACKENDS)} "
@@ -519,51 +526,6 @@ class CGOperator(SolverOperator):
         return x
 
 
-class AMGOperator(SolverOperator):
-    """CG accelerated by a pyamg smoothed-aggregation hierarchy.
-
-    The hierarchy is the reusable setup artifact, wrapped so the
-    warm-start layer can pass it between sweep neighbors exactly like a
-    :class:`FactorPreconditioner`.
-    """
-
-    name = "amg"
-
-    class _Hierarchy(Preconditioner):
-        kind = "amg"
-
-        def __init__(self, matrix: sp.spmatrix) -> None:
-            import pyamg
-
-            super().__init__(matrix.shape)
-            self._ml = pyamg.smoothed_aggregation_solver(matrix.tocsr())
-
-        def operator(self) -> spla.LinearOperator:
-            return self._ml.aspreconditioner(cycle="V")
-
-    def __init__(
-        self,
-        matrix: sp.spmatrix,
-        preconditioner: Optional[Preconditioner] = None,
-        rtol: Optional[float] = None,
-        maxiter: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        self._matrix = matrix.tocsr()
-        self.rtol = rtol if rtol is not None else _cg_rtol()
-        self.maxiter = maxiter or _cg_maxiter(matrix.shape[0])
-        if preconditioner is not None and preconditioner.compatible_with(matrix):
-            self.preconditioner = preconditioner
-            self.reused_preconditioner = True
-            _metrics.inc("solver.preconditioner_reuses")
-        else:
-            self.preconditioner = AMGOperator._Hierarchy(matrix)
-            _metrics.inc("solver.preconditioner_builds")
-        self._M = self.preconditioner.operator()
-
-    solve = CGOperator.solve  # same CG acceleration, different M
-
-
 #: Environment switch for solver escalation ("0" disables).
 ESCALATION_ENV = "REPRO_SOLVER_ESCALATE"
 
@@ -576,7 +538,7 @@ def escalation_enabled() -> bool:
 class EscalatingOperator:
     """Degrade-but-complete wrapper around an iterative operator.
 
-    A CG/AMG solve that fails to converge (ill-conditioned stress mesh,
+    A CG solve that fails to converge (ill-conditioned stress mesh,
     drifted warm-start preconditioner, injected stall) historically
     surfaced as a hard :class:`~repro.errors.SolverError`.  This wrapper
     turns it into a degraded-but-correct answer by climbing a ladder:
@@ -649,14 +611,11 @@ class EscalatingOperator:
         return self._last_op.last_trace
 
     def _stronger_cg(self) -> CGOperator:
-        opts = dict(self._options)
-        opts["precond_kind"] = "factor"
-        opts.pop("preconditioner", None)
         return CGOperator(
             self._matrix,
             precond_kind="factor",
-            rtol=opts.get("rtol"),
-            maxiter=opts.get("maxiter"),
+            rtol=self._options.get("rtol"),
+            maxiter=self._options.get("maxiter"),
         )
 
     def _record(self, rung: str, cause: SolverError) -> None:
@@ -714,25 +673,8 @@ class EscalatingOperator:
             sp_.attrs["rung"] = "direct"
             return x
 
-    def solve_block(
-        self, block: np.ndarray, x0: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        out = np.empty_like(block, order="F")
-        for i in range(block.shape[1]):
-            guess = None
-            if x0 is not None:
-                guess = x0 if x0.ndim == 1 else x0[:, i]
-            out[:, i] = self.solve(block[:, i], x0=guess)
-        return out
-
-
-def amg_available() -> bool:
-    """Whether the optional pyamg dependency is importable."""
-    try:
-        import pyamg  # noqa: F401
-    except ImportError:
-        return False
-    return True
+    # Column-by-column through the ladder, exactly like a raw operator.
+    solve_block = SolverOperator.solve_block
 
 
 def make_operator(
@@ -748,47 +690,17 @@ def make_operator(
     ``options`` pass through to the iterative constructors (``rtol``,
     ``maxiter``, ``precond_kind``).
     """
-    global _amg_warned
     prev = warm_from.preconditioner if warm_from is not None else None
     if backend == "direct":
         return DirectOperator(matrix)
-    if backend == "amg" and not amg_available():
-        if not _amg_warned:
-            _log.warning(
-                "pyamg is not installed; amg backend falling back to cg"
-            )
-            _amg_warned = True
-        _metrics.inc("solver.amg_fallbacks")
-        backend = "cg"
-        # An AMG hierarchy from a previous operator cannot serve the cg
-        # fallback; compatible_with is shape-only, so drop it here.
-        if prev is not None and prev.kind == "amg":
-            prev = None  # pragma: no cover - needs pyamg to produce one
-    if backend == "cg":
-        if prev is not None and prev.kind not in PRECONDITIONERS:
-            prev = None  # pragma: no cover - cross-backend handoff
-        op: SolverOperator = CGOperator(matrix, preconditioner=prev, **options)
-    elif backend == "amg":
-        op = AMGOperator(  # pragma: no cover - exercised when pyamg exists
-            matrix,
-            preconditioner=prev,
-            rtol=options.get("rtol"),
-            maxiter=options.get("maxiter"),
-        )
-    else:
+    if backend != "cg":
         raise ConfigurationError(
             f"unknown solver backend {backend!r}; known: {list(BACKENDS)}"
         )
+    op = CGOperator(matrix, preconditioner=prev, **options)
     if escalation_enabled():
         # Library call sites get degrade-but-complete semantics; raw
         # operator construction keeps the historical raise.
         return EscalatingOperator(op, matrix, **options)  # type: ignore[return-value]
     return op
 
-
-#: Convenience export for callers that enumerate operators per backend.
-OPERATOR_TYPES: Dict[str, type] = {
-    "direct": DirectOperator,
-    "cg": CGOperator,
-    "amg": AMGOperator,
-}

@@ -19,6 +19,9 @@ This module extracts that branch-level view from a
 * :meth:`StackBranches.node_net_current` -- the per-node KCL sum, which
   must reproduce the injected load vector (the conservation property
   the physics tests pin at 1e-9 relative);
+* :meth:`StackBranches.interface_mask` plus :class:`CrowdingReport` --
+  the per-TSV current distribution of one die-to-die interface (the
+  current crowding of the paper's section 3.2 and its reference [6]);
 * per-layer dissipation / current-density aggregation helpers.
 
 Everything here *reads* the solution -- nothing mutates the model or the
@@ -73,6 +76,52 @@ class BranchGroup:
         return cached
 
 
+@dataclass
+class CrowdingReport:
+    """Distribution of current over a group of parallel vertical links.
+
+    "Crowding factor" is the classic metric: the worst link's current
+    over the uniform share (total / count).  1.0 means perfectly balanced
+    TSVs; the paper's misaligned and center-clustered configurations show
+    factors well above that.
+    """
+
+    currents: np.ndarray  # per-link magnitudes, A
+
+    def __post_init__(self) -> None:
+        if self.currents.size == 0:
+            raise SolverError("crowding report over an empty link group")
+
+    @property
+    def total_a(self) -> float:
+        return float(np.sum(self.currents))
+
+    @property
+    def max_a(self) -> float:
+        return float(np.max(self.currents))
+
+    @property
+    def mean_a(self) -> float:
+        return float(np.mean(self.currents))
+
+    @property
+    def crowding_factor(self) -> float:
+        """max / uniform-share; 1.0 = perfectly balanced."""
+        if self.total_a <= 0.0:
+            return 1.0
+        return self.max_a / (self.total_a / self.currents.size)
+
+    @property
+    def gini(self) -> float:
+        """Gini coefficient of the current distribution (0 = uniform)."""
+        if self.total_a <= 0.0:
+            return 0.0
+        sorted_c = np.sort(self.currents)
+        n = sorted_c.size
+        cum = np.cumsum(sorted_c)
+        return float((n + 1 - 2 * np.sum(cum) / cum[-1]) / n)
+
+
 class StackBranches:
     """All branch currents of one solved stack, grouped and queryable."""
 
@@ -103,6 +152,18 @@ class StackBranches:
     def groups(self) -> List[BranchGroup]:
         """Every group: per-layer meshes first, then links, then supply."""
         return [*self.mesh.values(), self.links, self.supply]
+
+    def interface_mask(self, key_a: str, key_b: str) -> np.ndarray:
+        """Boolean mask over :attr:`links` selecting those that join
+        layers ``key_a`` and ``key_b`` (in either direction)."""
+        sa = self.model.layer_slice(key_a)
+        sb = self.model.layer_slice(key_b)
+        a, b = self.links.a, self.links.b
+        a_in_a = (a >= sa.start) & (a < sa.stop)
+        b_in_b = (b >= sb.start) & (b < sb.stop)
+        a_in_b = (a >= sb.start) & (a < sb.stop)
+        b_in_a = (b >= sa.start) & (b < sa.stop)
+        return (a_in_a & b_in_b) | (a_in_b & b_in_a)
 
     # -- conservation ----------------------------------------------------------
 

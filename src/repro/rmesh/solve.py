@@ -8,9 +8,9 @@ back-substitutions.
 
 *How* the system is solved is pluggable (:mod:`repro.rmesh.backends`):
 the default ``direct`` backend is the historical SuperLU factorization,
-bitwise identical to what this module always produced; ``cg`` and
-``amg`` are preconditioned iterative paths whose setup artifacts can be
-warm-started from a neighboring sweep point (:mod:`repro.pdn.sweep`).
+bitwise identical to what this module always produced; ``cg`` is the
+preconditioned iterative path whose setup artifact can be warm-started
+from a neighboring sweep point (:mod:`repro.pdn.sweep`).
 Select per solver (``StackSolver(model, backend="cg")``), per process
 (``REPRO_SOLVER=cg``), or per CLI invocation (``repro3d --solver cg``).
 
@@ -30,12 +30,12 @@ unaffected by the sampling rate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro import envcfg
 from repro.errors import SolverError
 from repro.geometry import Point
 from repro.obs import metrics as _metrics
@@ -58,8 +58,7 @@ RESIDUAL_ENV = "REPRO_RESIDUAL_EVERY"
 
 
 def _residual_every() -> int:
-    value = int(os.environ.get(RESIDUAL_ENV) or RESIDUAL_SAMPLE_EVERY)
-    return max(value, 1)
+    return envcfg.env_int(RESIDUAL_ENV, RESIDUAL_SAMPLE_EVERY, minimum=1)
 
 
 @dataclass

@@ -11,8 +11,10 @@ be exercised:
   device layer, plus a bulk package capacitor behind the supply plane;
 * the network becomes G v + C dv/dt = i(t), integrated with backward
   Euler: ``(G + C/dt) v_{k+1} = i_{k+1} + (C/dt) v_k``.  The augmented
-  matrix is factorized once; each time step is a back-substitution, the
-  same trick the DC LUT uses;
+  matrix is prepared once through the process-default solver backend
+  (:func:`repro.rmesh.backends.make_operator`); each time step is then a
+  back-substitution on ``direct`` -- the same trick the DC LUT uses --
+  or a CG solve warm-started from the previous step on ``cg``;
 * stimuli are piecewise-constant memory-state schedules (e.g. a bank
   activation burst), built from :class:`repro.power.MemoryState` or from
   a memory-controller activity trace.
@@ -29,11 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.errors import ConfigurationError, SolverError
 from repro.pdn.stackup import PDNStack
 from repro.power.state import MemoryState
+from repro.rmesh.backends import make_operator, resolve_backend
 from repro.units import to_mv
 
 
@@ -114,22 +116,16 @@ class TransientSolver:
             cell_nf = decap.die_nf_per_mm2 * grid.dx * grid.dy
             cap[sl] += cell_nf * 1e-9
         # Bulk package capacitor at the plane node.
-        try:
-            plane = stack.model.layer_slice("package/plane")
-            cap[plane.start] += decap.package_uf * 1e-6
-        except Exception:  # pragma: no cover - single-die stacks lack it
-            pass
+        plane = stack.model.layer_slice("package/plane")
+        cap[plane.start] += decap.package_uf * 1e-6
         self.cap = cap
 
-        g = stack.model.conductance_matrix().tocsc()
-        c_over_dt = sp.diags(cap / dt_s).tocsc()
-        t0 = time.perf_counter()
-        try:
-            self._lu = spla.splu((g + c_over_dt).tocsc())
-        except RuntimeError as exc:  # pragma: no cover
-            raise SolverError(f"transient factorization failed: {exc}") from exc
-        self.factor_time = time.perf_counter() - t0
         self._c_over_dt = cap / dt_s
+        g = stack.model.conductance_matrix().tocsc()
+        c_over_dt = sp.diags(self._c_over_dt).tocsc()
+        t0 = time.perf_counter()
+        self._op = make_operator(resolve_backend(), (g + c_over_dt).tocsc())
+        self.factor_time = time.perf_counter() - t0
 
     # -- stimulus construction --------------------------------------------------
 
@@ -189,7 +185,8 @@ class TransientSolver:
         t0 = time.perf_counter()
         for k, i_vec in enumerate(steps):
             rhs = i_vec + self._c_over_dt * v
-            v = self._lu.solve(rhs)
+            # The previous step's drops warm-start iterative backends.
+            v = self._op.solve(rhs, x0=v)
             for name, ids in die_ids.items():
                 per_die[name][k] = to_mv(float(v[ids].max()))
             dram_max[k] = max(per_die[name][k] for name in die_ids)

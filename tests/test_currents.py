@@ -1,18 +1,33 @@
 """Branch currents and TSV current crowding."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import MeshError, SolverError
+from repro.experiments import ext_crowding
 from repro.pdn import build_stack
 from repro.power import MemoryState
-from repro.rmesh.currents import BranchCurrentAnalysis, CrowdingReport
+from repro.rmesh.branches import CrowdingReport, extract_branches
+
+GOLDEN = Path(__file__).parent / "golden" / "ext_crowding.json"
+
+
+def _branches(result):
+    return extract_branches(result.raw.model, result.raw.drops)
+
+
+def _interface_report(branches, key_a="dram3/M3", key_b="dram4/M3"):
+    mask = branches.interface_mask(key_a, key_b)
+    return CrowdingReport(np.abs(branches.links.current[mask]))
 
 
 @pytest.fixture(scope="module")
-def analysis(ddr3_stack, ddr3_floorplan):
+def branches(ddr3_stack, ddr3_floorplan):
     state = MemoryState.from_string("0-0-0-2", ddr3_floorplan)
-    return BranchCurrentAnalysis(ddr3_stack.solve_state(state).raw)
+    return _branches(ddr3_stack.solve_state(state))
 
 
 class TestCrowdingReport:
@@ -41,66 +56,60 @@ class TestCrowdingReport:
 
 class TestInterfaceCurrents:
     def test_kcl_total_equals_downstream_power(
-        self, ddr3_stack, analysis, ddr3_floorplan
+        self, ddr3_stack, branches, ddr3_floorplan
     ):
         """Current crossing interface 3->4 equals the top die's draw."""
         state = MemoryState.from_string("0-0-0-2", ddr3_floorplan)
         maps = ddr3_stack.power_maps(state)
         top_current = maps[ddr3_stack.load_layer_key(3)].total_current
-        report = analysis.interface_crowding("dram3/M3", "dram4/M3")
+        report = _interface_report(branches)
         # Net upward current == top die load (signed sum, not magnitudes).
-        links = analysis.link_currents("dram3/M3", "dram4/M3")
-        net = sum(lk.current for lk in links)
+        mask = branches.interface_mask("dram3/M3", "dram4/M3")
+        net = float(branches.links.current[mask].sum())
         assert abs(net) == pytest.approx(top_current, rel=1e-6)
         assert report.total_a >= abs(net) - 1e-12
 
-    def test_supply_kcl(self, ddr3_stack, analysis, ddr3_floorplan):
+    def test_supply_kcl(self, ddr3_stack, branches, ddr3_floorplan):
         """Supply entry current equals the whole stack's draw."""
         state = MemoryState.from_string("0-0-0-2", ddr3_floorplan)
         total_load = sum(
             m.total_current for m in ddr3_stack.power_maps(state).values()
         )
-        report = analysis.supply_crowding()
+        report = CrowdingReport(np.abs(branches.supply.current))
         assert report.total_a == pytest.approx(total_load, rel=1e-6)
 
-    def test_unknown_interface(self, analysis):
+    def test_unknown_interface(self, branches):
         with pytest.raises((SolverError, MeshError)):
-            analysis.interface_crowding("dram1/M3", "nope/M3")
+            _interface_report(branches, "dram1/M3", "nope/M3")
 
     def test_crowding_follows_load_location(self, ddr3_off_bench, ddr3_floorplan):
         """Edge TSVs near the active banks carry disproportionate current
         (the crowding the paper's reference [6] studies)."""
         state = MemoryState.from_string("0-0-0-2", ddr3_floorplan)
         stack = build_stack(ddr3_off_bench.stack, ddr3_off_bench.baseline)
-        res = stack.solve_state(state)
-        report = BranchCurrentAnalysis(res.raw).interface_crowding(
-            "dram3/M3", "dram4/M3"
-        )
+        report = _interface_report(_branches(stack.solve_state(state)))
         assert report.crowding_factor > 1.5
 
     def test_idle_stack_interface_quiet(self, ddr3_stack):
         res = ddr3_stack.solve_state(MemoryState.idle(4))
-        report = BranchCurrentAnalysis(res.raw).interface_crowding(
-            "dram3/M3", "dram4/M3"
-        )
+        report = _interface_report(_branches(res))
         # Only the idle die's standby current crosses upward.
         assert report.total_a < 0.1
 
-
-class TestLateralDensity:
-    def test_shape_and_nonnegative(self, ddr3_stack, analysis):
-        density = analysis.layer_current_density("dram4/M3")
-        grid = ddr3_stack.model.layer_grid("dram4/M3")
-        assert density.shape == (grid.ny, grid.nx)
-        assert np.all(density >= 0.0)
-
-    def test_hotspot_near_active_bank(self, analysis, ddr3_floorplan):
-        (i, j), amps = analysis.worst_lateral_hotspot("dram4/M3")
-        assert amps > 0.0
-        # The active banks sit in the left column: the hotspot's x index
-        # is in the left half of the die.
-        assert i < 9
-
-    def test_unknown_layer(self, analysis):
+    def test_non_adjacent_layers_have_no_links(self, branches):
         with pytest.raises(SolverError):
-            analysis.layer_current_density("nope")
+            _interface_report(branches, "dram1/M3", "dram4/M3")
+
+
+def test_ext_crowding_rows_match_golden(monkeypatch):
+    """On ``direct`` the crowding experiment's rows are bitwise those
+    recorded before branch currents moved onto :func:`extract_branches`."""
+    monkeypatch.setenv("REPRO_SOLVER", "direct")
+    golden = json.loads(GOLDEN.read_text())
+    rows = {row.label: row.model for row in ext_crowding.run().rows}
+    assert set(rows) == set(golden)
+    for label, model in rows.items():
+        for key, value in model.items():
+            expected = golden[label][key]
+            got = value if isinstance(value, int) else float(value).hex()
+            assert got == expected, f"{label}/{key}: {got} != {expected}"

@@ -36,6 +36,7 @@ from repro.rmesh.backends import (
     EscalatingOperator,
     make_operator,
 )
+from repro.rmesh.solve import StackSolver
 from repro.rmesh.workloads import synthetic_workload
 
 
@@ -230,15 +231,23 @@ def test_protected_call_exhaustion_adds_context(monkeypatch):
 
 def test_solver_env_knobs_warn_and_default(monkeypatch):
     envcfg.reset_warnings()
-    matrix = synthetic_workload(6, 6, layers=1, bump_every=3).model
-    m = matrix.conductance_matrix().tocsc()
+    model = synthetic_workload(6, 6, layers=1, bump_every=3).model
+    m = model.conductance_matrix().tocsc()
     monkeypatch.setenv("REPRO_CG_RTOL", "1e-1O")  # letter O typo
     monkeypatch.setenv("REPRO_CG_MAXITER", "lots")
     monkeypatch.setenv("REPRO_CG_PRECOND", "ilu")
+    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "abc")
+    monkeypatch.setenv("REPRO_TRACE_EVERY", "often")
+    before = obs_metrics.snapshot()
     op = CGOperator(m)
     assert op.rtol == 1e-10
     assert op.preconditioner.kind == "factor"
     assert op.maxiter >= 2000
+    # Both sampling knobs are read on every solve: a real one completes.
+    result = StackSolver(model, backend="cg").solve_currents(np.ones(m.shape[0]))
+    assert np.all(np.isfinite(result.drops))
+    delta = obs_metrics.diff(before, obs_metrics.snapshot())
+    assert delta["counters"].get("env.invalid_values") == 5
 
 
 def test_workers_env_invalid_degrades_serial(monkeypatch):

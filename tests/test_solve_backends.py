@@ -20,6 +20,7 @@ from repro.pdn.config import RDLScope
 from repro.pdn.plan import PlanDiff
 from repro.pdn.sweep import SweepSolveSession, knob_only_diff
 from repro.perf.cache import cached_build_stack, clear_caches
+from repro.rmesh import backends as rb
 from repro.rmesh.backends import (
     BACKENDS,
     CGOperator,
@@ -27,7 +28,6 @@ from repro.rmesh.backends import (
     EscalatingOperator,
     FactorPreconditioner,
     JacobiPreconditioner,
-    amg_available,
     make_operator,
     make_preconditioner,
     resolve_backend,
@@ -132,15 +132,23 @@ def test_make_operator_rejects_unknown():
         make_operator("gauss-seidel", _spd_matrix())
 
 
-def test_amg_falls_back_to_cg_without_pyamg():
-    if amg_available():  # pragma: no cover - container has no pyamg
-        pytest.skip("pyamg installed; fallback path not reachable")
-    before = obs_metrics.snapshot()
-    op = make_operator("amg", _spd_matrix())
-    assert isinstance(op, EscalatingOperator)
-    assert isinstance(op.inner, CGOperator)
-    delta = obs_metrics.diff(before, obs_metrics.snapshot())
-    assert delta["counters"].get("solver.amg_fallbacks") == 1
+def test_amg_falls_back_to_cg_without_pyamg(monkeypatch, ddr3_off_bench):
+    """``amg`` is a retired alias of ``cg``: it warns once, reports cg
+    provenance, and shares cg's cached setup instead of building its own."""
+    warnings = []
+    monkeypatch.setattr(rb, "_retired_warned", set())
+    monkeypatch.setattr(
+        rb._log, "warning", lambda msg, *args, **kw: warnings.append(msg % args)
+    )
+    monkeypatch.setenv("REPRO_SOLVER", "amg")
+    solver = StackSolver(WORKLOAD.model)
+    result = solver.solve_currents(WORKLOAD.currents)
+    assert solver.backend == result.backend == "cg"
+    stack = cached_build_stack(
+        ddr3_off_bench.stack, ddr3_off_bench.baseline, pitch=0.8
+    )
+    assert stack.solver_for("amg") is stack.solver_for("cg")
+    assert len(warnings) == 1, warnings
 
 
 def test_warm_from_reuses_compatible_preconditioner():
@@ -186,13 +194,11 @@ def test_backends_agree_on_max_ir():
     direct = StackSolver(WORKLOAD.model, backend="direct")
     reference = direct.solve_currents(WORKLOAD.currents)
     for backend in BACKENDS:
-        if backend == "amg" and not amg_available():
-            continue  # the fallback path is covered above
         solver = StackSolver(WORKLOAD.model, backend=backend)
         result = solver.solve_currents(WORKLOAD.currents)
         rel = abs(result.max_drop() - reference.max_drop()) / reference.max_drop()
         assert rel <= 1e-6, f"{backend}: rel err {rel:.2e}"
-        assert result.backend in (backend, "cg")  # amg may fall back
+        assert result.backend == backend
 
 
 def test_iterative_result_carries_provenance():

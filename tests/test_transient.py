@@ -1,11 +1,21 @@
 """Transient RC extension: settling, decap behaviour, schedules."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SolverError
+from repro.pdn.stackup import build_single_die_stack
 from repro.power import MemoryState
+from repro.power.model import DDR3_POWER
+from repro.rmesh import backends
 from repro.rmesh.transient import DecapConfig, TransientSolver
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "transient_decap.json"
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +115,65 @@ class TestBurst:
     def test_v0_shape_checked(self, solver, states):
         with pytest.raises(SolverError):
             solver.simulate([(states["active"], 10.0)], v0=np.zeros(3))
+
+
+def test_single_die_step_response_settles(ddr3_floorplan):
+    """A one-die stack has the package plane too: the bulk capacitor is
+    placed and the step response settles to the DC solve."""
+    stack = build_single_die_stack(ddr3_floorplan, DDR3_POWER)
+    state = MemoryState.from_counts((2,), ddr3_floorplan)
+    solver = TransientSolver(stack, DecapConfig(), dt_ns=1.0)
+    plane = stack.model.layer_slice("package/plane")
+    assert solver.cap[plane.start] >= DecapConfig().package_uf * 1e-6
+    res = solver.step_response(state, duration_ns=400.0)
+    assert set(res.per_die_mv) == {"dram1"}
+    assert res.final_mv == pytest.approx(stack.dram_max_mv(state), rel=0.02)
+
+
+def test_cg_steps_warm_start_from_previous_step(ddr3_stack, states, monkeypatch):
+    """On ``cg`` every time step is a traced CG solve seeded with the
+    previous step's drops."""
+    monkeypatch.setenv("REPRO_SOLVER", "cg")
+    monkeypatch.setenv(backends.TRACE_EVERY_ENV, "1")
+    backends.reset_traces()
+    solver = TransientSolver(ddr3_stack, DecapConfig(), dt_ns=1.0)
+    solver.step_response(states["active"], duration_ns=5.0)
+    traces = backends.traces()
+    assert len(traces) == 5
+    assert all(t.backend == "cg" and t.warm_start for t in traces)
+
+
+def _decap_matrix():
+    """``run_matrix()`` of the transient-decap bench, keyed like the golden."""
+    path = ROOT / "benchmarks" / "bench_transient_decap.py"
+    spec = importlib.util.spec_from_file_location("bench_transient_decap", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {
+        f"wire_bond={wb}/{decap}": row
+        for (wb, decap), row in module.run_matrix().items()
+    }
+
+
+def test_decap_matrix_bitwise_on_direct(monkeypatch):
+    """The backward-Euler operator built through ``make_operator`` gives
+    bitwise the (peak, DC) pairs recorded with the former private SuperLU
+    factorization."""
+    monkeypatch.setenv("REPRO_SOLVER", "direct")
+    golden = json.loads(GOLDEN.read_text())
+    got = {
+        key: {name: value.hex() for name, value in row.items()}
+        for key, row in _decap_matrix().items()
+    }
+    assert got == golden
+
+
+def test_decap_matrix_on_cg_within_1e9(monkeypatch):
+    monkeypatch.setenv("REPRO_SOLVER", "cg")
+    golden = json.loads(GOLDEN.read_text())
+    got = _decap_matrix()
+    assert set(got) == set(golden)
+    for key, row in got.items():
+        for name, value in row.items():
+            expected = float.fromhex(golden[key][name])
+            assert value == pytest.approx(expected, rel=1e-9), f"{key}/{name}"
