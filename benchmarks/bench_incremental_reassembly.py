@@ -16,9 +16,13 @@ Two legs over the same plans:
 The legs must agree *bitwise* (identical link lists, supply lists, and
 mesh conductance arrays) -- the session trades no accuracy: a cache hit
 contributes the same bytes a rebuild would.  The speedup is asserted at
->= 1.3x (typically >10x; the margin absorbs CI timing noise) and is
+>= 1.3x (typically 2-3x; the margin absorbs CI timing noise) and is
 recorded as the ``bench.incremental_reassembly.speedup`` gauge plus a
-JSON artifact under ``benchmarks/results/``.
+JSON artifact under ``benchmarks/results/``.  Each leg is timed as ``timeit`` does:
+the best of several rounds, with the cyclic garbage collector paused.
+A leg takes only milliseconds, so one full collection of a large heap
+left by earlier benches, or one scheduler hiccup, would otherwise decide
+the ratio.  Every incremental round starts from a fresh session.
 
 Run directly (``python benchmarks/bench_incremental_reassembly.py``) or
 under pytest; ``REPRO_BENCH_SMOKE=1`` shortens the sweep.
@@ -26,9 +30,11 @@ under pytest; ``REPRO_BENCH_SMOKE=1`` shortens the sweep.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +48,12 @@ FULL_COUNTS = (15, 33, 60, 120, 240)
 SMOKE_COUNTS = (15, 60, 240)
 
 #: Minimum accepted incremental-over-cold speedup; the observed value is
-#: an order of magnitude higher, so a failure here means the session
-#: stopped reusing artifacts, not that the machine was slow.
+#: about twice that, so a failure here means the session stopped reusing
+#: artifacts, not that the machine was slow.
 MIN_SPEEDUP = 1.3
+
+#: Timed rounds per leg; the fastest one counts.
+ROUNDS = 5
 
 
 def _smoke() -> bool:
@@ -70,6 +79,19 @@ def _models_bitwise_equal(a, b) -> bool:
     )
 
 
+@contextmanager
+def _gc_paused():
+    """Collect, then keep the cyclic collector off for a timed region."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_benchmark() -> dict:
     from repro.designs import off_chip_ddr3
     from repro.obs import metrics as _metrics
@@ -91,21 +113,25 @@ def run_benchmark() -> dict:
     assemble(plans[0])
 
     # --- cold: every sweep point rebuilds all artifacts ---------------------
-    t0 = time.perf_counter()
-    cold_models = None
-    for _ in range(repeats):
-        cold_models = [assemble(p).model for p in plans]
-    cold_s = time.perf_counter() - t0
+    cold_s = float("inf")
+    for _ in range(ROUNDS):
+        with _gc_paused():
+            t0 = time.perf_counter()
+            for _ in range(repeats):
+                cold_models = [assemble(p).model for p in plans]
+            cold_s = min(cold_s, time.perf_counter() - t0)
 
     # --- incremental: one shared session across the sweep -------------------
-    session = AssemblySession()
-    before = _metrics.snapshot()
-    t0 = time.perf_counter()
-    warm_models = None
-    for _ in range(repeats):
-        warm_models = [assemble(p, session=session).model for p in plans]
-    warm_s = time.perf_counter() - t0
-    delta = _metrics.diff(before, _metrics.snapshot())["counters"]
+    warm_s = float("inf")
+    for _ in range(ROUNDS):
+        session = AssemblySession()
+        before = _metrics.snapshot()
+        with _gc_paused():
+            t0 = time.perf_counter()
+            for _ in range(repeats):
+                warm_models = [assemble(p, session=session).model for p in plans]
+            warm_s = min(warm_s, time.perf_counter() - t0)
+        delta = _metrics.diff(before, _metrics.snapshot())["counters"]
 
     # --- identity: the session must trade no accuracy -----------------------
     for cold_model, warm_model, count in zip(cold_models, warm_models, counts):
@@ -121,6 +147,7 @@ def run_benchmark() -> dict:
         "smoke": _smoke(),
         "tsv_counts": list(counts),
         "sweep_repeats": repeats,
+        "rounds": ROUNDS,
         "cold_s": round(cold_s, 4),
         "incremental_s": round(warm_s, 4),
         "speedup": round(speedup, 2),

@@ -589,7 +589,7 @@ def _workers_arg(value: str) -> int:
     count = int(value)
     if count < 0:
         raise argparse.ArgumentTypeError(
-            f"workers must be >= 0 (0 means serial), got {count}"
+            f"workers must be >= 0 (0 means one per CPU), got {count}"
         )
     return count
 
@@ -631,8 +631,8 @@ def _global_options() -> argparse.ArgumentParser:
         "--workers",
         type=_workers_arg,
         metavar="N",
-        help="process count for design-space sweeps (default: serial, or "
-        f"the {WORKERS_ENV} environment variable)",
+        help="process count for design-space sweeps (default: the "
+        f"{WORKERS_ENV} environment variable, else one per CPU; 1 is serial)",
     )
     common.add_argument(
         "--solver",

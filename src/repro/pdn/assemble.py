@@ -40,7 +40,7 @@ from repro.perf.timers import timed
 from repro.rmesh.backends import resolve_backend
 from repro.rmesh.mesh import LayerMesh
 from repro.rmesh.solve import StackSolver
-from repro.rmesh.stack import StackModel, SupplyLink, VerticalLink
+from repro.rmesh.stack import LinkBlock, StackModel, SupplyLink
 
 #: Endpoint placement signature: (node offset, grid, origin).  Link node
 #: ids depend on exactly these -- never on the layer's conductances -- so
@@ -127,13 +127,14 @@ class AssemblySession:
     """Per-op artifact cache carried across assemblies of related plans.
 
     Meshes are shared by object (models never mutate a registered mesh);
-    link blocks are tuples of frozen links.  Both are exact: a cache hit
-    contributes the same bytes a rebuild would.
+    vertical-link blocks are read-only arrays and supply blocks tuples of
+    frozen links.  All are exact: a cache hit contributes the same bytes
+    a rebuild would.
     """
 
     def __init__(self) -> None:
         self._meshes: Dict[AddLayerOp, LayerMesh] = {}
-        self._links: Dict[Tuple[PlanOp, _LayerSig, _LayerSig], Tuple[VerticalLink, ...]] = {}
+        self._links: Dict[Tuple[PlanOp, _LayerSig, _LayerSig], LinkBlock] = {}
         self._supply: Dict[Tuple[SupplyOp, _LayerSig], Tuple[SupplyLink, ...]] = {}
 
     def clear(self) -> None:
@@ -162,7 +163,7 @@ class AssemblySession:
 
     def links_for(
         self, op: PlanOp, sig_a: _LayerSig, sig_b: _LayerSig
-    ) -> Optional[Tuple[VerticalLink, ...]]:
+    ) -> Optional[LinkBlock]:
         return self._links.get((op, sig_a, sig_b))
 
     def store_links(
@@ -170,7 +171,7 @@ class AssemblySession:
         op: PlanOp,
         sig_a: _LayerSig,
         sig_b: _LayerSig,
-        links: Tuple[VerticalLink, ...],
+        links: LinkBlock,
     ) -> None:
         self._links[(op, sig_a, sig_b)] = links
 
@@ -235,7 +236,7 @@ def _replay_connect(
         model.connect_layers_at_xy(key_a, key_b, op.xs, op.ys, op.conductances)
     _metrics.inc("assemble.connects_built")
     if session is not None:
-        session.store_links(op, sig_a, sig_b, model.links_range(start, model.link_count))
+        session.store_links(op, sig_a, sig_b, model.link_block(start, model.link_count))
 
 
 def _replay_supply(

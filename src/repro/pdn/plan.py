@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import (
@@ -48,6 +49,7 @@ from typing import (
 
 from repro.errors import ConfigurationError
 from repro.geometry import Grid2D, Rect
+from repro.perf.timers import timed
 
 #: Bump when the plan JSON layout changes incompatibly.
 PLAN_SCHEMA_VERSION = 1
@@ -80,8 +82,16 @@ class PlanOp:
     kind: ClassVar[str] = "op"
 
     def to_dict(self) -> Dict[str, Any]:
+        """The op's fields by name, with a nested :class:`GridSpec` as a dict.
+
+        Shallow on purpose: ``dataclasses.asdict`` deep-copies every
+        coordinate tuple, and this runs once per op on every plan hash.
+        Tuples serialize to the same JSON lists either way.
+        """
         data: Dict[str, Any] = {"kind": type(self).kind}
-        data.update(asdict(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = asdict(value) if isinstance(value, GridSpec) else value
         return data
 
 
@@ -505,7 +515,9 @@ def validate_plan_dict(data: Mapping[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 #: Process-lifetime map of plan hash -> benchmark name, fed by the build
-#: entry points.  Manifests resolve touched-plan counters against it.
+#: entry points and by the labels worker processes ship home (see
+#: :mod:`repro.perf.parallel`).  Manifests resolve touched-plan counters
+#: against it.
 _observed: Dict[str, str] = {}
 
 #: Full plan objects by hash, kept alongside the name map so the
@@ -516,24 +528,45 @@ _observed_objects: Dict[str, "StackPlan"] = {}
 
 #: Metrics-counter prefix for per-run plan attribution.  Counters merge
 #: across worker processes, so per-experiment deltas stay complete even
-#: for fanned-out sweeps (labels of worker-only plans degrade to the
-#: hash itself).
+#: for fanned-out sweeps.
 PLAN_TOUCH_PREFIX = "plan.touch."
 
 
 def record_plan_use(plan: StackPlan) -> None:
     """Note that a build used ``plan`` (registry + touch counter)."""
-    _observed[plan.plan_hash] = plan.benchmark
-    _observed_objects[plan.plan_hash] = plan
+    with timed("plan.hash"):
+        plan_hash = plan.plan_hash
+    _observed[plan_hash] = plan.benchmark
+    _observed_objects[plan_hash] = plan
     # Local import: obs must stay importable without the pdn package.
     from repro.obs import metrics as _metrics
 
-    _metrics.inc(PLAN_TOUCH_PREFIX + plan.plan_hash)
+    _metrics.inc(PLAN_TOUCH_PREFIX + plan_hash)
 
 
 def observed_plans() -> Dict[str, str]:
     """Every plan hash this process has built, mapped to its benchmark."""
     return dict(_observed)
+
+
+def plan_label_count() -> int:
+    """Number of plan labels recorded so far (an :func:`export_plan_labels` mark)."""
+    return len(_observed)
+
+
+def export_plan_labels(since: int = 0) -> Dict[str, str]:
+    """Labels recorded after the first ``since``, for shipping across processes.
+
+    Labels are only ever added, in insertion order, so a count taken
+    before a task marks exactly what the task recorded.
+    """
+    return dict(itertools.islice(_observed.items(), since, None))
+
+
+def absorb_plan_labels(labels: Mapping[str, str]) -> None:
+    """Merge another process's plan labels (labels only, not plan bodies)."""
+    for plan_hash, benchmark in labels.items():
+        _observed.setdefault(plan_hash, benchmark)
 
 
 def observed_plan_objects() -> Dict[str, "StackPlan"]:

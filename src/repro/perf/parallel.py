@@ -25,22 +25,31 @@ own registries, so ``--perf-report``, ``--metrics-out``, and
 ``--trace-out`` report true totals for parallel runs -- solve counts
 from a ``--workers 4`` sweep equal the serial run's.
 
+Plan labels cross it too: a worker ships the ``{plan hash: benchmark}``
+labels its builds recorded, so a parallel run's manifest names every
+plan it solved by benchmark, exactly as a serial run's does.
+
 Worker count resolution order:
 
 1. explicit ``workers`` argument (``None``/``0`` mean "decide for me"),
 2. the ``REPRO_WORKERS`` environment variable (the CLI ``--workers``
    flag sets it so experiment drivers inherit the knob) -- malformed
-   values warn and degrade to serial (:mod:`repro.envcfg`) instead of
-   crashing a sweep,
-3. serial (1 worker) -- parallelism is opt-in, because for small sweeps
-   process startup can cost more than it saves.
+   values warn and fall back to the default (:mod:`repro.envcfg`)
+   instead of crashing a sweep,
+3. one worker per CPU this process may run on -- every design point is
+   an independent build, factorization and solve, so a sweep uses the
+   whole machine by default.  ``workers=1`` or ``REPRO_WORKERS=1`` runs
+   serially in this process.
+
+:func:`map_design_points` never starts more processes than it has
+items, and a sweep that resolves to one worker runs serially.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import envcfg
 from repro.obs import metrics as _metrics
@@ -59,20 +68,28 @@ R = TypeVar("R")
 WORKERS_ENV = "REPRO_WORKERS"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no affinity masks on this platform
+        return max(1, os.cpu_count() or 1)
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Resolve a worker count from the argument or the environment.
 
-    ``workers=None`` or ``0`` consults ``REPRO_WORKERS``; absent or
-    invalid values warn and resolve to 1 (serial).  Counts are clamped
-    to at least 1 and at most the machine's CPU count times 2
-    (oversubscribing beyond that only adds scheduler churn for this
-    CPU-bound work).
+    ``workers=None`` or ``0`` consults ``REPRO_WORKERS``; when that is
+    unset or ``0`` the count is the number of CPUs this process may run
+    on, and invalid values warn and fall back to that same default.
+    ``1`` means serial.  Counts are clamped to at least 1 and at most
+    the machine's CPU count times 2 (oversubscribing beyond that only
+    adds scheduler churn for this CPU-bound work).
     """
     if workers is None or workers == 0:
         # Env values degrade instead of crashing a sweep.
-        workers = envcfg.env_int(WORKERS_ENV, 1, minimum=0)
-        if workers == 0:
-            workers = 1
+        cpus = _usable_cpus()
+        workers = envcfg.env_int(WORKERS_ENV, cpus, minimum=0) or cpus
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     limit = max(1, (os.cpu_count() or 1) * 2)
@@ -89,6 +106,7 @@ class _WorkerReturn:
     spans: List[Dict[str, object]] = field(default_factory=list)
     profile: List[Dict[str, object]] = field(default_factory=list)
     convergence: List[Dict[str, object]] = field(default_factory=list)
+    plans: Dict[str, str] = field(default_factory=dict)
 
 
 class _ObsTask:
@@ -100,20 +118,25 @@ class _ObsTask:
     Beyond timers/metrics/spans, each return also carries the worker's
     new resource-profiler samples (the sampler is started lazily in the
     worker when ``REPRO_PROFILE`` asks for it -- spawn children don't
-    inherit the parent's thread) and any solver convergence traces the
-    task recorded.
+    inherit the parent's thread), any solver convergence traces the
+    task recorded, and the plan labels its builds added.
     """
 
     def __init__(self, fn: Callable[[T], R]) -> None:
         self.fn = fn
 
     def __call__(self, item: T) -> _WorkerReturn:
+        # Lazy: repro.pdn imports repro.perf, so a module-level import
+        # would be circular.
+        from repro.pdn import plan as _plan
+
         _profile.ensure_profiler()
         timers_before = _timers.snapshot()
         metrics_before = _metrics.snapshot()
         spans_before = _trace.span_count()
         samples_before = _profile.sample_count()
         traces_before = _backends.trace_count()
+        plans_before = _plan.plan_label_count()
         result = self.fn(item)
         return _WorkerReturn(
             result=result,
@@ -122,6 +145,7 @@ class _ObsTask:
             spans=_trace.export_spans(since=spans_before),
             profile=_profile.export_samples(since=samples_before),
             convergence=_backends.export_traces(since=traces_before),
+            plans=_plan.export_plan_labels(since=plans_before),
         )
 
 
@@ -146,31 +170,31 @@ class _ResilTask:
 
 def _merge_worker_return(wr: _WorkerReturn) -> Any:
     """Fold one worker delta into the parent registries; return the result."""
+    from repro.pdn import plan as _plan
+
     _timers.merge_snapshot(wr.timers)
     _metrics.merge(wr.metrics)
     _trace.absorb_spans(wr.spans)
     _profile.absorb_samples(wr.profile)
     _backends.absorb_traces(wr.convergence)
+    _plan.absorb_plan_labels(wr.plans)
     _metrics.inc("parallel.worker_tasks_merged")
     return wr.result
-
-
-def _merge_worker_returns(returns: Sequence[_WorkerReturn]) -> List[Any]:
-    """Fold worker deltas into the parent registries; return raw results."""
-    return [_merge_worker_return(wr) for wr in returns]
 
 
 def map_design_points(
     fn: Callable[[T], R],
     items: Sequence[T],
     workers: Optional[int] = None,
-    chunksize: int = 1,
 ) -> List[R]:
-    """``[fn(item) for item in items]`` with optional process fan-out.
+    """``[fn(item) for item in items]`` fanned over worker processes.
 
     Results are returned in input order regardless of worker count, so
-    callers see identical output from serial and parallel runs.  ``fn``
-    and the items must be picklable when ``workers > 1``.  Execution
+    callers see identical output from serial and parallel runs.
+    ``workers`` resolves as :func:`resolve_workers` describes (one per
+    usable CPU by default); at most one process per item is started,
+    and a single resolved worker runs the loop in this process.  ``fn``
+    and the items must be picklable when that count exceeds 1.  Execution
     runs on the fault-tolerant engine (:mod:`repro.resil.execute`):
     transient worker failures are retried, a broken pool is rebuilt
     (completed results kept), and if the executor cannot start or stay
@@ -182,14 +206,11 @@ def map_design_points(
     A task that fails *permanently* (non-transient error, or attempts
     exhausted) raises, preserving the historical all-or-nothing
     contract; use :func:`repro.resil.execute.run_tasks` for partial
-    results plus a failure report.  ``chunksize`` is accepted for
-    backward compatibility and ignored -- per-task tracking requires
-    one future per item.
+    results plus a failure report.
     """
-    del chunksize  # submit-per-item supersedes chunked map
     items = list(items)
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(resolve_workers(workers), len(items))
+    if workers <= 1:
         with timed("parallel.serial_map"):
             report = run_tasks(fn, items, workers=1)
     else:
@@ -205,18 +226,9 @@ def map_design_points(
     return list(report.results)
 
 
-def iter_chunks(items: Sequence[T], size: int) -> Iterable[List[T]]:
-    """Split a sequence into consecutive chunks of at most ``size``."""
-    if size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {size}")
-    for start in range(0, len(items), size):
-        yield list(items[start : start + size])
-
-
 __all__ = [
     "WORKERS_ENV",
     "TaskReport",
-    "iter_chunks",
     "map_design_points",
     "resolve_workers",
     "run_tasks",

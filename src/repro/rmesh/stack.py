@@ -14,7 +14,7 @@ loads inject their current at their node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +31,11 @@ class VerticalLink:
     node_a: int  # global node id
     node_b: int
     conductance: float
+
+
+#: A block of vertical links as parallel ``(node_a, node_b, conductance)``
+#: arrays (int64, int64, float64).  Never mutated once appended to a model.
+LinkBlock = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -56,12 +61,16 @@ class StackModel:
     def __init__(self) -> None:
         self._layers: List[_LayerEntry] = []
         self._by_key: Dict[str, _LayerEntry] = {}
-        self._links: List[VerticalLink] = []
+        # Vertical links as appended array blocks, in insertion order: a
+        # stack has thousands of them, so they never exist as objects
+        # unless a caller asks (vertical_links, links_range).
+        self._link_blocks: List[LinkBlock] = []
+        self._link_count = 0
         self._supply: List[SupplyLink] = []
         self._num_nodes = 0
-        # Vectorized views of the (append-only) link lists, keyed by the
-        # list length they were built at; see link_arrays().
-        self._link_arrays_cache: "tuple[int, tuple] | None" = None
+        # Vectorized views of the (append-only) link stores, keyed by the
+        # link count they were built at; see link_arrays().
+        self._link_arrays_cache: "tuple[int, LinkBlock] | None" = None
         self._supply_arrays_cache: "tuple[int, tuple] | None" = None
         # Layer key -> globally-offset (a, b, g) mesh edge arrays.  A
         # layer's mesh and offset are fixed at add_layer time, so these
@@ -164,16 +173,16 @@ class StackModel:
             )
         if not len(xs):
             return
-        for g in conductances:
-            if g <= 0.0:
-                raise MeshError(f"link conductance must be positive, got {g}")
+        g = np.array(conductances, dtype=float)
+        bad = np.flatnonzero(g <= 0.0)
+        if bad.size:
+            raise MeshError(
+                f"link conductance must be positive, got {float(g[bad[0]])}"
+            )
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        nodes_a = self._nodes_at_xy(key_a, xs, ys)
-        nodes_b = self._nodes_at_xy(key_b, xs, ys)
-        self._links.extend(
-            VerticalLink(int(a), int(b), g)
-            for a, b, g in zip(nodes_a, nodes_b, conductances)
+        self.extend_links(
+            (self._nodes_at_xy(key_a, xs, ys), self._nodes_at_xy(key_b, xs, ys), g)
         )
 
     def connect_layers_uniform(
@@ -199,12 +208,9 @@ class StackModel:
         jj, ii = np.divmod(np.arange(grid.num_nodes), grid.nx)
         xs = grid.outline.x0 + (ii + 0.5) * grid.dx + src.origin.x
         ys = grid.outline.y0 + (jj + 0.5) * grid.dy + src.origin.y
-        src_nodes = src.offset + np.arange(grid.num_nodes)
+        src_nodes = src.offset + np.arange(grid.num_nodes, dtype=np.int64)
         dst_nodes = self._nodes_at_xy(dst.key, xs, ys)
-        self._links.extend(
-            VerticalLink(int(sa), int(sb), g)
-            for sa, sb in zip(src_nodes, dst_nodes)
-        )
+        self.extend_links((src_nodes, dst_nodes, np.full(grid.num_nodes, g)))
 
     def connect_supply_at_points(
         self,
@@ -255,7 +261,7 @@ class StackModel:
         paper's Figure 4 credits the R-Mesh speedup to reducing this."""
         return (
             sum(e.mesh.num_resistors for e in self._layers)
-            + len(self._links)
+            + self._link_count
             + len(self._supply)
         )
 
@@ -303,7 +309,7 @@ class StackModel:
     @property
     def link_count(self) -> int:
         """Number of vertical links added so far."""
-        return len(self._links)
+        return self._link_count
 
     @property
     def supply_count(self) -> int:
@@ -312,20 +318,30 @@ class StackModel:
 
     def links_range(self, start: int, stop: int) -> "tuple[VerticalLink, ...]":
         """The vertical links added between two :attr:`link_count` marks."""
-        return tuple(self._links[start:stop])
+        a, b, g = self.link_block(start, stop)
+        return tuple(
+            VerticalLink(na, nb, gg)
+            for na, nb, gg in zip(a.tolist(), b.tolist(), g.tolist())
+        )
+
+    def link_block(self, start: int, stop: int) -> LinkBlock:
+        """Array form of :meth:`links_range` (read-only views)."""
+        a, b, g = self.link_arrays()
+        return a[start:stop], b[start:stop], g[start:stop]
 
     def supply_range(self, start: int, stop: int) -> "tuple[SupplyLink, ...]":
         """The supply links added between two :attr:`supply_count` marks."""
         return tuple(self._supply[start:stop])
 
-    def extend_links(self, links: Sequence[VerticalLink]) -> None:
-        """Append pre-computed vertical links (cached replay blocks).
+    def extend_links(self, block: LinkBlock) -> None:
+        """Append a block of vertical links (e.g. a cached replay block).
 
         Callers guarantee the links were computed against layers with the
         same offsets/grids/origins this model has -- the assembler keys
-        its cache on exactly that.
+        its cache on exactly that -- and never mutate the arrays after.
         """
-        self._links.extend(links)
+        self._link_blocks.append(block)
+        self._link_count += len(block[2])
 
     def extend_supply(self, links: Sequence[SupplyLink]) -> None:
         """Append pre-computed supply links (cached replay blocks)."""
@@ -333,29 +349,26 @@ class StackModel:
 
     def vertical_links(self) -> List[VerticalLink]:
         """All vertical links (TSVs, F2F vias, bond wires, via stitching)."""
-        return list(self._links)
+        return list(self.links_range(0, self._link_count))
 
     def supply_links(self) -> List[SupplyLink]:
         """All links to the ideal package supply."""
         return list(self._supply)
 
-    def link_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    def link_arrays(self) -> LinkBlock:
         """Vectorized ``(node_a, node_b, conductance)`` over all vertical
-        links.  The link lists are append-only, so the arrays are cached
-        against the list length and rebuilt only after new links land.
-        Callers must treat the returned arrays as read-only."""
-        n = len(self._links)
+        links, in insertion order.  The block list is append-only, so the
+        concatenation is cached against the link count and redone only
+        after new links land.  The returned arrays are read-only."""
+        n = self._link_count
         cached = self._link_arrays_cache
         if cached is None or cached[0] != n:
-            a = np.fromiter(
-                (lk.node_a for lk in self._links), dtype=np.int64, count=n
-            )
-            b = np.fromiter(
-                (lk.node_b for lk in self._links), dtype=np.int64, count=n
-            )
-            g = np.fromiter(
-                (lk.conductance for lk in self._links), dtype=float, count=n
-            )
+            blocks = self._link_blocks or [
+                (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+            ]
+            a, b, g = (np.concatenate([blk[i] for blk in blocks]) for i in range(3))
+            for arr in (a, b, g):
+                arr.flags.writeable = False
             cached = (n, (a, b, g))
             self._link_arrays_cache = cached
         return cached[1]
@@ -418,7 +431,7 @@ class StackModel:
         for entry in self._layers:
             a, b, g = self.mesh_edge_arrays(entry.key)
             stamp(a, b, g)
-        if self._links:
+        if self._link_count:
             a, b, g = self.link_arrays()
             stamp(a, b, g)
         # Supply links only add to the diagonal (the supply node, at drop 0,

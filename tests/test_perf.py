@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.controller import IRDropLUT
 from repro.controller.lut import StaticIRDropLUT
 from repro.errors import SolverError
+from repro.obs import metrics as obs_metrics
 from repro.perf.cache import (
     LRUCache,
     cache_stats,
@@ -17,7 +20,6 @@ from repro.perf.cache import (
 )
 from repro.perf.parallel import (
     WORKERS_ENV,
-    iter_chunks,
     map_design_points,
     resolve_workers,
 )
@@ -148,21 +150,56 @@ def _square(x: int) -> int:
 
 
 def test_resolve_workers_env(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert resolve_workers(None) == 1
+    assert resolve_workers(None) == cpus
+    assert resolve_workers(0) == cpus
     assert resolve_workers(1) == 1
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    assert resolve_workers(None) == 1
     monkeypatch.setenv(WORKERS_ENV, "3")
     assert resolve_workers(None) >= 1  # clamped to <= 2x cpu count
     monkeypatch.setenv(WORKERS_ENV, "garbage")
-    assert resolve_workers(None) == 1
+    assert resolve_workers(None) == cpus
     with pytest.raises(ValueError):
         resolve_workers(-2)
 
 
-def test_iter_chunks():
-    assert list(iter_chunks([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-    with pytest.raises(ValueError):
-        list(iter_chunks([1], 0))
+def test_default_sample_is_parallel_and_matches_serial(ddr3_off_bench, monkeypatch):
+    """No worker setting fans out over the usable CPUs, bitwise like serial."""
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    combos = valid_discrete_combos(ddr3_off_bench)[:2]
+    kwargs = dict(m2_points=2, m3_points=1, tc_points=1, combos=combos)
+    before = obs_metrics.snapshot()
+    default = sample_design_space(ddr3_off_bench, **kwargs)
+    merged = obs_metrics.diff(before, obs_metrics.snapshot())["counters"]
+    serial = sample_design_space(ddr3_off_bench, workers=1, **kwargs)
+    assert [(s.config, s.ir_mv) for s in default] == [(s.config, s.ir_mv) for s in serial]
+    parallel = len(os.sched_getaffinity(0)) > 1
+    assert merged.get("parallel.worker_tasks_merged", 0) == (2 if parallel else 0)
+
+
+def test_parallel_manifest_keeps_plan_labels(ddr3_off_bench, monkeypatch):
+    """Worker-built plans are labelled by benchmark, as in a serial run."""
+    from repro.obs.manifest import build_manifest
+    from repro.pdn import plan as plan_mod
+
+    combos = valid_discrete_combos(ddr3_off_bench)[:2]
+    kwargs = dict(m2_points=2, m3_points=1, tc_points=1, combos=combos)
+
+    def sample_plans(workers):
+        before = obs_metrics.snapshot()
+        sample_design_space(ddr3_off_bench, workers=workers, **kwargs)
+        delta = obs_metrics.diff(before, obs_metrics.snapshot())
+        return build_manifest("test.plans", metrics_snapshot=delta).plans
+
+    # An empty registry: only the workers can label what they built.
+    monkeypatch.setattr(plan_mod, "_observed", {})
+    parallel = sample_plans(2)
+    serial = sample_plans(1)
+    assert len(serial) == 4
+    assert parallel == serial
+    assert set(parallel.values()) == {"ddr3_off"}
 
 
 # -- LUT batching and serialization ------------------------------------------

@@ -14,7 +14,9 @@ Three independent identity guarantees are pinned here:
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.base import Row
 from repro.floorplan import ddr3_die_floorplan
 from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.pdn import (
     Bonding,
     BumpLocation,
@@ -34,6 +37,7 @@ from repro.pdn import (
 )
 from repro.pdn.assemble import AssemblySession, assemble
 from repro.pdn.plan import (
+    OP_TYPES,
     PLAN_TOUCH_PREFIX,
     StackPlan,
     op_from_dict,
@@ -302,6 +306,123 @@ class TestPlanDiff:
         assert f"-{len(diff.removed)} +{len(diff.added)}" in diff.describe()
 
 
+# -- hash pre-image: shallow op dicts ---------------------------------------
+
+
+def _asdict_preimage(plan):
+    """The hash pre-image as ``dataclasses.asdict`` built it, op by op."""
+    data = plan.to_dict()
+    data["ops"] = [dict({"kind": type(op).kind}, **asdict(op)) for op in plan.ops]
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+#: Plans that together contain every op kind, with and without a logic grid.
+PREIMAGE_CASES = {
+    "ddr3_off": (off_chip_ddr3, {}),
+    "ddr3_off_f2f_rdl_wirebond": (
+        off_chip_ddr3,
+        dict(bonding=Bonding.F2F, rdl=RDLScope.ALL, wire_bond=True),
+    ),
+    "ddr3_on": (on_chip_ddr3, {}),
+    "wideio": (wide_io, {}),
+    "hmc": (hmc, {}),
+}
+
+
+class TestHashPreimage:
+    def _plans(self):
+        return {
+            key: plan_stack(b.stack, b.baseline.with_options(**options))
+            for key, (factory, options) in PREIMAGE_CASES.items()
+            for b in (factory(),)
+        }
+
+    def test_cases_cover_every_op_kind_and_both_logic_grids(self):
+        plans = self._plans().values()
+        kinds = {type(op).kind for plan in plans for op in plan.ops}
+        assert kinds == set(OP_TYPES)
+        assert {plan.logic_grid is None for plan in plans} == {True, False}
+
+    @pytest.mark.parametrize("key", sorted(PREIMAGE_CASES))
+    def test_canonical_json_matches_asdict_preimage(self, key):
+        plan = self._plans()[key]
+        assert plan.canonical_json() == _asdict_preimage(plan)
+
+    @pytest.mark.parametrize("key", sorted(FACTORIES))
+    def test_golden_plan_preimage_and_hash(self, key):
+        plan = StackPlan.from_json((GOLDEN / f"plan_{key}.json").read_text())
+        hashes = json.loads((GOLDEN / "plan_hashes.json").read_text())
+        assert plan.canonical_json() == _asdict_preimage(plan)
+        assert plan.plan_hash == hashes[key]
+
+
+# -- vertical links: array store, objects on demand --------------------------
+
+
+def _links_digest(links):
+    h = hashlib.sha256()
+    for lk in links:
+        h.update(f"{lk.node_a},{lk.node_b},{float(lk.conductance).hex()};".encode())
+    return h.hexdigest()[:16]
+
+
+def _link_fingerprint(assembled):
+    """Count, all-links digest and per-op ``links_range`` digests."""
+    model = assembled.model
+    return {
+        "count": model.link_count,
+        "all": _links_digest(model.vertical_links()),
+        "ops": [
+            [s.index, s.links[0], s.links[1], _links_digest(model.links_range(*s.links))]
+            for s in assembled.op_spans
+            if s.links[1] > s.links[0]
+        ],
+    }
+
+
+#: ``tests/golden/vertical_links.json`` was recorded with the same
+#: fingerprint from the object-per-link store the array store replaced.
+LINK_CASES = dict(
+    PREIMAGE_CASES,
+    ddr3_off_tsv15=(off_chip_ddr3, dict(tsv_count=15)),
+    ddr3_off_tsv60=(off_chip_ddr3, dict(tsv_count=60)),
+)
+
+
+class TestVerticalLinkStore:
+    @pytest.fixture(scope="class")
+    def golden_links(self):
+        return json.loads((GOLDEN / "vertical_links.json").read_text())
+
+    @pytest.mark.parametrize("key", sorted(LINK_CASES))
+    def test_links_match_object_store_golden(self, key, golden_links):
+        factory, options = LINK_CASES[key]
+        b = factory()
+        plan = plan_stack(b.stack, b.baseline.with_options(**options))
+        assert _link_fingerprint(assemble(plan)) == golden_links[key]
+
+    def test_session_reuse_matches_golden(self, ddr3_off_bench, golden_links):
+        session = AssemblySession()
+        for key in ("ddr3_off_tsv15", "ddr3_off_tsv60", "ddr3_off"):
+            _, options = LINK_CASES[key]
+            plan = plan_stack(
+                ddr3_off_bench.stack, ddr3_off_bench.baseline.with_options(**options)
+            )
+            warm = assemble(plan, session=session)
+            assert _link_fingerprint(warm) == golden_links[key]
+        assert session.stats()["link_blocks"] > 0
+
+    def test_link_arrays_match_objects(self, ddr3_stack):
+        model = ddr3_stack.model
+        a, b, g = model.link_arrays()
+        links = model.vertical_links()
+        assert len(links) == model.link_count == a.size
+        assert [lk.node_a for lk in links] == a.tolist()
+        assert [lk.node_b for lk in links] == b.tolist()
+        assert [lk.conductance for lk in links] == g.tolist()
+        assert model.links_range(3, 7) == tuple(links[3:7])
+
+
 # -- incremental reassembly ---------------------------------------------------
 
 
@@ -458,6 +579,12 @@ class TestPlanProvenance:
     def test_stack_exposes_plan_hash(self, ddr3_stack):
         assert ddr3_stack.plan_hash is not None
         assert len(ddr3_stack.plan_hash) == 16
+
+    def test_plan_hash_is_a_child_span_of_build(self, ddr3_off_bench):
+        _trace.reset_trace()
+        build_stack(ddr3_off_bench.stack, ddr3_off_bench.baseline)
+        parents = {r.parent for r in _trace.spans() if r.name == "plan.hash"}
+        assert parents == {"stackup.build"}
 
 
 # -- satellite: Row.deviation_percent -----------------------------------------

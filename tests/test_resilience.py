@@ -250,14 +250,16 @@ def test_solver_env_knobs_warn_and_default(monkeypatch):
     assert delta["counters"].get("env.invalid_values") == 5
 
 
-def test_workers_env_invalid_degrades_serial(monkeypatch):
+def test_workers_env_invalid_degrades_to_default(monkeypatch):
     from repro.perf.parallel import resolve_workers
 
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    default = resolve_workers(None)
     envcfg.reset_warnings()
     monkeypatch.setenv("REPRO_WORKERS", "all-of-them")
-    assert resolve_workers(None) == 1
+    assert resolve_workers(None) == default
     monkeypatch.setenv("REPRO_WORKERS", "-4")
-    assert resolve_workers(None) == 1
+    assert resolve_workers(None) == default
 
 
 def test_env_invalid_values_counted(monkeypatch):
