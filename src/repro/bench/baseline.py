@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.record import SuiteRecord, load_record, load_trajectory
+from repro.obs.store import plan_drift
 
 #: Verdict severity, mildest first; the suite takes the worst.
 VERDICT_ORDER = (
@@ -179,33 +180,27 @@ def compare(
     return comparison
 
 
-def _drift_attribution(entry, base) -> str:
-    """Classify an IR drift as structural vs. numerical via plan hashes.
-
-    Both records carry the plan hashes their bench solved; if the sets
-    differ, the stack *structure* changed (planner/geometry edit); if
-    they match, the plans are identical and the drift is numerical
-    (assembler/solver arithmetic).  Records predating the field give no
-    attribution.
-    """
-    ours = getattr(entry, "plan_hashes", None)
-    theirs = getattr(base, "plan_hashes", None)
-    if not ours or not theirs:
-        return ""
-    if set(ours) != set(theirs):
-        return " [structural: stack plans changed]"
-    return " [numerical: identical stack plans]"
+#: Suffix of an accuracy-drift verdict, by :func:`plan_drift` class.
+_DRIFT_TAGS = {
+    "structural": " [structural: stack plans changed]",
+    "numerical": " [numerical: identical stack plans]",
+}
 
 
 def _accuracy_drift(entry, base, th: Thresholds) -> str:
-    """Non-empty description when the physics numbers moved."""
+    """Non-empty description when the physics numbers moved.
+
+    The description ends in a structural/numerical tag when both
+    records carry the plan hashes their bench solved.
+    """
+    tag = _DRIFT_TAGS.get(plan_drift(entry.plan_hashes, base.plan_hashes), "")
     if entry.max_ir_mv is not None and base.max_ir_mv is not None:
         delta = abs(entry.max_ir_mv - base.max_ir_mv)
         if delta > th.ir_abs_mv:
             return (
                 f"max IR {base.max_ir_mv:.6f} -> {entry.max_ir_mv:.6f} mV "
                 f"(|delta| {delta:.2e} > {th.ir_abs_mv:.0e})"
-                + _drift_attribution(entry, base)
+                + tag
             )
     base_anchors = {_anchor_key(a): a for a in base.anchors}
     for anchor in entry.anchors:
@@ -223,7 +218,7 @@ def _accuracy_drift(entry, base, th: Thresholds) -> str:
             return (
                 f"anchor {anchor['row']}/{anchor['metric']} deviation "
                 f"{prev_dev:+.4f}% -> {cur_dev:+.4f}%"
-                + _drift_attribution(entry, base)
+                + tag
             )
     return ""
 

@@ -211,8 +211,9 @@ def _plans_of(metrics: Mapping[str, object]) -> Dict[str, object]:
     """``{plan hash: benchmark}`` from a metrics snapshot's touch counters.
 
     ``plan.touch.<hash>`` counters survive cross-process metric merges
-    and workers ship their plan labels home, so a fanned-out sweep's
-    manifest names every structure its workers solved by benchmark.
+    and worker ``plan.hash`` spans carry their labels home, so a
+    fanned-out sweep's manifest names every structure its workers solved
+    by benchmark.
     """
     counters = metrics.get("counters")
     if not isinstance(counters, Mapping) or not counters:
@@ -272,9 +273,9 @@ def build_manifest(
     )
     if convergence is None:
         # Lazy: repro.obs must stay importable without repro.rmesh.
-        from repro.rmesh.backends import export_traces
+        from repro.rmesh.backends import traces
 
-        convergence = export_traces()
+        convergence = [t.to_dict() for t in traces()]
     return RunManifest(
         experiment_id=experiment_id,
         title=title,

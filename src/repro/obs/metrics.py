@@ -18,8 +18,7 @@ counters do.
 Snapshots are plain JSON-able dicts.  ``diff`` and ``merge`` exist for
 the parallel executor: a worker snapshots around each task, ships the
 delta back, and the parent merges it -- so the parent registry reports
-*true* totals for a fanned-out run instead of only its own work (the
-blackout the old timer registry documented).
+*true* totals for a fanned-out run instead of only its own work.
 
 Merge semantics: counters add; histograms add counts/totals and widen
 min/max; gauges take the maximum (every gauge in this codebase is a

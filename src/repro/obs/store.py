@@ -44,7 +44,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
@@ -275,9 +275,9 @@ class RunHistoryStore:
             if _profile.sample_count():
                 record["profile"] = _profile.summary()
         if not record["convergence"]:
-            from repro.rmesh import backends as _backends
+            from repro.rmesh.backends import traces
 
-            record["convergence"] = _backends.export_traces()
+            record["convergence"] = [t.to_dict() for t in traces()]
         # Persist the bodies of every plan this process actually built.
         try:
             from repro.pdn.plan import observed_plan_objects
@@ -664,6 +664,24 @@ def _attribution_evidence(
     return found
 
 
+def plan_drift(
+    plans_a: Optional[Iterable[str]], plans_b: Optional[Iterable[str]]
+) -> str:
+    """Classify drift between two runs by the plan hashes they solved.
+
+    ``structural`` when the sets differ (a planner or geometry edit),
+    ``numerical`` when they match (same structures, so any drift is in
+    the assembler/solver arithmetic), ``unknown`` when either run
+    recorded no plan hashes (records predating the field).  Both
+    :func:`diff_runs` and the bench gate (:mod:`repro.bench.baseline`)
+    classify through here.
+    """
+    set_a, set_b = set(plans_a or ()), set(plans_b or ())
+    if not set_a or not set_b:
+        return "unknown"
+    return "structural" if set_a != set_b else "numerical"
+
+
 def diff_runs(
     a: Mapping[str, object],
     b: Mapping[str, object],
@@ -672,8 +690,7 @@ def diff_runs(
     """Compare two stored records and attribute any drift."""
     delta = RunDelta(a=dict(a), b=dict(b))
     attribution_drift = _attribution_evidence(a, b, delta)
-    plans_a, plans_b = set(a.get("plans") or {}), set(b.get("plans") or {})
-    if plans_a != plans_b and (plans_a or plans_b):
+    if plan_drift(a.get("plans"), b.get("plans")) == "structural":
         delta.drift = "structural"
         _structural_evidence(a, b, store, delta)
         return delta

@@ -11,9 +11,13 @@ recorded into a process-global buffer and can be
 * shipped across process boundaries -- :mod:`repro.perf.parallel`
   returns each worker's spans and absorbs them into the parent buffer,
   so a parallel run's trace covers the workers too,
-* aggregated by name into the flat :mod:`repro.perf.timers` registry
-  through the span-end hook, which keeps ``--perf-report`` working
-  unchanged.
+* read back as views: the flat ``--perf-report`` table
+  (:mod:`repro.perf.timers`) is the per-name aggregate of this buffer,
+  solver convergence curves are zero-duration ``solver.convergence``
+  events (:func:`event`), and plan labels ride on ``plan.hash`` spans.
+
+Because every one of those is a span, the buffer is the only record of
+"what ran" that crosses a process boundary.
 
 The span stack is thread-local (concurrent threads nest independently);
 the completed-span buffer is shared and lock-protected.  Worker spans
@@ -29,13 +33,12 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 _lock = threading.Lock()
 _spans: List["SpanRecord"] = []
 _dropped = 0
 _t0: Optional[float] = None
-_hooks: List[Callable[["SpanRecord"], None]] = []
 _tls = threading.local()
 #: Live span stacks by thread ident -- lets the resource profiler
 #: (:mod:`repro.obs.profile`) attach samples to the active span tree
@@ -62,7 +65,8 @@ class SpanRecord:
     depth: int = 0
     parent: Optional[str] = None
     #: event multiplicity for the flat timer aggregate (e.g. a batched
-    #: solve of k right-hand sides counts as k events in one span).
+    #: solve of k right-hand sides counts as k events in one span); 0
+    #: marks an :func:`event`, which times nothing.
     count: int = 1
     attrs: Dict[str, object] = field(default_factory=dict)
 
@@ -123,9 +127,9 @@ def span(name: str, count: int = 1, **attrs: object) -> Iterator[SpanRecord]:
 
     Attributes can be added during the block (``sp.attrs["k"] = v``) and
     ``sp.count`` adjusted for batched work; ``sp.duration`` is valid
-    after the block exits.  The span is recorded (and the end hooks run)
-    even when the block raises, so failed regions still show up in the
-    trace and the timer aggregate.
+    after the block exits.  The span is recorded even when the block
+    raises, so failed regions still show up in the trace and the timer
+    aggregate.
     """
     stack = _stack()
     rec = SpanRecord(
@@ -147,8 +151,27 @@ def span(name: str, count: int = 1, **attrs: object) -> Iterator[SpanRecord]:
         rec.dur_us = (time.perf_counter() - start) * 1e6
         stack.pop()
         _record(rec)
-        for hook in list(_hooks):
-            hook(rec)
+
+
+def event(name: str, **attrs: object) -> None:
+    """Record a zero-duration span (``count`` 0) under the open span.
+
+    Events carry data rather than time -- a solve's residual curve, for
+    instance -- so the flat timer view skips them.
+    """
+    stack = _stack()
+    _record(
+        SpanRecord(
+            name=name,
+            ts_us=now_us(),
+            pid=os.getpid(),
+            tid=threading.get_ident(),
+            depth=len(stack),
+            parent=stack[-1].name if stack else None,
+            count=0,
+            attrs=dict(attrs),
+        )
+    )
 
 
 def _record(rec: SpanRecord) -> None:
@@ -158,12 +181,6 @@ def _record(rec: SpanRecord) -> None:
             _spans.append(rec)
         else:
             _dropped += 1
-
-
-def on_span_end(hook: Callable[[SpanRecord], None]) -> None:
-    """Register a callback run at every span exit (idempotent per object)."""
-    if hook not in _hooks:
-        _hooks.append(hook)
 
 
 def reset_trace() -> None:

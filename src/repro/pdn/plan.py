@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import difflib
 import hashlib
-import itertools
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import (
     Any,
     ClassVar,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -515,9 +515,9 @@ def validate_plan_dict(data: Mapping[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 #: Process-lifetime map of plan hash -> benchmark name, fed by the build
-#: entry points and by the labels worker processes ship home (see
-#: :mod:`repro.perf.parallel`).  Manifests resolve touched-plan counters
-#: against it.
+#: entry points and by the ``plan.hash`` spans worker processes ship home
+#: (see :mod:`repro.perf.parallel`).  Manifests resolve touched-plan
+#: counters against it.
 _observed: Dict[str, str] = {}
 
 #: Full plan objects by hash, kept alongside the name map so the
@@ -533,9 +533,13 @@ PLAN_TOUCH_PREFIX = "plan.touch."
 
 
 def record_plan_use(plan: StackPlan) -> None:
-    """Note that a build used ``plan`` (registry + touch counter)."""
-    with timed("plan.hash"):
-        plan_hash = plan.plan_hash
+    """Note that a build used ``plan`` (registry + touch counter).
+
+    The ``plan.hash`` span carries the label as ``plan``/``benchmark``
+    attrs, which is how a worker's labels reach the parent.
+    """
+    with timed("plan.hash", benchmark=plan.benchmark) as sp:
+        plan_hash = sp.attrs["plan"] = plan.plan_hash
     _observed[plan_hash] = plan.benchmark
     _observed_objects[plan_hash] = plan
     # Local import: obs must stay importable without the pdn package.
@@ -549,24 +553,15 @@ def observed_plans() -> Dict[str, str]:
     return dict(_observed)
 
 
-def plan_label_count() -> int:
-    """Number of plan labels recorded so far (an :func:`export_plan_labels` mark)."""
-    return len(_observed)
+def absorb_plan_labels(spans: Iterable[Mapping[str, Any]]) -> None:
+    """Merge the labels on another process's exported ``plan.hash`` spans.
 
-
-def export_plan_labels(since: int = 0) -> Dict[str, str]:
-    """Labels recorded after the first ``since``, for shipping across processes.
-
-    Labels are only ever added, in insertion order, so a count taken
-    before a task marks exactly what the task recorded.
+    Labels only, not plan bodies.
     """
-    return dict(itertools.islice(_observed.items(), since, None))
-
-
-def absorb_plan_labels(labels: Mapping[str, str]) -> None:
-    """Merge another process's plan labels (labels only, not plan bodies)."""
-    for plan_hash, benchmark in labels.items():
-        _observed.setdefault(plan_hash, benchmark)
+    for data in spans:
+        attrs = data.get("attrs") or {}
+        if data.get("name") == "plan.hash" and "plan" in attrs:
+            _observed.setdefault(str(attrs["plan"]), str(attrs["benchmark"]))
 
 
 def observed_plan_objects() -> Dict[str, "StackPlan"]:

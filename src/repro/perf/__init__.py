@@ -5,16 +5,16 @@ brute-force HSPICE sweep into a ~10-hour R-Mesh flow (section 6.1).  This
 package holds the pieces that keep the reproduction on the same curve as
 the design space grows:
 
-* :mod:`repro.perf.timers` -- named accumulating wall-clock timers wired
-  into the solver, stack assembly, sampling, and LUT build, surfaced via
-  ``repro3d ... --perf-report``.
+* :mod:`repro.perf.timers` -- named wall-clock timers wired into the
+  solver, stack assembly, sampling, and LUT build, surfaced via
+  ``repro3d ... --perf-report``; a per-name view of the span trace.
 * :mod:`repro.perf.cache` -- keyed LRU caches for built stacks (assembly
   + SuperLU factorization) and rasterized power maps, so repeated
   configurations across experiments reuse work instead of rebuilding.
 * :mod:`repro.perf.parallel` -- process-level fan-out with a serial
-  fallback, used by design-space sampling and the co-optimizer.  Worker
-  timer/metric/span registries are shipped back per task and merged
-  into the parent, so parallel runs report true totals.
+  fallback, used by design-space sampling and the co-optimizer.  Each
+  worker task ships its spans, metric delta and profiler samples back
+  in one return with one merge, so parallel runs report true totals.
 
 This package builds on :mod:`repro.obs`: every ``timed`` region is a
 trace span, and the caches/fan-out report into the metrics registry.
@@ -32,27 +32,16 @@ from repro.perf.cache import (
     stack_cache,
 )
 from repro.perf.parallel import map_design_points, resolve_workers
-from repro.perf.timers import (
-    add_time,
-    diff_snapshots,
-    merge_snapshot,
-    report,
-    reset_timers,
-    snapshot,
-    timed,
-)
+from repro.perf.timers import report, reset_timers, snapshot, timed
 
 __all__ = [
     "StackCache",
-    "add_time",
     "assembled_cache",
     "assembly_session",
     "cache_stats",
     "cached_build_stack",
     "clear_caches",
-    "diff_snapshots",
     "map_design_points",
-    "merge_snapshot",
     "plan_cache",
     "power_map_cache_enabled",
     "report",

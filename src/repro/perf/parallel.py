@@ -17,17 +17,17 @@ contract (the first *permanent* failure raises); callers that want
 partial results plus a failure report use
 :func:`repro.resil.execute.run_tasks` directly.
 
-Observability crosses the process boundary: each worker task runs inside
-:class:`_ObsTask`, which snapshots the timer and metric registries
-around the call and ships the *delta* (plus any trace spans the task
-recorded) back with the result.  The parent merges every delta into its
-own registries, so ``--perf-report``, ``--metrics-out``, and
-``--trace-out`` report true totals for parallel runs -- solve counts
-from a ``--workers 4`` sweep equal the serial run's.
-
-Plan labels cross it too: a worker ships the ``{plan hash: benchmark}``
-labels its builds recorded, so a parallel run's manifest names every
-plan it solved by benchmark, exactly as a serial run's does.
+Observability crosses the process boundary on one path: each worker
+task runs inside :class:`_ObsTask`, which marks the span buffer, the
+metrics registry and the profiler buffer before the call and ships
+what the task added back with the result.  Spans carry everything
+about "what ran" -- the ``--perf-report`` timers are their per-name
+sums, solver convergence curves are ``solver.convergence`` span
+events, and plan labels ride on ``plan.hash`` spans -- so the parent's
+single :func:`_merge_worker_return` makes ``--perf-report``,
+``--metrics-out``, ``--trace-out`` and manifests report true totals for
+parallel runs: solve counts from a ``--workers 4`` sweep equal the
+serial run's, and every plan a worker built is labelled by benchmark.
 
 Worker count resolution order:
 
@@ -55,11 +55,9 @@ from repro import envcfg
 from repro.obs import metrics as _metrics
 from repro.obs import profile as _profile
 from repro.obs import trace as _trace
-from repro.perf import timers as _timers
 from repro.perf.timers import timed
 from repro.resil import faults as _faults
 from repro.resil.execute import TaskReport, run_tasks
-from repro.rmesh import backends as _backends
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -98,54 +96,39 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 @dataclass
 class _WorkerReturn:
-    """One task's result plus the observability it accumulated."""
+    """One task's result plus the telemetry it added."""
 
     result: Any
-    timers: Dict[str, Tuple[float, int]] = field(default_factory=dict)
-    metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
     spans: List[Dict[str, object]] = field(default_factory=list)
+    metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
     profile: List[Dict[str, object]] = field(default_factory=list)
-    convergence: List[Dict[str, object]] = field(default_factory=list)
-    plans: Dict[str, str] = field(default_factory=dict)
 
 
 class _ObsTask:
-    """Picklable wrapper shipping per-task observability deltas home.
+    """Picklable wrapper shipping per-task telemetry home.
 
-    Snapshot-diffing (rather than reset-and-snapshot) keeps the scheme
-    correct under both fork (workers inherit parent registry state) and
-    spawn (fresh registries), and under executor reuse across items.
-    Beyond timers/metrics/spans, each return also carries the worker's
-    new resource-profiler samples (the sampler is started lazily in the
-    worker when ``REPRO_PROFILE`` asks for it -- spawn children don't
-    inherit the parent's thread), any solver convergence traces the
-    task recorded, and the plan labels its builds added.
+    Marking (rather than reset-and-export) keeps the scheme correct
+    under both fork (workers inherit parent buffer state) and spawn
+    (fresh buffers), and under executor reuse across items.  The
+    resource profiler is started lazily in the worker when
+    ``REPRO_PROFILE`` asks for it -- spawn children don't inherit the
+    parent's sampler thread.
     """
 
     def __init__(self, fn: Callable[[T], R]) -> None:
         self.fn = fn
 
     def __call__(self, item: T) -> _WorkerReturn:
-        # Lazy: repro.pdn imports repro.perf, so a module-level import
-        # would be circular.
-        from repro.pdn import plan as _plan
-
         _profile.ensure_profiler()
-        timers_before = _timers.snapshot()
-        metrics_before = _metrics.snapshot()
         spans_before = _trace.span_count()
+        metrics_before = _metrics.snapshot()
         samples_before = _profile.sample_count()
-        traces_before = _backends.trace_count()
-        plans_before = _plan.plan_label_count()
         result = self.fn(item)
         return _WorkerReturn(
             result=result,
-            timers=_timers.diff_snapshots(timers_before, _timers.snapshot()),
-            metrics=_metrics.registry.diff(metrics_before, _metrics.snapshot()),
             spans=_trace.export_spans(since=spans_before),
+            metrics=_metrics.registry.diff(metrics_before, _metrics.snapshot()),
             profile=_profile.export_samples(since=samples_before),
-            convergence=_backends.export_traces(since=traces_before),
-            plans=_plan.export_plan_labels(since=plans_before),
         )
 
 
@@ -169,15 +152,15 @@ class _ResilTask:
 
 
 def _merge_worker_return(wr: _WorkerReturn) -> Any:
-    """Fold one worker delta into the parent registries; return the result."""
+    """Fold one worker's telemetry into this process; return the result."""
+    # Lazy: repro.pdn imports repro.perf, so a module-level import would
+    # be circular.
     from repro.pdn import plan as _plan
 
-    _timers.merge_snapshot(wr.timers)
-    _metrics.merge(wr.metrics)
     _trace.absorb_spans(wr.spans)
+    _plan.absorb_plan_labels(wr.spans)
+    _metrics.merge(wr.metrics)
     _profile.absorb_samples(wr.profile)
-    _backends.absorb_traces(wr.convergence)
-    _plan.absorb_plan_labels(wr.plans)
     _metrics.inc("parallel.worker_tasks_merged")
     return wr.result
 
@@ -199,9 +182,9 @@ def map_design_points(
     transient worker failures are retried, a broken pool is rebuilt
     (completed results kept), and if the executor cannot start or stay
     up, the remaining items degrade to a serial loop instead of
-    discarding finished work.  Worker timer, metric, and span
-    registries are merged back into this process (see module
-    docstring), so observability output matches a serial run.
+    discarding finished work.  Worker spans, metrics and profiler
+    samples are merged back into this process (see module docstring),
+    so observability output matches a serial run.
 
     A task that fails *permanently* (non-transient error, or attempts
     exhausted) raises, preserving the historical all-or-nothing

@@ -1,86 +1,44 @@
-"""Named accumulating wall-clock timers (the flat view of the trace).
+"""Named wall-clock timers: the flat, per-name view of the trace.
 
 Every hot path of the flow (stack assembly, factorization, solves,
-design-space sampling, LUT builds) accumulates into a process-global
-registry keyed by a dotted name.  Since the observability layer landed,
-:func:`timed` is a thin alias for :func:`repro.obs.trace.span`: every
-timed region is also a hierarchical trace span, and every span feeds
-this registry through the span-end hook -- the flat table surfaced by
-``repro3d ... --perf-report`` is the per-name aggregate of the trace.
+design-space sampling, LUT builds) opens a :func:`timed` region, which
+is simply a :func:`repro.obs.trace.span`.  There is no separate timer
+registry: :func:`snapshot` sums the span buffer by name when it is
+called, so the table behind ``repro3d ... --perf-report``, the
+``timers`` field of manifests and ``--metrics-out`` files, and the
+Chrome trace all read the same records.
 
-The registry is per-process, but the worker blackout of earlier
-revisions is gone: :func:`repro.perf.parallel.map_design_points` ships
-each worker task's timer delta (:func:`diff_snapshots`) back to the
-parent and folds it in with :func:`merge_snapshot`, so parallel runs
-report true totals.
+Parallel runs need nothing extra: :mod:`repro.perf.parallel` absorbs
+each worker task's spans into the parent buffer, so the totals cover
+the workers too.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Tuple
 
 from repro.obs import trace as _trace
 
-_lock = threading.Lock()
-_times: Dict[str, float] = {}
-_counts: Dict[str, int] = {}
+#: Context manager timing a block as a trace span (nested regions nest
+#: in the exported trace).
+timed = _trace.span
 
-
-def add_time(name: str, seconds: float, count: int = 1) -> None:
-    """Accumulate ``seconds`` (and ``count`` events) under ``name``."""
-    with _lock:
-        _times[name] = _times.get(name, 0.0) + seconds
-        _counts[name] = _counts.get(name, 0) + count
-
-
-def timed(name: str):
-    """Context manager timing a block: records a span + this registry.
-
-    Alias for :func:`repro.obs.trace.span`; the span-end hook below does
-    the accumulation, so nested ``timed`` regions also nest in the
-    exported trace.
-    """
-    return _trace.span(name)
-
-
-def _accumulate_span(rec: "_trace.SpanRecord") -> None:
-    add_time(rec.name, rec.duration, rec.count)
-
-
-_trace.on_span_end(_accumulate_span)
-
-
-def reset_timers() -> None:
-    """Clear all accumulated timers (tests, fresh benchmark runs)."""
-    with _lock:
-        _times.clear()
-        _counts.clear()
+#: Clearing the timers is clearing the span buffer they are read from.
+reset_timers = _trace.reset_trace
 
 
 def snapshot() -> Dict[str, Tuple[float, int]]:
-    """Copy of the registry: ``{name: (total_seconds, count)}``."""
-    with _lock:
-        return {name: (_times[name], _counts[name]) for name in _times}
+    """``{name: (total_seconds, count)}`` summed over the span buffer.
 
-
-def diff_snapshots(
-    before: Dict[str, Tuple[float, int]],
-    after: Dict[str, Tuple[float, int]],
-) -> Dict[str, Tuple[float, int]]:
-    """Timers accumulated between two snapshots (worker task delta)."""
-    delta: Dict[str, Tuple[float, int]] = {}
-    for name, (total, count) in after.items():
-        prev_total, prev_count = before.get(name, (0.0, 0))
-        if count != prev_count or total != prev_total:
-            delta[name] = (total - prev_total, count - prev_count)
-    return delta
-
-
-def merge_snapshot(snap: Dict[str, Tuple[float, int]]) -> None:
-    """Fold a snapshot (typically a worker delta) into this registry."""
-    for name, (total, count) in snap.items():
-        add_time(name, total, count)
+    Zero-count spans are :func:`repro.obs.trace.event` records, not
+    timed regions, and are left out.
+    """
+    totals: Dict[str, Tuple[float, int]] = {}
+    for rec in _trace.spans():
+        if rec.count:
+            total, count = totals.get(rec.name, (0.0, 0))
+            totals[rec.name] = (total + rec.duration, count + rec.count)
+    return totals
 
 
 def report() -> str:
@@ -96,5 +54,11 @@ def report() -> str:
         mean = total / count if count else 0.0
         lines.append(
             f"{name:<{width}}  {total:>8.3f}s  {count:>7d}  {mean * 1e3:>7.2f}ms"
+        )
+    dropped = _trace.dropped_count()
+    if dropped:
+        lines.append(
+            f"({dropped} spans dropped at the {_trace.MAX_SPANS}-span trace cap; "
+            "totals exclude them)"
         )
     return "\n".join(lines)

@@ -27,12 +27,19 @@ registry under ``resil.*``.
 
 Observability still crosses the process boundary exactly as before:
 every worker task runs inside :class:`~repro.perf.parallel._ObsTask`,
-and its timer/metric/span/profile/convergence deltas are merged
-parent-side as each future completes.
+and its span/metric/profile deltas are merged parent-side as each
+future completes.
+
+Pools are forked, except while the resource profiler's sampler thread
+runs (``--profile``): that thread takes the trace and profile locks, and
+a fork landing while it holds one would hand the child a lock nobody
+releases, deadlocking the child on its first span.  Those pools are
+spawned instead.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -41,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.obs import metrics as _metrics
+from repro.obs import profile as _profile
 from repro.obs.log import get_logger
 from repro.resil import faults
 from repro.resil.retry import RetryPolicy, TaskFailure
@@ -183,6 +191,16 @@ def _drain_broken_pool(
     return requeue
 
 
+def _new_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A process pool: forked, or spawned while the profiler thread runs."""
+    if _profile.profiler_running():
+        return ProcessPoolExecutor(
+            max_workers=max_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_tasks(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -253,7 +271,7 @@ def run_tasks(
             _record_failure(st)
 
     try:
-        ex = ProcessPoolExecutor(max_workers=max_workers)
+        ex = _new_pool(max_workers)
     except (OSError, PermissionError) as exc:
         warnings.warn(
             f"process pool unavailable ({exc}); falling back to serial",
@@ -335,7 +353,7 @@ def run_tasks(
                             }
                         },
                     )
-                    ex = ProcessPoolExecutor(max_workers=max_workers)
+                    ex = _new_pool(max_workers)
                 else:
                     # Rebuild budget exhausted: finish the remaining
                     # items serially rather than lose completed work.

@@ -55,8 +55,8 @@ setup times are threaded into the obs metrics registry under
 
 from __future__ import annotations
 
+import itertools
 import os
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -69,7 +69,7 @@ from repro.errors import ConfigurationError, SolverError
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 from repro.obs.profile import BoundedSeries
-from repro.obs.trace import span
+from repro.obs.trace import event, span, spans
 from repro.resil import faults as _faults
 
 _log = get_logger("rmesh.backends")
@@ -110,8 +110,11 @@ TRACE_POINT_CAP = 64
 #: exact final point is pinned after the solve returns.
 RECORD_EVERY = 64
 
-#: Process-global convergence-trace buffer cap.
+#: Most convergence traces :func:`traces` returns.
 MAX_TRACES = 512
+
+#: Name of the span event carrying one traced solve's residual curve.
+CONVERGENCE_SPAN = "solver.convergence"
 
 _retired_warned: Set[str] = set()
 
@@ -153,11 +156,6 @@ class ResidualTrace:
         return cls(**data)
 
 
-_trace_lock = threading.Lock()
-_traces: List[ResidualTrace] = []
-_traces_dropped = 0
-
-
 def trace_enabled() -> bool:
     """Whether iterative solves record residual histories (default on)."""
     return os.environ.get(CONVERGENCE_TRACE_ENV, "1") not in ("", "0")
@@ -168,44 +166,20 @@ def trace_every() -> int:
     return envcfg.env_int(TRACE_EVERY_ENV, DEFAULT_TRACE_EVERY, minimum=1)
 
 
-def record_trace(trace: ResidualTrace) -> None:
-    """Append a trace to the bounded process-global buffer."""
-    global _traces_dropped
-    with _trace_lock:
-        if len(_traces) < MAX_TRACES:
-            _traces.append(trace)
-        else:
-            _traces_dropped += 1
-
-
-def trace_count() -> int:
-    with _trace_lock:
-        return len(_traces)
-
-
 def traces(since: int = 0) -> List[ResidualTrace]:
-    """Copy of the trace buffer (optionally from an index)."""
-    with _trace_lock:
-        return list(_traces[since:])
+    """Convergence traces recorded from span index ``since`` on.
 
-
-def export_traces(since: int = 0) -> List[Dict[str, object]]:
-    """Traces as plain dicts -- picklable across process boundaries."""
-    return [t.to_dict() for t in traces(since)]
-
-
-def absorb_traces(records: List[Dict[str, object]]) -> None:
-    """Merge traces exported by a worker process into this buffer."""
-    for data in records:
-        record_trace(ResidualTrace.from_dict(dict(data)))
-
-
-def reset_traces() -> None:
-    """Drop all buffered convergence traces."""
-    global _traces_dropped
-    with _trace_lock:
-        _traces.clear()
-        _traces_dropped = 0
+    A traced solve records its curve as a ``solver.convergence`` event
+    in the span buffer (:mod:`repro.obs.trace`), so worker traces reach
+    the parent with the worker's spans.  At most the first
+    :data:`MAX_TRACES` are returned.
+    """
+    found = (
+        ResidualTrace.from_dict(dict(rec.attrs))
+        for rec in spans(since)
+        if rec.name == CONVERGENCE_SPAN
+    )
+    return list(itertools.islice(found, MAX_TRACES))
 
 
 def resolve_backend(choice: Optional[str] = None) -> str:
@@ -509,7 +483,7 @@ class CGOperator(SolverOperator):
                 points=[[p[0], p[1]] for p in pts],
                 stride=series.stride,
             )
-            record_trace(trace)
+            event(CONVERGENCE_SPAN, **trace.to_dict())
             self.last_trace = trace
         else:
             self.last_trace = None

@@ -204,6 +204,26 @@ class TestComparator:
         assert comparison.status == "accuracy_drift"
         assert "runtime_us" in comparison.verdicts[0].detail
 
+    @pytest.mark.parametrize(
+        "base_plans, cur_plans, tag",
+        [
+            (["h1"], ["h2"], " [structural: stack plans changed]"),
+            (["h1", "h2"], ["h2", "h1"], " [numerical: identical stack plans]"),
+            ([], ["h1"], None),
+        ],
+    )
+    def test_drift_tag_from_plan_hashes(self, base_plans, cur_plans, tag):
+        base = make_entry(anchors=[ANCHOR])
+        base.plan_hashes = base_plans
+        current = make_entry(max_ir=30.1, anchors=[ANCHOR])
+        current.plan_hashes = cur_plans
+        detail = compare(make_record([current]), make_record([base])).verdicts[0].detail
+        assert detail.startswith("max IR")
+        if tag is None:
+            assert not detail.endswith("]")
+        else:
+            assert detail.endswith(tag)
+
     def test_noisy_metric_exempt_from_drift(self):
         base_anchor = dict(ANCHOR, metric="speedup", deviation_pct=-99.3)
         cur_anchor = dict(ANCHOR, metric="speedup", deviation_pct=-99.1)

@@ -25,6 +25,7 @@ from repro.obs.store import (
     list_markdown,
     normalize_bench_record,
     normalize_manifest,
+    plan_drift,
     show_markdown,
 )
 from repro.rmesh import backends as rb
@@ -41,9 +42,9 @@ def clean_profile():
 
 @pytest.fixture
 def clean_traces():
-    rb.reset_traces()
+    obs_trace.reset_trace()
     yield
-    rb.reset_traces()
+    obs_trace.reset_trace()
 
 
 def _spd_matrix(n: int = 60) -> sp.csr_matrix:
@@ -235,7 +236,7 @@ class TestConvergenceTraces:
         # Residual curve decreases overall and hits the tolerance floor.
         assert t.final_residual <= 1e-9
         assert t.points[0][1] > t.points[-1][1]
-        assert rb.trace_count() == 1
+        assert len(rb.traces()) == 1
 
     def test_sampling_skips_and_clears_last_trace(self, clean_traces):
         op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
@@ -245,7 +246,7 @@ class TestConvergenceTraces:
         untraced = op.solve(rhs)  # default REPRO_TRACE_EVERY=8: sampled out
         assert op.last_trace is None
         assert np.array_equal(traced, untraced)  # tracing never alters physics
-        assert rb.trace_count() == 1
+        assert len(rb.traces()) == 1
 
     def test_trace_every_env(self, clean_traces, monkeypatch):
         monkeypatch.setenv(rb.TRACE_EVERY_ENV, "1")
@@ -253,14 +254,14 @@ class TestConvergenceTraces:
         rhs = np.ones(60)
         op.solve(rhs)
         op.solve(rhs)
-        assert rb.trace_count() == 2
+        assert len(rb.traces()) == 2
 
     def test_tracing_disabled_env(self, clean_traces, monkeypatch):
         monkeypatch.setenv(rb.CONVERGENCE_TRACE_ENV, "0")
         op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
         op.solve(np.ones(60))
         assert op.last_trace is None
-        assert rb.trace_count() == 0
+        assert len(rb.traces()) == 0
 
     def test_bounded_points_on_long_solves(self, clean_traces, monkeypatch):
         # Unpreconditioned-style slow convergence: loose jacobi on a
@@ -276,15 +277,16 @@ class TestConvergenceTraces:
     def test_export_absorb_merge_stable(self, clean_traces):
         op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
         op.solve(np.ones(60))
-        exported = rb.export_traces()
-        rb.reset_traces()
-        rb.absorb_traces(exported)
-        assert rb.trace_count() == 1
-        roundtrip = rb.traces()[0]
-        assert roundtrip.to_dict() == exported[0]
-        # A second export/absorb hop changes nothing (merge-stable).
-        second = rb.export_traces()
-        assert second == exported
+        exported = obs_trace.export_spans()
+        original = rb.traces()[0].to_dict()
+        obs_trace.reset_trace()
+        obs_trace.absorb_spans(exported)
+        assert len(rb.traces()) == 1
+        assert rb.traces()[0].to_dict() == original
+        # A second absorb of the same export changes nothing (merge-stable).
+        obs_trace.absorb_spans(exported)
+        assert len(rb.traces()) == 1
+        assert obs_trace.export_spans() == exported
 
     def _currents(self, stack, floorplan):
         from repro.power.state import MemoryState
@@ -313,7 +315,7 @@ class TestConvergenceTraces:
         currents = self._currents(ddr3_stack, ddr3_floorplan)
         result = ddr3_stack.solver_for("direct").solve_currents(currents)
         assert result.convergence is None
-        assert rb.trace_count() == 0
+        assert len(rb.traces()) == 0
 
 
 # -- atomic writes ------------------------------------------------------------
@@ -537,6 +539,18 @@ class TestDriftAttribution:
         assert delta.drift == "structural"
         assert not delta.plan_diffs
         assert any("h1" in line for line in delta.evidence)
+
+    def test_plan_drift_classes(self):
+        assert plan_drift(["h1"], ["h2"]) == "structural"
+        assert plan_drift({"h1": "a", "h2": "b"}, ["h2", "h1"]) == "numerical"
+        assert plan_drift(None, ["h1"]) == "unknown"
+        assert plan_drift([], []) == "unknown"
+
+    def test_run_without_plans_is_not_structural(self):
+        """No plan hashes on one side: no structural evidence either way."""
+        a = self._record(plans={})
+        b = self._record(plans={"h1": "ddr3_off"})
+        assert diff_runs(a, b).drift == "none"
 
     def _trace(self, rtol, final, iters):
         return {

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.controller import IRDropLUT
 from repro.controller.lut import StaticIRDropLUT
 from repro.errors import SolverError
 from repro.obs import metrics as obs_metrics
+from repro.obs import profile as obs_profile
+from repro.obs import trace as obs_trace
 from repro.perf.cache import (
     LRUCache,
     cache_stats,
@@ -23,7 +27,7 @@ from repro.perf.parallel import (
     map_design_points,
     resolve_workers,
 )
-from repro.perf.timers import add_time, report, reset_timers, snapshot, timed
+from repro.perf.timers import report, reset_timers, snapshot, timed
 from repro.power.state import MemoryState
 from repro.regress.model import sample_design_space, valid_discrete_combos
 
@@ -202,6 +206,105 @@ def test_parallel_manifest_keeps_plan_labels(ddr3_off_bench, monkeypatch):
     assert set(parallel.values()) == {"ddr3_off"}
 
 
+def _timed_square(x: int) -> int:
+    with timed("unit.fanout"):
+        with timed("unit.fanout.inner", count=2):
+            return x * x
+
+
+def _timer_counts(workers: int) -> dict:
+    reset_timers()
+    map_design_points(_timed_square, list(range(5)), workers=workers)
+    return {
+        name: count
+        for name, (_, count) in snapshot().items()
+        if not name.startswith("parallel.")  # serial_map vs process_map
+    }
+
+
+def test_parallel_timer_counts_match_serial():
+    """Worker spans are the timers: per-name counts match a serial run."""
+    serial = _timer_counts(1)
+    assert serial == {"unit.fanout": 5, "unit.fanout.inner": 10}
+    assert _timer_counts(2) == serial
+    reset_timers()
+
+
+def _traced_cg_solve(n: int) -> int:
+    from repro.rmesh import backends as rb
+
+    matrix = sp.diags(
+        [np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)], [-1, 0, 1]
+    )
+    op = rb.CGOperator(matrix, precond_kind="jacobi", rtol=1e-10)
+    op.solve(np.ones(n))
+    return op.iterations
+
+
+def test_worker_convergence_traces_reach_parent(monkeypatch):
+    from repro.rmesh import backends as rb
+
+    monkeypatch.setenv(rb.TRACE_EVERY_ENV, "1")
+    mark = obs_trace.span_count()
+    sizes = [40, 50, 60]
+    iterations = map_design_points(_traced_cg_solve, sizes, workers=2)
+    traces = rb.traces(since=mark)
+    assert sorted(t.nodes for t in traces) == sizes
+    assert sorted(t.iterations for t in traces) == sorted(iterations)
+    worker_pids = {
+        rec.pid for rec in obs_trace.spans(mark) if rec.name == rb.CONVERGENCE_SPAN
+    }
+    assert os.getpid() not in worker_pids
+
+
+# -- pool start method --------------------------------------------------------
+
+
+@pytest.fixture
+def profiler_off():
+    obs_profile.stop_profiler(final_sample=False)
+    obs_profile.reset_profile()
+    yield
+    obs_profile.stop_profiler(final_sample=False)
+    obs_profile.reset_profile()
+
+
+def test_pool_forks_unless_profiler_thread_runs(monkeypatch, profiler_off):
+    from repro.resil import execute
+
+    calls = []
+
+    def probe(**kwargs):  # records the pool's kwargs, never starts one
+        calls.append(kwargs)
+        raise OSError("probe: no pool")
+
+    monkeypatch.setattr(execute, "ProcessPoolExecutor", probe)
+    with pytest.warns(RuntimeWarning):
+        assert execute.run_tasks(_square, [1, 2], workers=2).results == [1, 4]
+    assert "mp_context" not in calls[-1]
+    obs_profile.start_profiler(interval_s=0.05)
+    with pytest.warns(RuntimeWarning):
+        assert execute.run_tasks(_square, [1, 2], workers=2).results == [1, 4]
+    assert calls[-1]["mp_context"].get_start_method() == "spawn"
+
+
+def _sleepy_square(x: int) -> int:
+    time.sleep(0.03)
+    return x * x
+
+
+def test_profiled_fanout_spawns_and_merges_samples(monkeypatch, profiler_off):
+    monkeypatch.setenv(obs_profile.PROFILE_ENV, "1")
+    monkeypatch.setenv(obs_profile.PROFILE_INTERVAL_ENV, "1")
+    obs_profile.start_profiler()
+    items = list(range(4))
+    assert map_design_points(_sleepy_square, items, workers=2) == [
+        i * i for i in items
+    ]
+    obs_profile.stop_profiler(final_sample=False)
+    assert {s.pid for s in obs_profile.samples()} - {os.getpid()}
+
+
 # -- LUT batching and serialization ------------------------------------------
 
 
@@ -238,17 +341,39 @@ def test_to_json_completes_partial_table(ddr3_stack):
 
 def test_timers_accumulate_and_report():
     reset_timers()
-    add_time("unit.test", 0.5)
-    add_time("unit.test", 0.25, count=2)
+    with timed("unit.test"):
+        pass
+    with timed("unit.test", count=2):
+        pass
     with timed("unit.other"):
         pass
+    obs_trace.event("unit.event")  # data, not time: no timer row
     snap = snapshot()
-    assert snap["unit.test"] == (0.75, 3)
+    assert set(snap) == {"unit.test", "unit.other"}
+    assert snap["unit.test"][1] == 3
+    assert snap["unit.test"][0] == sum(
+        rec.duration for rec in obs_trace.spans() if rec.name == "unit.test"
+    )
     assert snap["unit.other"][1] == 1
     text = report()
     assert "unit.test" in text and "unit.other" in text
+    assert "dropped" not in text
     reset_timers()
     assert report() == "perf: no timers recorded"
+
+
+def test_report_notes_spans_dropped_at_cap(monkeypatch):
+    reset_timers()
+    monkeypatch.setattr(obs_trace, "MAX_SPANS", 2)
+    for _ in range(5):
+        with timed("unit.capped"):
+            pass
+    assert snapshot()["unit.capped"][1] == 2
+    assert obs_trace.dropped_count() == 3
+    assert report().splitlines()[-1] == (
+        "(3 spans dropped at the 2-span trace cap; totals exclude them)"
+    )
+    reset_timers()
 
 
 def test_solver_paths_record_timers(ddr3_off_bench):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SolverError
+from repro.obs.trace import span_count
 from repro.pdn.stackup import build_single_die_stack
 from repro.power import MemoryState
 from repro.power.model import DDR3_POWER
@@ -135,10 +136,10 @@ def test_cg_steps_warm_start_from_previous_step(ddr3_stack, states, monkeypatch)
     previous step's drops."""
     monkeypatch.setenv("REPRO_SOLVER", "cg")
     monkeypatch.setenv(backends.TRACE_EVERY_ENV, "1")
-    backends.reset_traces()
+    mark = span_count()
     solver = TransientSolver(ddr3_stack, DecapConfig(), dt_ns=1.0)
     solver.step_response(states["active"], duration_ns=5.0)
-    traces = backends.traces()
+    traces = backends.traces(since=mark)
     assert len(traces) == 5
     assert all(t.backend == "cg" and t.warm_start for t in traces)
 
