@@ -7,9 +7,9 @@ Two knobs DESIGN.md section 7 calls out:
 """
 
 from repro.controller import (
+    EventDrivenEngine,
     IRAwareDistR,
     IRAwareFCFS,
-    MemoryControllerSim,
     SimConfig,
     StandardJEDEC,
     WorkloadConfig,
@@ -35,7 +35,7 @@ def run_lookahead_sweep(lut):
         row = {}
         for policy in (IRAwareFCFS(lut, 24.0), IRAwareDistR(lut, 24.0)):
             policy.act_lookahead = k
-            res = MemoryControllerSim(
+            res = EventDrivenEngine(
                 cfg, policy, generate_workload(WorkloadConfig(num_requests=3000)),
                 report_lut=lut,
             ).run()
@@ -49,7 +49,7 @@ def run_close_window_sweep(lut):
     out = {}
     for window in (4, 8, 16, 32):
         cfg = SimConfig(timing=timing, close_window=window)
-        res = MemoryControllerSim(
+        res = EventDrivenEngine(
             cfg,
             StandardJEDEC(timing),
             generate_workload(WorkloadConfig(num_requests=3000)),

@@ -10,10 +10,10 @@ Run:  python examples/policy_tuning.py
 
 from repro import benchmark, build_stack
 from repro.controller import (
+    EventDrivenEngine,
     IRAwareDistR,
     IRAwareFCFS,
     IRDropLUT,
-    MemoryControllerSim,
     SimConfig,
     StandardJEDEC,
     WorkloadConfig,
@@ -45,7 +45,7 @@ def main() -> None:
         IRAwareFCFS(lut, 24.0),
         IRAwareDistR(lut, 24.0),
     ):
-        sim = MemoryControllerSim(
+        sim = EventDrivenEngine(
             cfg, policy, generate_workload(workload), report_lut=lut
         )
         print(f"  {sim.run()}")
@@ -54,7 +54,7 @@ def main() -> None:
     print("\nDistR runtime vs IR-drop constraint:")
     for constraint in (28.0, 24.0, 21.0, 18.0, 16.0):
         policy = IRAwareDistR(lut, constraint)
-        sim = MemoryControllerSim(
+        sim = EventDrivenEngine(
             cfg, policy, generate_workload(workload), report_lut=lut
         )
         try:

@@ -276,8 +276,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     """Run the event-driven controller on a memory trace.
 
     The trace streams through the engine (constant memory in trace
-    length); ``--legacy`` instead materializes it and runs the original
-    per-cycle loop for cross-checking.
+    length).
     """
     import time
 
@@ -289,7 +288,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         StandardJEDEC,
     )
     from repro.controller.request import TraceMapping, read_trace
-    from repro.controller.simulator import MemoryControllerSim
     from repro.power.model import (
         DDR3_POWER,
         HMC_POWER,
@@ -336,18 +334,13 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         arrival_interval=args.arrival_interval,
     )
     start = time.perf_counter()
-    if args.legacy:
-        sim = MemoryControllerSim(config, policy, list(workload), lut)
-        result = sim.run_legacy(max_cycles=args.max_cycles)
-    else:
-        engine = EventDrivenEngine(config, policy, workload, lut)
-        result = engine.run(max_cycles=args.max_cycles)
+    engine = EventDrivenEngine(config, policy, workload, lut)
+    result = engine.run(max_cycles=args.max_cycles)
     wall_s = time.perf_counter() - start
 
     _log.info("trace: %s", args.trace)
     _log.info(
-        "engine: %s  policy: %s  timing: %s  %dch x %d banks/die x %d dies",
-        "legacy" if args.legacy else "event",
+        "engine: event  policy: %s  timing: %s  %dch x %d banks/die x %d dies",
         result.policy_name,
         args.timing,
         args.channels,
@@ -906,12 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_p.add_argument(
         "--max-cycles", type=int, default=50_000_000, metavar="N"
-    )
-    sim_p.add_argument(
-        "--legacy",
-        action="store_true",
-        help="run the original per-cycle loop instead (cross-checking; "
-        "materializes the whole trace in memory)",
     )
     sim_p.add_argument(
         "--energy",

@@ -1,7 +1,8 @@
 """3D DRAM memory controller simulator (paper sections 2.3 and 5.2).
 
-Cycle-by-cycle simulation of every DRAM bank and memory channel, driven by
-a generated read workload, under one of three scheduling policies:
+Event-driven simulation of every DRAM bank and memory channel, driven by
+a generated read workload or a memory trace, under one of three
+scheduling policies:
 
 * ``StandardJEDEC`` -- the DDR3 standard policy: tRRD/tFAW bank-activation
   throttling, first-come-first-served order, no IR-drop knowledge;
@@ -12,7 +13,6 @@ a generated read workload, under one of three scheduling policies:
 """
 
 from repro.controller.request import ReadRequest, WorkloadConfig, generate_workload
-from repro.controller.queue import RequestQueue
 from repro.controller.lut import IRDropLUT
 from repro.controller.policies import (
     IRAwareDistR,
@@ -20,19 +20,18 @@ from repro.controller.policies import (
     ReadPolicy,
     StandardJEDEC,
 )
-from repro.controller.simulator import MemoryControllerSim, SimConfig, SimResult
+from repro.controller.engine import EventDrivenEngine, SimConfig, SimResult
 
 __all__ = [
     "ReadRequest",
     "WorkloadConfig",
     "generate_workload",
-    "RequestQueue",
     "IRDropLUT",
     "ReadPolicy",
     "StandardJEDEC",
     "IRAwareFCFS",
     "IRAwareDistR",
-    "MemoryControllerSim",
+    "EventDrivenEngine",
     "SimConfig",
     "SimResult",
 ]

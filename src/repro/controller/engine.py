@@ -1,13 +1,15 @@
 """Event-driven memory controller core.
 
-This module is the performance-oriented successor of the per-cycle loop
-in :mod:`repro.controller.simulator`.  It keeps the *decision logic* of
-the paper's controller (section 2.3) bit-for-bit — the equivalence
-harness in ``tests/test_engine_equivalence.py`` pins its
-:class:`SimResult` to the legacy loop's on seeded workloads across all
-shipped policies — while replacing the object-per-bank bookkeeping with
-flat per-bank state vectors and an event queue that jumps straight to
-the next cycle at which anything can change.
+This is the only controller engine: every experiment, ``repro3d sim``
+and the benchmarks run it.  It implements the *decision logic* of
+the paper's controller (section 2.3) -- per-bank FSMs, one command per
+channel per cycle, tRRD/tFAW or IR-LUT admission -- with flat per-bank
+state vectors and an event queue that jumps straight to the next cycle
+at which anything can change.  Its decisions are pinned to recorded
+reference results: ``tests/golden/controller_decisions.json`` holds the
+full :class:`SimResult` recorded from a per-cycle reference loop on seeded
+workloads across all shipped policies, and
+``tests/test_engine_equivalence.py`` requires every field to match.
 
 Design
 ======
@@ -32,7 +34,7 @@ Design
   faster and produces the same minimum — a property test asserts both
   paths agree.
 
-* **Channel-local scheduling.**  The legacy loop's issue pass is
+* **Channel-local scheduling.**  The issue pass is
   *channel-separable*: within one cycle, whether a command issues on
   channel ``c`` depends only on ``c``'s buses, ``c``'s banks, and the
   iteration-constant active counts.  For FCFS-ordered policies
@@ -41,14 +43,13 @@ Design
   non-ready split, invalidating only on events that can change it
   (arrival, completion, precharge, or a bank finishing activation).
   Policies with dynamic priority order (``IRAwareDistR``, custom
-  subclasses) take a generic path that mirrors the legacy scan
-  structure exactly.
+  subclasses) take a generic path: one full policy-ordered scan of the
+  queue per cycle.
 
 * **Streaming workloads.**  The engine consumes any iterable of
   :class:`~repro.controller.request.ReadRequest` — a materialized list
-  (the legacy contract), or a lazy trace reader, which is what makes
-  multi-million-request runs possible without holding the whole trace's
-  request objects alive.
+  or a lazy trace reader, which is what makes multi-million-request runs
+  possible without holding the whole trace's request objects alive.
 
 * **Bounded state tracking.**  ``SimResult.state_occupancy`` is a
   sparse histogram capped at ``SimConfig.max_tracked_states`` distinct
@@ -58,15 +59,10 @@ Design
 
 Engine contract note: on the FCFS fast path,
 ``ReadPolicy.act_candidates`` receives at most ``act_lookahead`` waiting
-requests per channel (the legacy loop passed the full list and every
-shipped policy sliced it to the same window itself).  Policies that
-override ``order`` or ``act_candidates`` automatically take the generic
-path, which passes the full per-channel list like the legacy loop.
-
-The legacy loop remains available as
-:meth:`repro.controller.simulator.MemoryControllerSim.run_legacy` — it
-is the reference implementation the equivalence harness and the
-throughput benchmark compare against.
+requests per channel (every shipped policy slices its input to that
+window itself).  Policies that override ``order`` or ``act_candidates``
+automatically take the generic path, which passes the full per-channel
+list.
 """
 
 from __future__ import annotations
@@ -187,8 +183,7 @@ class SimResult:
 class OccupancyAccumulator:
     """Sparse, bounded state-occupancy histogram.
 
-    Shared by both engines so the cap semantics are identical: a state
-    already tracked always accumulates; a *new* state is only admitted
+    A state already tracked always accumulates; a *new* state is only admitted
     while the histogram holds fewer than ``cap`` entries, and cycles in
     overflow states are summed in :attr:`dropped` instead.
     """
@@ -272,8 +267,8 @@ class BankStateVec:
 class EventDrivenEngine:
     """Event-driven controller simulation (see module docstring).
 
-    Decision-equivalent to the legacy per-cycle loop; accepts either a
-    materialized request list or a streaming iterable.
+    Decisions are pinned to ``tests/golden/controller_decisions.json``;
+    accepts either a materialized request list or a streaming iterable.
     """
 
     def __init__(
@@ -311,8 +306,9 @@ class EventDrivenEngine:
     def run(self, max_cycles: int = 5_000_000) -> SimResult:
         """Simulate until the workload drains (or ``max_cycles``).
 
-        Emits the same ``sim.run`` span and ``sim.*`` metrics as the
-        legacy loop, with ``engine="event"`` provenance.
+        The run executes inside a ``sim.run`` trace span (with
+        ``engine="event"`` provenance) and pushes queue-depth,
+        cycle-count, and command-mix metrics into the global registry.
         """
         n_known = (
             len(self._materialized) if self._materialized is not None else -1
@@ -690,7 +686,7 @@ class EventDrivenEngine:
                     if not issued_here and nr:
                         p2.append((cache_first[c], c))
                 # Pass 2, in the order channels first saw a waiting
-                # request (the legacy scan's dict-insertion order).
+                # request (the generic scan's dict-insertion order).
                 # fcfs_mode guarantees the stock act_candidates, which
                 # returns exactly the capped non-ready window cache_nr.
                 if p2:
@@ -789,8 +785,8 @@ class EventDrivenEngine:
                                 dirty[c] = True
                                 break
             elif q_len:
-                # Generic path: full policy-ordered scan, mirroring the
-                # legacy structure (uncapped non-ready lists).
+                # Generic path: full policy-ordered scan (uncapped
+                # non-ready lists).
                 order = policy.order(list(q), counts_t, is_ready)
                 nr_by_chan: Dict[int, List[ReadRequest]] = {}
                 for req in order:

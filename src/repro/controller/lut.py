@@ -18,9 +18,6 @@ import itertools
 import json
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-from numpy.typing import NDArray
-
 from repro.errors import ConfigurationError
 from repro.pdn.stackup import PDNStack
 from repro.perf.timers import timed
@@ -114,50 +111,6 @@ class IRDropLUT:
             single.append(self.lookup(counts))
         return min(single)
 
-    def as_array(self) -> NDArray[np.float64]:
-        """The full table as a dense ``(max+1,)*num_dies`` array.
-
-        ``arr[c0, c1, ..]`` is the max IR drop of the state with those
-        per-die counts -- the batched admission path indexes it with
-        integer arrays instead of looking states up one by one.
-        """
-        self.precompute_all()
-        shape = (self.max_banks_per_die + 1,) * self.num_dies
-        arr = np.empty(shape, dtype=np.float64)
-        for counts, value in self._table.items():
-            arr[counts] = value
-        return arr
-
-    def allows_batch(
-        self,
-        counts_batch: NDArray[np.int64],
-        constraint_mv: Optional[float],
-    ) -> NDArray[np.bool_]:
-        """Vectorized :meth:`allows` over an ``(n, num_dies)`` batch.
-
-        States with any count outside ``[0, max_banks_per_die]`` are
-        reported as not allowed (they exceed the interleave limit by
-        construction) rather than raising, so callers can feed
-        speculative +1 increments without pre-filtering.
-        """
-        batch = np.asarray(counts_batch, dtype=np.int64)
-        if batch.ndim != 2 or batch.shape[1] != self.num_dies:
-            raise ConfigurationError(
-                f"batch must have shape (n, {self.num_dies})",
-                got=tuple(batch.shape),
-            )
-        in_range = np.all(
-            (batch >= 0) & (batch <= self.max_banks_per_die), axis=1
-        )
-        if constraint_mv is None:
-            return in_range
-        arr = self.as_array()
-        ok = np.zeros(len(batch), dtype=np.bool_)
-        if bool(in_range.any()):
-            idx = tuple(batch[in_range].T)
-            ok[in_range] = arr[idx] <= constraint_mv
-        return ok
-
     @property
     def size(self) -> int:
         return len(self._table)
@@ -244,44 +197,6 @@ class StaticIRDropLUT:
         if not singles:
             return min(v for c, v in self._table.items() if sum(c) > 0)
         return min(singles)
-
-    def as_array(self) -> NDArray[np.float64]:
-        """Dense table, same layout as :meth:`IRDropLUT.as_array`.
-
-        States missing from the serialized table are filled with ``inf``
-        so the batched path treats them as never-allowed instead of
-        reading uninitialized memory.
-        """
-        shape = (self.max_banks_per_die + 1,) * self.num_dies
-        arr = np.full(shape, np.inf, dtype=np.float64)
-        for counts, value in self._table.items():
-            if all(0 <= c <= self.max_banks_per_die for c in counts):
-                arr[counts] = value
-        return arr
-
-    def allows_batch(
-        self,
-        counts_batch: NDArray[np.int64],
-        constraint_mv: Optional[float],
-    ) -> NDArray[np.bool_]:
-        """Vectorized :meth:`allows`; out-of-range states are ``False``."""
-        batch = np.asarray(counts_batch, dtype=np.int64)
-        if batch.ndim != 2 or batch.shape[1] != self.num_dies:
-            raise ConfigurationError(
-                f"batch must have shape (n, {self.num_dies})",
-                got=tuple(batch.shape),
-            )
-        in_range = np.all(
-            (batch >= 0) & (batch <= self.max_banks_per_die), axis=1
-        )
-        if constraint_mv is None:
-            return in_range
-        arr = self.as_array()
-        ok = np.zeros(len(batch), dtype=np.bool_)
-        if bool(in_range.any()):
-            idx = tuple(batch[in_range].T)
-            ok[in_range] = arr[idx] <= constraint_mv
-        return ok
 
     @property
     def size(self) -> int:

@@ -18,8 +18,6 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.controller.lut import IRDropLUT
 from repro.controller.request import ReadRequest
 from repro.dram.timing import TimingParams
@@ -91,28 +89,6 @@ class ReadPolicy(ABC):
         Escape hatch for states reached by drift (bank closures elsewhere
         raising the surviving dies' I/O activity)."""
         return False
-
-    def admit_activations(
-        self,
-        dies: Sequence[int],
-        now: int,
-        active_counts: Tuple[int, ...],
-    ) -> List[bool]:
-        """Batched :meth:`may_activate` over one channel walk.
-
-        All queries share ``now`` and ``active_counts`` -- exactly the
-        situation inside a scheduler's per-cycle candidate walk, where
-        the state only changes once a command actually issues (which
-        ends the walk).  ``may_activate`` must therefore behave as a
-        pure predicate of ``(die, now, counts)``; the default simply
-        loops, and LUT-backed policies override with a vectorized
-        table probe."""
-        return [self.may_activate(d, now, active_counts) for d in dies]
-
-    def max_ir_of_state(self, counts: Tuple[int, ...]) -> Optional[float]:
-        """IR drop the policy attributes to a state (None if unaware)."""
-        return None
-
 
 class StandardJEDEC(ReadPolicy):
     """JEDEC DDR3 standard policy: tRRD + tFAW, FCFS order.
@@ -207,31 +183,6 @@ class IRAwareFCFS(ReadPolicy):
         return sum(active_counts) > 0 and not self.lut.allows(
             active_counts, self.constraint_mv
         )
-
-    def admit_activations(
-        self,
-        dies: Sequence[int],
-        now: int,
-        active_counts: Tuple[int, ...],
-    ) -> List[bool]:
-        """One dense-table probe for the whole candidate walk.
-
-        Builds the speculative +1 state per die and asks the LUT's
-        batched path; identical to calling :meth:`may_activate` per die
-        because ``allows_batch`` reads the same precomputed table (and
-        treats over-the-interleave-cap states as not allowed, matching
-        the scalar guard)."""
-        if not dies:
-            return []
-        batch = np.tile(
-            np.asarray(active_counts, dtype=np.int64), (len(dies), 1)
-        )
-        batch[np.arange(len(dies)), np.asarray(dies, dtype=np.int64)] += 1
-        return list(self.lut.allows_batch(batch, self.constraint_mv))
-
-    def max_ir_of_state(self, counts: Tuple[int, ...]) -> Optional[float]:
-        return self.lut.lookup(counts)
-
 
 class IRAwareDistR(IRAwareFCFS):
     """IR-drop-aware distributed-read policy.

@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ConfigurationError, TraceError
 
 #: anything the engine can consume as a request stream: a materialized
-#: list (the legacy contract) or a lazy iterator such as a trace reader.
+#: list or a lazy iterator such as a trace reader.
 Workload = Iterable["ReadRequest"]
 
 
@@ -307,18 +307,23 @@ def read_drampower_trace(path: Union[str, Path]) -> Iterator[ReadRequest]:
 
     Lines are ``cycle,command,die,bank,row``; only ``RD``/``WR`` rows
     become requests, and cycles must be non-decreasing (the engine's
-    arrival logic consumes the stream in time order).
+    arrival logic consumes the stream in time order).  Blank lines and
+    ``#`` comments are skipped anywhere; the column header is accepted
+    as the first other line.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         req_id = 0
         last_cycle = -1
+        header_allowed = True
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
-            if lineno == 1 and text.lower() == DRAMPOWER_HEADER:
-                continue
+            if header_allowed:
+                header_allowed = False
+                if text.lower() == DRAMPOWER_HEADER:
+                    continue
             fields = text.split(",")
             if len(fields) != 5:
                 raise TraceError(

@@ -1,14 +1,9 @@
-"""DRAM device models: timing parameters, bank FSMs, channel buses."""
+"""DRAM device models: timing parameters and command timings."""
 
 from repro.dram.timing import COMMANDS, CommandTiming, TimingParams
-from repro.dram.bank import Bank, BankState
-from repro.dram.channel import ChannelBus
 
 __all__ = [
     "COMMANDS",
     "CommandTiming",
     "TimingParams",
-    "Bank",
-    "BankState",
-    "ChannelBus",
 ]

@@ -82,10 +82,9 @@ class TimingParams:
     def command_table(self) -> Dict[str, CommandTiming]:
         """Explicit per-command timing table (ACT/PRE/RD/WR/REF).
 
-        One authoritative place for the per-command latencies that used
-        to live as scattered ``tXX`` reads across the bank FSM, the
-        channel bus, and the simulator; the event-driven engine and the
-        per-command energy ledger both resolve commands through it.
+        :meth:`command_duration_us` resolves commands through it for the
+        per-command energy ledger.  The controller engine reads the
+        ``tXX`` fields directly in its hot loop.
         """
         return {
             "ACT": CommandTiming("ACT", latency=self.tRCD, min_gap=self.tRRD),

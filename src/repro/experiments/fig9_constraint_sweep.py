@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.controller import (
+    EventDrivenEngine,
     IRAwareDistR,
     IRDropLUT,
-    MemoryControllerSim,
     SimConfig,
     generate_workload,
 )
@@ -86,7 +86,7 @@ def run(fast: bool = True) -> ExperimentResult:
                 model[f"runtime_us@{constraint:.0f}mV"] = float("inf")
                 continue
             policy = IRAwareDistR(lut, constraint)
-            sim = MemoryControllerSim(
+            sim = EventDrivenEngine(
                 SimConfig(timing=timing), policy, generate_workload(), report_lut=lut
             )
             try:

@@ -7,6 +7,10 @@ tests.
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
 from repro.controller import IRDropLUT
@@ -79,3 +83,39 @@ def ddr3_lut_json(ddr3_lut):
 @pytest.fixture(scope="session")
 def ddr3_floorplan(ddr3_off_bench):
     return ddr3_off_bench.stack.dram_floorplan
+
+
+GOLDEN_DECISIONS = Path(__file__).parent / "golden" / "controller_decisions.json"
+
+
+@pytest.fixture(scope="session")
+def golden_decisions():
+    """Frozen controller decisions: ``{"lut": <IRDropLUT.to_json text>,
+    "cases": {name: <SimResult fields>}}`` (provenance in
+    ``tests/test_engine_equivalence.py``)."""
+    return json.loads(GOLDEN_DECISIONS.read_text())
+
+
+@pytest.fixture(scope="session")
+def golden_lut(golden_decisions):
+    """The DDR3 LUT the golden cases ran under, solver-free."""
+    return IRDropLUT.from_json(golden_decisions["lut"])
+
+
+@pytest.fixture(scope="session")
+def assert_golden(golden_decisions):
+    """``check(name, result)``: every ``SimResult`` field equals the
+    golden case exactly (JSON floats round-trip, so ``==`` is exact)."""
+
+    def check(name, result):
+        want = golden_decisions["cases"][name]
+        got = asdict(result)
+        got["state_occupancy"] = sorted(
+            [list(state), cycles]
+            for state, cycles in result.state_occupancy.items()
+        )
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == want[key], f"{name}: SimResult.{key} diverged"
+
+    return check

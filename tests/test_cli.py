@@ -154,16 +154,38 @@ class TestSimCommand:
         assert "energy (command path):" in out
         assert "energy (occupancy path):" in out
 
-    def test_sim_legacy_agrees_with_event(self, capsys):
+    def test_sim_matches_golden(self, capsys, golden_decisions):
+        """The report's request, bandwidth and command lines equal the
+        frozen reference decisions for this fixture."""
         assert main(["sim", "--trace", self.FIXTURE]) == 0
-        event_out = capsys.readouterr().out
-        assert main(["sim", "--trace", self.FIXTURE, "--legacy"]) == 0
-        legacy_out = capsys.readouterr().out
-        pick = lambda s: [  # noqa: E731
-            ln for ln in s.splitlines()
+        out = capsys.readouterr().out
+        g = golden_decisions["cases"]["sim_ramulator_1k"]
+        commands = {
+            "ACT": g["activations"],
+            "PRE": g["precharges"],
+            "RD": g["reads"],
+            "WR": g["writes"],
+            "REF": g["refreshes"],
+        }
+        expected = [
+            f"  {g['completed']} requests ({g['reads']} RD / {g['writes']} WR) "
+            f"in {g['cycles']} cycles ({g['runtime_us']:.2f} us)",
+            f"  bandwidth {g['bandwidth_reads_per_clk']:.3f} reads/clk, "
+            f"mean latency {g['mean_latency_cycles']:.1f} cycles, "
+            f"mean queue {g['mean_queue_depth']:.1f}",
+            "  commands: " + "  ".join(f"{k}={v}" for k, v in commands.items()),
+        ]
+        picked = [
+            ln for ln in out.splitlines()
             if "requests (" in ln or "commands:" in ln or "bandwidth" in ln
         ]
-        assert pick(event_out) == pick(legacy_out)
+        assert picked == expected
+
+    def test_sim_rejects_legacy_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--trace", self.FIXTURE, "--legacy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sim_ir_policy_needs_lut(self, capsys):
         assert main(["sim", "--trace", self.FIXTURE, "--policy", "ir_fcfs"]) == 2

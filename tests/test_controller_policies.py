@@ -61,7 +61,6 @@ class TestStandardJEDEC:
         policy = StandardJEDEC(timing)
         assert policy.may_read(0, 0, (2, 2, 2, 2))
         assert not policy.must_shed((2, 2, 2, 2))
-        assert policy.max_ir_of_state((0, 0, 0, 2)) is None
 
     def test_reset_clears_history(self, timing):
         policy = StandardJEDEC(timing)
@@ -117,6 +116,3 @@ class TestIRAware:
         ordered = policy.order(queued, (0, 0, 0, 0), is_ready=lambda r: r.die == 0)
         assert ordered[0].die == 0  # the ready read drains first
 
-    def test_max_ir_of_state(self, ddr3_lut):
-        policy = IRAwareFCFS(ddr3_lut, 24.0)
-        assert policy.max_ir_of_state((0, 0, 0, 2)) == ddr3_lut.lookup((0, 0, 0, 2))

@@ -1,12 +1,12 @@
-"""Workload generation and the request queue."""
+"""Workload generation."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.controller import ReadRequest, RequestQueue, WorkloadConfig, generate_workload
+from repro.controller import ReadRequest, WorkloadConfig, generate_workload
 from repro.controller.request import measured_row_hit_rate
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
 
 class TestWorkloadConfig:
@@ -74,54 +74,6 @@ class TestGenerator:
         assert req.latency is None
         req.complete_cycle = 42
         assert req.latency == 42
-
-
-class TestQueue:
-    def test_fifo_order(self):
-        q = RequestQueue(depth=4)
-        reqs = [ReadRequest(i, 0, 0, 0, i) for i in range(3)]
-        for r in reqs:
-            q.push(r)
-        assert q.in_arrival_order() == reqs
-        assert len(q) == 3
-        assert not q.full
-
-    def test_overflow(self):
-        q = RequestQueue(depth=2)
-        q.push(ReadRequest(0, 0, 0, 0, 0))
-        q.push(ReadRequest(1, 0, 0, 0, 0))
-        assert q.full
-        with pytest.raises(SimulationError):
-            q.push(ReadRequest(2, 0, 0, 0, 0))
-
-    def test_remove(self):
-        q = RequestQueue()
-        r = ReadRequest(0, 0, 0, 0, 0)
-        q.push(r)
-        q.remove(r)
-        assert q.empty
-        with pytest.raises(SimulationError):
-            q.remove(r)
-
-    def test_targets_bank_row(self):
-        q = RequestQueue()
-        q.push(ReadRequest(0, die=1, bank=2, row=3, arrival_cycle=0))
-        assert q.targets_bank_row(1, 2, 3)
-        assert not q.targets_bank_row(1, 2, 4)
-        assert not q.targets_bank_row(0, 2, 3)
-
-    def test_occupancy_stats(self):
-        q = RequestQueue()
-        q.push(ReadRequest(0, 0, 0, 0, 0))
-        q.sample_occupancy(weight=10)
-        q.push(ReadRequest(1, 0, 0, 0, 0))
-        q.sample_occupancy(weight=10)
-        assert q.mean_occupancy == pytest.approx(1.5)
-        assert q.peak_occupancy == 2
-
-    def test_bad_depth(self):
-        with pytest.raises(SimulationError):
-            RequestQueue(depth=0)
 
     @settings(max_examples=20)
     @given(st.integers(min_value=50, max_value=400))

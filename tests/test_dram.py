@@ -1,9 +1,9 @@
-"""DRAM device models: timing, bank FSM, channel buses."""
+"""DRAM timing parameters."""
 
 import pytest
 
-from repro.dram import Bank, BankState, ChannelBus, TimingParams
-from repro.errors import ConfigurationError, SimulationError
+from repro.dram import TimingParams
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture
@@ -38,103 +38,3 @@ class TestTiming:
             TimingParams(-1, 11, 11, 11, 28, 4, 8, 32, 12, 4)
         with pytest.raises(ConfigurationError):
             TimingParams(800, 0, 11, 11, 28, 4, 8, 32, 12, 4)
-
-
-class TestBankFSM:
-    def test_lifecycle(self, timing):
-        bank = Bank(0, 0, timing)
-        assert bank.state is BankState.IDLE
-        assert bank.can_activate(0)
-
-        bank.activate(0, row=7)
-        assert bank.state is BankState.ACTIVATING
-        assert not bank.can_read(timing.tRCD - 1, 7)
-        assert bank.can_read(timing.tRCD, 7)
-
-        end = bank.read(timing.tRCD, 7)
-        assert end == timing.tRCD + timing.tCL + timing.burst_cycles
-
-        # tCCD between reads.
-        assert not bank.can_read(timing.tRCD + 1, 7)
-        assert bank.can_read(timing.tRCD + timing.tCCD, 7)
-
-        # Precharge only after tRAS and the write-back window.
-        t_pre = max(timing.tRAS, timing.tRCD + timing.tWR)
-        assert not bank.can_precharge(t_pre - 1)
-        assert bank.can_precharge(t_pre)
-        bank.precharge(t_pre)
-        assert bank.state is BankState.PRECHARGING
-        assert bank.open_row is None
-        assert not bank.can_activate(t_pre + timing.tRP - 1)
-        assert bank.can_activate(t_pre + timing.tRP)
-
-    def test_wrong_row_read_rejected(self, timing):
-        bank = Bank(0, 0, timing)
-        bank.activate(0, row=7)
-        assert not bank.can_read(timing.tRCD, 8)
-        with pytest.raises(SimulationError):
-            bank.read(timing.tRCD, 8)
-
-    def test_double_activate_rejected(self, timing):
-        bank = Bank(0, 0, timing)
-        bank.activate(0, 1)
-        with pytest.raises(SimulationError):
-            bank.activate(1, 2)
-
-    def test_premature_precharge_rejected(self, timing):
-        bank = Bank(0, 0, timing)
-        bank.activate(0, 1)
-        with pytest.raises(SimulationError):
-            bank.precharge(5)
-
-    def test_is_active_states(self, timing):
-        bank = Bank(0, 0, timing)
-        assert not bank.is_active()
-        bank.activate(0, 1)
-        assert bank.is_active()  # ACTIVATING counts for IR purposes
-        bank.sync(timing.tRCD)
-        assert bank.is_active()
-
-    def test_next_interesting_cycle(self, timing):
-        bank = Bank(0, 0, timing)
-        assert bank.next_interesting_cycle(0) is None  # idle, nothing pending
-        bank.activate(0, 1)
-        assert bank.next_interesting_cycle(0) == timing.tRCD
-
-
-class TestChannelBus:
-    def test_one_command_per_cycle(self, timing):
-        chan = ChannelBus(0, timing)
-        chan.issue_command(0)
-        assert not chan.can_issue_command(0)
-        assert chan.can_issue_command(1)
-        with pytest.raises(SimulationError):
-            chan.issue_command(0)
-
-    def test_read_occupies_data_bus(self, timing):
-        chan = ChannelBus(0, timing)
-        end = chan.issue_read(0)
-        assert end == timing.tCL + timing.burst_cycles
-        # A back-to-back read at tCCD slots in with zero bubble.
-        assert chan.can_issue_read(timing.tCCD)
-        # But an earlier read would collide.
-        assert not chan.can_issue_read(timing.tCCD - 1)
-
-    def test_conflicting_read_rejected(self, timing):
-        chan = ChannelBus(0, timing)
-        chan.issue_read(0)
-        with pytest.raises(SimulationError):
-            chan.issue_read(1)
-
-    def test_utilization(self, timing):
-        chan = ChannelBus(0, timing)
-        chan.issue_read(0)
-        chan.issue_read(timing.tCCD)
-        assert chan.utilization(32) == pytest.approx(2 * timing.burst_cycles / 32)
-        assert chan.utilization(0) == 0.0
-
-    def test_next_data_slot(self, timing):
-        chan = ChannelBus(0, timing)
-        chan.issue_read(0)
-        slot = chan.next_data_slot(1)
-        assert chan.can_issue_read(slot) or not chan.can_issue_command(slot)

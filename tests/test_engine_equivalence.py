@@ -1,10 +1,20 @@
-"""The event-driven engine is decision-exact against the legacy loop.
+"""The event-driven engine is pinned to frozen controller decisions.
 
-The engine replaces the per-cycle ``run_legacy`` loop with event
-skipping, vectorized bank state, and per-channel scheduling caches, but
-its *decisions* must be identical: every field of :class:`SimResult`
-(command counts, per-cycle state histogram, latencies) has to match the
-legacy loop exactly on seeded workloads spanning all shipped policies.
+``tests/golden/controller_decisions.json`` holds the full
+:class:`SimResult` of 15 seeded runs -- 3 seeds x 3 policies, refresh +
+2 channels + 20% writes per policy, a 3-state occupancy cap, refresh at
+seed 13, and ``repro3d sim`` on ``tests/data/ramulator_1k.trace`` -- and
+the DDR3 IR-drop LUT they ran under, as ``IRDropLUT.to_json`` text.  The
+results were produced at commit 4bdeff05bab5af8dcfecedc7d4677bf8a3b70866
+by the per-cycle reference loop then in
+``src/repro/controller/simulator.py`` (per-bank FSM objects, one command
+per channel per cycle, a full queue scan every cycle), with that LUT
+loaded through ``IRDropLUT.from_json``.  The event engine matched every
+field of every case at that commit.
+
+Every field must still match exactly: command counts, the per-state
+cycle histogram, latencies, and the reported max IR.  The LUT is loaded
+from the golden, so the check does not depend on ``REPRO_SOLVER``.
 """
 
 from dataclasses import asdict
@@ -13,9 +23,9 @@ import numpy as np
 import pytest
 
 from repro.controller import (
+    EventDrivenEngine,
     IRAwareDistR,
     IRAwareFCFS,
-    MemoryControllerSim,
     SimConfig,
     StandardJEDEC,
     WorkloadConfig,
@@ -24,7 +34,6 @@ from repro.controller import (
 from repro.controller.engine import (
     _FAR,
     BankStateVec,
-    EventDrivenEngine,
     OccupancyAccumulator,
 )
 from repro.dram import TimingParams
@@ -46,38 +55,31 @@ def _make_policy(name, timing, lut):
     return IRAwareDistR(lut, 24.0)
 
 
-def _run_both(cfg, name, timing, lut, wc):
-    legacy = MemoryControllerSim(
-        cfg, _make_policy(name, timing, lut), generate_workload(wc), lut
-    ).run_legacy()
-    event = MemoryControllerSim(
+def _run(cfg, name, timing, lut, wc):
+    return EventDrivenEngine(
         cfg, _make_policy(name, timing, lut), generate_workload(wc), lut
     ).run()
-    return legacy, event
-
-
-def _assert_identical(legacy, event):
-    d_old, d_new = asdict(legacy), asdict(event)
-    # Compare field by field for a readable failure.
-    for key in d_old:
-        assert d_new[key] == d_old[key], f"SimResult.{key} diverged"
 
 
 class TestDecisionExactness:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_base_config(self, timing, ddr3_lut, seed, policy):
+    def test_base_config(self, timing, golden_lut, assert_golden, seed, policy):
         cfg = SimConfig(timing=timing)
         wc = WorkloadConfig(num_requests=1200, seed=seed)
-        _assert_identical(*_run_both(cfg, policy, timing, ddr3_lut, wc))
+        result = _run(cfg, policy, timing, golden_lut, wc)
+        assert_golden(f"base/{policy}/seed={seed}", result)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_refresh_multichannel_writes(self, timing, ddr3_lut, policy):
+    def test_refresh_multichannel_writes(
+        self, timing, golden_lut, assert_golden, policy
+    ):
         cfg = SimConfig(
             timing=timing, refresh_enabled=True, num_channels=2
         )
         wc = WorkloadConfig(num_requests=1200, seed=7, write_fraction=0.2)
-        _assert_identical(*_run_both(cfg, policy, timing, ddr3_lut, wc))
+        result = _run(cfg, policy, timing, golden_lut, wc)
+        assert_golden(f"refresh_2ch_writes/{policy}", result)
 
 
 class TestStreamingWorkload:
@@ -113,17 +115,13 @@ class TestBoundedOccupancy:
         # Total accounted cycles (tracked + dropped) equals the run.
         assert sum(res.state_occupancy.values()) + res.states_dropped == res.cycles
 
-    def test_both_engines_drop_identically(self, timing):
+    def test_both_engines_drop_identically(self, timing, assert_golden):
         cfg = SimConfig(timing=timing, max_tracked_states=3)
         wc = WorkloadConfig(num_requests=600, seed=5)
-        legacy = MemoryControllerSim(
-            cfg, StandardJEDEC(timing), generate_workload(wc)
-        ).run_legacy()
-        event = MemoryControllerSim(
+        result = EventDrivenEngine(
             cfg, StandardJEDEC(timing), generate_workload(wc)
         ).run()
-        assert legacy.states_dropped == event.states_dropped
-        assert legacy.state_occupancy == event.state_occupancy
+        assert_golden("state_cap_3", result)
 
     def test_accumulator_semantics(self):
         acc = OccupancyAccumulator(cap=2)
@@ -185,48 +183,3 @@ class TestVectorScalarParity:
         # consistent() exists to catch.
         vec.st[3] = 0
         assert not vec.consistent()
-
-
-class TestBatchedAdmission:
-    def test_default_loop_matches_scalar(self, timing):
-        pol = StandardJEDEC(timing)
-        pol.on_activate(0, 50)
-        counts = (1, 0, 0, 0)
-        dies = [0, 1, 2, 3]
-        assert pol.admit_activations(dies, 51, counts) == [
-            pol.may_activate(d, 51, counts) for d in dies
-        ]
-
-    def test_ir_batch_matches_scalar(self, ddr3_lut):
-        pol = IRAwareFCFS(ddr3_lut, 24.0)
-        for counts in ((0, 0, 0, 0), (1, 0, 1, 0), (2, 1, 0, 0), (2, 2, 2, 2)):
-            dies = [0, 1, 2, 3, 0]
-            batched = pol.admit_activations(dies, 10, counts)
-            scalar = [pol.may_activate(d, 10, counts) for d in dies]
-            assert batched == scalar, counts
-
-    def test_empty_batch(self, ddr3_lut):
-        assert IRAwareFCFS(ddr3_lut, 24.0).admit_activations([], 0, (0,) * 4) == []
-
-    def test_lut_batch_matches_scalar(self, ddr3_lut):
-        counts = [
-            (0, 0, 0, 0),
-            (1, 0, 0, 0),
-            (2, 0, 0, 2),
-            (3, 0, 0, 0),  # out of range -> False, not an error
-            (2, 2, 2, 2),
-        ]
-        batch = np.array(counts, dtype=np.int64)
-        for constraint in (None, 24.0, 1.0):
-            got = ddr3_lut.allows_batch(batch, constraint)
-            for state, ok in zip(counts, got):
-                if max(state) > ddr3_lut.max_banks_per_die:
-                    assert not ok
-                else:
-                    assert bool(ok) == ddr3_lut.allows(state, constraint)
-
-    def test_as_array_matches_lookup(self, ddr3_lut):
-        arr = ddr3_lut.as_array()
-        assert arr.shape == (3, 3, 3, 3)
-        for state, value in ddr3_lut.as_dict().items():
-            assert arr[state] == value

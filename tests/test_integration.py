@@ -4,9 +4,9 @@ import pytest
 
 from repro import MemoryState, benchmark, build_stack
 from repro.controller import (
+    EventDrivenEngine,
     IRAwareDistR,
     IRDropLUT,
-    MemoryControllerSim,
     SimConfig,
     WorkloadConfig,
     generate_workload,
@@ -49,7 +49,7 @@ class TestFullPipeline:
         lut = IRDropLUT(stack)
         timing = TimingParams.ddr3_1600()
         policy = IRAwareDistR(lut, 20.0)
-        sim = MemoryControllerSim(
+        sim = EventDrivenEngine(
             SimConfig(timing=timing),
             policy,
             generate_workload(WorkloadConfig(num_requests=600)),

@@ -3,15 +3,16 @@
 import pytest
 
 from repro.controller import (
+    EventDrivenEngine,
     IRAwareDistR,
-    MemoryControllerSim,
+    ReadRequest,
     SimConfig,
     StandardJEDEC,
     WorkloadConfig,
     generate_workload,
 )
-from repro.dram import Bank, ChannelBus, TimingParams
-from repro.errors import ConfigurationError, SimulationError
+from repro.dram import TimingParams
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -20,35 +21,21 @@ def timing():
 
 
 class TestWriteDevicePath:
-    def test_bank_write_latency(self, timing):
-        bank = Bank(0, 0, timing)
-        bank.activate(0, 3)
-        end = bank.write(timing.tRCD, 3)
-        assert end == timing.tRCD + timing.tCWL + timing.burst_cycles
-        assert bank.writes_served == 1
-
-    def test_write_wrong_row_rejected(self, timing):
-        bank = Bank(0, 0, timing)
-        bank.activate(0, 3)
-        with pytest.raises(SimulationError):
-            bank.write(timing.tRCD, 4)
-
     def test_write_holds_row_for_twr(self, timing):
-        bank = Bank(0, 0, timing)
-        bank.activate(0, 3)
-        t = max(timing.tRCD, timing.tRAS)
-        bank.sync(t)
-        bank.write(t, 3)
-        assert not bank.can_precharge(t + timing.tWR - 1)
-        assert bank.can_precharge(t + timing.tWR)
-
-    def test_channel_write_occupancy(self, timing):
-        chan = ChannelBus(0, timing)
-        end = chan.issue_write(0)
-        assert end == timing.tCWL + timing.burst_cycles
-        # The next read must clear the write burst on the shared bus.
-        assert not chan.can_issue_read(end - timing.tCL - 1)
-        assert chan.can_issue_read(end - timing.tCL)
+        """A row written late in its open window stays open for tWR
+        before the precharge that a row miss to the same bank needs."""
+        wl = [
+            ReadRequest(0, die=0, bank=0, row=3, arrival_cycle=0),
+            ReadRequest(1, die=0, bank=0, row=3, arrival_cycle=20, is_write=True),
+            ReadRequest(2, die=0, bank=0, row=4, arrival_cycle=21),
+        ]
+        EventDrivenEngine(SimConfig(timing=timing), StandardJEDEC(timing), wl).run()
+        write, miss = wl[1], wl[2]
+        # The row opened at cycle 0, so tWR (not tRAS) binds the PRE.
+        assert write.issue_cycle + timing.tWR > timing.tRAS
+        assert miss.issue_cycle == (
+            write.issue_cycle + timing.tWR + timing.tRP + timing.tRCD
+        )
 
 
 class TestMixedWorkload:
@@ -68,7 +55,7 @@ class TestMixedWorkload:
         wl = generate_workload(
             WorkloadConfig(num_requests=1200, write_fraction=0.3)
         )
-        res = MemoryControllerSim(cfg, StandardJEDEC(timing), wl).run()
+        res = EventDrivenEngine(cfg, StandardJEDEC(timing), wl).run()
         assert res.finished
         for req in wl:
             assert req.complete_cycle is not None
@@ -80,7 +67,7 @@ class TestMixedWorkload:
         wl = generate_workload(
             WorkloadConfig(num_requests=800, write_fraction=0.5)
         )
-        res = MemoryControllerSim(
+        res = EventDrivenEngine(
             cfg, IRAwareDistR(ddr3_lut, 24.0), wl, report_lut=ddr3_lut
         ).run()
         assert res.finished
@@ -91,7 +78,7 @@ class TestRefresh:
     def test_refreshes_issued_at_trefi_rate(self, timing):
         cfg = SimConfig(timing=timing, refresh_enabled=True)
         wl = generate_workload(WorkloadConfig(num_requests=3000))
-        res = MemoryControllerSim(cfg, StandardJEDEC(timing), wl).run()
+        res = EventDrivenEngine(cfg, StandardJEDEC(timing), wl).run()
         assert res.finished
         expected = res.cycles * cfg.num_dies / timing.tREFI
         assert res.refreshes == pytest.approx(expected, abs=cfg.num_dies + 1)
@@ -99,10 +86,10 @@ class TestRefresh:
     def test_refresh_costs_runtime(self, timing):
         wl_a = generate_workload(WorkloadConfig(num_requests=3000))
         wl_b = generate_workload(WorkloadConfig(num_requests=3000))
-        base = MemoryControllerSim(
+        base = EventDrivenEngine(
             SimConfig(timing=timing), StandardJEDEC(timing), wl_a
         ).run()
-        refreshed = MemoryControllerSim(
+        refreshed = EventDrivenEngine(
             SimConfig(timing=timing, refresh_enabled=True),
             StandardJEDEC(timing),
             wl_b,
@@ -114,13 +101,13 @@ class TestRefresh:
     def test_refresh_off_by_default(self, timing):
         cfg = SimConfig(timing=timing)
         wl = generate_workload(WorkloadConfig(num_requests=500))
-        res = MemoryControllerSim(cfg, StandardJEDEC(timing), wl).run()
+        res = EventDrivenEngine(cfg, StandardJEDEC(timing), wl).run()
         assert res.refreshes == 0
 
     def test_refresh_with_ir_aware_policy(self, timing, ddr3_lut):
         cfg = SimConfig(timing=timing, refresh_enabled=True)
         wl = generate_workload(WorkloadConfig(num_requests=1500))
-        res = MemoryControllerSim(
+        res = EventDrivenEngine(
             cfg, IRAwareDistR(ddr3_lut, 24.0), wl, report_lut=ddr3_lut
         ).run()
         assert res.finished
@@ -129,7 +116,7 @@ class TestRefresh:
 
 
 class TestRefreshConformance:
-    """tREFI/tRFC conformance, checked on both engines.
+    """tREFI/tRFC conformance.
 
     The spec contract: each die is refreshed once per tREFI window
     (staggered across dies), and a refreshing die accepts no command
@@ -138,50 +125,27 @@ class TestRefreshConformance:
     """
 
     @pytest.fixture(scope="class")
-    def runs(self, timing):
+    def run(self, timing):
         cfg = SimConfig(timing=timing, refresh_enabled=True)
-        results = {}
-        for engine in ("legacy", "event"):
-            wl = generate_workload(WorkloadConfig(num_requests=2000, seed=13))
-            sim = MemoryControllerSim(cfg, StandardJEDEC(timing), wl)
-            res = sim.run_legacy() if engine == "legacy" else sim.run()
-            results[engine] = (res, wl)
-        return results
+        wl = generate_workload(WorkloadConfig(num_requests=2000, seed=13))
+        return EventDrivenEngine(cfg, StandardJEDEC(timing), wl).run()
 
-    @pytest.mark.parametrize("engine", ["legacy", "event"])
-    def test_trefi_rate_per_die(self, timing, runs, engine):
-        res, _ = runs[engine]
+    def test_trefi_rate_per_die(self, timing, run):
         cfg_dies = 4
-        windows = res.cycles // timing.tREFI
+        windows = run.cycles // timing.tREFI
         # One refresh per die per tREFI window, +/- the partial last
         # window and the die stagger.
-        assert abs(res.refreshes - windows * cfg_dies) <= 2 * cfg_dies
-
-    def test_trfc_blackout_at_the_bank(self, timing):
-        """tRFC conformance at the bank FSM: a refreshing bank accepts no
-        ACT until tRFC has elapsed, and an already-pending ready time is
-        never shortened by the blackout."""
-        bank = Bank(0, 0, timing)
-        blocked_until = bank.block_for_refresh(100)
-        assert blocked_until == 100 + timing.tRFC
-        assert not bank.can_activate(blocked_until - 1)
-        assert bank.can_activate(blocked_until)
-        # A longer pre-existing ready time survives a shorter blackout.
-        bank2 = Bank(0, 1, timing)
-        bank2.ready_cycle = 100 + timing.tRFC + 50
-        assert bank2.block_for_refresh(100) == 100 + timing.tRFC
-        assert not bank2.can_activate(100 + timing.tRFC)
-        assert bank2.can_activate(100 + timing.tRFC + 50)
+        assert abs(run.refreshes - windows * cfg_dies) <= 2 * cfg_dies
 
     def test_refresh_delays_service(self, timing):
         """Refresh blackouts are visible end to end: the same workload
-        takes longer with refresh enabled, on the event engine too."""
+        takes longer with refresh enabled."""
         wl_a = generate_workload(WorkloadConfig(num_requests=2000, seed=13))
         wl_b = generate_workload(WorkloadConfig(num_requests=2000, seed=13))
-        base = MemoryControllerSim(
+        base = EventDrivenEngine(
             SimConfig(timing=timing), StandardJEDEC(timing), wl_a
         ).run()
-        refreshed = MemoryControllerSim(
+        refreshed = EventDrivenEngine(
             SimConfig(timing=timing, refresh_enabled=True),
             StandardJEDEC(timing),
             wl_b,
@@ -189,12 +153,9 @@ class TestRefreshConformance:
         assert refreshed.cycles > base.cycles
         assert refreshed.refreshes > 0
 
-    def test_engines_agree_under_refresh(self, timing, runs):
-        legacy, _ = runs["legacy"]
-        event, _ = runs["event"]
-        assert legacy.refreshes == event.refreshes
-        assert legacy.cycles == event.cycles
-        assert legacy.state_occupancy == event.state_occupancy
+    def test_engines_agree_under_refresh(self, run, assert_golden):
+        """The refreshed run matches the frozen reference decisions."""
+        assert_golden("refresh_seed13", run)
 
 
 class TestMultiChannel:
@@ -208,7 +169,7 @@ class TestMultiChannel:
             max_banks_per_channel=1,
         )
         wl = generate_workload(WorkloadConfig(num_requests=600))
-        sim = MemoryControllerSim(cfg, StandardJEDEC(timing), wl)
+        sim = EventDrivenEngine(cfg, StandardJEDEC(timing), wl)
         res = sim.run()
         assert res.finished
         # The die-level counts can reach 2 (one per channel) but the
@@ -226,10 +187,10 @@ class TestMultiChannel:
         """Two data buses move the saturating workload faster than one."""
         wl_a = generate_workload(WorkloadConfig(num_requests=1500, arrival_interval=1))
         wl_b = generate_workload(WorkloadConfig(num_requests=1500, arrival_interval=1))
-        one = MemoryControllerSim(
+        one = EventDrivenEngine(
             SimConfig(timing=timing, num_channels=1), StandardJEDEC(timing), wl_a
         ).run()
-        two = MemoryControllerSim(
+        two = EventDrivenEngine(
             SimConfig(timing=timing, num_channels=2), StandardJEDEC(timing), wl_b
         ).run()
         assert two.runtime_us < one.runtime_us

@@ -7,9 +7,9 @@ the full 10,000-request runs live in the benchmark harness.
 import pytest
 
 from repro.controller import (
+    EventDrivenEngine,
     IRAwareDistR,
     IRAwareFCFS,
-    MemoryControllerSim,
     SimConfig,
     StandardJEDEC,
     WorkloadConfig,
@@ -34,7 +34,7 @@ def small_workload(n=800, **kwargs):
 
 
 def run_policy(cfg, policy, workload, lut=None):
-    return MemoryControllerSim(cfg, policy, workload, report_lut=lut).run()
+    return EventDrivenEngine(cfg, policy, workload, report_lut=lut).run()
 
 
 class TestBasicInvariants:
@@ -75,7 +75,7 @@ class TestBasicInvariants:
 
         bad = [ReadRequest(0, die=9, bank=0, row=0, arrival_cycle=0)]
         with pytest.raises(SimulationError):
-            MemoryControllerSim(cfg, StandardJEDEC(timing), bad)
+            EventDrivenEngine(cfg, StandardJEDEC(timing), bad)
 
     def test_deterministic(self, cfg, timing):
         a = run_policy(cfg, StandardJEDEC(timing), small_workload())
@@ -138,7 +138,7 @@ class TestIRAwareInvariants:
         """Below the cheapest state nothing can issue (Figure 9 wall)."""
         constraint = ddr3_lut.min_active_ir() - 1.0
         policy = IRAwareDistR(ddr3_lut, constraint)
-        sim = MemoryControllerSim(cfg, policy, small_workload(n=100), report_lut=ddr3_lut)
+        sim = EventDrivenEngine(cfg, policy, small_workload(n=100), report_lut=ddr3_lut)
         try:
             res = sim.run(max_cycles=30_000)
             assert not res.finished
@@ -156,7 +156,7 @@ class TestEventSkipping:
         assert res.cycles >= 400 * 50 - 50
 
     def test_max_cycles_cap(self, cfg, timing):
-        res = MemoryControllerSim(
+        res = EventDrivenEngine(
             cfg, StandardJEDEC(timing), small_workload(n=2000)
         ).run(max_cycles=100)
         assert not res.finished

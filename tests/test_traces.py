@@ -150,6 +150,24 @@ class TestMalformedLines:
         p.write_text("5,RD,0,0,1\n3,RD,0,1,1\n")
         self._expect_error(p, "goes backwards", 2)
 
+    def test_drampower_header_after_comment(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(
+            "# exported by a DRAMPower run\n\n"
+            "cycle,command,die,bank,row\n7,WR,1,2,3\n"
+        )
+        reqs = list(read_drampower_trace(p))
+        assert len(reqs) == 1
+        r = reqs[0]
+        assert (r.arrival_cycle, r.is_write, r.die, r.bank, r.row) == (
+            7, True, 1, 2, 3,
+        )
+
+    def test_drampower_header_after_data_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("1,RD,0,0,5\ncycle,command,die,bank,row\n")
+        self._expect_error(p, "non-integer", 2)
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
             read_trace(tmp_path / "t.trace", fmt="vcd")
