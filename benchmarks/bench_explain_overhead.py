@@ -24,7 +24,7 @@ to strip scheduler noise on a shared CI box.
 
 Results land in ``benchmarks/results/explain_overhead.json``.  Run
 directly (``python benchmarks/bench_explain_overhead.py``) or via the
-unified runner (``repro3d bench --names explain_overhead``).
+unified runner (``repro3d bench --only explain_overhead``).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ The gate is twofold:
 
 Results land in ``benchmarks/results/obs_overhead.json``.  Run directly
 (``python benchmarks/bench_obs_overhead.py``) or via the unified runner
-(``repro3d bench --names obs_overhead``).
+(``repro3d bench --only obs_overhead``).
 """
 
 from __future__ import annotations

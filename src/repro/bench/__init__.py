@@ -2,27 +2,19 @@
 
 Layers on :mod:`repro.obs`: a registry of the repository's bench
 scripts, a unified runner that wraps each in spans and metric
-snapshots, a schema-versioned ``BENCH_*.json`` suite record, and a
-baseline comparator with noise-aware thresholds -- the machinery behind
-``repro3d bench`` / ``python -m repro.bench`` and the CI regression
-gate.  See ``docs/benchmarks.md``.
+snapshots, and a schema-versioned ``BENCH_*.json`` suite record -- the
+machinery behind ``repro3d bench`` / ``python -m repro.bench``.  The CI
+regression gate compares records with :func:`repro.obs.store.diff_runs`.
+See ``docs/benchmarks.md``.
 """
 
-from repro.bench.baseline import (
-    BenchVerdict,
-    SuiteComparison,
-    Thresholds,
-    baseline_path,
-    compare,
-    compare_against_root,
-    load_baseline,
-    update_baseline,
-)
 from repro.bench.record import (
     BENCH_SCHEMA_VERSION,
     BenchmarkEntry,
     SuiteRecord,
+    baseline_path,
     find_records,
+    load_baseline,
     load_record,
     load_trajectory,
     validate_record,
@@ -40,16 +32,11 @@ from repro.bench.runner import default_record_path, run_bench, run_suite
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchSpec",
-    "BenchVerdict",
     "BenchmarkEntry",
     "REGISTRY",
-    "SuiteComparison",
     "SuiteRecord",
-    "Thresholds",
     "baseline_path",
     "benchmarks_dir",
-    "compare",
-    "compare_against_root",
     "default_record_path",
     "discover",
     "find_records",
@@ -60,6 +47,5 @@ __all__ = [
     "run_bench",
     "run_suite",
     "select",
-    "update_baseline",
     "validate_record",
 ]

@@ -2,11 +2,12 @@
 
 One suite run produces one record file at the repository root, named
 ``BENCH_<UTC timestamp>_<short sha>.json``.  Committed across PRs these
-files form the longitudinal perf/accuracy trajectory the comparator
-(:mod:`repro.bench.baseline`) reads its noise bands from -- the same
-role SRAM-PG-style PDN benchmark suites give their standardized result
-tables: numbers are only comparable when every run records them the
-same way.
+files form the longitudinal perf/accuracy trajectory the run comparator
+(:func:`repro.obs.store.diff_runs`) reads its noise bands from -- the
+same role SRAM-PG-style PDN benchmark suites give their standardized
+result tables: numbers are only comparable when every run records them
+the same way.  The committed baseline (``benchmarks/BASELINE.json``) is
+one such record, blessed with ``repro3d bench --update-baseline``.
 
 A record is manifest-stamped: it embeds a full
 :class:`repro.obs.manifest.RunManifest` (validated on write *and* load)
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.manifest import validate_manifest
+from repro.obs.manifest import field_problems, validate_manifest
 
 #: Bump when the record layout changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
@@ -53,6 +54,9 @@ ENTRY_SCHEMA: Dict[str, tuple] = {
 OPTIONAL_ENTRY_FIELDS: Dict[str, tuple] = {
     "plan_hashes": (list,),
 }
+
+#: Committed-baseline location relative to the repo root.
+BASELINE_RELPATH = Path("benchmarks") / "BASELINE.json"
 
 #: Allowed per-benchmark statuses.
 ENTRY_STATUSES = ("ok", "failed")
@@ -173,15 +177,7 @@ class SuiteRecord:
 
 def validate_record(data: Mapping[str, object]) -> None:
     """Raise :class:`ConfigurationError` unless ``data`` fits the schema."""
-    problems = []
-    for key, types in RECORD_SCHEMA.items():
-        if key not in data:
-            problems.append(f"missing field {key!r}")
-        elif not isinstance(data[key], types):
-            problems.append(
-                f"field {key!r} has type {type(data[key]).__name__}, "
-                f"expected {'/'.join(t.__name__ for t in types)}"
-            )
+    problems = field_problems(data, RECORD_SCHEMA)
     if not problems and data["schema_version"] != BENCH_SCHEMA_VERSION:
         problems.append(
             f"schema_version {data['schema_version']} != {BENCH_SCHEMA_VERSION}"
@@ -192,22 +188,9 @@ def validate_record(data: Mapping[str, object]) -> None:
             if not isinstance(entry, Mapping):
                 problems.append(f"benchmarks[{i}] is not a mapping")
                 continue
-            for key, types in ENTRY_SCHEMA.items():
-                if key not in entry:
-                    problems.append(f"benchmarks[{i}] missing field {key!r}")
-                elif not isinstance(entry[key], types):
-                    problems.append(
-                        f"benchmarks[{i}].{key} has type "
-                        f"{type(entry[key]).__name__}, expected "
-                        f"{'/'.join(t.__name__ for t in types)}"
-                    )
-            for key, types in OPTIONAL_ENTRY_FIELDS.items():
-                if key in entry and not isinstance(entry[key], types):
-                    problems.append(
-                        f"benchmarks[{i}].{key} has type "
-                        f"{type(entry[key]).__name__}, expected "
-                        f"{'/'.join(t.__name__ for t in types)}"
-                    )
+            problems += field_problems(
+                entry, ENTRY_SCHEMA, OPTIONAL_ENTRY_FIELDS, where=f"benchmarks[{i}] "
+            )
             status = entry.get("status")
             if status is not None and status not in ENTRY_STATUSES:
                 problems.append(
@@ -235,6 +218,17 @@ def load_record(path) -> SuiteRecord:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"bench record {path} is not JSON: {exc}")
     return SuiteRecord.from_dict(data)
+
+
+def baseline_path(root) -> Path:
+    """The committed baseline location for a repository root."""
+    return Path(root) / BASELINE_RELPATH
+
+
+def load_baseline(path) -> Optional[SuiteRecord]:
+    """The blessed record, or None when no baseline is committed yet."""
+    path = Path(path)
+    return load_record(path) if path.is_file() else None
 
 
 def find_records(root) -> List[Path]:

@@ -64,9 +64,6 @@ class _PedanticShim:
     def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1):
         return fn(*args, **(kwargs or {}))
 
-    def __call__(self, fn, *args, **kwargs):
-        return fn(*args, **kwargs)
-
 
 def extract_anchors(result) -> List[Dict[str, object]]:
     """Per-row paper-anchor deviations from an ExperimentResult."""

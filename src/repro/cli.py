@@ -40,6 +40,7 @@ from repro.obs.log import configure, get_logger
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import write_metrics
 from repro.obs.profile import PROFILE_ENV, start_profiler
+from repro.obs.store import IR_DRIFT_MV, PERF_REL_TOL
 from repro.obs.trace import span, write_chrome_trace
 from repro.pdn.config import Bonding
 from repro.pdn.stackup import build_stack
@@ -417,22 +418,29 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Unified benchmark runner + regression gate (see docs/benchmarks.md)."""
+    """Unified benchmark runner + regression gate (see docs/benchmarks.md).
+
+    The gate is a view over :func:`repro.obs.store.diff_runs`: the
+    baseline, the trajectory and this run are normalized like any
+    stored bench record and diffed bench by bench.
+    """
     from repro.bench import (
-        Thresholds,
         baseline_path,
-        compare,
         default_record_path,
         discover,
         load_baseline,
         load_trajectory,
         run_suite,
         select,
-        update_baseline,
     )
-    from repro.bench.baseline import scaled
     from repro.bench.registry import benchmarks_dir
-    from repro.bench.report import comparison_to_markdown, record_summary
+    from repro.obs.atomic import atomic_write_text
+    from repro.obs.store import (
+        delta_markdown,
+        diff_runs,
+        normalize_bench_record,
+        show_markdown,
+    )
 
     if args.list_benches:
         for spec in select(None, smoke=False, registry=discover()):
@@ -454,15 +462,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     record.write(out)
     args._bench_record = record
     args._bench_record_path = out
-    _log.info("%s", record_summary(record))
+    current = normalize_bench_record(record.to_dict(), source=out)
+    _log.info("%s", show_markdown(current))
     _log.info("suite record: %s", out)
-    # The trajectory lives next to the emitted record, so a redirected
-    # --out (tests, scratch dirs) never picks up the repo-root history.
-    trajectory_root = out.parent
 
     base_path = Path(args.baseline) if args.baseline else baseline_path(root)
     if args.update_baseline:
-        update_baseline(record, base_path)
+        record.write(base_path)
         _log.info("baseline updated: %s", base_path)
         return 0
     if args.no_compare:
@@ -476,26 +482,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             base_path,
         )
         return 0
-    thresholds = scaled(
-        Thresholds(), perf_rel_tol=args.perf_tol, ir_abs_mv=args.ir_tol
+    # The trajectory lives next to the emitted record, so a redirected
+    # --out (tests, scratch dirs) never picks up the repo-root history.
+    history = [
+        normalize_bench_record(r.to_dict())
+        for r in load_trajectory(out.parent, exclude=(out,))
+    ]
+    delta = diff_runs(
+        normalize_bench_record(baseline.to_dict(), source=base_path),
+        current,
+        history=history,
+        perf_rel_tol=args.perf_tol,
+        ir_abs_mv=args.ir_tol,
     )
-    comparison = compare(
-        record,
-        baseline,
-        trajectory=load_trajectory(trajectory_root, exclude=(out,)),
-        thresholds=thresholds,
-    )
-    _log.info("\n%s", comparison_to_markdown(comparison))
+    text = delta_markdown(delta)
+    _log.info("\n%s", text)
     if args.delta_out:
-        Path(args.delta_out).write_text(
-            comparison_to_markdown(comparison) + "\n"
+        atomic_write_text(args.delta_out, text + "\n")
+    if delta.regressed:
+        _log.warning(
+            "bench suite verdict: %s (drift: %s)", delta.verdict, delta.drift
         )
-    failing = not comparison.ok
-    if failing:
-        _log.warning("bench suite verdict: %s", comparison.status)
-    if args.gate and failing:
-        return 1
-    return 0
+    return 1 if args.gate and delta.regressed else 0
 
 
 def _obs_store(args: argparse.Namespace):
@@ -961,23 +969,23 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--gate",
         action="store_true",
-        help="exit nonzero on perf_regression / accuracy_drift / failed "
+        help="exit nonzero on any drift, perf_regression or failed "
         "(the CI mode)",
     )
     bench_p.add_argument(
         "--perf-tol",
         type=float,
-        default=None,
+        default=PERF_REL_TOL,
         metavar="FRAC",
         help="allowed fractional slowdown vs the baseline median "
-        "(default 0.5; raise across machines)",
+        f"(default {PERF_REL_TOL}; raise across machines)",
     )
     bench_p.add_argument(
         "--ir-tol",
         type=float,
-        default=None,
+        default=IR_DRIFT_MV,
         metavar="MV",
-        help="allowed |delta| in max-IR values in mV (default 1e-6; "
+        help=f"allowed |delta| in IR values in mV (default {IR_DRIFT_MV:g}; "
         "raise across BLAS builds)",
     )
     bench_p.add_argument(

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 
@@ -117,44 +117,31 @@ class RunManifest:
         known = set(MANIFEST_SCHEMA) | set(OPTIONAL_MANIFEST_FIELDS)
         return cls(**{k: v for k, v in data.items() if k in known})
 
-    def summary(self) -> Dict[str, object]:
-        """Compact provenance stamp for embedding in derived artifacts.
 
-        Benchmark suite records (:mod:`repro.bench.record`) embed the
-        full manifest *and* surface this stamp in their reports; any
-        other artifact that wants to say "produced by revision X under
-        configuration Y" without carrying the whole metric payload can
-        use it too.
-        """
-        return {
-            "sha": str(self.git.get("sha", "unknown")),
-            "dirty": bool(self.git.get("dirty")),
-            "created": self.created,
-            "duration_s": self.duration_s,
-            "config_hash": self.config_hash,
-            "workers": self.workers,
-            "python": self.environment.get("python"),
-            "platform": self.environment.get("platform"),
-        }
+def field_problems(
+    data: Mapping[str, object],
+    required: Mapping[str, tuple],
+    optional: Optional[Mapping[str, tuple]] = None,
+    where: str = "",
+) -> List[str]:
+    """Missing ``required`` and mistyped fields of ``data``, one line each.
+
+    Shared by the manifest and bench-record validators (hand-rolled, no
+    jsonschema dependency); ``where`` prefixes every line.
+    """
+    problems = [f"{where}missing field {k!r}" for k in required if k not in data]
+    for key, types in {**(optional or {}), **required}.items():
+        if key in data and not isinstance(data[key], types):
+            problems.append(
+                f"{where}field {key!r} has type {type(data[key]).__name__}, "
+                f"expected {'/'.join(t.__name__ for t in types)}"
+            )
+    return problems
 
 
 def validate_manifest(data: Mapping[str, object]) -> None:
     """Raise :class:`ConfigurationError` unless ``data`` fits the schema."""
-    problems = []
-    for key, types in MANIFEST_SCHEMA.items():
-        if key not in data:
-            problems.append(f"missing field {key!r}")
-        elif not isinstance(data[key], types):
-            problems.append(
-                f"field {key!r} has type {type(data[key]).__name__}, "
-                f"expected {'/'.join(t.__name__ for t in types)}"
-            )
-    for key, types in OPTIONAL_MANIFEST_FIELDS.items():
-        if key in data and not isinstance(data[key], types):
-            problems.append(
-                f"optional field {key!r} has type {type(data[key]).__name__}, "
-                f"expected {'/'.join(t.__name__ for t in types)}"
-            )
+    problems = field_problems(data, MANIFEST_SCHEMA, OPTIONAL_MANIFEST_FIELDS)
     if not problems and data["schema_version"] != SCHEMA_VERSION:
         problems.append(
             f"schema_version {data['schema_version']} != {SCHEMA_VERSION}"
@@ -230,10 +217,8 @@ def _attributions_of() -> Dict[str, object]:
     Lazy for the same reason as :func:`_plans_of`: the diagnose module
     lives in ``repro.pdn``, which ``repro.obs`` must not require.
     """
-    try:
-        from repro.pdn.diagnose import attribution_snapshot
-    except ImportError:  # pragma: no cover - pdn always present in-tree
-        return {}
+    from repro.pdn.diagnose import attribution_snapshot
+
     return dict(attribution_snapshot())
 
 

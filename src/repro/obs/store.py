@@ -33,6 +33,12 @@ the measured-vs-modeled discipline of Ghose et al. (arXiv:1807.05102):
     (``repro3d obs diff --gate``) requires exactly this for a run
     diffed against a repeat of itself.
 
+When both runs are ``BENCH_*.json`` suite records, the comparison is
+per bench instead: every bench of the newer run gets a verdict
+(``ok`` / ``new_benchmark`` / ``perf_regression`` / ``accuracy_drift``
+/ ``failed``) and the drift class follows from the ``accuracy_drift``
+rows.  ``repro3d bench --gate`` is a view over exactly this diff.
+
 The CLI front end is ``repro3d obs`` (list/show/diff/attribute/export);
 see :mod:`repro.cli`.
 """
@@ -42,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
@@ -62,10 +69,31 @@ HISTORY_DIR_ENV = "REPRO_HISTORY_DIR"
 #: Index file name inside the store root.
 INDEX_NAME = "runs.jsonl"
 
-#: Max IR-drop delta (mV) two same-structure runs may differ by before
-#: the attribution flips to numerical drift.  The golden IR baseline is
-#: bitwise, so any real change lands far above this.
+#: Default max delta (mV) between any two IR values the diff compares
+#: (run extrema, bench max IR, attribution components) before it flips
+#: to numerical drift.  The golden IR baseline is bitwise, so any real
+#: change lands far above this.
 IR_DRIFT_MV = 1e-6
+
+#: Default allowed fractional slowdown of a bench vs its historical
+#: median wall time (0.5 = +50%).
+PERF_REL_TOL = 0.5
+
+#: Perf band width in median absolute deviations of the wall samples.
+PERF_MAD_K = 4.0
+
+#: Benches faster than this (s) are never perf-gated: pure jitter.
+PERF_MIN_WALL_S = 0.1
+
+#: Max delta in a paper anchor's deviation (percentage points).
+ANCHOR_PCT_TOL = 1e-6
+
+#: Wall-clock-derived anchor metrics (fig4's reference ``speedup``),
+#: matched by substring: perf-noisy, so never physics drift.
+NOISY_ANCHOR_METRICS = ("speedup",)
+
+#: Per-bench verdicts, mildest first; a suite takes its worst.
+BENCH_VERDICTS = ("ok", "new_benchmark", "perf_regression", "accuracy_drift", "failed")
 
 #: Residual-floor ratio between matched convergence-trace groups above
 #: which the attribution flips to numerical drift (a one-notch rtol
@@ -166,7 +194,10 @@ def normalize_bench_record(
                 "name": str(entry.get("name", "")),
                 "status": str(entry.get("status", "")),
                 "wall_s": entry.get("wall_s"),
+                "wall_s_all": list(entry.get("wall_s_all") or []),
                 "max_ir_mv": entry.get("max_ir_mv"),
+                "anchors": list(entry.get("anchors") or []),
+                "error": entry.get("error"),
                 "plan_hashes": hashes,
             }
         )
@@ -279,14 +310,11 @@ class RunHistoryStore:
 
             record["convergence"] = [t.to_dict() for t in traces()]
         # Persist the bodies of every plan this process actually built.
-        try:
-            from repro.pdn.plan import observed_plan_objects
+        from repro.pdn.plan import observed_plan_objects
 
-            for plan_hash, plan in observed_plan_objects().items():
-                if plan_hash in record["plans"]:
-                    self.store_plan(plan)
-        except ImportError:  # pragma: no cover - pdn always present in-tree
-            pass
+        for plan_hash, plan in observed_plan_objects().items():
+            if plan_hash in record["plans"]:
+                self.store_plan(plan)
         return self.append(record)
 
     def store_plan(self, plan) -> Path:
@@ -407,24 +435,35 @@ class RunDelta:
     #: Per-benchmark component rows that moved (physics-axis evidence):
     #: ``{benchmark, component, a_mv, b_mv}``.
     attribution_deltas: List[Dict[str, object]] = field(default_factory=list)
+    #: One verdict row per bench of ``b`` when both runs are bench
+    #: suites: ``{name, status, detail, drift, wall_s, median_s, tol_s,
+    #: max_ir_mv, base_max_ir_mv}``.
+    benches: List[Dict[str, object]] = field(default_factory=list)
+
+    @property
+    def verdict(self) -> str:
+        """The worst per-bench verdict (``ok`` without bench rows)."""
+        return max((r["status"] for r in self.benches), key=BENCH_VERDICTS.index, default="ok")
+
+    @property
+    def regressed(self) -> bool:
+        """The bench gate's verdict: any drift, slowdown or failed bench."""
+        return self.drift != "none" or self.verdict in ("perf_regression", "failed")
 
 
 def _ir_extremum(record: Mapping[str, object]) -> Optional[float]:
-    """Worst DRAM IR drop (mV) a record observed, from any of its carriers."""
+    """Worst DRAM IR drop (mV) a run observed (histogram max, else gauge).
+
+    Bench suites compare their benches' own max IR instead (see
+    :func:`_bench_row`).
+    """
     hists = record.get("histograms") or {}
     h = hists.get("ir.dram_max_mv") if isinstance(hists, Mapping) else None
     if isinstance(h, Mapping) and isinstance(h.get("max"), (int, float)):
         return float(h["max"])
     gauges = record.get("gauges") or {}
     g = gauges.get("ir.dram_max_mv") if isinstance(gauges, Mapping) else None
-    if isinstance(g, (int, float)):
-        return float(g)
-    worst: Optional[float] = None
-    for bench in record.get("benches") or []:
-        v = bench.get("max_ir_mv") if isinstance(bench, Mapping) else None
-        if isinstance(v, (int, float)):
-            worst = v if worst is None else max(worst, v)
-    return worst
+    return float(g) if isinstance(g, (int, float)) else None
 
 
 def _median(values: Sequence[float]) -> float:
@@ -472,32 +511,36 @@ def _trace_groups(
 
 
 def _structural_evidence(
-    a: Mapping[str, object],
-    b: Mapping[str, object],
+    plans_a: Mapping[str, str],
+    plans_b: Mapping[str, str],
     store: Optional[RunHistoryStore],
     delta: RunDelta,
+    scope: str = "",
 ) -> None:
-    """Fill plan-diff evidence for runs whose plan-hash sets differ."""
-    plans_a = dict(a.get("plans") or {})
-    plans_b = dict(b.get("plans") or {})
+    """Fill plan-diff evidence for two differing ``{hash: name}`` maps."""
     gone = sorted(set(plans_a) - set(plans_b))
     new = sorted(set(plans_b) - set(plans_a))
     delta.evidence.append(
-        f"plan-hash sets differ: -{len(gone)} +{len(new)} "
+        f"{scope}plan-hash sets differ: -{len(gone)} +{len(new)} "
         f"({len(set(plans_a) & set(plans_b))} shared)"
     )
-    # Pair changed hashes by benchmark name and render real op diffs
-    # when both bodies are stored; fall back to the hash listing.
-    by_name_a = {name: h for h, name in plans_a.items()}
-    by_name_b = {name: h for h, name in plans_b.items()}
+    # One name labels every plan its benchmark touched, so an op diff is
+    # only meaningful when exactly one of its plans went and one came;
+    # any other change is listed hash by hash.
+    gone_by_name: Dict[str, List[str]] = {}
+    new_by_name: Dict[str, List[str]] = {}
+    for h in gone:
+        gone_by_name.setdefault(plans_a[h], []).append(h)
+    for h in new:
+        new_by_name.setdefault(plans_b[h], []).append(h)
     rendered = set()
     if store is not None:
         from repro.pdn.plan import PlanDiff
 
-        for name in sorted(set(by_name_a) & set(by_name_b)):
-            ha, hb = by_name_a[name], by_name_b[name]
-            if ha == hb:
+        for name in sorted(set(gone_by_name) & set(new_by_name)):
+            if len(gone_by_name[name]) != 1 or len(new_by_name[name]) != 1:
                 continue
+            (ha,), (hb,) = gone_by_name[name], new_by_name[name]
             pa, pb = store.load_plan(ha), store.load_plan(hb)
             if pa is None or pb is None:
                 continue
@@ -513,13 +556,16 @@ def _structural_evidence(
 
 
 def _numerical_evidence(
-    a: Mapping[str, object], b: Mapping[str, object], delta: RunDelta
+    a: Mapping[str, object],
+    b: Mapping[str, object],
+    delta: RunDelta,
+    ir_abs_mv: float,
 ) -> bool:
     """Fill metric/residual evidence; returns True when drift was found."""
     found = False
     ir_a, ir_b = _ir_extremum(a), _ir_extremum(b)
     if ir_a is not None and ir_b is not None:
-        if abs(ir_a - ir_b) > IR_DRIFT_MV:
+        if abs(ir_a - ir_b) > ir_abs_mv:
             found = True
             delta.evidence.append(
                 f"worst DRAM IR drop moved: {ir_a:.6f} -> {ir_b:.6f} mV"
@@ -583,7 +629,10 @@ def _numerical_evidence(
 
 
 def _attribution_evidence(
-    a: Mapping[str, object], b: Mapping[str, object], delta: RunDelta
+    a: Mapping[str, object],
+    b: Mapping[str, object],
+    delta: RunDelta,
+    ir_abs_mv: float,
 ) -> bool:
     """Fill the physics axis: compare worst-drop attribution summaries.
 
@@ -592,20 +641,12 @@ def _attribution_evidence(
     comparison (never a crash).  Returns True when the decomposition
     moved between two comparable records.
     """
-    missing = [
-        str(r.get("run_id", "?"))
-        for r in (a, b)
-        if "attribution" not in r
-    ]
+    missing = [f"`{_run_label(r)}`" for r in (a, b) if "attribution" not in r]
     if missing:
+        plural = len(missing) > 1
         delta.attribution_note = (
-            "attribution: n/a (run"
-            + ("s" if len(missing) > 1 else "")
-            + " "
-            + ", ".join(f"`{rid}`" for rid in missing)
-            + " predate"
-            + ("" if len(missing) > 1 else "s")
-            + " attribution records)"
+            f"attribution: n/a (run{'s' if plural else ''} {', '.join(missing)} "
+            f"predate{'' if plural else 's'} attribution records)"
         )
         return False
     attr_a = a.get("attribution") or {}
@@ -635,7 +676,7 @@ def _attribution_evidence(
         for cat in sorted(set(comp_a) | set(comp_b)):
             va = float(comp_a.get(cat, 0.0) or 0.0)
             vb = float(comp_b.get(cat, 0.0) or 0.0)
-            if abs(va - vb) > IR_DRIFT_MV:
+            if abs(va - vb) > ir_abs_mv:
                 found = True
                 delta.attribution_deltas.append(
                     {"benchmark": name, "component": cat, "a_mv": va, "b_mv": vb}
@@ -672,9 +713,8 @@ def plan_drift(
     ``structural`` when the sets differ (a planner or geometry edit),
     ``numerical`` when they match (same structures, so any drift is in
     the assembler/solver arithmetic), ``unknown`` when either run
-    recorded no plan hashes (records predating the field).  Both
-    :func:`diff_runs` and the bench gate (:mod:`repro.bench.baseline`)
-    classify through here.
+    recorded no plan hashes (records predating the field).
+    :func:`diff_runs` classifies whole runs and single benches here.
     """
     set_a, set_b = set(plans_a or ()), set(plans_b or ())
     if not set_a or not set_b:
@@ -682,19 +722,157 @@ def plan_drift(
     return "structural" if set_a != set_b else "numerical"
 
 
+#: Suffix of an accuracy-drift detail, by :func:`plan_drift` class.
+_DRIFT_TAGS = {
+    "structural": " [structural: stack plans changed]",
+    "numerical": " [numerical: identical stack plans]",
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _wall_samples(name: str, records: Iterable[Mapping[str, object]]) -> List[float]:
+    """Every healthy wall time (repeats included) of bench ``name``."""
+    samples: List[float] = []
+    for record in records:
+        for bench in record.get("benches") or []:
+            if bench.get("name") == name and bench.get("status") == "ok":
+                walls = bench.get("wall_s_all") or [bench.get("wall_s")]
+                samples.extend(float(w) for w in walls if _is_number(w))
+    return samples
+
+
+def _physics_moved(
+    prev: Mapping[str, object], cur: Mapping[str, object], ir_abs_mv: float
+) -> str:
+    """Why a shared bench's physics numbers moved; empty when they did not."""
+    ir_a, ir_b = prev.get("max_ir_mv"), cur.get("max_ir_mv")
+    if _is_number(ir_a) and _is_number(ir_b) and abs(ir_b - ir_a) > ir_abs_mv:
+        return (
+            f"max IR {ir_a:.6f} -> {ir_b:.6f} mV "
+            f"(|delta| {abs(ir_b - ir_a):.2e} > {ir_abs_mv:.0e})"
+        )
+    before = {(x.get("row"), x.get("metric")): x for x in prev.get("anchors") or []}
+    for anchor in cur.get("anchors") or []:
+        old = before.get((anchor.get("row"), anchor.get("metric")))
+        metric = str(anchor.get("metric", ""))
+        if old is None or any(m in metric for m in NOISY_ANCHOR_METRICS):
+            continue  # a new row/metric is a model extension, not drift
+        dev_a, dev_b = old.get("deviation_pct"), anchor.get("deviation_pct")
+        if _is_number(dev_a) and _is_number(dev_b) and abs(dev_b - dev_a) > ANCHOR_PCT_TOL:
+            return f"anchor {anchor.get('row')}/{metric} deviation {dev_a:+.4f}% -> {dev_b:+.4f}%"
+    return ""
+
+
+def _bench_row(
+    cur: Mapping[str, object],
+    prev: Optional[Mapping[str, object]],
+    samples: Sequence[float],
+    perf_rel_tol: float,
+    ir_abs_mv: float,
+) -> Dict[str, object]:
+    """The verdict for one bench of the newer suite against its baseline."""
+    row: Dict[str, object] = dict(
+        name=cur.get("name"), status="ok", detail="", drift="", wall_s=cur.get("wall_s"),
+        median_s=None, tol_s=None, max_ir_mv=cur.get("max_ir_mv"),
+        base_max_ir_mv=(prev or {}).get("max_ir_mv"),
+    )
+    if cur.get("status") == "failed":
+        row.update(status="failed", detail=cur.get("error") or "bench raised")
+        return row
+    if prev is None or prev.get("status") != "ok":
+        row.update(status="new_benchmark", detail="no healthy baseline entry")
+        return row
+    # Physics first: deterministic, so drift trumps perf noise.  Plan
+    # hashes are judged on this bench's own, so a partial suite never
+    # reads as structural drift against a fuller baseline.
+    kind = plan_drift(prev.get("plan_hashes"), cur.get("plan_hashes"))
+    moved = _physics_moved(prev, cur, ir_abs_mv)
+    if not moved and kind == "structural":
+        moved = "stack plan hashes changed"
+    if moved:
+        row.update(
+            status="accuracy_drift",
+            detail=moved + _DRIFT_TAGS.get(kind, ""),
+            drift="structural" if kind == "structural" else "numerical",
+        )
+        return row
+    wall = cur.get("wall_s")
+    if not samples or not _is_number(wall):
+        return row
+    med = _median(samples)
+    mad = _median([abs(s - med) for s in samples])
+    tol = max(perf_rel_tol * med, PERF_MAD_K * mad)
+    row.update(median_s=round(med, 6), tol_s=round(tol, 6))
+    if wall > med + tol and wall > PERF_MIN_WALL_S and med > 0:
+        row.update(
+            status="perf_regression",
+            detail=(
+                f"{wall:.3f}s vs median {med:.3f}s "
+                f"(+{(wall / med - 1) * 100:.0f}%, "
+                f"tolerance +{tol:.3f}s over {len(samples)} samples)"
+            ),
+        )
+    return row
+
+
+def _bench_evidence(
+    a: Mapping[str, object],
+    b: Mapping[str, object],
+    store: Optional[RunHistoryStore],
+    history: Sequence[Mapping[str, object]],
+    perf_rel_tol: float,
+    ir_abs_mv: float,
+    delta: RunDelta,
+) -> None:
+    """Give every bench of ``b`` a verdict; drift follows from the rows."""
+    previous = {bench.get("name"): bench for bench in a.get("benches") or []}
+    for cur in b.get("benches") or []:
+        name = cur.get("name")
+        prev = previous.get(name)
+        row = _bench_row(cur, prev, _wall_samples(name, (*history, a)), perf_rel_tol, ir_abs_mv)
+        delta.benches.append(row)
+        if row["drift"] == "structural":
+            _structural_evidence(
+                {h: name for h in prev.get("plan_hashes") or []},
+                {h: name for h in cur.get("plan_hashes") or []},
+                store,
+                delta,
+                scope=f"{name}: ",
+            )
+    kinds = {row["drift"] for row in delta.benches}
+    delta.drift = next((k for k in ("structural", "numerical") if k in kinds), "none")
+
+
 def diff_runs(
     a: Mapping[str, object],
     b: Mapping[str, object],
     store: Optional[RunHistoryStore] = None,
+    history: Sequence[Mapping[str, object]] = (),
+    perf_rel_tol: float = PERF_REL_TOL,
+    ir_abs_mv: float = IR_DRIFT_MV,
 ) -> RunDelta:
-    """Compare two stored records and attribute any drift."""
+    """Compare record ``b`` against the older ``a`` and attribute any drift.
+
+    Two bench suites compare bench by bench, with ``history`` (older
+    records) widening the perf band; any other pair compares run-level
+    plan sets, IR extrema and solver traces.  ``ir_abs_mv`` bounds every
+    mV comparison, ``perf_rel_tol`` the allowed slowdown.
+    """
     delta = RunDelta(a=dict(a), b=dict(b))
-    attribution_drift = _attribution_evidence(a, b, delta)
+    attribution_drift = _attribution_evidence(a, b, delta, ir_abs_mv)
+    if a.get("benches") and b.get("benches"):
+        _bench_evidence(a, b, store, history, perf_rel_tol, ir_abs_mv, delta)
+        return delta
     if plan_drift(a.get("plans"), b.get("plans")) == "structural":
         delta.drift = "structural"
-        _structural_evidence(a, b, store, delta)
+        _structural_evidence(
+            dict(a.get("plans") or {}), dict(b.get("plans") or {}), store, delta
+        )
         return delta
-    if _numerical_evidence(a, b, delta) or attribution_drift:
+    if _numerical_evidence(a, b, delta, ir_abs_mv) or attribution_drift:
         delta.drift = "numerical"
     return delta
 
@@ -704,8 +882,13 @@ def diff_runs(
 # ---------------------------------------------------------------------------
 
 
+def _run_label(record: Mapping[str, object]) -> str:
+    """Run id, or the source file name of a record never stored."""
+    return str(record.get("run_id") or Path(str(record.get("source") or "?")).name)
+
+
 def _describe_run(record: Mapping[str, object]) -> str:
-    rid = record.get("run_id", "?")
+    rid = _run_label(record)
     exp = record.get("experiment_id") or record.get("kind", "?")
     sha = str(record.get("sha", "unknown"))[:7]
     return f"`{rid}` ({exp} @ {sha})"
@@ -741,7 +924,7 @@ def list_markdown(records: Sequence[Mapping[str, object]]) -> str:
 
 def show_markdown(record: Mapping[str, object]) -> str:
     """The ``obs show`` rendering of one record."""
-    lines = [f"# run {record.get('run_id', '?')}", ""]
+    lines = [f"# run {_run_label(record)}", ""]
     for key in (
         "kind",
         "experiment_id",
@@ -784,9 +967,12 @@ def show_markdown(record: Mapping[str, object]) -> str:
     if benches:
         lines.append(f"- **benches** ({len(benches)}):")
         for bench in benches:
+            ir = bench.get("max_ir_mv")
             lines.append(
                 f"  - {bench.get('name')}: {bench.get('status')}, "
                 f"{bench.get('wall_s')} s"
+                + (f", max IR {ir:.2f} mV" if _is_number(ir) else "")
+                + f", {len(bench.get('anchors') or [])} anchors"
             )
     trace = record.get("trace") or {}
     roots = trace.get("roots") or []
@@ -810,7 +996,9 @@ def delta_markdown(delta: RunDelta) -> str:
         f"drift: {delta.drift}",
         "",
     ]
-    if delta.drift == "none":
+    if delta.benches:
+        lines.extend(_bench_section(delta))
+    elif delta.drift == "none":
         lines.append(
             "Same plan-hash set, IR extrema and solver behavior within "
             "tolerance."
@@ -853,6 +1041,37 @@ def delta_markdown(delta: RunDelta) -> str:
         lines.append("")
         lines.append(attribution_table(delta.attribution_deltas))
     return "\n".join(lines)
+
+
+def _fmt(value, spec: str) -> str:
+    return format(value, spec) if _is_number(value) else "--"
+
+
+def _bench_section(delta: RunDelta) -> List[str]:
+    """The per-bench verdict table, suite verdict line and details."""
+    lines = [
+        "| bench | verdict | base s | now s | delta | tol s | base mV | now mV |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    for row in delta.benches:
+        status = str(row["status"])
+        # Flag every failing verdict with "!!" so greps find regressions.
+        flag = {"ok": "", "new_benchmark": " *"}.get(status, " !!")
+        med, wall = row["median_s"], row["wall_s"]
+        change = f"{(wall / med - 1) * 100:+.0f}%" if med and _is_number(wall) else "--"
+        lines.append(
+            f"| {row['name']} | {status}{flag} "
+            f"| {_fmt(med, '.3f')} | {_fmt(wall, '.3f')} | {change} "
+            f"| {_fmt(row['tol_s'], '.3f')} | {_fmt(row['base_max_ir_mv'], '.2f')} "
+            f"| {_fmt(row['max_ir_mv'], '.2f')} |"
+        )
+    counts = Counter(str(row["status"]) for row in delta.benches)
+    summary = ", ".join(f"{k}: {n}" for k, n in sorted(counts.items()))
+    lines += ["", f"**suite verdict: {delta.verdict}** ({summary})"]
+    for row in delta.benches:
+        if row["detail"] and row["status"] not in ("ok", "new_benchmark"):
+            lines.append(f"- `{row['name']}`: {row['detail']}")
+    return lines
 
 
 def attribution_table(rows: Sequence[Mapping[str, object]]) -> str:

@@ -26,8 +26,7 @@ def _fmt(value: object) -> str:
 def table_markdown(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """A plain markdown table from pre-formatted cells.
 
-    Shared by the experiment reports and the bench delta tables
-    (:mod:`repro.bench.report`); cells are used verbatim.
+    Cells are used verbatim.
     """
     lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
     lines.append("|" + "---|" * len(headers))

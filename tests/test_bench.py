@@ -11,10 +11,8 @@ from repro.bench import (
     BenchmarkEntry,
     BenchSpec,
     SuiteRecord,
-    Thresholds,
     baseline_path,
-    compare,
-    compare_against_root,
+    benchmarks_dir,
     discover,
     find_records,
     load_baseline,
@@ -24,14 +22,18 @@ from repro.bench import (
     run_bench,
     run_suite,
     select,
-    update_baseline,
     validate_record,
 )
 from repro.bench.record import RECORD_NAME_RE
-from repro.bench.report import comparison_to_markdown, record_summary
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs.manifest import build_manifest
+from repro.obs.store import (
+    delta_markdown,
+    diff_runs,
+    normalize_bench_record,
+    show_markdown,
+)
 
 
 def make_entry(
@@ -146,36 +148,46 @@ class TestRecord:
         assert [r.entry("table1").wall_s for r in records] == [1.0]
 
 
+def compare(current, baseline, trajectory=(), **tolerances):
+    """The bench gate's comparison: ``diff_runs`` over normalized records."""
+    return diff_runs(
+        normalize_bench_record(baseline.to_dict()),
+        normalize_bench_record(current.to_dict()),
+        history=[normalize_bench_record(r.to_dict()) for r in trajectory],
+        **tolerances,
+    )
+
+
 class TestComparator:
     def baseline(self, **kwargs):
         return make_record([make_entry(anchors=[ANCHOR], **kwargs)])
 
     def test_identical_run_is_ok(self):
-        comparison = compare(self.baseline(), self.baseline())
-        assert comparison.status == "ok"
-        assert comparison.ok
+        delta = compare(self.baseline(), self.baseline())
+        assert delta.verdict == "ok" and delta.drift == "none"
+        assert not delta.regressed
 
     def test_improvement_is_ok(self):
         current = make_record([make_entry(wall=0.4, anchors=[ANCHOR])])
-        comparison = compare(current, self.baseline())
-        assert comparison.status == "ok"
+        assert compare(current, self.baseline()).verdict == "ok"
 
     def test_2x_slowdown_is_perf_regression(self):
         current = make_record([make_entry(wall=2.0, anchors=[ANCHOR])])
-        comparison = compare(current, self.baseline())
-        verdict = comparison.verdicts[0]
-        assert verdict.status == "perf_regression"
-        assert "vs median 1.000s" in verdict.detail
-        assert not comparison.ok
+        delta = compare(current, self.baseline())
+        row = delta.benches[0]
+        assert row["status"] == "perf_regression"
+        assert "vs median 1.000s" in row["detail"]
+        assert delta.drift == "none"  # slower, not different physics
+        assert delta.regressed
 
     def test_jitter_within_band_is_ok(self):
         current = make_record([make_entry(wall=1.4, anchors=[ANCHOR])])
-        assert compare(current, self.baseline()).status == "ok"
+        assert compare(current, self.baseline()).verdict == "ok"
 
     def test_sub_min_wall_never_perf_gated(self):
         base = make_record([make_entry(wall=0.005)])
         current = make_record([make_entry(wall=0.05)])  # 10x but micro
-        assert compare(current, base).status == "ok"
+        assert compare(current, base).verdict == "ok"
 
     def test_trajectory_widens_the_noise_band(self):
         # Historical MADs show 1.8s is normal for this bench even though
@@ -186,23 +198,25 @@ class TestComparator:
             for w in (0.8, 1.6, 0.9, 1.7, 1.2)
         ]
         current = make_record([make_entry(wall=1.8, anchors=[ANCHOR])])
-        tight = compare(current, base)
-        assert tight.status == "perf_regression"
+        assert compare(current, base).verdict == "perf_regression"
         widened = compare(current, base, trajectory=trajectory)
-        assert widened.status == "ok"
+        assert widened.verdict == "ok"
 
     def test_max_ir_change_is_accuracy_drift(self):
         current = make_record([make_entry(max_ir=30.1, anchors=[ANCHOR])])
-        comparison = compare(current, self.baseline())
-        assert comparison.status == "accuracy_drift"
-        assert "max IR" in comparison.verdicts[0].detail
+        delta = compare(current, self.baseline())
+        assert delta.verdict == "accuracy_drift"
+        assert delta.drift == "numerical"
+        assert "max IR" in delta.benches[0]["detail"]
+        # --ir-tol is the one mV tolerance: 0.1 mV fits under 0.5 mV.
+        assert compare(current, self.baseline(), ir_abs_mv=0.5).verdict == "ok"
 
     def test_anchor_change_is_accuracy_drift(self):
         moved = dict(ANCHOR, model=120.0, deviation_pct=9.79)
         current = make_record([make_entry(anchors=[moved])])
-        comparison = compare(current, self.baseline())
-        assert comparison.status == "accuracy_drift"
-        assert "runtime_us" in comparison.verdicts[0].detail
+        delta = compare(current, self.baseline())
+        assert delta.verdict == "accuracy_drift"
+        assert "runtime_us" in delta.benches[0]["detail"]
 
     @pytest.mark.parametrize(
         "base_plans, cur_plans, tag",
@@ -217,57 +231,80 @@ class TestComparator:
         base.plan_hashes = base_plans
         current = make_entry(max_ir=30.1, anchors=[ANCHOR])
         current.plan_hashes = cur_plans
-        detail = compare(make_record([current]), make_record([base])).verdicts[0].detail
+        delta = compare(make_record([current]), make_record([base]))
+        detail = delta.benches[0]["detail"]
         assert detail.startswith("max IR")
         if tag is None:
             assert not detail.endswith("]")
         else:
             assert detail.endswith(tag)
+        assert delta.drift == ("structural" if "structural" in (tag or "") else "numerical")
+
+    def test_plan_change_alone_is_structural_drift(self):
+        """Same IR, different stack plans: the gate fails as structural."""
+        base = make_entry(anchors=[ANCHOR])
+        base.plan_hashes = ["h1"]
+        current = make_entry(anchors=[ANCHOR])
+        current.plan_hashes = ["h2"]
+        delta = compare(make_record([current]), make_record([base]))
+        assert delta.verdict == "accuracy_drift"
+        assert delta.drift == "structural" and delta.regressed
+        assert delta.benches[0]["detail"].endswith("[structural: stack plans changed]")
+        assert any("h1" in line for line in delta.evidence)
+
+    def test_partial_suite_is_not_structural_drift(self):
+        """Plans are judged per shared bench, never across the whole run."""
+        base_entries = [make_entry(), make_entry(name="fig5")]
+        base_entries[0].plan_hashes = ["h1"]
+        base_entries[1].plan_hashes = ["h2", "h3"]
+        current = make_entry()
+        current.plan_hashes = ["h1"]
+        delta = compare(make_record([current]), make_record(base_entries))
+        assert delta.drift == "none" and delta.verdict == "ok"
 
     def test_noisy_metric_exempt_from_drift(self):
         base_anchor = dict(ANCHOR, metric="speedup", deviation_pct=-99.3)
         cur_anchor = dict(ANCHOR, metric="speedup", deviation_pct=-99.1)
         base = make_record([make_entry(anchors=[base_anchor])])
         current = make_record([make_entry(anchors=[cur_anchor])])
-        assert compare(current, base).status == "ok"
+        assert compare(current, base).verdict == "ok"
 
     def test_new_benchmark(self):
         current = make_record([make_entry(), make_entry(name="brand_new")])
-        comparison = compare(current, self.baseline())
-        by_name = {v.name: v for v in comparison.verdicts}
-        assert by_name["brand_new"].status == "new_benchmark"
-        assert comparison.status == "new_benchmark"
-        assert comparison.ok  # new benches never fail the gate
+        delta = compare(current, self.baseline())
+        by_name = {row["name"]: row for row in delta.benches}
+        assert by_name["brand_new"]["status"] == "new_benchmark"
+        assert delta.verdict == "new_benchmark"
+        assert not delta.regressed  # new benches never fail the gate
 
     def test_failed_bench_is_worst_verdict(self):
         current = make_record(
             [make_entry(status="failed", error="AssertionError: boom")]
         )
-        comparison = compare(current, self.baseline())
-        assert comparison.status == "failed"
-        assert not comparison.ok
-        assert comparison.counts() == {"failed": 1}
+        delta = compare(current, self.baseline())
+        assert delta.verdict == "failed"
+        assert delta.regressed
+        assert [row["status"] for row in delta.benches] == ["failed"]
+        assert delta.benches[0]["detail"] == "AssertionError: boom"
 
     def test_thresholds_are_tunable(self):
         current = make_record([make_entry(wall=2.0, anchors=[ANCHOR])])
-        loose = Thresholds(perf_rel_tol=1.5)
-        assert compare(current, self.baseline(), thresholds=loose).status == "ok"
+        assert compare(current, self.baseline(), perf_rel_tol=1.5).verdict == "ok"
 
     def test_report_renders_verdicts(self):
         current = make_record([make_entry(wall=2.0, anchors=[ANCHOR])])
-        comparison = compare(current, self.baseline())
-        text = comparison_to_markdown(comparison)
+        text = delta_markdown(compare(current, self.baseline()))
         assert "perf_regression !!" in text
         assert "suite verdict: perf_regression" in text
-        summary = record_summary(current)
-        assert "table1" in summary and "suite 'smoke'" in summary
+        assert text.splitlines()[2] == "drift: none"
+        summary = show_markdown(normalize_bench_record(current.to_dict()))
+        assert "table1" in summary and "**experiment_id**: smoke" in summary
 
 
 class TestBaselineStore:
     def test_update_and_load(self, tmp_path):
         path = tmp_path / "benchmarks" / "BASELINE.json"
-        record = make_record([make_entry()])
-        update_baseline(record, path)
+        make_record([make_entry()]).write(path)
         loaded = load_baseline(path)
         assert loaded is not None and loaded.names() == ["table1"]
 
@@ -277,22 +314,32 @@ class TestBaselineStore:
     def test_update_baseline_blesses_a_regression(self, tmp_path):
         """--update-baseline semantics: after blessing, the same numbers pass."""
         path = tmp_path / "BASELINE.json"
-        update_baseline(make_record([make_entry(wall=1.0)]), path)
+        make_record([make_entry(wall=1.0)]).write(path)
         slow = make_record([make_entry(wall=3.0)])
-        assert compare(slow, load_baseline(path)).status == "perf_regression"
-        update_baseline(slow, path)
-        assert compare(slow, load_baseline(path)).status == "ok"
+        assert compare(slow, load_baseline(path)).verdict == "perf_regression"
+        slow.write(path)
+        assert compare(slow, load_baseline(path)).verdict == "ok"
 
     def test_compare_against_root(self, tmp_path):
+        """The committed baseline plus the root trajectory, as the CLI reads them."""
         base = make_record([make_entry(wall=1.0)])
-        update_baseline(base, baseline_path(tmp_path))
+        base.write(baseline_path(tmp_path))
         older = make_record([make_entry(wall=1.1)], created="2026-08-01T00:00:00Z")
         older.write(tmp_path / older.record_name())
         current = make_record([make_entry(wall=1.2)])
-        comparison = compare_against_root(current, tmp_path)
-        assert comparison is not None and comparison.status == "ok"
+        delta = compare(
+            current, load_baseline(baseline_path(tmp_path)), load_trajectory(tmp_path)
+        )
+        assert delta.verdict == "ok" and delta.drift == "none"
         # No baseline -> None (first-ever run).
-        assert compare_against_root(current, tmp_path / "empty") is None
+        assert load_baseline(baseline_path(tmp_path / "empty")) is None
+
+    def test_committed_baseline_diffs_clean_against_itself(self):
+        baseline = load_baseline(baseline_path(benchmarks_dir().parent))
+        assert baseline is not None
+        delta = compare(baseline, baseline)
+        assert delta.drift == "none" and delta.verdict == "ok"
+        assert len(delta.benches) == len(baseline.benchmarks)
 
 
 class TestRegistry:
@@ -510,7 +557,7 @@ class TestCLI:
 
     def test_bench_gate_fails_on_synthetic_regression(self, tmp_path, capsys):
         base = tmp_path / "BASELINE.json"
-        bench = "ablation_mesh_resolution"  # ~0.5s: safely above min_wall_s
+        bench = "ablation_mesh_resolution"  # ~0.5s: safely above the 0.1 s perf floor
         out1 = tmp_path / "BENCH_one.json"
         assert (
             main(

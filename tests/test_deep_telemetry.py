@@ -540,6 +540,58 @@ class TestDriftAttribution:
         assert not delta.plan_diffs
         assert any("h1" in line for line in delta.evidence)
 
+    def test_op_diff_pairs_only_one_gone_with_one_new(
+        self, tmp_path, ddr3_off_bench
+    ):
+        """A name labels every plan its benchmark touched: a plan still
+        present in both runs must never be diffed against a gone one."""
+        from repro.pdn.config import Bonding
+        from repro.pdn.stackup import plan_stack
+
+        store = RunHistoryStore(tmp_path)
+        base = ddr3_off_bench.baseline
+        plan_a, plan_b, plan_c, plan_d = (
+            plan_stack(ddr3_off_bench.stack, config)
+            for config in (
+                base,
+                base.with_options(bonding=Bonding.F2F),
+                base.with_options(wire_bond=True),
+                base.with_options(tsv_count=240),
+            )
+        )
+        for plan in (plan_a, plan_b, plan_c, plan_d):
+            store.store_plan(plan)
+        h = {k: p.plan_hash for k, p in zip("abcd", (plan_a, plan_b, plan_c, plan_d))}
+        a = self._record(plans={h["a"]: "ddr3_off", h["b"]: "ddr3_off"})
+        b = self._record(plans={h["c"]: "ddr3_off", h["a"]: "ddr3_off"})
+        delta = diff_runs(a, b, store)
+        assert delta.drift == "structural"
+        assert len(delta.plan_diffs) == 1
+        assert f"plan {h['b']} -> {h['c']}" in delta.plan_diffs[0]
+        assert h["a"] not in delta.plan_diffs[0]
+        # Two gone, two new under one name: no pairing is safe, so every
+        # changed hash is listed instead of an op diff.
+        b = self._record(plans={h["c"]: "ddr3_off", h["d"]: "ddr3_off"})
+        delta = diff_runs(a, b, store)
+        assert not delta.plan_diffs
+        text = "\n".join(delta.evidence)
+        assert all(h[k] in text for k in "abcd")
+
+    def test_ir_tolerance_covers_every_mv_comparison(self):
+        plans = {"h1": "ddr3_off"}
+        a = self._record(
+            plans=plans,
+            histograms={"ir.dram_max_mv": {"count": 1, "max": 57.0}},
+            attribution=_attribution_summary({"tsv": 2.5, "metal": 26.0}),
+        )
+        b = self._record(
+            plans=plans,
+            histograms={"ir.dram_max_mv": {"count": 1, "max": 57.0005}},
+            attribution=_attribution_summary({"tsv": 2.5004, "metal": 26.0}),
+        )
+        assert diff_runs(a, b).drift == "numerical"
+        assert diff_runs(a, b, ir_abs_mv=1e-3).drift == "none"
+
     def test_plan_drift_classes(self):
         assert plan_drift(["h1"], ["h2"]) == "structural"
         assert plan_drift({"h1": "a", "h2": "b"}, ["h2", "h1"]) == "numerical"
@@ -706,6 +758,52 @@ class TestObsCli:
         )
         assert code == 1
         assert "drift: structural" in capsys.readouterr().out
+
+    def _bench_pair(self, tmp_path):
+        """The committed baseline, and a copy whose table5 max IR moved
+        +1 mV and one table4 anchor +5 pp."""
+        from repro.bench import baseline_path, benchmarks_dir
+
+        data = json.loads(baseline_path(benchmarks_dir().parent).read_text())
+        old = tmp_path / "BENCH_old.json"
+        old.write_text(json.dumps(data))
+        for entry in data["benchmarks"]:
+            if entry["name"] == "table5":
+                entry["max_ir_mv"] += 1.0
+            if entry["name"] == "table4":
+                entry["anchors"][0]["deviation_pct"] += 5.0
+        new = tmp_path / "BENCH_new.json"
+        new.write_text(json.dumps(data))
+        return old, new
+
+    def test_bench_suite_drift_gates_obs_diff(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store_dir = str(tmp_path / "history")
+        old, new = self._bench_pair(tmp_path)
+        assert main(["obs", "ingest", str(old), str(new), "--store", store_dir]) == 0
+        capsys.readouterr()
+        code = main(["obs", "diff", "last~1", "last", "--gate", "--store", store_dir])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "drift: numerical" in out
+        assert "`table5`: max IR" in out and "`table4`: anchor" in out
+        assert "suite verdict: accuracy_drift" in out
+        # A bench-suite record diffed against itself: no drift.
+        code = main(["obs", "diff", "last", "last", "--gate", "--store", store_dir])
+        assert code == 0
+        assert "drift: none" in capsys.readouterr().out
+
+    def test_bench_history_from_older_layout_still_diffs(self, tmp_path):
+        """History lines predating wall_s_all/anchors/error per bench."""
+        old, _ = self._bench_pair(tmp_path)
+        current = normalize_bench_record(json.loads(old.read_text()))
+        legacy = dict(current, benches=[
+            {k: bench[k] for k in ("name", "status", "wall_s", "max_ir_mv", "plan_hashes")}
+            for bench in current["benches"]
+        ])
+        delta = diff_runs(legacy, current)
+        assert delta.drift == "none" and delta.verdict == "ok"
 
     def test_history_flag_records_run(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
