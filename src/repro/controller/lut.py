@@ -19,6 +19,7 @@ import json
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.trace import span
 from repro.pdn.stackup import PDNStack
 from repro.perf.timers import timed
 from repro.power.state import MemoryState
@@ -90,10 +91,11 @@ class IRDropLUT:
             if sum(counts) == 0:
                 self._table[counts] = 0.0
             else:
-                state = MemoryState.from_counts(
-                    counts, self.stack.spec.dram_floorplan
-                )
-                self._table[counts] = self.stack.solve_state(state).dram_max_mv
+                with span("lut.fill", counts="-".join(map(str, counts))):
+                    state = MemoryState.from_counts(
+                        counts, self.stack.spec.dram_floorplan
+                    )
+                    self._table[counts] = self.stack.solve_state(state).dram_max_mv
         return self._table[counts]
 
     def allows(self, counts: Tuple[int, ...], constraint_mv: Optional[float]) -> bool:

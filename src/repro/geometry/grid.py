@@ -118,15 +118,24 @@ class Grid2D:
         primitive used to spread a block's power over mesh nodes
         proportionally to geometric overlap, which keeps power totals exact
         regardless of grid resolution.
+
+        Overlap is separable, ``h[j] * w[i]``, with cell edges computed as
+        :meth:`cell_rect` does: bitwise the per-cell ``Rect.overlap_area``.
+        Clipping only one of ``w``, ``h`` at 0.0 would leave ``-0.0``s.
         """
         frac = np.zeros((self.ny, self.nx))
-        # Only visit cells that can overlap, for speed on fine grids.
-        i_lo = max(0, int((rect.x0 - self.outline.x0) / self.dx) - 1)
-        i_hi = min(self.nx, int((rect.x1 - self.outline.x0) / self.dx) + 2)
-        j_lo = max(0, int((rect.y0 - self.outline.y0) / self.dy) - 1)
-        j_hi = min(self.ny, int((rect.y1 - self.outline.y0) / self.dy) + 2)
-        cell_area = self.dx * self.dy
-        for j in range(j_lo, j_hi):
-            for i in range(i_lo, i_hi):
-                frac[j, i] = self.cell_rect(i, j).overlap_area(rect) / cell_area
+        dx, dy = self.dx, self.dy
+        x0, y0 = self.outline.x0, self.outline.y0
+        # Only fill cells that can overlap, for speed on fine grids.
+        i_lo = max(0, int((rect.x0 - x0) / dx) - 1)
+        i_hi = min(self.nx, int((rect.x1 - x0) / dx) + 2)
+        j_lo = max(0, int((rect.y0 - y0) / dy) - 1)
+        j_hi = min(self.ny, int((rect.y1 - y0) / dy) + 2)
+        i = np.arange(i_lo, i_hi)
+        j = np.arange(j_lo, j_hi)
+        w = np.minimum(x0 + (i + 1) * dx, rect.x1) - np.maximum(x0 + i * dx, rect.x0)
+        h = np.minimum(y0 + (j + 1) * dy, rect.y1) - np.maximum(y0 + j * dy, rect.y0)
+        overlap = np.outer(np.maximum(h, 0.0), np.maximum(w, 0.0))
+        # Sized by i, j: a window left of the outline has i_hi < 0.
+        frac[j_lo : j_lo + j.size, i_lo : i_lo + i.size] = overlap / (dx * dy)
         return frac

@@ -34,6 +34,7 @@ property the paper exploits to make F2F reuse one mask set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,10 +73,10 @@ from repro.pdn.tsv import (
 )
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
-from repro.perf.cache import cached_dram_power_map
+from repro.perf.cache import cached_dram_power_map, cached_logic_power_map
 from repro.perf.timers import timed
 from repro.power.model import DramPowerSpec, LogicPowerSpec
-from repro.power.powermap import PowerMap, logic_power_map
+from repro.power.powermap import PowerMap
 from repro.power.state import MemoryState
 from repro.rmesh.backends import resolve_backend
 from repro.rmesh.solve import IRDropResult, StackSolver
@@ -274,18 +275,24 @@ class PDNStack:
                 die,
                 self.dram_grid,
                 self.tech.vdd,
+                content_key=self._map_key,
             )
         if self.logic_grid is not None and logic_scale > 0.0:
-            assert self.spec.logic_floorplan is not None
-            assert self.spec.logic_power is not None
-            maps[self.logic_load_key] = logic_power_map(
+            maps[self.logic_load_key] = cached_logic_power_map(
                 self.spec.logic_floorplan,
                 self.spec.logic_power,
                 self.logic_grid,
                 self.tech.vdd,
                 scale=logic_scale,
+                content_key=self._map_key,
             )
         return maps
+
+    @functools.cached_property
+    def _map_key(self) -> str:
+        """Power-map cache key of the spec: content-based, as floorplans
+        are mutable, but one ``repr`` per stack rather than per map."""
+        return repr(self.spec)
 
     def _annotate_solver_error(
         self, exc: SolverError, states: Sequence[MemoryState]

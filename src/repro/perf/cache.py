@@ -17,11 +17,12 @@ its own process-global cache:
   :class:`~repro.pdn.stackup.PDNStack` wrapper (specs carry power
   descriptions the plan deliberately excludes, so wrappers are keyed
   separately from the physics they share).
-* **Power-map cache** -- maps ``(floorplan, power spec, state, die,
-  grid, vdd)`` to the rasterized per-node current map.  Design-space
+* **Power-map cache** -- maps ``(floorplan and power spec, state, die,
+  grid, vdd)`` (DRAM) or ``(floorplan and power spec, grid, vdd,
+  scale)`` (logic) to the rasterized per-node current map.  Design-space
   sampling evaluates hundreds of *different* stacks against the *same*
-  reference state on the *same* grid; rasterization is ~30% of each
-  sample, and this cache collapses it to one rasterization per state.
+  reference state on the *same* grid, and every LUT fill needs the same
+  state-independent logic map.
 
 Assembly runs under a shared :class:`~repro.pdn.assemble.AssemblySession`,
 so even *distinct* plans (a TSV-count sweep) reuse the unchanged layer
@@ -30,13 +31,14 @@ meshes and link blocks of previously assembled ones.
 Plan/power-map keys are built from ``repr`` of the participating (frozen
 or effectively-immutable) dataclasses, which is deterministic and covers
 every physical field -- two specs that print the same build the same
-network.  Entries are evicted least-recently-used.
+network.  :class:`~repro.pdn.stackup.PDNStack` computes its power-map
+reprs once per stack.  Entries are evicted least-recently-used.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
@@ -183,9 +185,6 @@ power_map_cache = LRUCache(maxsize=256, name="power_map")
 #: Lazily created shared assembly session (incremental sweep reassembly).
 _assembly_session: Optional[Any] = None
 
-#: Lazily created shared sweep-solve session (warm-started solves).
-_sweep_session: Optional[Any] = None
-
 
 def assembly_session():
     """The process-global :class:`~repro.pdn.assemble.AssemblySession`."""
@@ -195,21 +194,6 @@ def assembly_session():
 
         _assembly_session = AssemblySession()
     return _assembly_session
-
-
-def sweep_session():
-    """The process-global :class:`~repro.pdn.sweep.SweepSolveSession`.
-
-    Resolves its backend from ``REPRO_SOLVER`` at creation; callers that
-    need an explicitly different backend (or an isolated warm-start
-    chain per sweep curve) should construct their own session instead.
-    """
-    global _sweep_session
-    if _sweep_session is None:
-        from repro.pdn.sweep import SweepSolveSession
-
-        _sweep_session = SweepSolveSession()
-    return _sweep_session
 
 
 def cached_build_stack(
@@ -227,6 +211,24 @@ def cached_build_stack(
         return stack_cache.build(spec, config, tech=tech, pitch=pitch)
 
 
+def _cached_map(kind: str, key: Tuple, grid: Any, build: Callable[[], Any], **attrs: Any):
+    """``build()``'s power map on ``grid``, memoized under ``key``.
+
+    Misses and hits alike return a copy of the cached current array, so
+    a caller that mutates its map cannot corrupt the cache.
+    """
+    from repro.power.powermap import PowerMap
+
+    key += (kind, (grid.outline, grid.nx, grid.ny))
+    with span("powermap.rasterize", kind=kind, **attrs) as sp:
+        current = power_map_cache.get(key)
+        sp.attrs["cached"] = current is not None
+        if current is None:
+            current = build().current
+            power_map_cache.put(key, current)
+        return PowerMap(grid, current.copy())
+
+
 def cached_dram_power_map(
     floorplan: Any,
     spec: Any,
@@ -235,33 +237,44 @@ def cached_dram_power_map(
     grid: Any,
     vdd: float,
     mirrored: bool = False,
+    *,
+    content_key: Any,
 ):
     """Memoized :func:`repro.power.powermap.dram_power_map`.
 
-    The returned :class:`PowerMap` wraps a *copy* of the cached current
-    array so callers that mutate their map cannot corrupt the cache.
+    ``content_key`` identifies ``floorplan`` and ``spec`` by content, such
+    as their ``repr``; :class:`~repro.pdn.stackup.PDNStack` computes it
+    once per stack rather than once per map.
     """
-    from repro.power.powermap import PowerMap, dram_power_map
+    from repro.power.powermap import dram_power_map
 
-    key = (
-        repr(floorplan),
-        repr(spec),
-        state.active,
-        die,
-        (grid.outline, grid.nx, grid.ny),
-        vdd,
-        mirrored,
+    return _cached_map(
+        "dram",
+        (content_key, state.active, die, vdd, mirrored),
+        grid,
+        lambda: dram_power_map(floorplan, spec, state, die, grid, vdd, mirrored),
+        die=die,
     )
-    with span("powermap.rasterize", kind="dram", die=die) as sp:
-        current = power_map_cache.get(key)
-        sp.attrs["cached"] = current is not None
-        if current is None:
-            pmap = dram_power_map(
-                floorplan, spec, state, die, grid, vdd, mirrored
-            )
-            power_map_cache.put(key, pmap.current)
-            return pmap
-        return PowerMap(grid, current.copy())
+
+
+def cached_logic_power_map(
+    floorplan: Any,
+    spec: Any,
+    grid: Any,
+    vdd: float,
+    scale: float = 1.0,
+    *,
+    content_key: Any,
+):
+    """Memoized :func:`repro.power.powermap.logic_power_map` (see above)."""
+    from repro.power.powermap import logic_power_map
+
+    return _cached_map(
+        "logic",
+        (content_key, vdd, scale),
+        grid,
+        lambda: logic_power_map(floorplan, spec, grid, vdd, scale=scale),
+    )
 
 
 def power_map_cache_enabled(enabled: bool) -> None:
@@ -279,8 +292,6 @@ def clear_caches() -> None:
     power_map_cache.clear()
     if _assembly_session is not None:
         _assembly_session.clear()
-    if _sweep_session is not None:
-        _sweep_session.reset()
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.controller import IRDropLUT
 from repro.errors import ConfigurationError
+from repro.obs import trace as obs_trace
 
 
 class TestLUT:
@@ -58,3 +60,16 @@ class TestLUT:
         d = ddr3_lut.as_dict()
         d[(0, 0, 0, 0)] = 99.0
         assert ddr3_lut.lookup((0, 0, 0, 0)) == 0.0
+
+
+def test_lazy_fills_open_one_span_per_table_miss(ddr3_stack):
+    """``lut.fill`` wraps each miss's state build + solve, and only misses."""
+    lut = IRDropLUT(ddr3_stack, precompute=False)
+    mark = obs_trace.span_count()
+    for counts in [(0, 0, 0, 1), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)]:
+        lut.lookup(counts)
+    fills = [s for s in obs_trace.spans(mark) if s.name == "lut.fill"]
+    assert len(fills) == 2  # two distinct active states; idle is free
+    assert [s.attrs["counts"] for s in fills] == ["0-0-0-1", "1-0-0-0"]
+    children = {s.name for s in obs_trace.spans(mark) if s.parent == "lut.fill"}
+    assert {"powermap.rasterize", "solver.solve"} <= children

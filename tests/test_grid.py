@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Grid2D, Point, Rect
@@ -98,3 +98,61 @@ class TestCoverage:
         covered = frac.sum() * grid.dx * grid.dy
         assert covered == pytest.approx(rect.area, abs=1e-9)
         assert np.all(frac >= 0.0) and np.all(frac <= 1.0 + 1e-12)
+
+
+_GRIDS = (
+    Grid2D(Rect(0, 0, 4, 2), nx=8, ny=4),
+    Grid2D(Rect(-1.3, 0.7, 5.5, 7.4), nx=17, ny=17),
+    Grid2D(Rect(0.1, 0.2, 0.4, 0.5), nx=3, ny=2),
+)
+
+
+def _reference_fractions(grid, rect):
+    """Per-cell ``Rect.overlap_area`` over the whole grid."""
+    frac = np.zeros((grid.ny, grid.nx))
+    cell_area = grid.dx * grid.dy
+    for i, j in grid.iter_indices():
+        frac[j, i] = grid.cell_rect(i, j).overlap_area(rect) / cell_area
+    return frac
+
+
+def _edges(lo, n, step):
+    """Two rect edges along one axis, each either exactly on a cell
+    boundary (computed as ``cell_rect`` does) or anywhere up to 1.5 cells
+    outside the outline; equal edges give a zero-width rect.  ``+ 0.0``
+    folds a drawn ``-0.0`` into ``0.0``, since the loop itself would
+    carry a negative-zero coordinate into the area's sign."""
+    edge = st.one_of(
+        st.integers(-1, n + 1).map(lambda k: lo + k * step),
+        st.floats(lo - 1.5 * step, lo + (n + 1.5) * step),
+    ).map(lambda v: v + 0.0)
+    pair = st.tuples(edge, edge).map(sorted)
+    return st.one_of(pair, edge.map(lambda v: (v, v)))
+
+
+@st.composite
+def _grid_rects(draw):
+    grid = draw(st.sampled_from(_GRIDS))
+    g = grid.outline
+    x0, x1 = draw(_edges(g.x0, grid.nx, grid.dx))
+    y0, y1 = draw(_edges(g.y0, grid.ny, grid.dy))
+    return grid, Rect(x0, y0, x1, y1)
+
+
+class TestCoverageBitwise:
+    """The separable rasterizer is the per-cell overlap loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_grid_rects())
+    @example((_GRIDS[0], Rect(0.5, 0.5, 1.5, 1.0)))  # edges on cell boundaries
+    @example((_GRIDS[0], Rect(-0.7, 1.2, 0.8, 2.9)))  # partly outside the outline
+    @example((_GRIDS[0], Rect(4.0, 0.0, 5.0, 2.0)))  # touches the outline's edge
+    @example((_GRIDS[0], Rect(1.0, 0.3, 1.0, 1.7)))  # zero width on a boundary
+    @example((_GRIDS[0], Rect(0.3, 0.8, 2.2, 0.8)))  # zero height mid-cell
+    @example((_GRIDS[1], Rect(-5.0, -5.0, -4.0, -4.0)))  # fully outside
+    def test_equals_per_cell_overlap(self, grid_rect):
+        grid, rect = grid_rect
+        frac = grid.coverage_fractions(rect)
+        ref = _reference_fractions(grid, rect)
+        assert np.array_equal(frac.view(np.int64), ref.view(np.int64))
+        assert not np.signbit(frac).any(), "negative zero in coverage"

@@ -19,6 +19,8 @@ from repro.perf.cache import (
     LRUCache,
     cache_stats,
     cached_build_stack,
+    cached_dram_power_map,
+    cached_logic_power_map,
     clear_caches,
     stack_cache,
 )
@@ -28,6 +30,7 @@ from repro.perf.parallel import (
     resolve_workers,
 )
 from repro.perf.timers import report, reset_timers, snapshot, timed
+from repro.pdn.stackup import plan_stack
 from repro.power.state import MemoryState
 from repro.regress.model import sample_design_space, valid_discrete_combos
 
@@ -124,6 +127,39 @@ def test_lru_eviction_and_stats():
     assert stats["evictions"] == 1
     assert stats["size"] == 2
     assert cache_stats().keys() == {"stack", "plan", "assembled", "power_map"}
+
+
+@pytest.mark.parametrize("kind", ["dram", "logic"])
+def test_mutating_a_miss_result_leaves_later_hits_intact(
+    kind, ddr3_off_bench, ddr3_on_bench
+):
+    """A map handed out on a cache miss is the caller's own copy."""
+    clear_caches()
+    if kind == "dram":
+        spec = ddr3_off_bench.stack
+        state = MemoryState.from_string("0-0-0-2", spec.dram_floorplan)
+        grid = plan_stack(spec, ddr3_off_bench.baseline).dram_grid.to_grid()
+        fetch = lambda: cached_dram_power_map(  # noqa: E731
+            spec.dram_floorplan, spec.dram_power, state, 3, grid, 1.5,
+            content_key=repr(spec),
+        )
+    else:
+        spec = ddr3_on_bench.stack
+        grid = plan_stack(spec, ddr3_on_bench.baseline).logic_grid.to_grid()
+        fetch = lambda: cached_logic_power_map(  # noqa: E731
+            spec.logic_floorplan, spec.logic_power, grid, 1.5,
+            content_key=repr(spec),
+        )
+    miss = fetch()
+    expected = miss.current.copy()
+    assert expected.sum() > 0.0
+    miss.current[:] = 0.0
+    hit = fetch()
+    assert np.array_equal(hit.current, expected)
+    hit.current[:] = 0.0
+    assert np.array_equal(fetch().current, expected)
+    assert cache_stats()["power_map"]["hits"] >= 2
+    clear_caches()
 
 
 def test_lru_rejects_bad_maxsize():
