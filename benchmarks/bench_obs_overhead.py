@@ -2,11 +2,9 @@
 
 Runs the fig5 TSV-count experiment in two interleaved legs:
 
-* **base** -- profiler stopped, convergence tracing disabled;
+* **base** -- profiler stopped;
 * **telemetry** -- background resource sampler running at its default
-  interval (``REPRO_PROFILE_INTERVAL_MS``) plus convergence tracing
-  enabled (a no-op for the direct backend, but the enable/sample checks
-  still execute on every solve).
+  interval (``REPRO_PROFILE_INTERVAL_MS``).
 
 A single warm fig5 run is ~60 ms -- too short to time against the
 several-ms scheduler noise of a shared CI box -- so each timed *window*
@@ -64,16 +62,10 @@ def _rows_of(result) -> list:
 def run_benchmark() -> dict:
     from repro.experiments import run_experiment
     from repro.obs import profile as _profile
-    from repro.rmesh import backends as _backends
-
-    trace_env_before = os.environ.get(_backends.CONVERGENCE_TRACE_ENV)
 
     def _window(telemetry: bool):
         if telemetry:
-            os.environ[_backends.CONVERGENCE_TRACE_ENV] = "1"
             _profile.start_profiler()
-        else:
-            os.environ[_backends.CONVERGENCE_TRACE_ENV] = "0"
         try:
             rows_seen = []
             t0 = time.perf_counter()
@@ -83,10 +75,6 @@ def run_benchmark() -> dict:
         finally:
             if telemetry:
                 _profile.stop_profiler(final_sample=False)
-            if trace_env_before is None:
-                os.environ.pop(_backends.CONVERGENCE_TRACE_ENV, None)
-            else:
-                os.environ[_backends.CONVERGENCE_TRACE_ENV] = trace_env_before
         return wall, rows_seen
 
     for _ in range(WARMUP_RUNS):

@@ -1,9 +1,9 @@
 """Resilience gate: faults must never change the physics.
 
-Four legs over the fault-injection harness of :mod:`repro.resil`
+Three legs over the fault-injection harness of :mod:`repro.resil`
 (spec grammar in ``docs/robustness.md``), all driving the fig5
 TSV-count sweep because it exercises the full pipeline -- plan,
-assembly, sweep session, solver -- per point:
+assembly, checkpointed solve -- per point:
 
 * **baseline** -- fault-free fig5; its rows are the bitwise reference
   for every other leg.
@@ -12,11 +12,6 @@ assembly, sweep session, solver -- per point:
   away: the run completes, at least one retry fires, and every row is
   *bitwise* identical to the baseline (retries recompute deterministic
   work, they do not perturb it).
-* **cg_stall** -- ``REPRO_SOLVER=cg`` with ``cg_stall:p=1``: every CG
-  solve raises a synthetic non-convergence, so the escalation ladder
-  (:class:`repro.rmesh.backends.EscalatingOperator`) must walk every
-  point down to the direct rung -- and the rows must be bitwise
-  identical to a *direct-backend* fault-free run.
 * **resume** -- fig5 journaled to a scratch checkpoint, then "killed"
   (caches + process-global checkpoint dropped) and re-run: the second
   pass must re-solve **zero** points (``solver.rhs_solved`` delta of
@@ -42,14 +37,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: transient exceptions into ~20% on an independent stream.
 CHAOS_SPEC = "worker_crash:p=0.3:seed=1,transient:p=0.2:seed=2"
 
-#: Fault spec for the solver-escalation leg: stall *every* CG solve.
-STALL_SPEC = "cg_stall:p=1"
-
 #: Env keys the legs mutate; saved/restored around the whole bench so a
 #: suite run (repro3d bench) does not leak chaos into later benches.
 _MUTATED_ENV = (
     "REPRO_FAULT_SPEC",
-    "REPRO_SOLVER",
     "REPRO_CHECKPOINT",
     "REPRO_RETRY_MAX",
     "REPRO_RETRY_DELAY",
@@ -113,35 +104,8 @@ def _bench_chaos_bitwise() -> dict:
     }
 
 
-def _bench_cg_stall() -> dict:
-    """Leg 3: universal CG stall walks every solve down to direct."""
-    os.environ["REPRO_SOLVER"] = "direct"
-    direct_rows, _ = _fresh_run("fig5")
-
-    os.environ["REPRO_SOLVER"] = "cg"
-    os.environ["REPRO_FAULT_SPEC"] = STALL_SPEC
-    esc0 = _counter("resil.solver_escalations")
-    try:
-        stalled_rows, _ = _fresh_run("fig5")
-    finally:
-        del os.environ["REPRO_FAULT_SPEC"]
-        del os.environ["REPRO_SOLVER"]
-    escalations = _counter("resil.solver_escalations") - esc0
-
-    assert escalations > 0, "cg_stall:p=1 never escalated a solve"
-    assert stalled_rows == direct_rows, (
-        "escalated-to-direct rows differ from the direct backend:\n"
-        f"  direct:  {direct_rows}\n  stalled: {stalled_rows}"
-    )
-    return {
-        "spec": STALL_SPEC,
-        "escalations": escalations,
-        "bitwise_identical_to_direct": True,
-    }
-
-
 def _bench_resume(ckpt_path: Path) -> dict:
-    """Leg 4: kill + resume re-solves zero completed points."""
+    """Leg 3: kill + resume re-solves zero completed points."""
     from repro.perf.cache import clear_caches
     from repro.resil.checkpoint import reset_default_checkpoint
 
@@ -188,7 +152,6 @@ def run_benchmark() -> dict:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     try:
         chaos = _bench_chaos_bitwise()
-        stall = _bench_cg_stall()
         resume = _bench_resume(RESULTS_DIR / "resilience_resume.ckpt.jsonl")
     finally:
         for key, value in saved.items():
@@ -199,14 +162,12 @@ def run_benchmark() -> dict:
         clear_caches()
 
     _metrics.set_gauge("bench.resilience.retries", chaos["retries"])
-    _metrics.set_gauge("bench.resilience.escalations", stall["escalations"])
     _metrics.set_gauge(
         "bench.resilience.resume_rhs_solved", resume["resume_rhs_solved"]
     )
     result = {
-        "benchmark": "resilience: chaos bitwise, cg-stall escalation, resume",
+        "benchmark": "resilience: chaos bitwise, checkpoint resume",
         "chaos": chaos,
-        "cg_stall": stall,
         "resume": resume,
     }
     (RESULTS_DIR / "resilience.json").write_text(
@@ -217,11 +178,10 @@ def run_benchmark() -> dict:
 
 @register_bench("resilience")
 def test_resilience_gate():
-    """Faults retried away bitwise; stalls escalate; resume solves 0."""
+    """Faults retried away bitwise; resume solves 0."""
     result = run_benchmark()
     print("\n" + json.dumps(result, indent=2))
     assert result["chaos"]["bitwise_identical"]
-    assert result["cg_stall"]["bitwise_identical_to_direct"]
     assert result["resume"]["resume_rhs_solved"] == 0
 
 

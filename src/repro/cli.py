@@ -46,7 +46,6 @@ from repro.pdn.config import Bonding
 from repro.pdn.stackup import build_stack
 from repro.perf.parallel import WORKERS_ENV
 from repro.resil.checkpoint import CHECKPOINT_ENV
-from repro.rmesh.backends import BACKENDS, RETIRED_BACKENDS, SOLVER_ENV, resolve_backend
 from repro.perf.timers import report as perf_report
 from repro.power.state import MemoryState
 
@@ -112,12 +111,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = stack.solve_state(state)
     _log.info("%s [%s]", bench.title, config.label())
     _log.info("  %s", result)
-    if result.raw.backend != "direct":
-        _log.info(
-            "  solver: %s (%d iterations)",
-            result.raw.backend,
-            result.raw.iterations,
-        )
     for die, mv in result.per_die_mv.items():
         _log.info("  %s: %.2f mV", die, mv)
     return 0
@@ -600,7 +593,6 @@ def _workers_arg(value: str) -> int:
 _GLOBAL_DEFAULTS = {
     "perf_report": False,
     "workers": None,
-    "solver": None,
     "log_level": "info",
     "log_json": None,
     "quiet": False,
@@ -634,13 +626,6 @@ def _global_options() -> argparse.ArgumentParser:
         metavar="N",
         help="process count for design-space sweeps (default: the "
         f"{WORKERS_ENV} environment variable, else one per CPU; 1 is serial)",
-    )
-    common.add_argument(
-        "--solver",
-        choices=(*BACKENDS, *RETIRED_BACKENDS),
-        help="linear solver backend for all DC solves (default: direct, or "
-        f"the {SOLVER_ENV} environment variable; amg is a retired alias "
-        "of cg)",
     )
     common.add_argument(
         "--log-level",
@@ -1096,18 +1081,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Experiment drivers resolve workers from the environment, so the
         # flag reaches every sweep without threading it through each API.
         os.environ[WORKERS_ENV] = str(args.workers)
-    if args.solver is not None:
-        # Same pattern: StackSolver resolves its backend from the
-        # environment, so one flag covers every solve in the run
-        # (including worker processes, which inherit the environment).
-        os.environ[SOLVER_ENV] = resolve_backend(args.solver)
     if args.profile:
         # Environment first so worker processes inherit the switch, then
         # the sampler itself for this process.
         os.environ[PROFILE_ENV] = "1"
         start_profiler()
     if args.resume:
-        # Sweep sessions resolve their checkpoint from the environment
+        # Checkpointed solves resolve their journal from the environment
         # (repro.resil.checkpoint), so the flag covers every sweep in
         # the run without threading a handle through each driver.
         os.environ[CHECKPOINT_ENV] = args.resume

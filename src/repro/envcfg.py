@@ -3,7 +3,7 @@
 Environment variables are the project's cross-process configuration
 channel: the CLI sets them so spawned workers inherit the knobs.  That
 channel has a failure mode argument parsing does not -- a typo'd value
-(``REPRO_CG_RTOL=1e-1O``) is not discovered at the shell prompt but
+(``REPRO_RETRY_DELAY=0.O5``) is not discovered at the shell prompt but
 deep inside a sweep, where a raised ``ValueError`` throws away every
 completed solve.  For *environment* knobs the robust contract is
 therefore warn-and-default: log one structured warning naming the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Optional, Sequence, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
@@ -101,17 +101,5 @@ def env_int(
         return default
     if minimum is not None and value < minimum:
         _warn_invalid(name, raw, default, f"below minimum {minimum}")
-        return default
-    return value
-
-
-def env_choice(name: str, default: str, choices: Sequence[str]) -> str:
-    """Read an enumerated env knob; unknown values warn and default."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    value = raw.strip().lower()
-    if value not in choices:
-        _warn_invalid(name, raw, default, f"not one of {list(choices)}")
         return default
     return value

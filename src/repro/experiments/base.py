@@ -146,12 +146,10 @@ def run_experiment(
     # the observability stack into every driver module's import chain.
     from repro.obs import metrics as _metrics
     from repro.obs.manifest import build_manifest
-    from repro.obs.trace import span, span_count
+    from repro.obs.trace import span
     from repro.resil.checkpoint import active_checkpoint_info
-    from repro.rmesh.backends import traces
 
     before = _metrics.snapshot()
-    spans_before = span_count()
     with span(f"experiment.{experiment_id}", fast=fast) as sp:
         result = registry[experiment_id](fast=fast)
     # Resume lineage: when a checkpoint is active, the manifest records
@@ -164,7 +162,6 @@ def run_experiment(
         config={"experiment": experiment_id, "fast": fast},
         duration_s=sp.duration,
         metrics_snapshot=_metrics.diff(before, _metrics.snapshot()),
-        convergence=[t.to_dict() for t in traces(since=spans_before)],
         extra={"resume": resume_info} if resume_info else None,
     )
     if manifest_out is not None:

@@ -16,19 +16,13 @@ def solve_design(
     config: PDNConfig,
     state: MemoryState,
     pitch: Optional[float] = None,
-    session=None,
 ):
     """Build a stack for (benchmark, config) and solve one state.
 
     Stacks come from the keyed solver cache: experiments that revisit a
     configuration (e.g. the same baseline across many states) reuse the
-    assembled network and its factorization.  Passing a
-    :class:`~repro.pdn.sweep.SweepSolveSession` routes the solve through
-    its warm-start chain (identical results under the direct backend;
-    faster iterative solves along a sweep).
+    assembled network and its factorization.
     """
-    if session is not None:
-        return session.solve(bench, config, state)
     stack = cached_build_stack(bench.stack, config, tech=DEFAULT_TECH, pitch=pitch)
     return stack.solve_state(state)
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from repro.designs import off_chip_ddr3, on_chip_ddr3
 from repro.experiments.base import ExperimentResult, Row, register
-from repro.experiments.common import solve_design
 from repro.pdn.config import TSVLocation
-from repro.pdn.sweep import SweepSolveSession
 from repro.pdn.tsv import distributed_tsv_points, mean_alignment_distance
+from repro.perf.cache import cached_build_stack
+from repro.resil.checkpoint import checkpointed_solve
 from repro.tech.calibration import DEFAULT_TECH
 
 
@@ -32,16 +32,6 @@ def run(fast: bool = True) -> ExperimentResult:
     state = off.reference_state()
     outline = off.stack.dram_floorplan.outline
 
-    # One warm-start chain per curve: each (benchmark, alignment) pair
-    # walks the TSV-count knob in order, so under an iterative backend
-    # successive points reuse the neighbor's preconditioner + solution.
-    # Under the default direct backend the sessions are pass-throughs.
-    sessions = {
-        (tag, atag): SweepSolveSession()
-        for tag in ("off", "on")
-        for atag in ("misaligned", "aligned")
-    }
-
     rows = []
     best_alignment_gain = 0.0
     for count in counts:
@@ -53,12 +43,13 @@ def run(fast: bool = True) -> ExperimentResult:
                 dedicated_tsv=False,
             )
             for aligned, atag in ((False, "misaligned"), (True, "aligned")):
-                res = solve_design(
-                    bench,
+                # Journaled: ``repro3d --resume`` serves finished points.
+                stack = cached_build_stack(
+                    bench.stack,
                     config.with_options(tsv_aligned=aligned),
-                    state,
-                    session=sessions[(tag, atag)],
+                    tech=DEFAULT_TECH,
                 )
+                res = checkpointed_solve(stack, state)
                 values[f"{tag}_{atag}_mv"] = res.dram_max_mv
                 if tag == "on" and aligned:
                     values["logic_mv"] = res.logic_max_mv

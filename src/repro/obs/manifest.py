@@ -50,7 +50,9 @@ MANIFEST_SCHEMA: Dict[str, tuple] = {
 
 #: Optional fields (validated only when present).  Added after schema v1
 #: shipped; absence keeps old manifests -- including those embedded in
-#: committed BENCH records -- valid.
+#: committed BENCH records -- valid.  Fields a manifest carries beyond
+#: these (the retired iterative solver's ``convergence`` traces) are
+#: ignored on load.
 OPTIONAL_MANIFEST_FIELDS: Dict[str, tuple] = {
     # ``{plan hash: benchmark name}`` of every stack plan the run built
     # or reused -- the structural identity behind the run's IR numbers.
@@ -58,9 +60,6 @@ OPTIONAL_MANIFEST_FIELDS: Dict[str, tuple] = {
     # Resource-profiler digest (:func:`repro.obs.profile.summary`):
     # sample count, peak RSS, CPU time, bounded RSS/CPU curve.
     "profile": (dict,),
-    # Solver convergence traces recorded during the run
-    # (:class:`repro.rmesh.backends.ResidualTrace` dicts).
-    "convergence": (list,),
     # Physics attribution summaries by benchmark
     # (:func:`repro.pdn.diagnose.attribution_snapshot`): worst-drop
     # supply-path decomposition per design the run explained.
@@ -90,8 +89,6 @@ class RunManifest:
     plans: Dict[str, object] = field(default_factory=dict)
     #: Resource-profiler digest (empty when profiling was off).
     profile: Dict[str, object] = field(default_factory=dict)
-    #: Solver convergence traces recorded during the run.
-    convergence: list = field(default_factory=list)
     #: Worst-drop attribution summaries by benchmark (empty when the
     #: run never diagnosed a design).
     attribution: Dict[str, object] = field(default_factory=dict)
@@ -231,16 +228,13 @@ def build_manifest(
     seeds: Optional[Mapping[str, int]] = None,
     metrics_snapshot: Optional[Mapping[str, object]] = None,
     extra: Optional[Mapping[str, object]] = None,
-    convergence: Optional[list] = None,
 ) -> RunManifest:
     """Assemble a manifest from the current process state.
 
     ``metrics_snapshot`` defaults to the global registry's current state;
     callers that track a per-run delta (``run_experiment`` does) pass it
     explicitly.  ``workers`` defaults to the resolved ``REPRO_WORKERS``
-    setting, matching what the sweeps actually used.  ``convergence``
-    defaults to every solver residual trace currently buffered; pass the
-    per-run delta to scope it (``run_experiment`` does).  The profiler
+    setting, matching what the sweeps actually used.  The profiler
     digest is included whenever samples exist.
     """
     # Lazy imports: repro.perf depends on repro.obs, not the reverse.
@@ -256,11 +250,6 @@ def build_manifest(
         if metrics_snapshot is not None
         else _metrics.snapshot()
     )
-    if convergence is None:
-        # Lazy: repro.obs must stay importable without repro.rmesh.
-        from repro.rmesh.backends import traces
-
-        convergence = [t.to_dict() for t in traces()]
     return RunManifest(
         experiment_id=experiment_id,
         title=title,
@@ -280,7 +269,6 @@ def build_manifest(
         plans=_plans_of(metrics),
         attribution=_attributions_of(),
         profile=_profile.summary() if _profile.sample_count() else {},
-        convergence=list(convergence),
         timers={
             name: {"total_s": total, "count": count}
             for name, (total, count) in sorted(timers_snapshot().items())

@@ -55,8 +55,8 @@ class BoundedSeries:
     each decimation pass) and the most recent point is tracked separately
     and always included in :meth:`points` -- so a curve keeps its exact
     endpoints while its interior degrades to a coarser, still
-    shape-faithful sampling.  Used for solver residual histories and any
-    other unbounded-length curve that must travel in a manifest.
+    shape-faithful sampling.  For any unbounded-length curve that must
+    travel in a manifest.
     """
 
     def __init__(self, cap: int = 64) -> None:

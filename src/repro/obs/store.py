@@ -1,8 +1,8 @@
 """Append-only run-history store with run-vs-run drift attribution.
 
-Every manifest, metric snapshot, span digest, convergence trace, and
-``BENCH_*.json`` record answers "what did *this* run do"; none of them
-answer "how does it compare to the last hundred".  This module is that
+Every manifest, metric snapshot, span digest, and ``BENCH_*.json``
+record answers "what did *this* run do"; none of them answer "how does
+it compare to the last hundred".  This module is that
 longitudinal memory: a JSONL index (one normalized record per line,
 append-only, atomic at line granularity) plus a content-addressed plan
 directory, both under ``benchmarks/results/history/`` (git-ignored,
@@ -23,10 +23,10 @@ the measured-vs-modeled discipline of Ghose et al. (arXiv:1807.05102):
     they were the same experiment would be meaningless.
 
 ``numerical``
-    Same structures, different numbers: IR-drop extrema moved, solver
-    residual curves converge to different floors (a perturbed ``rtol``
-    shows up here), or iteration counts shifted.  The evidence is the
-    metric and residual-curve deltas.
+    Same structures, different numbers: IR-drop extrema moved, or the
+    sampled solver residual gauge (``solver.residual_norm``) moved by
+    more than :data:`RESIDUAL_DRIFT_RATIO`.  The evidence is the metric
+    deltas.
 
 ``none``
     Same structures, numbers within tolerance -- the CI smoke gate
@@ -95,14 +95,10 @@ NOISY_ANCHOR_METRICS = ("speedup",)
 #: Per-bench verdicts, mildest first; a suite takes its worst.
 BENCH_VERDICTS = ("ok", "new_benchmark", "perf_regression", "accuracy_drift", "failed")
 
-#: Residual-floor ratio between matched convergence-trace groups above
-#: which the attribution flips to numerical drift (a one-notch rtol
-#: perturbation moves the floor by orders of magnitude).
+#: Ratio between two runs' ``solver.residual_norm`` gauges above which
+#: the attribution flips to numerical drift (round-off moves the gauge
+#: by far less; a broken solve by orders of magnitude).
 RESIDUAL_DRIFT_RATIO = 10.0
-
-#: Relative iteration-count change between matched trace groups above
-#: which numerical drift is reported.
-ITERATION_DRIFT_REL = 0.25
 
 
 def default_history_dir() -> Path:
@@ -155,7 +151,6 @@ def normalize_manifest(
         "histograms": _strip_samples(metrics.get("histograms") or {}),
         "trace": dict(data.get("trace") or {}),
         "profile": dict(data.get("profile") or {}),
-        "convergence": list(data.get("convergence") or []),
         "attribution": dict(data.get("attribution") or {}),
         "benches": [],
         "source": str(source) if source is not None else None,
@@ -295,8 +290,8 @@ class RunHistoryStore:
 
         Beyond the manifest content, this persists the plan bodies of
         every plan the process built (content-addressed, so repeats are
-        free) and backfills profile/convergence from the live buffers
-        when the manifest predates them.
+        free) and backfills the profile from the live buffer when the
+        manifest predates it.
         """
         data = manifest.to_dict() if hasattr(manifest, "to_dict") else dict(manifest)
         record = normalize_manifest(data, source=source, kind=kind)
@@ -305,10 +300,6 @@ class RunHistoryStore:
 
             if _profile.sample_count():
                 record["profile"] = _profile.summary()
-        if not record["convergence"]:
-            from repro.rmesh.backends import traces
-
-            record["convergence"] = [t.to_dict() for t in traces()]
         # Persist the bodies of every plan this process actually built.
         from repro.pdn.plan import observed_plan_objects
 
@@ -428,8 +419,6 @@ class RunDelta:
     plan_diffs: List[str] = field(default_factory=list)
     #: ``(metric, a value, b value)`` rows that moved.
     metric_deltas: List[tuple] = field(default_factory=list)
-    #: Per trace-group residual comparisons (numerical drift evidence).
-    residual_deltas: List[Dict[str, object]] = field(default_factory=list)
     #: One-line physics-axis status (``attribution: ...``); always set.
     attribution_note: str = ""
     #: Per-benchmark component rows that moved (physics-axis evidence):
@@ -472,42 +461,6 @@ def _median(values: Sequence[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def _trace_groups(
-    record: Mapping[str, object],
-) -> Dict[tuple, Dict[str, float]]:
-    """Convergence traces grouped by (backend, preconditioner, nodes).
-
-    Each group reduces to its median final residual, median iteration
-    count, and the rtol it ran at -- the comparable fingerprint of "how
-    did solves of this system behave".
-    """
-    groups: Dict[tuple, Dict[str, List[float]]] = {}
-    for t in record.get("convergence") or []:
-        if not isinstance(t, Mapping):
-            continue
-        key = (t.get("backend"), t.get("preconditioner"), t.get("nodes"))
-        g = groups.setdefault(
-            key, {"final": [], "iterations": [], "rtol": []}
-        )
-        if isinstance(t.get("final_residual"), (int, float)):
-            g["final"].append(float(t["final_residual"]))
-        if isinstance(t.get("iterations"), (int, float)):
-            g["iterations"].append(float(t["iterations"]))
-        if isinstance(t.get("rtol"), (int, float)):
-            g["rtol"].append(float(t["rtol"]))
-    out: Dict[tuple, Dict[str, float]] = {}
-    for key, g in groups.items():
-        if not g["final"]:
-            continue
-        out[key] = {
-            "final": _median(g["final"]),
-            "iterations": _median(g["iterations"]) if g["iterations"] else 0.0,
-            "rtol": _median(g["rtol"]) if g["rtol"] else 0.0,
-            "count": float(len(g["final"])),
-        }
-    return out
 
 
 def _structural_evidence(
@@ -561,7 +514,7 @@ def _numerical_evidence(
     delta: RunDelta,
     ir_abs_mv: float,
 ) -> bool:
-    """Fill metric/residual evidence; returns True when drift was found."""
+    """Fill IR/residual-gauge evidence; returns True when drift was found."""
     found = False
     ir_a, ir_b = _ir_extremum(a), _ir_extremum(b)
     if ir_a is not None and ir_b is not None:
@@ -571,60 +524,17 @@ def _numerical_evidence(
                 f"worst DRAM IR drop moved: {ir_a:.6f} -> {ir_b:.6f} mV"
             )
             delta.metric_deltas.append(("ir.dram_max_mv (max)", ir_a, ir_b))
-    groups_a, groups_b = _trace_groups(a), _trace_groups(b)
-    for key in sorted(
-        set(groups_a) & set(groups_b), key=lambda k: tuple(map(str, k))
-    ):
-        ga, gb = groups_a[key], groups_b[key]
-        label = f"{key[0]}/{key[1]}@{key[2]} nodes"
-        row: Dict[str, object] = {
-            "group": label,
-            "final_a": ga["final"],
-            "final_b": gb["final"],
-            "iterations_a": ga["iterations"],
-            "iterations_b": gb["iterations"],
-            "rtol_a": ga["rtol"],
-            "rtol_b": gb["rtol"],
-        }
-        drifted = False
-        lo, hi = sorted((ga["final"], gb["final"]))
+    gauge = "solver.residual_norm"
+    ga = (a.get("gauges") or {}).get(gauge)
+    gb = (b.get("gauges") or {}).get(gauge)
+    if isinstance(ga, (int, float)) and isinstance(gb, (int, float)):
+        lo, hi = sorted((float(ga), float(gb)))
         if lo > 0 and hi / lo > RESIDUAL_DRIFT_RATIO:
-            drifted = True
-            delta.evidence.append(
-                f"residual floor of {label} moved {hi / lo:.1e}x: "
-                f"{ga['final']:.3e} -> {gb['final']:.3e}"
-            )
-        elif lo == 0 and hi > 0:  # pragma: no cover - exact-zero floor
-            drifted = True
-            delta.evidence.append(
-                f"residual floor of {label}: {ga['final']:.3e} -> {gb['final']:.3e}"
-            )
-        base = max(ga["iterations"], 1.0)
-        if abs(gb["iterations"] - ga["iterations"]) / base > ITERATION_DRIFT_REL:
-            drifted = True
-            delta.evidence.append(
-                f"median iterations of {label}: "
-                f"{ga['iterations']:.0f} -> {gb['iterations']:.0f}"
-            )
-        if ga["rtol"] != gb["rtol"] and ga["rtol"] and gb["rtol"]:
-            drifted = True
-            delta.evidence.append(
-                f"solver rtol of {label}: {ga['rtol']:.1e} -> {gb['rtol']:.1e}"
-            )
-        if drifted:
             found = True
-            delta.residual_deltas.append(row)
-    for gauge in ("solver.residual_norm",):
-        ga_ = (a.get("gauges") or {}).get(gauge)
-        gb_ = (b.get("gauges") or {}).get(gauge)
-        if isinstance(ga_, (int, float)) and isinstance(gb_, (int, float)):
-            lo, hi = sorted((float(ga_), float(gb_)))
-            if lo > 0 and hi / lo > RESIDUAL_DRIFT_RATIO:
-                found = True
-                delta.evidence.append(
-                    f"{gauge} gauge moved {hi / lo:.1e}x: {ga_:.3e} -> {gb_:.3e}"
-                )
-                delta.metric_deltas.append((gauge, float(ga_), float(gb_)))
+            delta.evidence.append(
+                f"{gauge} gauge moved {hi / lo:.1e}x: {ga:.3e} -> {gb:.3e}"
+            )
+            delta.metric_deltas.append((gauge, float(ga), float(gb)))
     return found
 
 
@@ -902,21 +812,20 @@ def run_summary_line(record: Mapping[str, object]) -> str:
     exp = record.get("experiment_id", "")
     sha = str(record.get("sha", "unknown"))[:7]
     plans = len(record.get("plans") or {})
-    traces = len(record.get("convergence") or [])
     prof = (record.get("profile") or {}).get("samples", 0)
     dur = record.get("duration_s", 0.0)
     return (
         f"| {rid} | {created} | {kind} | {exp} | {sha} | {plans} "
-        f"| {traces} | {prof} | {dur:.2f} |"
+        f"| {prof} | {dur:.2f} |"
     )
 
 
 def list_markdown(records: Sequence[Mapping[str, object]]) -> str:
     """The ``obs list`` table, newest last."""
     lines = [
-        "| run | created | kind | experiment | sha | plans | traces "
+        "| run | created | kind | experiment | sha | plans "
         "| profile samples | duration s |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|",
     ]
     lines.extend(run_summary_line(r) for r in records)
     return "\n".join(lines)
@@ -952,17 +861,6 @@ def show_markdown(record: Mapping[str, object]) -> str:
             f"{profile.get('peak_rss_kb', '?')} KiB, CPU "
             f"{profile.get('cpu_s', '?')} s"
         )
-    conv = record.get("convergence") or []
-    if conv:
-        lines.append(f"- **convergence traces**: {len(conv)}")
-        for key, g in sorted(
-            _trace_groups(record).items(), key=lambda kv: tuple(map(str, kv[0]))
-        ):
-            lines.append(
-                f"  - {key[0]}/{key[1]}@{key[2]} nodes: {g['count']:.0f} "
-                f"traces, median {g['iterations']:.0f} iters to "
-                f"{g['final']:.3e} (rtol {g['rtol']:.1e})"
-            )
     benches = record.get("benches") or []
     if benches:
         lines.append(f"- **benches** ({len(benches)}):")
@@ -1000,7 +898,7 @@ def delta_markdown(delta: RunDelta) -> str:
         lines.extend(_bench_section(delta))
     elif delta.drift == "none":
         lines.append(
-            "Same plan-hash set, IR extrema and solver behavior within "
+            "Same plan-hash set, IR extrema and solver residual within "
             "tolerance."
         )
     for line in delta.evidence:
@@ -1013,19 +911,6 @@ def delta_markdown(delta: RunDelta) -> str:
             lines.append("```")
             lines.append(text)
             lines.append("```")
-    if delta.residual_deltas:
-        lines.append("")
-        lines.append("## Residual-curve deltas (numerical evidence)")
-        lines.append(
-            "| group | final A | final B | iters A | iters B | rtol A | rtol B |"
-        )
-        lines.append("|---|---|---|---|---|---|---|")
-        for row in delta.residual_deltas:
-            lines.append(
-                f"| {row['group']} | {row['final_a']:.3e} | {row['final_b']:.3e} "
-                f"| {row['iterations_a']:.0f} | {row['iterations_b']:.0f} "
-                f"| {row['rtol_a']:.1e} | {row['rtol_b']:.1e} |"
-            )
     if delta.metric_deltas:
         lines.append("")
         lines.append("## Metric deltas")

@@ -13,8 +13,7 @@ recorded into a process-global buffer and can be
   so a parallel run's trace covers the workers too,
 * read back as views: the flat ``--perf-report`` table
   (:mod:`repro.perf.timers`) is the per-name aggregate of this buffer,
-  solver convergence curves are zero-duration ``solver.convergence``
-  events (:func:`event`), and plan labels ride on ``plan.hash`` spans.
+  and plan labels ride on ``plan.hash`` spans.
 
 Because every one of those is a span, the buffer is the only record of
 "what ran" that crosses a process boundary.
@@ -65,8 +64,7 @@ class SpanRecord:
     depth: int = 0
     parent: Optional[str] = None
     #: event multiplicity for the flat timer aggregate (e.g. a batched
-    #: solve of k right-hand sides counts as k events in one span); 0
-    #: marks an :func:`event`, which times nothing.
+    #: solve of k right-hand sides counts as k events in one span).
     count: int = 1
     attrs: Dict[str, object] = field(default_factory=dict)
 
@@ -151,27 +149,6 @@ def span(name: str, count: int = 1, **attrs: object) -> Iterator[SpanRecord]:
         rec.dur_us = (time.perf_counter() - start) * 1e6
         stack.pop()
         _record(rec)
-
-
-def event(name: str, **attrs: object) -> None:
-    """Record a zero-duration span (``count`` 0) under the open span.
-
-    Events carry data rather than time -- a solve's residual curve, for
-    instance -- so the flat timer view skips them.
-    """
-    stack = _stack()
-    _record(
-        SpanRecord(
-            name=name,
-            ts_us=now_us(),
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            depth=len(stack),
-            parent=stack[-1].name if stack else None,
-            count=0,
-            attrs=dict(attrs),
-        )
-    )
 
 
 def _record(rec: SpanRecord) -> None:

@@ -20,6 +20,7 @@ cold builds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -37,7 +38,6 @@ from repro.pdn.plan import (
     SupplyOp,
 )
 from repro.perf.timers import timed
-from repro.rmesh.backends import resolve_backend
 from repro.rmesh.mesh import LayerMesh
 from repro.rmesh.solve import StackSolver
 from repro.rmesh.stack import LinkBlock, StackModel, SupplyLink
@@ -73,12 +73,11 @@ class OpArtifactSpan:
 
 
 class AssembledStack:
-    """One assembled plan: the model plus lazily prepared solvers.
+    """One assembled plan: the model plus its lazily factorized solver.
 
     This is the unit the content-addressed cache stores: every
     :class:`~repro.pdn.stackup.PDNStack` wrapping the same plan hash
-    shares one ``AssembledStack`` and hence one setup (factorization or
-    preconditioner) per backend.
+    shares one ``AssembledStack`` and hence one factorization.
     """
 
     def __init__(
@@ -92,35 +91,15 @@ class AssembledStack:
         #: Per-op artifact ranges, aligned with ``plan.ops`` (see
         #: :class:`OpArtifactSpan`); empty only for hand-built wrappers.
         self.op_spans: Tuple[OpArtifactSpan, ...] = op_spans or ()
-        self._solvers: Dict[str, StackSolver] = {}
 
     @property
     def plan_hash(self) -> str:
         return self.plan.plan_hash
 
-    def solver_for(
-        self,
-        backend: Optional[str] = None,
-        warm_from: Optional[StackSolver] = None,
-    ) -> StackSolver:
-        """The shared solver for a backend, prepared on first use.
-
-        ``backend=None`` resolves via ``REPRO_SOLVER`` (default
-        ``direct``).  ``warm_from`` only matters on the preparing call:
-        an already-cached solver is returned as-is, since its setup
-        artifacts exist and reuse would discard them.
-        """
-        resolved = resolve_backend(backend)
-        solver = self._solvers.get(resolved)
-        if solver is None:
-            solver = StackSolver(self.model, backend=resolved, warm_from=warm_from)
-            self._solvers[resolved] = solver
-        return solver
-
-    @property
+    @functools.cached_property
     def solver(self) -> StackSolver:
-        """Process-default-backend solver, built on first use."""
-        return self.solver_for(None)
+        """The plan's solver, factorized on first use."""
+        return StackSolver(self.model)
 
 
 class AssemblySession:

@@ -113,7 +113,6 @@ class DesignDiagnosis:
     config_label: str
     plan_hash: Optional[str]
     state_label: str
-    backend: str
     num_nodes: int
     num_branches: int
     #: Worst-drop node: global id, layer key, stack coords, drop (V).
@@ -149,7 +148,8 @@ class DesignDiagnosis:
             "config": self.config_label,
             "plan_hash": self.plan_hash,
             "state": self.state_label,
-            "backend": self.backend,
+            # Kept for schema stability: SuperLU is the only solver.
+            "backend": "direct",
             "num_nodes": self.num_nodes,
             "num_branches": self.num_branches,
             "worst": dict(self.worst),
@@ -211,8 +211,7 @@ class DesignDiagnosis:
             "",
             f"- **state**: {self.state_label}",
             f"- **plan**: `{self.plan_hash or 'hand-built'}` "
-            f"({self.num_nodes} nodes, {self.num_branches} branches, "
-            f"backend {self.backend})",
+            f"({self.num_nodes} nodes, {self.num_branches} branches)",
             f"- **worst drop**: {float(w.get('drop_mv', 0.0)):.4f} mV at "
             f"{w.get('layer')} ({float(w.get('x', 0.0)):.2f}, "
             f"{float(w.get('y', 0.0)):.2f}) mm",
@@ -598,7 +597,6 @@ def diagnose_result(
         config_label=config_label,
         plan_hash=plan.plan_hash if plan is not None else None,
         state_label=state_label,
-        backend=raw.backend,
         num_nodes=model.num_nodes,
         num_branches=branches.num_branches,
         worst={

@@ -78,7 +78,6 @@ from repro.perf.timers import timed
 from repro.power.model import DramPowerSpec, LogicPowerSpec
 from repro.power.powermap import PowerMap
 from repro.power.state import MemoryState
-from repro.rmesh.backends import resolve_backend
 from repro.rmesh.solve import IRDropResult, StackSolver
 from repro.rmesh.stack import StackModel
 from repro.tech.calibration import (
@@ -178,7 +177,6 @@ class PDNStack:
         self.logic_grid = logic_grid
         self.plan = plan
         self.assembled = assembled
-        self._solvers: Dict[str, StackSolver] = {}
 
     @classmethod
     def from_assembled(
@@ -225,33 +223,17 @@ class PDNStack:
     def logic_load_key(self) -> Optional[str]:
         return "logic/ML1" if self.logic_grid is not None else None
 
-    def solver_for(
-        self,
-        backend: Optional[str] = None,
-        warm_from: Optional[StackSolver] = None,
-    ) -> StackSolver:
-        """The stack's solver for a backend, prepared on first use.
+    @functools.cached_property
+    def solver(self) -> StackSolver:
+        """The stack's solver, factorized on first use and reused for all
+        states (setup dominates; per-state solves are cheap).
 
         Delegates to the assembled stack when present, so every wrapper
-        of the same plan hash shares one setup per backend; hand-built
-        models keep their own per-backend cache.  ``warm_from`` (see
-        :class:`~repro.rmesh.solve.StackSolver`) only matters on the
-        first, preparing call for a backend.
+        of the same plan hash shares one factorization.
         """
         if self.assembled is not None:
-            return self.assembled.solver_for(backend, warm_from=warm_from)
-        resolved = resolve_backend(backend)
-        solver = self._solvers.get(resolved)
-        if solver is None:
-            solver = StackSolver(self.model, backend=resolved, warm_from=warm_from)
-            self._solvers[resolved] = solver
-        return solver
-
-    @property
-    def solver(self) -> StackSolver:
-        """Process-default-backend solver, built on first use and reused
-        for all states (setup dominates; per-state solves are cheap)."""
-        return self.solver_for(None)
+            return self.assembled.solver
+        return StackSolver(self.model)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -324,18 +306,9 @@ class PDNStack:
         )
 
     def solve_state(
-        self,
-        state: MemoryState,
-        logic_scale: float = 1.0,
-        x0: Optional[np.ndarray] = None,
-        solver: Optional[StackSolver] = None,
+        self, state: MemoryState, logic_scale: float = 1.0
     ) -> StackIRResult:
-        """Solve one memory state and extract per-die maxima.
-
-        ``solver`` overrides the stack's shared solver (the sweep
-        warm-start layer passes one it prepared from a neighboring
-        point); ``x0`` seeds iterative backends with a previous solution.
-        """
+        """Solve one memory state and extract per-die maxima."""
         from repro.resil.retry import protected_call
 
         maps = self.power_maps(state, logic_scale)
@@ -345,7 +318,7 @@ class PDNStack:
         # funnels through here, so this one boundary covers them all.
         try:
             raw = protected_call(
-                lambda: (solver or self.solver).solve_power_maps(maps, x0=x0),
+                lambda: self.solver.solve_power_maps(maps),
                 site="solve_state",
                 key=f"{self.plan_hash or 'none'}:{state.label()}:{logic_scale}",
             )

@@ -22,8 +22,7 @@ task runs inside :class:`_ObsTask`, which marks the span buffer, the
 metrics registry and the profiler buffer before the call and ships
 what the task added back with the result.  Spans carry everything
 about "what ran" -- the ``--perf-report`` timers are their per-name
-sums, solver convergence curves are ``solver.convergence`` span
-events, and plan labels ride on ``plan.hash`` spans -- so the parent's
+sums, and plan labels ride on ``plan.hash`` spans -- so the parent's
 single :func:`_merge_worker_return` makes ``--perf-report``,
 ``--metrics-out``, ``--trace-out`` and manifests report true totals for
 parallel runs: solve counts from a ``--workers 4`` sweep equal the

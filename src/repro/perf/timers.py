@@ -30,8 +30,7 @@ reset_timers = _trace.reset_trace
 def snapshot() -> Dict[str, Tuple[float, int]]:
     """``{name: (total_seconds, count)}`` summed over the span buffer.
 
-    Zero-count spans are :func:`repro.obs.trace.event` records, not
-    timed regions, and are left out.
+    Zero-count spans time nothing and are left out.
     """
     totals: Dict[str, Tuple[float, int]] = {}
     for rec in _trace.spans():

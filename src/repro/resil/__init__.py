@@ -1,16 +1,13 @@
 """Fault tolerance for sweep execution.
 
-The paper scripts assumed a perfect machine: every worker lives, every
-CG solve converges, every run finishes.  The production-scale analyses
-the roadmap targets (Table-9-size design spaces, SRAM-PG-scale stress
-meshes) break each assumption in turn, so this package supplies the
-missing layer:
+The paper scripts assumed a perfect machine: every worker lives and
+every run finishes.  Table-9-size design spaces break both assumptions,
+so this package supplies the missing layer:
 
 :mod:`repro.resil.faults`
     Deterministic fault injection (``REPRO_FAULT_SPEC``) -- worker
-    crashes, transient exceptions, slow tasks, CG convergence stalls --
-    seeded so chaos tests and benches replay the exact same failure
-    sequence every run.
+    crashes, transient exceptions, slow tasks -- seeded so chaos tests
+    and benches replay the exact same failure sequence every run.
 
 :mod:`repro.resil.retry`
     :class:`~repro.resil.retry.RetryPolicy` (bounded attempts,
@@ -28,8 +25,8 @@ missing layer:
 :mod:`repro.resil.checkpoint`
     Journaled sweep checkpoints (``REPRO_CHECKPOINT`` /
     ``repro3d --resume``): completed design-point results keyed by plan
-    hash + state + scale, so a killed fig5/fig9/table9 run resumes
-    without re-solving finished points.
+    hash + active banks + scale, so a killed fig5/fig9/table9 run
+    resumes without re-solving finished points.
 
 Everything here is opt-in and pay-for-what-you-use: with no fault spec,
 no checkpoint, and a healthy pool, the hot paths run exactly the code
@@ -41,13 +38,13 @@ from repro.resil.checkpoint import (
     CheckpointedResult,
     SweepCheckpoint,
     active_checkpoint_info,
+    checkpointed_solve,
     default_checkpoint,
     point_key,
 )
 from repro.resil.execute import TaskReport, run_tasks
 from repro.resil.faults import (
     FAULT_SPEC_ENV,
-    ConvergenceStallFault,
     FaultPlan,
     InjectedFault,
     TransientFault,
@@ -61,7 +58,6 @@ from repro.resil.retry import RetryPolicy, TaskFailure, protected_call
 __all__ = [
     "CHECKPOINT_ENV",
     "CheckpointedResult",
-    "ConvergenceStallFault",
     "FAULT_SPEC_ENV",
     "FaultPlan",
     "InjectedFault",
@@ -73,6 +69,7 @@ __all__ = [
     "WorkerCrashFault",
     "active_checkpoint_info",
     "active_plan",
+    "checkpointed_solve",
     "default_checkpoint",
     "fault_injection_active",
     "parse_fault_spec",

@@ -4,8 +4,9 @@ A design-space sweep is a sequence of (plan, state, scale) solves whose
 results are tiny compared to the work producing them.  That asymmetry
 makes checkpointing nearly free: journal every completed design point's
 summary -- keyed by the :class:`~repro.pdn.plan.StackPlan` ``plan_hash``
-(the content address of the physical network) plus the state label and
-logic scale -- and a resumed run looks each point up before solving.
+(the content address of the physical network) plus the state's
+active-bank tuple and the logic scale -- and a resumed run looks each
+point up before solving.
 Keys are content-addressed, so a resume against *changed* inputs
 (edited config, different mesh) misses cleanly instead of serving stale
 physics.
@@ -18,10 +19,10 @@ truncated/corrupt trailing line is skipped with a structured warning
 (``resil.checkpoint_corrupt_lines``), never a crash, and the next
 append starts on a fresh line.
 
-Activation: ``repro3d --resume PATH`` sets ``REPRO_CHECKPOINT``; the
-sweep layer (:class:`repro.pdn.sweep.SweepSolveSession`) picks it up by
-default, experiment manifests record the resume lineage
-(:func:`active_checkpoint_info`).  A checkpoint hit returns a
+Activation: ``repro3d --resume PATH`` sets ``REPRO_CHECKPOINT``;
+:func:`checkpointed_solve` (the fig5 sweep and the co-optimizer's
+verification solves) picks it up, and experiment manifests record the
+resume lineage (:func:`active_checkpoint_info`).  A checkpoint hit returns a
 :class:`CheckpointedResult` -- the summary fields experiment drivers
 consume (``dram_max_mv``, ``logic_max_mv``, ``per_die_mv``,
 ``total_power_mw``) without the full node-drop vector, which is the
@@ -50,9 +51,15 @@ CHECKPOINT_ENV = "REPRO_CHECKPOINT"
 HEADER = {"kind": "repro-sweep-checkpoint", "schema": 1}
 
 
-def point_key(plan_hash: str, state_label: str, logic_scale: float) -> str:
-    """Content-addressed key of one design-point solve."""
-    return f"{plan_hash}:{state_label}:{logic_scale!r}"
+def point_key(plan_hash: str, banks: object, logic_scale: float) -> str:
+    """Content-addressed key of one design-point solve.
+
+    ``banks`` is the state's active-bank tuple (``MemoryState.active``),
+    not its paper label: the label holds only per-die bank *counts*, and
+    two states with the same counts but different banks draw different
+    currents.
+    """
+    return f"{plan_hash}:{banks!r}:{logic_scale!r}"
 
 
 @dataclass
@@ -247,8 +254,8 @@ _default: Optional[SweepCheckpoint] = None
 def default_checkpoint() -> Optional[SweepCheckpoint]:
     """The process-default checkpoint named by ``REPRO_CHECKPOINT``.
 
-    One shared instance per path, created lazily -- every sweep session
-    in the process journals into (and resumes from) the same file, which
+    One shared instance per path, created lazily -- every checkpointed
+    solve in the process journals into (and resumes from) the same file, which
     is what ``repro3d --resume`` means.  Cleared when the variable is
     unset or points elsewhere.
     """
@@ -273,6 +280,26 @@ def reset_default_checkpoint() -> None:
     global _default
     with _default_lock:
         _default = None
+
+
+def checkpointed_solve(stack, state, logic_scale: float = 1.0):
+    """``stack.solve_state(state, logic_scale)`` through the active journal.
+
+    With a checkpoint active (``REPRO_CHECKPOINT``) and a planned stack,
+    a journaled point returns its :class:`CheckpointedResult` without
+    solving, and a fresh solve is journaled before it is returned.
+    Otherwise this is exactly ``stack.solve_state``.
+    """
+    checkpoint = default_checkpoint()
+    if checkpoint is None or stack.plan is None:
+        return stack.solve_state(state, logic_scale)
+    key = point_key(stack.plan.plan_hash, state.active, logic_scale)
+    hit = checkpoint.lookup(key)
+    if hit is not None:
+        return hit
+    result = stack.solve_state(state, logic_scale)
+    checkpoint.record(key, result)
+    return result
 
 
 def active_checkpoint_info() -> Optional[Dict[str, object]]:

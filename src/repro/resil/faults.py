@@ -2,8 +2,8 @@
 
 A fault-tolerance layer that is only exercised by real outages is
 untested code.  This module injects the failure modes the resil stack
-must survive -- worker crashes, transient exceptions, slow tasks, CG
-convergence stalls -- under a spec that makes every injection
+must survive -- worker crashes, transient exceptions, slow tasks --
+under a spec that makes every injection
 *deterministic*: whether a fault fires at a given site is a pure
 function of ``(seed, site, key, attempt)``, hashed through sha256 into
 a uniform [0, 1) draw compared against the rule's probability.  Two
@@ -15,7 +15,7 @@ Spec grammar (``REPRO_FAULT_SPEC``)::
 
     rule[,rule...]
     rule  := kind[:param=value...]
-    kind  := worker_crash | transient | slow_task | cg_stall
+    kind  := worker_crash | transient | slow_task
     param := p=<probability 0..1> | n=<fire first n times>
            | seed=<int> | ms=<sleep milliseconds, slow_task only>
 
@@ -23,7 +23,7 @@ Examples::
 
     worker_crash:p=0.2:seed=7
     transient:p=0.1:seed=3,slow_task:p=0.05:ms=200:seed=4
-    cg_stall:n=1
+    transient:n=1
 
 Fault kinds:
 
@@ -40,11 +40,6 @@ Fault kinds:
 ``slow_task``
     Sleeps ``ms`` milliseconds before the task body runs -- the hook
     for exercising per-task timeouts.
-``cg_stall``
-    Checked at iterative-solve entry (:mod:`repro.rmesh.backends`);
-    raises :class:`ConvergenceStallFault`, a :class:`SolverError`
-    subclass, so it takes exactly the non-convergence path solver
-    escalation must handle.
 
 A malformed spec raises :class:`~repro.errors.ConfigurationError`
 eagerly: unlike a tuning knob, a typo'd *chaos* spec silently parsing
@@ -61,7 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ReproError, SolverError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 
@@ -70,7 +65,7 @@ _log = get_logger("resil.faults")
 #: Environment variable carrying the fault spec (workers inherit it).
 FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
 
-FAULT_KINDS = ("worker_crash", "transient", "slow_task", "cg_stall")
+FAULT_KINDS = ("worker_crash", "transient", "slow_task")
 
 #: Exit code of an injected hard worker crash (visible in pool logs).
 CRASH_EXIT_CODE = 73
@@ -86,15 +81,6 @@ class WorkerCrashFault(InjectedFault):
 
 class TransientFault(InjectedFault):
     """An injected flaky-environment error."""
-
-
-class ConvergenceStallFault(SolverError):
-    """An injected iterative-solver stall.
-
-    Subclasses :class:`~repro.errors.SolverError` (not
-    :class:`InjectedFault`) on purpose: it must flow through the same
-    ``except SolverError`` escalation path a real non-convergence takes.
-    """
 
 
 @dataclass(frozen=True)
@@ -192,11 +178,9 @@ class FaultPlan:
                 return True
         return _uniform_draw(rule.seed, site, key, attempt) < rule.p
 
-    def fire(self, site: str, key: str, attempt: int, kinds: Tuple[str, ...]) -> None:
-        """Evaluate matching rules at one decision point; may not return."""
+    def fire(self, site: str, key: str, attempt: int) -> None:
+        """Evaluate every rule at one decision point; may not return."""
         for idx, rule in enumerate(self.rules):
-            if rule.kind not in kinds:
-                continue
             if not self._should_fire(idx, rule, site, key, attempt):
                 continue
             _metrics.inc("resil.faults_injected")
@@ -214,15 +198,8 @@ class FaultPlan:
                     key=key,
                     attempt=attempt,
                 )
-            if rule.kind == "transient":
-                raise TransientFault(
-                    "injected transient fault",
-                    site=site,
-                    key=key,
-                    attempt=attempt,
-                )
-            raise ConvergenceStallFault(
-                "injected convergence stall",
+            raise TransientFault(
+                "injected transient fault",
                 site=site,
                 key=key,
                 attempt=attempt,
@@ -268,11 +245,4 @@ def check_task(key: str, attempt: int = 0, site: str = "task") -> None:
     """Task-level decision point: worker_crash / transient / slow_task."""
     plan = active_plan()
     if plan is not None:
-        plan.fire(site, key, attempt, ("worker_crash", "transient", "slow_task"))
-
-
-def check_cg(key: str, attempt: int = 0) -> None:
-    """Iterative-solve decision point: cg_stall."""
-    plan = active_plan()
-    if plan is not None:
-        plan.fire("cg", key, attempt, ("cg_stall",))
+        plan.fire(site, key, attempt)

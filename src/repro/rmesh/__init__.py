@@ -11,13 +11,7 @@ is exactly the sparse linear solve performed here.
 the role of Cadence EPS in the paper's Figure 4 validation.
 """
 
-from repro.rmesh.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    SOLVER_ENV,
-    make_operator,
-    resolve_backend,
-)
+from repro.rmesh.backends import make_operator
 from repro.rmesh.branches import BranchGroup, StackBranches, extract_branches
 from repro.rmesh.mesh import LayerMesh
 from repro.rmesh.stack import StackModel, VerticalLink, SupplyLink
@@ -33,9 +27,5 @@ __all__ = [
     "SupplyLink",
     "IRDropResult",
     "StackSolver",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "SOLVER_ENV",
     "make_operator",
-    "resolve_backend",
 ]

@@ -1,26 +1,18 @@
 """Sparse DC solve of an assembled stack and IR-drop extraction.
 
-The solver prepares the conductance matrix once and reuses that setup
-across memory states: a new state only changes the current right-hand
-side.  This is what makes building the controller's IR-drop look-up
-table (section 5.2) cheap -- one factorization, dozens of
-back-substitutions.
-
-*How* the system is solved is pluggable (:mod:`repro.rmesh.backends`):
-the default ``direct`` backend is the historical SuperLU factorization,
-bitwise identical to what this module always produced; ``cg`` is the
-preconditioned iterative path whose setup artifact can be warm-started
-from a neighboring sweep point (:mod:`repro.pdn.sweep`).
-Select per solver (``StackSolver(model, backend="cg")``), per process
-(``REPRO_SOLVER=cg``), or per CLI invocation (``repro3d --solver cg``).
+The solver factorizes the conductance matrix once (SuperLU, through
+:func:`repro.rmesh.backends.make_operator`) and reuses that
+factorization across memory states: a new state only changes the
+current right-hand side.  This is what makes building the controller's
+IR-drop look-up table (section 5.2) cheap -- one factorization, dozens
+of back-substitutions.
 
 Observability: setup and every solve run inside trace spans
-(``solver.factorize`` / ``solver.solve`` / ``solver.solve_many``, each
-tagged with the backend); the metrics registry counts factorizations,
-solved right-hand sides and iterative-solver iterations, histograms the
-RHS batch sizes, and gauges the solve's relative residual norm
-``||Gx - b|| / ||b||`` as a numerical health check.  The residual gauge
-costs a full sparse matvec, so it is *sampled* (every
+(``solver.factorize`` / ``solver.solve`` / ``solver.solve_many``); the
+metrics registry counts factorizations and solved right-hand sides,
+histograms the RHS batch sizes, and gauges the solve's relative
+residual norm ``||Gx - b|| / ||b||`` as a numerical health check.  The
+residual gauge costs a full sparse matvec, so it is *sampled* (every
 :data:`RESIDUAL_SAMPLE_EVERY`-th solve per solver; override with
 ``REPRO_RESIDUAL_EVERY``, ``1`` restores always-on) -- the LUT-build hot
 loop no longer pays O(nnz) per right-hand side.  Residuals are computed
@@ -30,7 +22,7 @@ unaffected by the sampling rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -41,12 +33,7 @@ from repro.geometry import Point
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
 from repro.power.powermap import PowerMap
-from repro.rmesh.backends import (
-    ResidualTrace,
-    SolverOperator,
-    make_operator,
-    resolve_backend,
-)
+from repro.rmesh.backends import make_operator
 from repro.rmesh.stack import StackModel
 from repro.units import to_mv
 
@@ -68,25 +55,12 @@ class IRDropResult:
     ``drops`` may be a *view* into a shared solution block (the batched
     :meth:`StackSolver.solve_many` path keeps one Fortran-ordered block
     instead of per-column copies); treat it as read-only, like every
-    library path does.  ``backend``/``iterations`` carry the solve's
-    provenance (iterations is 0 for the direct path).
+    library path does.
     """
 
     model: StackModel
     drops: np.ndarray  # per global node, volts
     solve_time: float  # seconds spent in back-substitution
-    backend: str = "direct"
-    iterations: int = field(default=0, compare=False)
-    #: Residual history of this solve when the iterative backend traced
-    #: it (sampled; see ``REPRO_TRACE_EVERY``); None for direct solves
-    #: and untraced iterations.  Carries backend/preconditioner/rtol
-    #: provenance plus a bounded ``[iteration, relative residual]`` curve.
-    convergence: Optional["ResidualTrace"] = field(default=None, compare=False)
-    #: Highest escalation rung the backend climbed to produce this
-    #: solve (``None`` = converged as configured, ``"factor"`` =
-    #: retried with a stronger preconditioner, ``"direct"`` = fell back
-    #: to SuperLU).  See :class:`repro.rmesh.backends.EscalatingOperator`.
-    escalated: Optional[str] = field(default=None, compare=False)
 
     def max_drop(self) -> float:
         """Worst IR drop anywhere in the stack, volts."""
@@ -189,55 +163,19 @@ class IRDropResult:
 
 
 class StackSolver:
-    """Prepare a stack's system once, solve many load configurations.
+    """Factorize a stack's system once, solve many load configurations."""
 
-    ``backend`` picks the solve strategy (argument > ``REPRO_SOLVER`` >
-    ``direct``; see :mod:`repro.rmesh.backends`).  ``warm_from`` hands in
-    a neighboring solver whose preconditioner is reused when compatible
-    -- the sweep warm-start path.
-    """
-
-    def __init__(
-        self,
-        model: StackModel,
-        backend: Optional[str] = None,
-        warm_from: "Optional[StackSolver]" = None,
-    ) -> None:
+    def __init__(self, model: StackModel) -> None:
         self.model = model
-        self.backend = resolve_backend(backend)
         matrix = model.conductance_matrix().tocsc()
-        with span(
-            "solver.factorize", nodes=model.num_nodes, backend=self.backend
-        ) as sp:
-            self._op = make_operator(
-                self.backend,
-                matrix,
-                warm_from=warm_from._op if warm_from is not None else None,
-            )
+        with span("solver.factorize", nodes=model.num_nodes) as sp:
+            self._lu = make_operator(matrix)
         self.factor_time = sp.duration
-        # Kept for residual-norm checks; the setup artifacts dominate memory.
+        # Kept for residual-norm checks; the factors dominate memory.
         self._matrix = matrix
         self._num_nodes = model.num_nodes
         self._solve_count = 0
         _metrics.inc("solver.factorizations")
-        _metrics.inc(f"solver.backend.{self._op.name}")
-
-    # -- backend introspection ------------------------------------------------
-
-    @property
-    def operator(self) -> SolverOperator:
-        """The prepared backend operator (preconditioner handoff point)."""
-        return self._op
-
-    @property
-    def last_iterations(self) -> int:
-        """Iteration count of the most recent solve (0 for direct)."""
-        return self._op.iterations
-
-    @property
-    def reused_preconditioner(self) -> bool:
-        """Whether this solver's setup reused a neighbor's preconditioner."""
-        return self._op.reused_preconditioner
 
     def _observe_solution(self, rhs: np.ndarray, drops: np.ndarray) -> None:
         """Record throughput metrics -- and, sampled, the residual gauge.
@@ -253,8 +191,6 @@ class StackSolver:
         self._solve_count += 1
         _metrics.inc("solver.rhs_solved", k)
         _metrics.observe("solver.rhs_batch_size", k)
-        if self._op.iterations:
-            _metrics.set_gauge("solver.last_iterations", self._op.iterations)
         if not sampled:
             return
         residual = float(np.linalg.norm(self._matrix @ drops - rhs))
@@ -263,15 +199,8 @@ class StackSolver:
         _metrics.set_gauge("solver.residual_norm", relative)
         _metrics.observe("solver.residual_norm", relative)
 
-    def solve_currents(
-        self, currents: np.ndarray, x0: Optional[np.ndarray] = None
-    ) -> IRDropResult:
-        """Solve for node drops given a per-node current vector (A).
-
-        ``x0`` is an optional initial guess for iterative backends
-        (ignored by ``direct``): the previous sweep point's solution
-        short-circuits most of each warm solve.
-        """
+    def solve_currents(self, currents: np.ndarray) -> IRDropResult:
+        """Solve for node drops given a per-node current vector (A)."""
         if currents.shape != (self._num_nodes,):
             raise SolverError(
                 f"current vector has shape {currents.shape}, expected "
@@ -284,9 +213,8 @@ class StackSolver:
                 worst_node=worst,
                 worst_current=float(currents[worst]),
             )
-        with span("solver.solve", backend=self.backend) as sp:
-            drops = self._op.solve(currents, x0=x0)
-            sp.attrs["iterations"] = self._op.iterations
+        with span("solver.solve") as sp:
+            drops = self._lu.solve(currents)
         if not np.all(np.isfinite(drops)):
             raise SolverError(
                 "solve produced non-finite drops",
@@ -295,19 +223,9 @@ class StackSolver:
                 nonfinite=int(np.count_nonzero(~np.isfinite(drops))),
             )
         self._observe_solution(currents, drops)
-        return IRDropResult(
-            model=self.model,
-            drops=drops,
-            solve_time=sp.duration,
-            backend=self._op.name,
-            iterations=self._op.iterations,
-            convergence=self._op.last_trace,
-            escalated=getattr(self._op, "escalation", None),
-        )
+        return IRDropResult(model=self.model, drops=drops, solve_time=sp.duration)
 
-    def solve_block(
-        self, currents_matrix: np.ndarray, x0: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def solve_block(self, currents_matrix: np.ndarray) -> np.ndarray:
         """Solve ``k`` load configurations; return one Fortran-ordered block.
 
         ``currents_matrix`` has shape ``(num_nodes, k)``, one current
@@ -332,11 +250,12 @@ class StackSolver:
                 worst_node=worst,
             )
         k = currents_matrix.shape[1]
-        with span("solver.solve_many", count=k, batch=k, backend=self.backend) as sp:
-            block = self._op.solve_block(
-                np.asfortranarray(currents_matrix), x0=x0
+        with span("solver.solve_many", count=k, batch=k) as sp:
+            # The whole block goes through SuperLU's triangular solves in
+            # a single call, amortizing the sparse traversal over all RHS.
+            block = np.asfortranarray(
+                self._lu.solve(np.asfortranarray(currents_matrix))
             )
-            sp.attrs["iterations"] = self._op.iterations
         if not np.all(np.isfinite(block)):
             raise SolverError(
                 "solve produced non-finite drops",
@@ -348,12 +267,10 @@ class StackSolver:
         self._last_block_time = sp.duration
         return block
 
-    def solve_many(
-        self, currents_matrix: np.ndarray, x0: Optional[np.ndarray] = None
-    ) -> List[IRDropResult]:
+    def solve_many(self, currents_matrix: np.ndarray) -> List[IRDropResult]:
         """Solve ``k`` load configurations in one back-substitution.
 
-        The whole block goes through the backend in a single
+        The whole block goes through the factorization in a single
         :meth:`solve_block` call -- the batched form of the "one
         factorization, dozens of back-substitutions" trick the
         controller LUT build relies on.  Each result's ``drops`` is a
@@ -363,25 +280,12 @@ class StackSolver:
         Column ``i`` of the result is bitwise identical to
         ``solve_currents(currents_matrix[:, i])``.
         """
-        block = self.solve_block(currents_matrix, x0=x0)
+        block = self.solve_block(currents_matrix)
         if block.shape[1] == 0:
             return []
         per_rhs = self._last_block_time / block.shape[1]
-        # Traced columns' residual histories land in the global buffer
-        # (backends.traces()); per-result provenance carries the batch's
-        # last trace on the last result only -- attributing one column's
-        # curve to all k results would be misleading.
-        last = block.shape[1] - 1
         return [
-            IRDropResult(
-                model=self.model,
-                drops=block[:, i],
-                solve_time=per_rhs,
-                backend=self._op.name,
-                iterations=self._op.iterations,
-                convergence=self._op.last_trace if i == last else None,
-                escalated=getattr(self._op, "escalation", None),
-            )
+            IRDropResult(model=self.model, drops=block[:, i], solve_time=per_rhs)
             for i in range(block.shape[1])
         ]
 
@@ -403,8 +307,6 @@ class StackSolver:
             currents[sl] += pmap.flat()
         return currents
 
-    def solve_power_maps(
-        self, maps: Mapping[str, PowerMap], x0: Optional[np.ndarray] = None
-    ) -> IRDropResult:
+    def solve_power_maps(self, maps: Mapping[str, PowerMap]) -> IRDropResult:
         """Solve with loads given as power maps keyed by layer key."""
-        return self.solve_currents(self.currents_from_maps(maps), x0=x0)
+        return self.solve_currents(self.currents_from_maps(maps))

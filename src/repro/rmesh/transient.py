@@ -11,10 +11,10 @@ be exercised:
   device layer, plus a bulk package capacitor behind the supply plane;
 * the network becomes G v + C dv/dt = i(t), integrated with backward
   Euler: ``(G + C/dt) v_{k+1} = i_{k+1} + (C/dt) v_k``.  The augmented
-  matrix is prepared once through the process-default solver backend
-  (:func:`repro.rmesh.backends.make_operator`); each time step is then a
-  back-substitution on ``direct`` -- the same trick the DC LUT uses --
-  or a CG solve warm-started from the previous step on ``cg``;
+  matrix is factorized once (:func:`repro.rmesh.backends.make_operator`,
+  inside a ``solver.factorize`` span with ``kind="transient"``); each
+  time step is then a back-substitution -- the same trick the DC LUT
+  uses -- and the step loop runs in a ``transient.simulate`` span;
 * stimuli are piecewise-constant memory-state schedules (e.g. a bank
   activation burst), built from :class:`repro.power.MemoryState` or from
   a memory-controller activity trace.
@@ -25,7 +25,6 @@ RC settling and decap droop suppression, not mid-frequency ringing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,9 +32,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ConfigurationError, SolverError
+from repro.obs.trace import span
 from repro.pdn.stackup import PDNStack
 from repro.power.state import MemoryState
-from repro.rmesh.backends import make_operator, resolve_backend
+from repro.rmesh.backends import make_operator
 from repro.units import to_mv
 
 
@@ -123,9 +123,9 @@ class TransientSolver:
         self._c_over_dt = cap / dt_s
         g = stack.model.conductance_matrix().tocsc()
         c_over_dt = sp.diags(self._c_over_dt).tocsc()
-        t0 = time.perf_counter()
-        self._op = make_operator(resolve_backend(), (g + c_over_dt).tocsc())
-        self.factor_time = time.perf_counter() - t0
+        with span("solver.factorize", nodes=n, kind="transient") as factorize:
+            self._lu = make_operator((g + c_over_dt).tocsc())
+        self.factor_time = factorize.duration
 
     # -- stimulus construction --------------------------------------------------
 
@@ -182,22 +182,20 @@ class TransientSolver:
         dram_max = np.empty(len(steps))
         per_die = {name: np.empty(len(steps)) for name in die_ids}
 
-        t0 = time.perf_counter()
-        for k, i_vec in enumerate(steps):
-            rhs = i_vec + self._c_over_dt * v
-            # The previous step's drops warm-start iterative backends.
-            v = self._op.solve(rhs, x0=v)
-            for name, ids in die_ids.items():
-                per_die[name][k] = to_mv(float(v[ids].max()))
-            dram_max[k] = max(per_die[name][k] for name in die_ids)
-        elapsed = time.perf_counter() - t0
+        with span("transient.simulate", steps=len(steps)) as loop:
+            for k, i_vec in enumerate(steps):
+                rhs = i_vec + self._c_over_dt * v
+                v = self._lu.solve(rhs)
+                for name, ids in die_ids.items():
+                    per_die[name][k] = to_mv(float(v[ids].max()))
+                dram_max[k] = max(per_die[name][k] for name in die_ids)
 
         return TransientResult(
             times_ns=times,
             dram_max_mv=dram_max,
             per_die_mv=per_die,
             dt_ns=self.dt_ns,
-            solve_time_s=elapsed,
+            solve_time_s=loop.duration,
         )
 
     def step_response(

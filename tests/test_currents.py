@@ -101,10 +101,9 @@ class TestInterfaceCurrents:
             _interface_report(branches, "dram1/M3", "dram4/M3")
 
 
-def test_ext_crowding_rows_match_golden(monkeypatch):
-    """On ``direct`` the crowding experiment's rows are bitwise those
-    recorded before branch currents moved onto :func:`extract_branches`."""
-    monkeypatch.setenv("REPRO_SOLVER", "direct")
+def test_ext_crowding_rows_match_golden():
+    """The crowding experiment's rows are bitwise those recorded before
+    branch currents moved onto :func:`extract_branches`."""
     golden = json.loads(GOLDEN.read_text())
     rows = {row.label: row.model for row in ext_crowding.run().rows}
     assert set(rows) == set(golden)

@@ -1,15 +1,15 @@
-"""Tests for the deep-telemetry layer: profiler, convergence traces,
-run-history store, drift attribution, atomic writes, span absorption."""
+"""Tests for the deep-telemetry layer: profiler, run-history store,
+drift attribution, atomic writes, span absorption."""
 
 from __future__ import annotations
 
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.errors import ConfigurationError
 from repro.obs import profile as obs_profile
@@ -28,7 +28,6 @@ from repro.obs.store import (
     plan_drift,
     show_markdown,
 )
-from repro.rmesh import backends as rb
 
 
 @pytest.fixture
@@ -38,20 +37,6 @@ def clean_profile():
     yield
     obs_profile.stop_profiler(final_sample=False)
     obs_profile.reset_profile()
-
-
-@pytest.fixture
-def clean_traces():
-    obs_trace.reset_trace()
-    yield
-    obs_trace.reset_trace()
-
-
-def _spd_matrix(n: int = 60) -> sp.csr_matrix:
-    return sp.diags(
-        [np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)],
-        [-1, 0, 1],
-    ).tocsr()
 
 
 # -- BoundedSeries (the shared curve downsampler) -----------------------------
@@ -217,105 +202,6 @@ class TestProfiler:
             obs_profile.stop_profiler()
         assert obs_profile.sample_count() > 0
         assert np.array_equal(baseline.raw.drops, profiled.raw.drops)
-
-
-# -- convergence traces -------------------------------------------------------
-
-
-class TestConvergenceTraces:
-    def test_traced_solve_records_curve(self, clean_traces):
-        op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
-        rhs = np.ones(60)
-        op.solve(rhs)
-        t = op.last_trace
-        assert t is not None and t.converged
-        assert t.backend == "cg" and t.preconditioner == "jacobi"
-        assert t.nodes == 60 and t.iterations > 0
-        assert t.points[0][0] == 0.0  # initial residual at iteration 0
-        assert t.points[-1][0] == float(t.iterations)
-        # Residual curve decreases overall and hits the tolerance floor.
-        assert t.final_residual <= 1e-9
-        assert t.points[0][1] > t.points[-1][1]
-        assert len(rb.traces()) == 1
-
-    def test_sampling_skips_and_clears_last_trace(self, clean_traces):
-        op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
-        rhs = np.ones(60)
-        traced = op.solve(rhs)
-        assert op.last_trace is not None
-        untraced = op.solve(rhs)  # default REPRO_TRACE_EVERY=8: sampled out
-        assert op.last_trace is None
-        assert np.array_equal(traced, untraced)  # tracing never alters physics
-        assert len(rb.traces()) == 1
-
-    def test_trace_every_env(self, clean_traces, monkeypatch):
-        monkeypatch.setenv(rb.TRACE_EVERY_ENV, "1")
-        op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
-        rhs = np.ones(60)
-        op.solve(rhs)
-        op.solve(rhs)
-        assert len(rb.traces()) == 2
-
-    def test_tracing_disabled_env(self, clean_traces, monkeypatch):
-        monkeypatch.setenv(rb.CONVERGENCE_TRACE_ENV, "0")
-        op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
-        op.solve(np.ones(60))
-        assert op.last_trace is None
-        assert len(rb.traces()) == 0
-
-    def test_bounded_points_on_long_solves(self, clean_traces, monkeypatch):
-        # Unpreconditioned-style slow convergence: loose jacobi on a
-        # larger mesh still converges but takes many iterations.
-        monkeypatch.setenv(rb.CG_MAXITER_ENV, "100000")
-        op = rb.CGOperator(_spd_matrix(2000), precond_kind="jacobi", rtol=1e-12)
-        op.solve(np.random.default_rng(7).random(2000))
-        t = op.last_trace
-        assert t is not None
-        assert len(t.points) <= rb.TRACE_POINT_CAP + 1
-        assert t.points[-1][0] == float(t.iterations)
-
-    def test_export_absorb_merge_stable(self, clean_traces):
-        op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
-        op.solve(np.ones(60))
-        exported = obs_trace.export_spans()
-        original = rb.traces()[0].to_dict()
-        obs_trace.reset_trace()
-        obs_trace.absorb_spans(exported)
-        assert len(rb.traces()) == 1
-        assert rb.traces()[0].to_dict() == original
-        # A second absorb of the same export changes nothing (merge-stable).
-        obs_trace.absorb_spans(exported)
-        assert len(rb.traces()) == 1
-        assert obs_trace.export_spans() == exported
-
-    def _currents(self, stack, floorplan):
-        from repro.power.state import MemoryState
-
-        state = MemoryState.from_string("0-0-0-2", floorplan)
-        maps = stack.power_maps(state)
-        return stack.solver_for("direct").currents_from_maps(maps)
-
-    def test_ir_result_carries_convergence(
-        self, clean_traces, ddr3_stack, ddr3_floorplan
-    ):
-        from repro.rmesh.solve import StackSolver
-
-        currents = self._currents(ddr3_stack, ddr3_floorplan)
-        # A fresh solver: its first solve is always traced, whereas the
-        # stack's shared cg solver may sit mid sampling period when
-        # earlier tests already ran on it (REPRO_SOLVER=cg).
-        result = StackSolver(ddr3_stack.model, backend="cg").solve_currents(currents)
-        assert result.backend == "cg"
-        assert result.convergence is not None
-        assert result.convergence.nodes == len(currents)
-
-    def test_direct_backend_never_traces(
-        self, clean_traces, ddr3_stack, ddr3_floorplan
-    ):
-        currents = self._currents(ddr3_stack, ddr3_floorplan)
-        result = ddr3_stack.solver_for("direct").solve_currents(currents)
-        assert result.convergence is None
-        assert len(rb.traces()) == 0
 
 
 # -- atomic writes ------------------------------------------------------------
@@ -604,28 +490,16 @@ class TestDriftAttribution:
         b = self._record(plans={"h1": "ddr3_off"})
         assert diff_runs(a, b).drift == "none"
 
-    def _trace(self, rtol, final, iters):
-        return {
-            "backend": "cg", "preconditioner": "jacobi", "nodes": 60,
-            "rtol": rtol, "warm_start": False, "iterations": iters,
-            "converged": True, "final_residual": final,
-            "points": [[0.0, 1.0], [float(iters), final]], "stride": 1,
-        }
-
-    def test_numerical_drift_from_residual_floor(self):
+    def test_numerical_drift_from_residual_gauge(self):
         plans = {"h1": "ddr3_off"}
-        a = self._record(
-            plans=plans, convergence=[self._trace(1e-10, 1e-11, 20)]
-        )
-        b = self._record(
-            plans=plans, convergence=[self._trace(1e-6, 1e-7, 8)]
-        )
+        a = self._record(plans=plans, gauges={"solver.residual_norm": 1e-15})
+        b = self._record(plans=plans, gauges={"solver.residual_norm": 1e-9})
         delta = diff_runs(a, b)
         assert delta.drift == "numerical"
-        assert delta.residual_deltas
+        assert any("solver.residual_norm gauge" in e for e in delta.evidence)
         text = delta_markdown(delta)
         assert "drift: numerical" in text
-        assert "Residual-curve deltas" in text
+        assert "| solver.residual_norm |" in text
 
     def test_numerical_drift_from_ir_extremum(self):
         plans = {"h1": "ddr3_off"}
@@ -686,28 +560,19 @@ class TestCrossProcessMerge:
 
 
 class TestManifestTelemetryFields:
-    def test_manifest_carries_profile_and_convergence(
-        self, clean_profile, clean_traces, tmp_path
-    ):
+    def test_manifest_carries_profile(self, clean_profile, tmp_path):
         obs_profile.start_profiler(interval_s=0.002)
-        op = rb.CGOperator(_spd_matrix(), precond_kind="jacobi", rtol=1e-10)
-        op.solve(np.ones(60))
+        time.sleep(0.01)
         obs_profile.stop_profiler()
         manifest = build_manifest("telemetry.fields")
         assert manifest.profile["samples"] > 0
-        assert len(manifest.convergence) == 1
-        assert manifest.convergence[0]["backend"] == "cg"
         # Round-trips through the validated write/load path.
         loaded = load_manifest(manifest.write(tmp_path / "m.json"))
         assert loaded.profile["samples"] == manifest.profile["samples"]
-        assert loaded.convergence == manifest.convergence
 
-    def test_manifest_without_telemetry_stays_lean(
-        self, clean_profile, clean_traces, tmp_path
-    ):
+    def test_manifest_without_telemetry_stays_lean(self, clean_profile, tmp_path):
         manifest = build_manifest("telemetry.lean")
         assert manifest.profile == {}
-        assert manifest.convergence == []
         load_manifest(manifest.write(tmp_path / "m.json"))  # still validates
 
 
@@ -928,3 +793,70 @@ class TestAttributionPhysicsAxis:
         text = attribution_markdown(diff_runs(a, b))
         assert "# attribution drift" in text
         assert "| ddr3_off | tsv |" in text
+
+
+# -- records from before the iterative solver was retired ---------------------
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestRetiredTraceFormat:
+    """``tests/data/cg_run_manifest.json`` is ``repro3d --manifest-out``
+    of ``run table5`` under the retired ``cg`` backend: its
+    ``convergence`` list holds two residual traces.  Such records, and
+    the committed pre-attribution history line, must keep loading and
+    diffing; the comparison reports IR and residual-gauge evidence only.
+    """
+
+    def _old(self):
+        data = json.loads((DATA / "cg_run_manifest.json").read_text())
+        assert data["convergence"] and all(
+            t["backend"] == "cg" for t in data["convergence"]
+        )
+        return data
+
+    def test_cg_manifest_loads(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(self._old()))
+        manifest = load_manifest(path)
+        assert manifest.experiment_id == "table5"
+        assert not hasattr(manifest, "convergence")
+
+    def test_cg_manifest_ingests_and_renders(self, tmp_path):
+        store = RunHistoryStore(tmp_path)
+        rid = store.ingest_manifest(self._old())
+        record = store.resolve(rid)
+        assert "convergence" not in record
+        assert rid in list_markdown(store.runs())
+        assert "convergence" not in show_markdown(record)
+
+    def test_diff_reports_ir_and_gauge_without_trace_rows(self):
+        old = self._old()
+        new = json.loads(json.dumps(old))
+        del new["convergence"]
+        new["metrics"]["gauges"]["solver.residual_norm"] = 1e-6
+        new["metrics"]["histograms"]["ir.dram_max_mv"]["max"] += 1.0
+        delta = diff_runs(normalize_manifest(old), normalize_manifest(new))
+        assert delta.drift == "numerical"
+        assert {row[0] for row in delta.metric_deltas} == {
+            "ir.dram_max_mv (max)",
+            "solver.residual_norm",
+        }
+        text = delta_markdown(delta)
+        assert "worst DRAM IR drop moved" in text
+        assert "solver.residual_norm gauge moved" in text
+        for trace_word in ("Residual-curve", "rtol", "iterations", "cg/"):
+            assert trace_word not in text
+
+    def test_pre_attribution_history_line_diffs_against_cg_manifest(self, tmp_path):
+        store = RunHistoryStore(tmp_path)
+        store.root.mkdir(parents=True, exist_ok=True)
+        old = json.loads((GOLDEN / "pre_pr8_run.json").read_text())
+        with open(store.index_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(old, sort_keys=True) + "\n")
+        store.ingest_manifest(self._old())
+        delta = diff_runs(store.resolve("last~1"), store.resolve("last"), store)
+        # Same worst drop (28.904 mV) under both solvers.
+        assert not any("IR drop moved" in e for e in delta.evidence)
+        assert "drift:" in delta_markdown(delta)

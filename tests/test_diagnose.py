@@ -82,6 +82,8 @@ class TestWorstPathDecomposition:
         validate_explain_dict(json.loads(diag.to_json()))
         assert data["schema_version"] == EXPLAIN_SCHEMA_VERSION
         assert data["benchmark"] == key
+        # SuperLU is the only solver; the field stays for schema stability.
+        assert data["backend"] == "direct"
 
     def test_kcl_residual_is_tiny(self, paper_stacks):
         diag = _diagnose(paper_stacks, "ddr3_off")
@@ -130,10 +132,11 @@ class TestRendering:
     def test_validate_rejects_bad_artifacts(self, paper_stacks):
         diag = _diagnose(paper_stacks, "ddr3_off")
         data = diag.to_dict()
-        broken = dict(data)
-        del broken["components_mv"]
-        with pytest.raises(ConfigurationError):
-            validate_explain_dict(broken)
+        for required in ("components_mv", "backend"):
+            broken = dict(data)
+            del broken[required]
+            with pytest.raises(ConfigurationError):
+                validate_explain_dict(broken)
         skewed = json.loads(json.dumps(data, default=str))
         skewed["components_mv"] = {
             k: float(v) * 1.5 for k, v in skewed["components_mv"].items()

@@ -14,7 +14,7 @@ field of every case at that commit.
 
 Every field must still match exactly: command counts, the per-state
 cycle histogram, latencies, and the reported max IR.  The LUT is loaded
-from the golden, so the check does not depend on ``REPRO_SOLVER``.
+from the golden, so the check does not depend on the solver.
 """
 
 from dataclasses import asdict

@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.controller import IRDropLUT
 from repro.controller.lut import StaticIRDropLUT
@@ -266,33 +265,6 @@ def test_parallel_timer_counts_match_serial():
     reset_timers()
 
 
-def _traced_cg_solve(n: int) -> int:
-    from repro.rmesh import backends as rb
-
-    matrix = sp.diags(
-        [np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)], [-1, 0, 1]
-    )
-    op = rb.CGOperator(matrix, precond_kind="jacobi", rtol=1e-10)
-    op.solve(np.ones(n))
-    return op.iterations
-
-
-def test_worker_convergence_traces_reach_parent(monkeypatch):
-    from repro.rmesh import backends as rb
-
-    monkeypatch.setenv(rb.TRACE_EVERY_ENV, "1")
-    mark = obs_trace.span_count()
-    sizes = [40, 50, 60]
-    iterations = map_design_points(_traced_cg_solve, sizes, workers=2)
-    traces = rb.traces(since=mark)
-    assert sorted(t.nodes for t in traces) == sizes
-    assert sorted(t.iterations for t in traces) == sorted(iterations)
-    worker_pids = {
-        rec.pid for rec in obs_trace.spans(mark) if rec.name == rb.CONVERGENCE_SPAN
-    }
-    assert os.getpid() not in worker_pids
-
-
 # -- pool start method --------------------------------------------------------
 
 
@@ -383,7 +355,6 @@ def test_timers_accumulate_and_report():
         pass
     with timed("unit.other"):
         pass
-    obs_trace.event("unit.event")  # data, not time: no timer row
     snap = snapshot()
     assert set(snap) == {"unit.test", "unit.other"}
     assert snap["unit.test"][1] == 3

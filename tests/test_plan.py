@@ -53,13 +53,6 @@ from repro.power.state import MemoryState
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.fixture(autouse=True)
-def _pin_direct_backend(monkeypatch):
-    """Golden IR values are a *direct-path* contract: the bitwise hex
-    comparison must keep passing under a ``REPRO_SOLVER=cg`` test leg,
-    so every solve in this module pins the direct backend."""
-    monkeypatch.setenv("REPRO_SOLVER", "direct")
-
 FACTORIES = {
     "ddr3_off": off_chip_ddr3,
     "ddr3_on": on_chip_ddr3,

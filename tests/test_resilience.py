@@ -1,4 +1,4 @@
-"""Fault-tolerance layer: injection, retry, executor, checkpoint, escalation.
+"""Fault-tolerance layer: injection, retry, executor, checkpoint.
 
 Chaos tests run under ``REPRO_FAULT_SPEC`` (deterministic, seeded), so a
 failure here replays identically -- there are no flaky-by-design tests
@@ -24,20 +24,14 @@ from repro.resil import faults
 from repro.resil.checkpoint import (
     CheckpointedResult,
     SweepCheckpoint,
+    checkpointed_solve,
     default_checkpoint,
     point_key,
     reset_default_checkpoint,
 )
 from repro.resil.execute import run_tasks
 from repro.resil.retry import RetryPolicy, TaskFailure, protected_call
-from repro.rmesh.backends import (
-    CGOperator,
-    DirectOperator,
-    EscalatingOperator,
-    make_operator,
-)
 from repro.rmesh.solve import StackSolver
-from repro.rmesh.workloads import synthetic_workload
 
 
 @pytest.fixture(autouse=True)
@@ -69,9 +63,9 @@ def _fast_retry_env(monkeypatch, spec=None, max_attempts=6):
 
 def test_parse_fault_spec_full_grammar():
     rules = faults.parse_fault_spec(
-        "worker_crash:p=0.2:seed=7,slow_task:p=0.1:ms=20:seed=3,cg_stall:n=1"
+        "worker_crash:p=0.2:seed=7,slow_task:p=0.1:ms=20:seed=3,transient:n=1"
     )
-    assert [r.kind for r in rules] == ["worker_crash", "slow_task", "cg_stall"]
+    assert [r.kind for r in rules] == ["worker_crash", "slow_task", "transient"]
     assert rules[0].p == 0.2 and rules[0].seed == 7
     assert rules[1].ms == 20
     assert rules[2].n == 1
@@ -129,13 +123,6 @@ def test_worker_crash_degrades_to_raise_in_parent(monkeypatch):
     with pytest.raises(faults.WorkerCrashFault):
         faults.check_task("0")
 
-
-def test_cg_stall_is_a_solver_error(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "cg_stall:p=1")
-    with pytest.raises(SolverError):
-        faults.check_cg("64")
-    # and task-level checks ignore cg_stall rules entirely
-    faults.check_task("0")
 
 
 # -- TaskFailure / ReproError round-trips (satellite d) -----------------------
@@ -229,25 +216,16 @@ def test_protected_call_exhaustion_adds_context(monkeypatch):
 # -- env knob validation (satellite b) ----------------------------------------
 
 
-def test_solver_env_knobs_warn_and_default(monkeypatch):
+def test_solver_env_knobs_warn_and_default(monkeypatch, ddr3_stack):
     envcfg.reset_warnings()
-    model = synthetic_workload(6, 6, layers=1, bump_every=3).model
-    m = model.conductance_matrix().tocsc()
-    monkeypatch.setenv("REPRO_CG_RTOL", "1e-1O")  # letter O typo
-    monkeypatch.setenv("REPRO_CG_MAXITER", "lots")
-    monkeypatch.setenv("REPRO_CG_PRECOND", "ilu")
+    model = ddr3_stack.model
     monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "abc")
-    monkeypatch.setenv("REPRO_TRACE_EVERY", "often")
     before = obs_metrics.snapshot()
-    op = CGOperator(m)
-    assert op.rtol == 1e-10
-    assert op.preconditioner.kind == "factor"
-    assert op.maxiter >= 2000
-    # Both sampling knobs are read on every solve: a real one completes.
-    result = StackSolver(model, backend="cg").solve_currents(np.ones(m.shape[0]))
+    # The sampling knob is read on every solve: a real one completes.
+    result = StackSolver(model).solve_currents(np.full(model.num_nodes, 1e-4))
     assert np.all(np.isfinite(result.drops))
     delta = obs_metrics.diff(before, obs_metrics.snapshot())
-    assert delta["counters"].get("env.invalid_values") == 5
+    assert delta["counters"].get("env.invalid_values") == 1
 
 
 def test_workers_env_invalid_degrades_to_default(monkeypatch):
@@ -365,64 +343,6 @@ def test_run_tasks_preserves_order_under_chaos(monkeypatch):
     assert report.ok
 
 
-# -- solver escalation --------------------------------------------------------
-
-
-def _hard_workload():
-    return synthetic_workload(16, 16, layers=2, bump_every=8)
-
-
-def test_escalation_ladder_jacobi_to_factor():
-    wl = _hard_workload()
-    matrix = wl.model.conductance_matrix().tocsc()
-    # maxiter=2 cannot converge with jacobi; the ladder retries with a
-    # complete factorization, which converges in ~1 iteration.
-    op = make_operator("cg", matrix, precond_kind="jacobi", maxiter=2)
-    assert isinstance(op, EscalatingOperator)
-    x = op.solve(wl.currents)
-    assert op.escalation in ("factor", "direct")
-    reference = DirectOperator(matrix).solve(wl.currents)
-    np.testing.assert_allclose(x, reference, rtol=1e-8)
-
-
-def test_escalation_direct_fallback_is_bitwise_direct(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "cg_stall:p=1")
-    wl = _hard_workload()
-    matrix = wl.model.conductance_matrix().tocsc()
-    op = make_operator("cg", matrix)
-    x = op.solve(wl.currents)
-    assert op.escalation == "direct"
-    reference = DirectOperator(matrix.tocsc()).solve(wl.currents)
-    assert np.array_equal(x, reference)  # bitwise, not just close
-    # sticky: next solve goes straight to the direct rung
-    x2 = op.solve(wl.currents)
-    assert np.array_equal(x2, reference)
-
-
-def test_escalation_records_metrics_and_provenance(monkeypatch):
-    from repro.rmesh.solve import StackSolver
-
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "cg_stall:p=1")
-    wl = _hard_workload()
-    before = obs_metrics.snapshot()
-    solver = StackSolver(wl.model, backend="cg")
-    result = solver.solve_currents(wl.currents)
-    delta = obs_metrics.diff(before, obs_metrics.snapshot())
-    assert delta["counters"].get("resil.solver_escalations", 0) >= 1
-    assert result.escalated == "direct"
-    assert result.backend == "cg"  # configured backend, degraded rung
-
-
-def test_escalation_disabled_keeps_historical_raise(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER_ESCALATE", "0")
-    wl = _hard_workload()
-    matrix = wl.model.conductance_matrix().tocsc()
-    op = make_operator("cg", matrix, precond_kind="jacobi", maxiter=2)
-    assert isinstance(op, CGOperator)
-    with pytest.raises(SolverError):
-        op.solve(wl.currents)
-
-
 # -- checkpoint / resume ------------------------------------------------------
 
 
@@ -475,8 +395,17 @@ def test_default_checkpoint_from_env(tmp_path, monkeypatch):
     assert default_checkpoint() is ck  # shared instance
 
 
+def _sweep(bench, configs, state):
+    """Checkpointed solves of ``configs`` under one state, as fig5 runs them."""
+    from repro.perf.cache import cached_build_stack
+
+    return [
+        checkpointed_solve(cached_build_stack(bench.stack, cfg), state)
+        for cfg in configs
+    ]
+
+
 def test_sweep_session_resume_solves_zero_points(tmp_path, monkeypatch, ddr3_off_bench):
-    from repro.pdn.sweep import SweepSolveSession
     from repro.perf.cache import clear_caches
     from repro.power.state import MemoryState
 
@@ -490,27 +419,19 @@ def test_sweep_session_resume_solves_zero_points(tmp_path, monkeypatch, ddr3_off
     reset_default_checkpoint()
     clear_caches()
 
-    session = SweepSolveSession()
-    first = [
-        session.solve(ddr3_off_bench, cfg, state).dram_max_mv
-        for cfg in configs
-    ]
+    first = [r.dram_max_mv for r in _sweep(ddr3_off_bench, configs, state)]
     # "Kill" the run: new process state, same checkpoint file.
     clear_caches()
     reset_default_checkpoint()
     before = obs_metrics.registry.get_counter("solver.rhs_solved")
-    resumed = SweepSolveSession()
-    second = [
-        resumed.solve(ddr3_off_bench, cfg, state).dram_max_mv
-        for cfg in configs
-    ]
+    resumed = _sweep(ddr3_off_bench, configs, state)
     after = obs_metrics.registry.get_counter("solver.rhs_solved")
-    assert second == first  # bitwise: journaled floats round-trip JSON
+    assert all(isinstance(r, CheckpointedResult) for r in resumed)
+    assert [r.dram_max_mv for r in resumed] == first  # bitwise: JSON floats
     assert after == before  # zero re-solves
 
 
 def test_checkpoint_misses_on_changed_plan(tmp_path, monkeypatch, ddr3_off_bench):
-    from repro.pdn.sweep import SweepSolveSession
     from repro.perf.cache import clear_caches
     from repro.power.state import MemoryState
 
@@ -520,14 +441,51 @@ def test_checkpoint_misses_on_changed_plan(tmp_path, monkeypatch, ddr3_off_bench
     monkeypatch.setenv("REPRO_CHECKPOINT", str(path))
     reset_default_checkpoint()
     clear_caches()
-    session = SweepSolveSession()
-    session.solve(ddr3_off_bench, ddr3_off_bench.baseline.with_options(tsv_count=16), state)
+    base = ddr3_off_bench.baseline
+    _sweep(ddr3_off_bench, [base.with_options(tsv_count=16)], state)
     ck = default_checkpoint()
     assert ck is not None
     hits_before = ck.hits
     # A different design point must miss (content-addressed key).
-    session.solve(ddr3_off_bench, ddr3_off_bench.baseline.with_options(tsv_count=48), state)
+    _sweep(ddr3_off_bench, [base.with_options(tsv_count=48)], state)
     assert ck.hits == hits_before
+
+
+def test_checkpointed_solve_without_journal_is_solve_state(ddr3_stack, ddr3_off_bench):
+    assert default_checkpoint() is None
+    state = ddr3_off_bench.reference_state()
+    result = checkpointed_solve(ddr3_stack, state)
+    assert not isinstance(result, CheckpointedResult)
+    assert np.array_equal(result.raw.drops, ddr3_stack.solve_state(state).raw.drops)
+
+
+def test_checkpoint_keys_on_active_banks(tmp_path, monkeypatch, ddr3_off_bench):
+    """Two states with the same per-die bank counts but different banks
+    are different design points: the second must be solved, not served
+    the first one's journal entry."""
+    from repro.perf.cache import cached_build_stack, clear_caches
+    from repro.power.state import MemoryState
+
+    fp = ddr3_off_bench.stack.dram_floorplan
+    edge = MemoryState.from_counts([0, 0, 0, 2], fp)  # banks (0, 4)
+    inner = edge.with_die(3, (2, 3))
+    assert edge.label() == inner.label() and edge.active != inner.active
+    clear_caches()
+    stack = cached_build_stack(ddr3_off_bench.stack, ddr3_off_bench.baseline)
+    truth = [stack.solve_state(s).dram_max_mv for s in (edge, inner)]
+    assert truth[0] != truth[1]
+
+    monkeypatch.setenv("REPRO_CHECKPOINT", str(tmp_path / "banks.ckpt.jsonl"))
+    reset_default_checkpoint()
+    got = [checkpointed_solve(stack, s) for s in (edge, inner)]
+    assert [r.dram_max_mv for r in got] == truth
+    assert not any(isinstance(r, CheckpointedResult) for r in got)
+    # Resumed: both points come back from the journal, each its own.
+    reset_default_checkpoint()
+    resumed = [checkpointed_solve(stack, s) for s in (edge, inner)]
+    assert all(isinstance(r, CheckpointedResult) for r in resumed)
+    assert [r.dram_max_mv for r in resumed] == truth
+    assert point_key("h", edge.active, 1.0) != point_key("h", inner.active, 1.0)
 
 
 # -- obs.store truncated tail (satellite c) -----------------------------------

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SolverError
-from repro.obs.trace import span_count
+from repro.obs.trace import span_count, spans
 from repro.pdn.stackup import build_single_die_stack
 from repro.power import MemoryState
 from repro.power.model import DDR3_POWER
-from repro.rmesh import backends
 from repro.rmesh.transient import DecapConfig, TransientSolver
 
 ROOT = Path(__file__).parent.parent
@@ -131,17 +130,20 @@ def test_single_die_step_response_settles(ddr3_floorplan):
     assert res.final_mv == pytest.approx(stack.dram_max_mv(state), rel=0.02)
 
 
-def test_cg_steps_warm_start_from_previous_step(ddr3_stack, states, monkeypatch):
-    """On ``cg`` every time step is a traced CG solve seeded with the
-    previous step's drops."""
-    monkeypatch.setenv("REPRO_SOLVER", "cg")
-    monkeypatch.setenv(backends.TRACE_EVERY_ENV, "1")
+def test_transient_stages_run_in_spans(ddr3_stack, states):
+    """The factorization and the step loop are traced stages, and the
+    reported times are those spans' durations."""
     mark = span_count()
     solver = TransientSolver(ddr3_stack, DecapConfig(), dt_ns=1.0)
-    solver.step_response(states["active"], duration_ns=5.0)
-    traces = backends.traces(since=mark)
-    assert len(traces) == 5
-    assert all(t.backend == "cg" and t.warm_start for t in traces)
+    res = solver.step_response(states["active"], duration_ns=5.0)
+    recorded = spans(mark)
+    [factorize] = [r for r in recorded if r.name == "solver.factorize"]
+    [simulate] = [r for r in recorded if r.name == "transient.simulate"]
+    assert factorize.attrs["kind"] == "transient"
+    assert factorize.attrs["nodes"] == ddr3_stack.model.num_nodes
+    assert solver.factor_time == factorize.duration
+    assert simulate.attrs["steps"] == 5
+    assert res.solve_time_s == simulate.duration
 
 
 def _decap_matrix():
@@ -156,25 +158,13 @@ def _decap_matrix():
     }
 
 
-def test_decap_matrix_bitwise_on_direct(monkeypatch):
+def test_decap_matrix_bitwise_on_direct():
     """The backward-Euler operator built through ``make_operator`` gives
     bitwise the (peak, DC) pairs recorded with the former private SuperLU
     factorization."""
-    monkeypatch.setenv("REPRO_SOLVER", "direct")
     golden = json.loads(GOLDEN.read_text())
     got = {
         key: {name: value.hex() for name, value in row.items()}
         for key, row in _decap_matrix().items()
     }
     assert got == golden
-
-
-def test_decap_matrix_on_cg_within_1e9(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "cg")
-    golden = json.loads(GOLDEN.read_text())
-    got = _decap_matrix()
-    assert set(got) == set(golden)
-    for key, row in got.items():
-        for name, value in row.items():
-            expected = float.fromhex(golden[key][name])
-            assert value == pytest.approx(expected, rel=1e-9), f"{key}/{name}"
