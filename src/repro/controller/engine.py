@@ -34,47 +34,43 @@ Design
   faster and produces the same minimum — a property test asserts both
   paths agree.
 
-* **Channel-local scheduling.**  The issue pass is
-  *channel-separable*: within one cycle, whether a command issues on
-  channel ``c`` depends only on ``c``'s buses, ``c``'s banks, and the
-  iteration-constant active counts.  For FCFS-ordered policies
-  (``StandardJEDEC``, ``IRAwareFCFS``) the engine therefore keeps the
-  queue partitioned per channel and caches each channel's ready /
-  non-ready split, invalidating only on events that can change it
-  (arrival, completion, precharge, or a bank finishing activation).
-  Policies with dynamic priority order (``IRAwareDistR``, custom
-  subclasses) take a generic path: one full policy-ordered scan of the
-  queue per cycle.
+* **One channel-partitioned issue pass.**  Within one cycle, whether a
+  command issues on channel ``c`` depends only on ``c``'s buses, ``c``'s
+  banks, and the active counts.  The queue is therefore kept per
+  channel, with each channel's ready / non-ready split cached until an
+  event can change it (arrival, completion, precharge, or a bank
+  finishing activation).  Every policy runs on this pass.  FCFS policies
+  keep arrival order and hand ``act_candidates`` the oldest
+  ``act_lookahead`` waiting requests.  For ``IRAwareDistR``, recognised
+  by type, the engine stable-sorts both lists by the target die's
+  active-bank count, hands ``act_candidates`` the whole sorted waiting
+  list, and ranks channels for activation by their list head's (die
+  load, arrival).
 
 * **Streaming workloads.**  The engine consumes any iterable of
-  :class:`~repro.controller.request.ReadRequest` — a materialized list
-  or a lazy trace reader, which is what makes multi-million-request runs
-  possible without holding the whole trace's request objects alive.
+  :class:`~repro.controller.request.ReadRequest` through one pull-ahead
+  cursor.  A list or tuple is validated up front and can be run again;
+  any other iterable (a lazy trace reader) is validated as it is pulled,
+  which is what makes multi-million-request runs possible without
+  holding the whole trace's request objects alive.
 
 * **Bounded state tracking.**  ``SimResult.state_occupancy`` is a
   sparse histogram capped at ``SimConfig.max_tracked_states`` distinct
   states; cycles spent in states beyond the cap are counted in
   ``SimResult.states_dropped`` (and the ``sim.states.dropped`` metric)
   instead of growing memory without bound on long trace runs.
-
-Engine contract note: on the FCFS fast path,
-``ReadPolicy.act_candidates`` receives at most ``act_lookahead`` waiting
-requests per channel (every shipped policy slices its input to that
-window itself).  Policies that override ``order`` or ``act_candidates``
-automatically take the generic path, which passes the full per-channel
-list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -83,7 +79,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.controller.lut import IRDropLUT, StaticIRDropLUT
-from repro.controller.policies import IRAwareFCFS, ReadPolicy, StandardJEDEC
+from repro.controller.policies import (
+    IRAwareDistR,
+    IRAwareFCFS,
+    ReadPolicy,
+    StandardJEDEC,
+)
 from repro.controller.request import ReadRequest
 from repro.dram.timing import TimingParams
 from repro.errors import SimulationError
@@ -97,8 +98,8 @@ _FAR: int = 1 << 62
 #: idle-close eligibility masks beat the incremental scalar scans.
 _VEC_THRESHOLD: int = 48
 
-#: one queue entry on the FCFS fast path: (request, flat bank index,
-#: global arrival sequence number).
+#: one queue entry: (request, flat bank index, global arrival sequence
+#: number).
 _Entry = Tuple[ReadRequest, int, int]
 
 
@@ -281,16 +282,19 @@ class EventDrivenEngine:
         self.config = config
         self.policy = policy
         self.report_lut = report_lut
-        self._materialized: Optional[Sequence[ReadRequest]] = None
-        self._stream: Optional[Iterator[ReadRequest]] = None
+        #: request count when known up front (-1 for a stream).
+        self._total = -1
+        self._source: Callable[[], Iterator[ReadRequest]]
         if isinstance(workload, (list, tuple)):
-            self._materialized = workload
             for req in workload:
                 self._validate(req)
+            self._total = len(workload)
+            self._source = lambda: iter(workload)
         else:
-            self._stream = iter(workload)
+            stream = map(self._validate, workload)
+            self._source = lambda: stream
 
-    def _validate(self, req: ReadRequest) -> None:
+    def _validate(self, req: ReadRequest) -> ReadRequest:
         cfg = self.config
         if not (0 <= req.die < cfg.num_dies):
             raise SimulationError(
@@ -300,6 +304,7 @@ class EventDrivenEngine:
             raise SimulationError(
                 f"request {req.req_id}: bank {req.bank} out of range"
             )
+        return req
 
     # -- public API ----------------------------------------------------------
 
@@ -310,13 +315,10 @@ class EventDrivenEngine:
         ``engine="event"`` provenance) and pushes queue-depth,
         cycle-count, and command-mix metrics into the global registry.
         """
-        n_known = (
-            len(self._materialized) if self._materialized is not None else -1
-        )
         with span(
             "sim.run",
             policy=self.policy.name,
-            requests=n_known,
+            requests=self._total,
             engine="event",
         ):
             result = self._run(max_cycles)
@@ -361,21 +363,17 @@ class EventDrivenEngine:
         chan_of_bank = [cfg.channel_of(b) for b in range(B)]
         use_vec = N >= _VEC_THRESHOLD
         std_policy = policy if isinstance(policy, StandardJEDEC) else None
+        # DistR ranks waiting requests by their die's active-bank count.
+        balance = isinstance(policy, IRAwareDistR)
         # Earliest cycle the JEDEC tRRD/tFAW windows admit an ACT.  Only
         # on_activate moves the windows, so this is recomputed once per
         # ACT instead of every scheduling iteration.
         act_window = 0
 
-        # Policy capability detection.  The FCFS fast path applies when
-        # order/act_candidates are the stock FCFS implementations (so a
-        # per-channel split in arrival order reproduces the global scan)
-        # and may_read is either the always-true default or the IR-aware
-        # counts-only check (uniform across dies, cacheable per state).
+        # may_read dispatch: the always-true default, the IR-aware
+        # counts-only check (uniform across dies, cacheable per state), or
+        # an arbitrary override called per request.
         lookahead = policy.act_lookahead
-        order_fn = type(policy).order
-        fcfs_mode = (
-            order_fn is StandardJEDEC.order or order_fn is IRAwareFCFS.order
-        ) and type(policy).act_candidates is ReadPolicy.act_candidates
         mr_fn = type(policy).may_read
         if mr_fn is ReadPolicy.may_read:
             mr_kind = 0  # always True
@@ -384,10 +382,13 @@ class EventDrivenEngine:
         else:
             mr_kind = 2  # arbitrary override: call per request
         mr_cache: Dict[Tuple[int, ...], bool] = {}
-        # may_activate dispatch (fcfs fast path only): StandardJEDEC's is
-        # die- and counts-independent, so one evaluation covers the whole
-        # cycle (an ACT re-arms tRRD, blocking further ACTs this cycle);
-        # IRAwareFCFS's depends only on (counts, die), so it caches.
+        # The stock act_candidates would return the FCFS window cache_nr
+        # unchanged; skipping the call matters at 16 channels.
+        own_window = type(policy).act_candidates is not ReadPolicy.act_candidates
+        # may_activate dispatch: StandardJEDEC's is die- and
+        # counts-independent, so one evaluation covers the whole cycle (an
+        # ACT re-arms tRRD, blocking further ACTs this cycle); IRAwareFCFS's
+        # depends only on (counts, die), so it caches.
         ma_fn = type(policy).may_activate
         if ma_fn is StandardJEDEC.may_activate:
             ma_kind = 1
@@ -409,39 +410,22 @@ class EventDrivenEngine:
         cmd_free = [0] * C
         data_free = [0] * C
 
-        # Workload cursor: a materialized list or a pull-one stream.
-        wl = self._materialized
-        stream = self._stream
-        pending = 0
-        total = len(wl) if wl is not None else -1
+        # Workload cursor: one pulled-ahead request, None once drained.
+        source = self._source()
         arrived = 0
-        next_req: Optional[ReadRequest] = None
-        exhausted = wl is not None  # list mode tracks via pending/total
-        next_arrival = _FAR
-        if wl is not None:
-            if total > 0:
-                next_arrival = wl[0].arrival_cycle
-        else:
-            assert stream is not None
-            next_req = next(stream, None)
-            if next_req is None:
-                exhausted = True
-            else:
-                self._validate(next_req)
-                next_arrival = next_req.arrival_cycle
+        next_req = next(source, None)
+        next_arrival = _FAR if next_req is None else next_req.arrival_cycle
 
-        # Request queue.  FCFS mode: partitioned per channel with a
-        # cached ready / non-ready split per channel.  Generic mode: one
-        # global list in arrival order, re-prioritized by the policy
-        # every scheduling iteration.
-        q: List[ReadRequest] = []
+        # Request queue, partitioned per channel in arrival order, with a
+        # cached ready / non-ready split per channel (in DistR order for
+        # a balancing policy, re-sorted whenever the counts change).
         q_by_chan: List[List[_Entry]] = [[] for _ in range(C)]
         q_len = 0
-        seq_counter = 0
         dirty = [True] * C
         cache_ready: List[List[_Entry]] = [[] for _ in range(C)]
         cache_nr: List[List[ReadRequest]] = [[] for _ in range(C)]
-        cache_first = [0] * C
+        cache_head = [0] * C  # arrival seq of cache_nr[c][0]
+        cache_counts: List[Tuple[int, ...]] = [()] * C  # DistR sort key
 
         # Incremental bookkeeping.
         counts = [0] * D  # is_active (ACTIVATING|ACTIVE) banks per die
@@ -457,9 +441,7 @@ class EventDrivenEngine:
         refresh_blocked_until = [0] * D
         no_refresh_due = [False] * D
 
-        occ_table: Dict[Tuple[int, ...], int] = {}
-        occ_cap = cfg.max_tracked_states
-        occ_dropped = 0
+        occ = OccupancyAccumulator(cfg.max_tracked_states)
         occ_cycles = 0
         occ_samples = 0
         completed = 0
@@ -476,65 +458,29 @@ class EventDrivenEngine:
         prev_now = 0
         last_state: Optional[Tuple[int, ...]] = None
 
-        def is_ready(r: ReadRequest) -> bool:
-            i = r.die * B + r.bank
-            return st[i] == 2 and rowv[i] == r.row
-
         while True:
-            if wl is not None:
-                if completed >= total:
-                    break
-            elif exhausted and next_req is None and completed >= arrived:
+            if next_req is None and completed >= arrived:
                 break
             if now >= max_cycles:
                 break
 
             # --- arrivals (stall when the queue is full) -------------------
             if next_arrival <= now and q_len < depth:
-                if wl is not None:
-                    while pending < total and q_len < depth:
-                        r = wl[pending]
-                        if r.arrival_cycle > now:
-                            break
-                        if fcfs_mode:
-                            b = r.bank
-                            c = chan_of_bank[b]
-                            q_by_chan[c].append((r, r.die * B + b, seq_counter))
-                            dirty[c] = True
-                        else:
-                            q.append(r)
-                        seq_counter += 1
-                        q_len += 1
-                        pending += 1
-                    arrived = pending
-                    next_arrival = (
-                        wl[pending].arrival_cycle if pending < total else _FAR
-                    )
-                else:
-                    assert stream is not None
-                    while (
-                        next_req is not None
-                        and q_len < depth
-                        and next_req.arrival_cycle <= now
-                    ):
-                        r = next_req
-                        if fcfs_mode:
-                            b = r.bank
-                            c = chan_of_bank[b]
-                            q_by_chan[c].append((r, r.die * B + b, seq_counter))
-                            dirty[c] = True
-                        else:
-                            q.append(r)
-                        seq_counter += 1
-                        q_len += 1
-                        arrived += 1
-                        next_req = next(stream, None)
-                        if next_req is None:
-                            exhausted = True
-                            next_arrival = _FAR
-                        else:
-                            self._validate(next_req)
-                            next_arrival = next_req.arrival_cycle
+                while (
+                    next_req is not None
+                    and q_len < depth
+                    and next_req.arrival_cycle <= now
+                ):
+                    b = next_req.bank
+                    c = chan_of_bank[b]
+                    q_by_chan[c].append((next_req, next_req.die * B + b, arrived))
+                    dirty[c] = True
+                    q_len += 1
+                    arrived += 1
+                    next_req = next(source, None)
+                next_arrival = (
+                    _FAR if next_req is None else next_req.arrival_cycle
+                )
 
             # --- sync transient banks; occupancy accounting ----------------
             if transient:
@@ -554,13 +500,7 @@ class EventDrivenEngine:
             counts_t = tuple(counts)
             if last_state is not None and now > prev_now:
                 w = now - prev_now
-                v = occ_table.get(last_state)
-                if v is not None:
-                    occ_table[last_state] = v + w
-                elif len(occ_table) < occ_cap:
-                    occ_table[last_state] = w
-                else:
-                    occ_dropped += w
+                occ.add(last_state, w)
                 occ_cycles += q_len * w
                 occ_samples += w
             prev_now = now
@@ -601,7 +541,7 @@ class EventDrivenEngine:
             # policy order.  Pass 2: per free channel, one activation
             # candidate chosen by the policy may ACT, or PRE its bank on
             # a row mismatch.
-            if q_len and fcfs_mode:
+            if q_len:
                 if mr_kind == 1:
                     mr_val = mr_cache.get(counts_t)
                     if mr_val is None:
@@ -610,28 +550,30 @@ class EventDrivenEngine:
                     reads_possible = mr_val
                 else:
                     reads_possible = True
-                p2: List[Tuple[int, int]] = []
+                p2: List[Tuple[int, int, int]] = []
                 for c in range(C):
                     lst = q_by_chan[c]
                     if not lst or used_mark[c] == gen or now < cmd_free[c]:
                         continue
-                    if dirty[c]:
+                    if dirty[c] or (balance and cache_counts[c] != counts_t):
                         rc: List[_Entry] = []
-                        nr: List[ReadRequest] = []
-                        first = _FAR
+                        nre: List[_Entry] = []
                         for e in lst:
-                            r = e[0]
                             i = e[1]
-                            if st[i] == 2 and rowv[i] == r.row:
+                            if st[i] == 2 and rowv[i] == e[0].row:
                                 rc.append(e)
-                            else:
-                                if first == _FAR:
-                                    first = e[2]
-                                if len(nr) < lookahead:
-                                    nr.append(r)
+                            elif balance or len(nre) < lookahead:
+                                nre.append(e)
+                        if balance:
+                            # Stable: arrival order breaks die-load ties.
+                            rc.sort(key=lambda e: counts_t[e[0].die])
+                            nre.sort(key=lambda e: counts_t[e[0].die])
+                            cache_counts[c] = counts_t
+                        nr = [e[0] for e in nre]
                         cache_ready[c] = rc
                         cache_nr[c] = nr
-                        cache_first[c] = first
+                        if nre:
+                            cache_head[c] = nre[0][2]
                         dirty[c] = False
                     else:
                         rc = cache_ready[c]
@@ -684,17 +626,21 @@ class EventDrivenEngine:
                                 issued_here = True
                                 break
                     if not issued_here and nr:
-                        p2.append((cache_first[c], c))
-                # Pass 2, in the order channels first saw a waiting
-                # request (the generic scan's dict-insertion order).
-                # fcfs_mode guarantees the stock act_candidates, which
-                # returns exactly the capped non-ready window cache_nr.
+                        load = counts_t[nr[0].die] if balance else 0
+                        p2.append((load, cache_head[c], c))
+                # Pass 2: channels take turns by the rank of their
+                # waiting list's head, (die load, arrival) under DistR and
+                # plain arrival otherwise.  The policy picks the window
+                # from that list under the counts as they stand now.
                 if p2:
                     if len(p2) > 1:
                         p2.sort()
                     act_ok = ma_kind != 1 or now >= act_window
-                    for _, c in p2:
-                        for req in cache_nr[c]:
+                    for _, _, c in p2:
+                        window = cache_nr[c]
+                        if own_window:
+                            window = policy.act_candidates(window, counts_t)
+                        for req in window:
                             d = req.die
                             i = d * B + req.bank
                             if st[i] == 0 and now >= rdy[i]:
@@ -784,127 +730,6 @@ class EventDrivenEngine:
                                 issued_any = True
                                 dirty[c] = True
                                 break
-            elif q_len:
-                # Generic path: full policy-ordered scan (uncapped
-                # non-ready lists).
-                order = policy.order(list(q), counts_t, is_ready)
-                nr_by_chan: Dict[int, List[ReadRequest]] = {}
-                for req in order:
-                    b = req.bank
-                    c = chan_of_bank[b]
-                    i = req.die * B + b
-                    if used_mark[c] != gen:
-                        if (
-                            st[i] == 2
-                            and rowv[i] == req.row
-                            and now >= rdy[i]
-                            and now >= col[i] + tCCD
-                            and now >= cmd_free[c]
-                            and (
-                                now + tCWL >= data_free[c]
-                                if req.is_write
-                                else now + tCL >= data_free[c]
-                            )
-                            and policy.may_read(req.die, now, counts_t)
-                            and not (refresh_enabled and refresh_due[req.die])
-                        ):
-                            cmd_free[c] = now + 1
-                            if req.is_write:
-                                end = now + tCWL + burst
-                                writes_n += 1
-                            else:
-                                end = now + tCL + burst
-                                reads_n += 1
-                            data_free[c] = end
-                            vec.set_col(i, now)
-                            vec.set_lact(i, now)
-                            req.issue_cycle = now
-                            req.complete_cycle = end
-                            latency_sum += end - req.arrival_cycle
-                            for pos, item in enumerate(q):
-                                if item is req:
-                                    del q[pos]
-                                    break
-                            q_len -= 1
-                            completed += 1
-                            read_states.add(counts_t)
-                            used_mark[c] = gen
-                            used_n += 1
-                            issued_any = True
-                            continue
-                    if st[i] != 2 or rowv[i] != req.row:
-                        lstw = nr_by_chan.get(c)
-                        if lstw is None:
-                            nr_by_chan[c] = [req]
-                        else:
-                            lstw.append(req)
-                for c, waiting in nr_by_chan.items():
-                    if used_mark[c] == gen or now < cmd_free[c]:
-                        continue
-                    for req in policy.act_candidates(waiting, counts_t):
-                        d = req.die
-                        i = d * B + req.bank
-                        if st[i] == 0 and now >= rdy[i]:
-                            if counts[d] >= max_per_die:
-                                continue
-                            if (
-                                max_per_chan is not None
-                                and act_by_die_chan[d][c] >= max_per_chan
-                            ):
-                                continue
-                            if refresh_enabled and (
-                                refresh_due[d]
-                                or now < refresh_blocked_until[d]
-                            ):
-                                continue
-                            if not policy.may_activate(d, now, counts_t):
-                                continue
-                            vec.set_st(i, 1)
-                            vec.set_row(i, req.row)
-                            vec.set_act(i, now)
-                            vec.set_rdy(i, now + tRCD)
-                            vec.set_lact(i, now)
-                            transient.add(i)
-                            nonidle[d] += 1
-                            counts[d] += 1
-                            act_by_die_chan[d][c] += 1
-                            counts_t = tuple(counts)
-                            cmd_free[c] = now + 1
-                            policy.on_activate(d, now)
-                            if std_policy is not None:
-                                act_window = std_policy.earliest_activate(now)
-                            command_states.add(counts_t)
-                            activations += 1
-                            used_mark[c] = gen
-                            used_n += 1
-                            issued_any = True
-                            break
-                        if (
-                            st[i] == 2
-                            and rowv[i] != req.row
-                            and now >= act[i] + tRAS
-                            and now >= col[i] + tWR
-                            and not any(
-                                r2.die == d
-                                and r2.bank == req.bank
-                                and r2.row == rowv[i]
-                                for r2 in q
-                            )
-                        ):
-                            vec.set_st(i, 3)
-                            vec.set_row(i, -1)
-                            vec.set_rdy(i, now + tRP)
-                            open_set.discard(i)
-                            transient.add(i)
-                            counts[d] -= 1
-                            act_by_die_chan[d][c] -= 1
-                            counts_t = tuple(counts)
-                            cmd_free[c] = now + 1
-                            precharges += 1
-                            used_mark[c] = gen
-                            used_n += 1
-                            issued_any = True
-                            break
 
             # --- idle close ("a few cycles" without reads) -----------------
             # Gated on a conservative-low deadline so quiescent cycles
@@ -941,25 +766,11 @@ class EventDrivenEngine:
                     if not (shedding or force_close):
                         rr = rowv[i]
                         hit = False
-                        if fcfs_mode:
-                            for e in q_by_chan[c]:
-                                r2 = e[0]
-                                if (
-                                    r2.die == d
-                                    and r2.bank == b
-                                    and r2.row == rr
-                                ):
-                                    hit = True
-                                    break
-                        else:
-                            for r2 in q:
-                                if (
-                                    r2.die == d
-                                    and r2.bank == b
-                                    and r2.row == rr
-                                ):
-                                    hit = True
-                                    break
+                        for e in q_by_chan[c]:
+                            r2 = e[0]
+                            if r2.die == d and r2.bank == b and r2.row == rr:
+                                hit = True
+                                break
                         if hit:
                             continue
                     if now < cmd_free[c]:
@@ -1056,36 +867,22 @@ class EventDrivenEngine:
                     if now < v < best:
                         best = v
             if best == _FAR:
-                if q_len == 0 and (
-                    (wl is not None and pending >= total)
-                    or (wl is None and exhausted)
-                ):
+                if q_len == 0 and next_req is None:
                     # All work drained; only in-flight bursts remain.
                     now = now + 1
                     continue
+                known = self._total if self._total >= 0 else "?"
                 raise SimulationError(
                     f"simulation stalled at cycle {now}: queue depth "
-                    f"{q_len}, {arrived}/{total if total >= 0 else '?'} "
-                    "arrived"
+                    f"{q_len}, {arrived}/{known} arrived"
                 )
             now = best
 
         # Final occupancy flush.
         if last_state is not None and now > prev_now:
-            w = now - prev_now
-            v3 = occ_table.get(last_state)
-            if v3 is not None:
-                occ_table[last_state] = v3 + w
-            elif len(occ_table) < occ_cap:
-                occ_table[last_state] = w
-            else:
-                occ_dropped += w
+            occ.add(last_state, now - prev_now)
 
-        finished = (
-            completed >= total
-            if wl is not None
-            else exhausted and completed >= arrived
-        )
+        finished = next_req is None and completed >= arrived
         cycles = now
         max_ir = self._max_visited_ir(read_states | command_states)
         return SimResult(
@@ -1098,13 +895,13 @@ class EventDrivenEngine:
             activations=activations,
             precharges=precharges,
             refreshes=refreshes,
-            state_occupancy=occ_table,
+            state_occupancy=occ.table,
             mean_queue_depth=occ_cycles / occ_samples if occ_samples else 0.0,
             mean_latency_cycles=latency_sum / completed if completed else 0.0,
             finished=finished,
             reads=reads_n,
             writes=writes_n,
-            states_dropped=occ_dropped,
+            states_dropped=occ.dropped,
         )
 
     @staticmethod

@@ -2,7 +2,7 @@
 
 A policy answers two questions each cycle:
 
-1. in what priority order should queued requests be considered, and
+1. which waiting requests may be considered for a new activation, and
 2. may a new bank activation issue on die ``d`` right now?
 
 ``StandardJEDEC`` answers (2) with the DDR3 tRRD/tFAW rules -- applied per
@@ -10,13 +10,18 @@ channel, because the standard controller treats the stack as one rank and
 is "not aware of 3D stacking" (section 5.2).  The IR-drop-aware policies
 answer it with the look-up table: activation is allowed whenever the
 resulting memory state stays under the IR-drop constraint.
+
+Requests are considered in arrival order, except under
+``IRAwareDistR``: the engine recognises it by type and ranks every
+queued request by its target die's active-bank count (see
+``repro.controller.engine``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Sequence, Tuple
 
 from repro.controller.lut import IRDropLUT
 from repro.controller.request import ReadRequest
@@ -25,25 +30,12 @@ from repro.errors import ConfigurationError
 
 
 class ReadPolicy(ABC):
-    """Base class: scheduling order + activation admission."""
+    """Base class: activation window + admission."""
 
     name: str = "base"
 
     def reset(self) -> None:
         """Clear any per-run state (called once per simulation)."""
-
-    @abstractmethod
-    def order(
-        self,
-        queued: Sequence[ReadRequest],
-        active_counts: Tuple[int, ...],
-        is_ready: Optional[Callable[[ReadRequest], bool]] = None,
-    ) -> List[ReadRequest]:
-        """Queued requests in the priority order to consider this cycle.
-
-        ``is_ready`` (optional callable request -> bool) tells whether a
-        request's target row is already open, i.e. whether it would issue
-        as a READ rather than needing a new activation."""
 
     @abstractmethod
     def may_activate(
@@ -79,9 +71,12 @@ class ReadPolicy(ABC):
         active_counts: Tuple[int, ...],
     ) -> List[ReadRequest]:
         """Waiting requests considered for a new activation this cycle,
-        best first.  FCFS-style policies look at the oldest few; DistR
-        re-prioritizes toward the least-loaded die, escaping head-of-line
-        blocking when the oldest requests' dies are constrained."""
+        best first.
+
+        ``non_ready`` is one channel's waiting requests in the engine's
+        priority order: the oldest ``act_lookahead`` for FCFS policies,
+        all of them for DistR.  The default keeps the first
+        ``act_lookahead``."""
         return list(non_ready[: self.act_lookahead])
 
     def must_shed(self, active_counts: Tuple[int, ...]) -> bool:
@@ -112,14 +107,6 @@ class StandardJEDEC(ReadPolicy):
     def reset(self) -> None:
         self._last_act = -(10**9)
         self._act_history.clear()
-
-    def order(
-        self,
-        queued: Sequence[ReadRequest],
-        active_counts: Tuple[int, ...],
-        is_ready: Optional[Callable[[ReadRequest], bool]] = None,
-    ) -> List[ReadRequest]:
-        return list(queued)  # queue keeps arrival order: FCFS
 
     def may_activate(
         self, die: int, now: int, active_counts: Tuple[int, ...]
@@ -158,14 +145,6 @@ class IRAwareFCFS(ReadPolicy):
         self.lut = lut
         self.constraint_mv = constraint_mv
 
-    def order(
-        self,
-        queued: Sequence[ReadRequest],
-        active_counts: Tuple[int, ...],
-        is_ready: Optional[Callable[[ReadRequest], bool]] = None,
-    ) -> List[ReadRequest]:
-        return list(queued)
-
     def may_activate(
         self, die: int, now: int, active_counts: Tuple[int, ...]
     ) -> bool:
@@ -194,30 +173,22 @@ class IRAwareDistR(IRAwareFCFS):
 
     name = "ir_distr"
 
-    def order(
-        self,
-        queued: Sequence[ReadRequest],
-        active_counts: Tuple[int, ...],
-        is_ready: Optional[Callable[[ReadRequest], bool]] = None,
-    ) -> List[ReadRequest]:
-        # Requests whose row is already open issue first (they drain the
-        # queue without new activations); among the rest, the request
-        # whose target die has the fewest active banks wins.  Stable, so
-        # equal-priority requests keep arrival order.
-        if is_ready is None:
-            return sorted(queued, key=lambda r: active_counts[r.die])
-        return sorted(
-            queued,
-            key=lambda r: (not is_ready(r), active_counts[r.die]),
-        )
-
     def act_candidates(
         self,
         non_ready: Sequence[ReadRequest],
         active_counts: Tuple[int, ...],
     ) -> List[ReadRequest]:
-        """Distributed read: the same lookahead window, re-prioritized so
-        the request whose target die has the fewest active banks comes
-        first (stable toward arrival order within a die-load class)."""
+        """Distributed read: the first ``act_lookahead`` requests of
+        ``non_ready``, re-sorted by the current active counts (stable, so
+        arrival order breaks ties within a die-load class).
+
+        The engine passes the channel's *whole* waiting list, already
+        stable-sorted by die load as the cycle began, so the window holds
+        the ``act_lookahead`` requests on the least-loaded dies drawn from
+        the entire channel queue -- not a re-sort of the oldest few.  A
+        young request to an idle die therefore activates ahead of older
+        requests to loaded dies, however many of those are queued.  The
+        re-sort only matters when an earlier channel's ACT or PRE in the
+        same cycle has changed the counts."""
         window = list(non_ready[: self.act_lookahead])
         return sorted(window, key=lambda r: active_counts[r.die])

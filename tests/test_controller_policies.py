@@ -1,4 +1,4 @@
-"""Scheduling policy admission rules and orderings."""
+"""Scheduling policy admission rules and activation windows."""
 
 import pytest
 
@@ -52,10 +52,12 @@ class TestStandardJEDEC:
         assert earliest == timing.tFAW  # first ACT leaves the window then
         assert policy.may_activate(0, earliest, (0,) * 4)
 
-    def test_fcfs_order(self, timing):
+    def test_fcfs_act_window(self, timing):
+        # The engine hands FCFS policies their waiting requests in
+        # arrival order; the standard window keeps the oldest two as is.
         policy = StandardJEDEC(timing)
         queued = reqs(3, 1, 2)
-        assert policy.order(queued, (0, 0, 0, 0)) == queued
+        assert policy.act_candidates(queued, (0, 0, 0, 2)) == queued[:2]
 
     def test_ir_blind(self, timing):
         policy = StandardJEDEC(timing)
@@ -109,10 +111,4 @@ class TestIRAware:
         # Die 3 already busy; dies 0/1 idle -> they come first, in age order.
         ordered = policy.act_candidates(waiting, (0, 0, 0, 2))
         assert [r.die for r in ordered] == [0, 1, 3]
-
-    def test_distr_order_ready_first(self, ddr3_lut):
-        policy = IRAwareDistR(ddr3_lut, 24.0)
-        queued = reqs(2, 0)
-        ordered = policy.order(queued, (0, 0, 0, 0), is_ready=lambda r: r.die == 0)
-        assert ordered[0].die == 0  # the ready read drains first
 
