@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,9 +238,16 @@ class PDNStack:
     # -- evaluation --------------------------------------------------------------
 
     def power_maps(
-        self, state: MemoryState, logic_scale: float = 1.0
+        self,
+        state: MemoryState,
+        logic_scale: float = 1.0,
+        activity: Optional[Mapping[int, float]] = None,
     ) -> Dict[str, PowerMap]:
-        """Per-load-layer power maps for a memory state."""
+        """Per-load-layer power maps for a memory state.
+
+        ``activity`` overrides every DRAM die's per-channel I/O activity
+        (see :func:`~repro.power.powermap.dram_power_map`).
+        """
         if state.num_dies != self.spec.num_dram_dies:
             raise ConfigurationError(
                 f"state has {state.num_dies} dies, stack has "
@@ -257,6 +264,7 @@ class PDNStack:
                 die,
                 self.dram_grid,
                 self.tech.vdd,
+                activity=activity,
                 content_key=self._map_key,
             )
         if self.logic_grid is not None and logic_scale > 0.0:
@@ -328,7 +336,10 @@ class PDNStack:
         return self._result_from_raw(state, maps, raw)
 
     def solve_states(
-        self, states: Sequence[MemoryState], logic_scale: float = 1.0
+        self,
+        states: Sequence[MemoryState],
+        logic_scale: float = 1.0,
+        activities: Optional[Sequence[Optional[Mapping[int, float]]]] = None,
     ) -> List[StackIRResult]:
         """Solve many memory states in one batched back-substitution.
 
@@ -336,6 +347,9 @@ class PDNStack:
         block and pushed through the factorization in a single
         :meth:`~repro.rmesh.solve.StackSolver.solve_many` call.  Result
         ``i`` is numerically identical to ``solve_state(states[i])``.
+        ``activities``, one entry per state, are per-channel I/O activity
+        overrides for :meth:`power_maps` (``None`` entries derive the
+        activity from the state).
         """
         from repro.resil.retry import protected_call
 
@@ -343,7 +357,10 @@ class PDNStack:
             return []
         try:
             solver = self.solver
-            all_maps = [self.power_maps(state, logic_scale) for state in states]
+            all_maps = [
+                self.power_maps(state, logic_scale, activity)
+                for state, activity in zip(states, activities or [None] * len(states))
+            ]
             currents = np.stack(
                 [solver.currents_from_maps(maps) for maps in all_maps], axis=1
             )

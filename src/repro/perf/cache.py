@@ -18,11 +18,11 @@ its own process-global cache:
   descriptions the plan deliberately excludes, so wrappers are keyed
   separately from the physics they share).
 * **Power-map cache** -- maps ``(floorplan and power spec, state, die,
-  grid, vdd)`` (DRAM) or ``(floorplan and power spec, grid, vdd,
-  scale)`` (logic) to the rasterized per-node current map.  Design-space
-  sampling evaluates hundreds of *different* stacks against the *same*
-  reference state on the *same* grid, and every LUT fill needs the same
-  state-independent logic map.
+  grid, vdd, activity override)`` (DRAM) or ``(floorplan and power
+  spec, grid, vdd, scale)`` (logic) to the rasterized per-node current
+  map.  Design-space sampling evaluates hundreds of *different* stacks
+  against the *same* reference state on the *same* grid, and every LUT
+  basis column needs the same state-independent logic map.
 
 Assembly runs under a shared :class:`~repro.pdn.assemble.AssemblySession`,
 so even *distinct* plans (a TSV-count sweep) reuse the unchanged layer
@@ -38,7 +38,7 @@ reprs once per stack.  Entries are evicted least-recently-used.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
@@ -237,6 +237,7 @@ def cached_dram_power_map(
     grid: Any,
     vdd: float,
     mirrored: bool = False,
+    activity: Optional[Mapping[int, float]] = None,
     *,
     content_key: Any,
 ):
@@ -244,15 +245,20 @@ def cached_dram_power_map(
 
     ``content_key`` identifies ``floorplan`` and ``spec`` by content, such
     as their ``repr``; :class:`~repro.pdn.stackup.PDNStack` computes it
-    once per stack rather than once per map.
+    once per stack rather than once per map.  The key carries the
+    ``activity`` override too: an overridden map must never be served
+    for the same state without one.
     """
     from repro.power.powermap import dram_power_map
 
+    override = None if activity is None else tuple(sorted(activity.items()))
     return _cached_map(
         "dram",
-        (content_key, state.active, die, vdd, mirrored),
+        (content_key, state.active, die, vdd, mirrored, override),
         grid,
-        lambda: dram_power_map(floorplan, spec, state, die, grid, vdd, mirrored),
+        lambda: dram_power_map(
+            floorplan, spec, state, die, grid, vdd, mirrored, activity
+        ),
         die=die,
     )
 

@@ -142,19 +142,10 @@ def die_power_mw(
     banks = state.active[die]
     if not banks:
         return total
-    bank_channel = {b.bank_id: b.channel for b in floorplan.banks()}
-    per_channel: Dict[int, int] = {}
-    for bank_id in banks:
-        if bank_id not in bank_channel:
-            raise ConfigurationError(
-                f"bank {bank_id} not in floorplan {floorplan.name!r}"
-            )
-        chan = bank_channel[bank_id]
-        per_channel[chan] = per_channel.get(chan, 0) + 1
-    for chan, count in per_channel.items():
+    for chan, chan_banks in state.channel_banks(die, floorplan).items():
         act = state.channel_io_activity(die, chan, floorplan)
         total += spec.io_base_mw + act * spec.io_dyn_mw
-        total += channel_bank_power_mw(spec, count, act)
+        total += channel_bank_power_mw(spec, len(chan_banks), act)
     return total
 
 

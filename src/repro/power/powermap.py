@@ -10,7 +10,7 @@ section 2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -91,12 +91,19 @@ def dram_power_map(
     grid: Grid2D,
     vdd: float,
     mirrored: bool = False,
+    activity: Optional[Mapping[int, float]] = None,
 ) -> PowerMap:
     """Power map of one DRAM die in a memory state.
 
     ``mirrored`` rasterizes all blocks reflected across the die's vertical
     center line, modelling a flipped die in an F2F pair (paper section
     4.2: "changing the die orientation of DRAM1 and DRAM3").
+
+    ``activity`` overrides the I/O activity of each channel (a channel
+    missing from the mapping gets 0.0) instead of deriving it from the
+    state.  The map is affine in each channel's activity, which is what
+    lets the controller LUT superpose states from a few basis maps
+    (:mod:`repro.controller.lut`).
     """
     pmap = PowerMap.zeros(grid)
     axis_x = floorplan.outline.center.x
@@ -112,13 +119,7 @@ def dram_power_map(
         return pmap
 
     bank_blocks = {b.bank_id: b for b in floorplan.banks()}
-    per_channel: Dict[int, list] = {}
-    for bank_id in banks:
-        if bank_id not in bank_blocks:
-            raise ConfigurationError(
-                f"bank {bank_id} not in floorplan {floorplan.name!r}"
-            )
-        per_channel.setdefault(bank_blocks[bank_id].channel, []).append(bank_id)
+    per_channel = state.channel_banks(die, floorplan)
 
     io_blocks = floorplan.blocks_of_type(BlockType.IO)
     if not io_blocks:
@@ -130,7 +131,10 @@ def dram_power_map(
         )
 
     for chan, chan_banks in per_channel.items():
-        act = state.channel_io_activity(die, chan, floorplan)
+        if activity is None:
+            act = state.channel_io_activity(die, chan, floorplan)
+        else:
+            act = activity.get(chan, 0.0)
         # Channel periphery + IO power over the IO blocks.
         _area_weighted(
             pmap,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.floorplan.blocks import DieFloorplan
+from repro.floorplan.blocks import BlockType, DieFloorplan
 
 #: Stacked-DDR3 position classes from Figure 8 (bank column -> bank ids).
 DDR3_POSITION_CLASSES: Dict[str, Tuple[int, ...]] = {
@@ -162,6 +162,26 @@ class MemoryState:
             return 0.0
         return 1.0 / len(self.active_dies)
 
+    def channel_banks(
+        self, die: int, floorplan: DieFloorplan
+    ) -> Dict[int, Tuple[int, ...]]:
+        """Die ``die``'s active banks grouped by channel, in state order.
+
+        A die's load is a sum of one term per group: the rasterizer, the
+        power model and the LUT's superposition basis all split it here.
+        """
+        channel_of = {
+            b.bank_id: b.channel for b in floorplan.blocks if b.type is BlockType.BANK
+        }
+        groups: Dict[int, List[int]] = {}
+        for bank in self.active[die]:
+            if bank not in channel_of:
+                raise ConfigurationError(
+                    f"bank {bank} not in floorplan {floorplan.name!r}"
+                )
+            groups.setdefault(channel_of[bank], []).append(bank)
+        return {chan: tuple(group) for chan, group in groups.items()}
+
     def channel_io_activity(
         self, die: int, channel: int, floorplan: DieFloorplan
     ) -> float:
@@ -171,11 +191,17 @@ class MemoryState:
         ``d`` is ``1/k_c`` where ``k_c`` is the number of dies with active
         banks in that channel.
         """
-        chan_banks = {b.bank_id for b in floorplan.banks_in_channel(channel)}
-        if not set(self.active[die]) & chan_banks:
+        # The channel's bank ids, unordered: no need for the sorted
+        # ``banks_in_channel`` list on this per-state hot path.
+        chan_banks = {
+            b.bank_id
+            for b in floorplan.blocks
+            if b.type is BlockType.BANK and b.channel == channel
+        }
+        if chan_banks.isdisjoint(self.active[die]):
             return 0.0
         dies_active = sum(
-            1 for banks in self.active if set(banks) & chan_banks
+            1 for banks in self.active if not chan_banks.isdisjoint(banks)
         )
         return 1.0 / dies_active
 

@@ -119,3 +119,43 @@ def assert_golden(golden_decisions):
             assert got[key] == want[key], f"{name}: SimResult.{key} diverged"
 
     return check
+
+
+GOLDEN_ROWS = Path(__file__).parent / "golden" / "experiment_rows.json"
+
+
+@pytest.fixture(scope="session")
+def golden_rows():
+    """Frozen fast-mode experiment rows: ``{"excluded_model_fields": ...,
+    "experiments": {id: [{"label", "paper", "model"}, ...]}}``, floats
+    as ``float.hex`` (nothing regenerates the file)."""
+    return json.loads(GOLDEN_ROWS.read_text())
+
+
+@pytest.fixture(scope="session")
+def assert_rows_golden(golden_rows):
+    """``check(result)``: every row of an ``ExperimentResult`` equals the
+    golden bitwise -- labels, paper and model fields, and value types --
+    apart from the wall-clock fields the golden excludes by name."""
+
+    def encode(value):
+        return value.hex() if isinstance(value, float) else value
+
+    def check(result):
+        eid = result.experiment_id
+        skip = golden_rows["excluded_model_fields"].get(eid, {}).get("fields", ())
+        got = [
+            {
+                "label": row.label,
+                "paper": {k: encode(v) for k, v in row.paper.items()},
+                "model": {
+                    k: encode(v)
+                    for k, v in row.model.items()
+                    if k not in skip
+                },
+            }
+            for row in result.rows
+        ]
+        assert got == golden_rows["experiments"][eid], f"{eid}: rows diverged"
+
+    return check

@@ -1,10 +1,21 @@
 """IR-drop look-up table semantics."""
 
+import numpy as np
 import pytest
 
 from repro.controller import IRDropLUT
+from repro.designs import off_chip_ddr3
 from repro.errors import ConfigurationError
+from repro.experiments.ext_hmc_scheduling import CONSTRAINT_FRACTION
+from repro.experiments.fig9_constraint_sweep import (
+    FAST_CONSTRAINTS,
+    FULL_CONSTRAINTS,
+    table7_cases,
+)
+from repro.experiments.table6_policies import CONSTRAINT_MV
 from repro.obs import trace as obs_trace
+from repro.perf.cache import cached_build_stack
+from repro.power.state import MemoryState
 
 
 class TestLUT:
@@ -62,14 +73,76 @@ class TestLUT:
         assert ddr3_lut.lookup((0, 0, 0, 0)) == 0.0
 
 
-def test_lazy_fills_open_one_span_per_table_miss(ddr3_stack):
-    """``lut.fill`` wraps each miss's state build + solve, and only misses."""
+def test_basis_is_built_once_lazily_and_lookups_never_solve(ddr3_stack, ddr3_lut):
+    """One ``lut.basis`` span per table, opened by the first active
+    lookup; every later entry is superposed without a solve, and the lazy
+    table equals the eager one bitwise."""
     lut = IRDropLUT(ddr3_stack, precompute=False)
     mark = obs_trace.span_count()
-    for counts in [(0, 0, 0, 1), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)]:
+    lut.lookup((0, 0, 0, 0))  # idle reads 0.0 without a basis
+    assert obs_trace.spans(mark) == []
+    lut.lookup((0, 0, 0, 1))
+    spans = obs_trace.spans(mark)
+    assert [s.name for s in spans if s.name.startswith("lut.")] == ["lut.basis"]
+    children = {s.name for s in spans if s.parent == "lut.basis"}
+    assert {"powermap.rasterize", "solver.solve_many"} <= children
+    mark = obs_trace.span_count()
+    for counts in ddr3_lut.as_dict():
         lut.lookup(counts)
-    fills = [s for s in obs_trace.spans(mark) if s.name == "lut.fill"]
-    assert len(fills) == 2  # two distinct active states; idle is free
-    assert [s.attrs["counts"] for s in fills] == ["0-0-0-1", "1-0-0-0"]
-    children = {s.name for s in obs_trace.spans(mark) if s.parent == "lut.fill"}
-    assert {"powermap.rasterize", "solver.solve"} <= children
+    later = {s.name for s in obs_trace.spans(mark)}
+    assert "lut.basis" not in later
+    assert not any(name.startswith("solver.solve") for name in later)
+    assert lut.as_dict() == ddr3_lut.as_dict()
+
+
+def _relative_error(lut, stack, states):
+    """Worst relative gap between LUT entries and direct state solves."""
+    floorplan = stack.spec.dram_floorplan
+    worst = 0.0
+    for counts in states:
+        direct = stack.solve_state(MemoryState.from_counts(counts, floorplan))
+        worst = max(worst, abs(lut.lookup(counts) - direct.dram_max_mv) / direct.dram_max_mv)
+    return worst
+
+
+@pytest.fixture(scope="module")
+def hmc_lut(paper_stacks):
+    """The ext_hmc table (8 banks per die), every one of its 9^4 entries."""
+    return IRDropLUT(paper_stacks["hmc"][1], max_banks_per_die=8)
+
+
+class TestSuperposition:
+    """Superposed entries against whole-state solves, and their margin to
+    every constraint the drivers compare them with."""
+
+    def test_every_ddr3_state_matches_a_direct_solve(self, ddr3_stack, ddr3_lut):
+        states = [c for c in ddr3_lut.as_dict() if any(c)]
+        assert len(states) == 80
+        assert _relative_error(ddr3_lut, ddr3_stack, states) <= 1e-12
+
+    def test_sampled_hmc_states_match_direct_solves(self, paper_stacks, hmc_lut):
+        rng = np.random.default_rng(2015)
+        states = {tuple(int(c) for c in rng.integers(0, 9, 4)) for _ in range(320)}
+        states.discard((0, 0, 0, 0))
+        assert len(states) >= 300
+        assert _relative_error(hmc_lut, paper_stacks["hmc"][1], sorted(states)) <= 1e-12
+
+    @staticmethod
+    def _margin(lut, constraints):
+        return min(abs(v - c) for v in lut.as_dict().values() for c in constraints)
+
+    def test_no_table6_or_fig9_entry_sits_on_a_constraint(self):
+        """A ~1e-15 move of an entry cannot flip an admission decision."""
+        cases = [(off_chip_ddr3().stack, off_chip_ddr3().baseline, [CONSTRAINT_MV])]
+        cases += [
+            (bench.stack, config, FAST_CONSTRAINTS + FULL_CONSTRAINTS)
+            for _, _, bench, config in table7_cases()
+        ]
+        for spec, config, constraints in cases:
+            lut = IRDropLUT(cached_build_stack(spec, config))
+            assert self._margin(lut, constraints) > 1e-9
+
+    def test_no_ext_hmc_entry_sits_on_its_constraint(self, hmc_bench, hmc_lut):
+        ref = hmc_lut.lookup(hmc_bench.reference_state().counts)
+        assert hmc_lut.size == 9**4
+        assert self._margin(hmc_lut, [CONSTRAINT_FRACTION * ref]) > 1e-9

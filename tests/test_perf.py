@@ -161,6 +161,29 @@ def test_mutating_a_miss_result_leaves_later_hits_intact(
     clear_caches()
 
 
+def test_activity_override_is_part_of_the_power_map_key(ddr3_off_bench):
+    """The LUT basis rasterizes states at overridden activity; the cache
+    must never hand such a map out for the state's own activity, or the
+    other way round."""
+    clear_caches()
+    spec = ddr3_off_bench.stack
+    state = MemoryState.from_string("0-0-0-2", spec.dram_floorplan)
+    grid = plan_stack(spec, ddr3_off_bench.baseline).dram_grid.to_grid()
+
+    def fetch(activity=None):
+        return cached_dram_power_map(
+            spec.dram_floorplan, spec.dram_power, state, 3, grid, 1.5,
+            activity=activity, content_key=repr(spec),
+        ).current
+
+    silent = fetch({0: 0.0})
+    own = fetch()  # derived activity of a lone active die: 1.0
+    assert not np.array_equal(own, silent)
+    assert np.array_equal(fetch({0: 0.0}), silent)
+    assert np.array_equal(fetch({0: 1.0}), own)
+    clear_caches()
+
+
 def test_lru_rejects_bad_maxsize():
     with pytest.raises(ValueError):
         LRUCache(maxsize=0)
@@ -317,8 +340,9 @@ def test_profiled_fanout_spawns_and_merges_samples(monkeypatch, profiler_off):
 
 
 def test_lut_batched_equals_per_state(ddr3_stack, ddr3_lut):
-    # Rebuild lazily and resolve every entry one back-substitution at a
-    # time; the batched precompute (ddr3_lut fixture) must agree exactly.
+    # Rebuild lazily and resolve every entry one lookup at a time; the
+    # eager precompute (ddr3_lut fixture) superposes through the same
+    # code, so the two tables agree exactly.
     lazy = IRDropLUT(ddr3_stack, precompute=False)
     for counts in ddr3_lut.as_dict():
         assert lazy.lookup(counts) == ddr3_lut.lookup(counts)
