@@ -31,6 +31,7 @@ conductance-matrix assembly depends on for bitwise reproducibility.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
@@ -256,6 +257,21 @@ def op_from_dict(data: Mapping[str, Any]) -> PlanOp:
     return cls(**kwargs)
 
 
+@functools.lru_cache(maxsize=1024)
+def _canonical_op_json(op: PlanOp) -> str:
+    """One op's canonical JSON fragment, memoized on the frozen op.
+
+    A sweep re-plans the same ops over and over: the TSV, bump and
+    supply coordinate lists are ~60% of a plan's JSON and repeat across
+    the (M2, M3) points of every (combo, TSV count).  Hashing and
+    comparing an op's float tuples is far cheaper than formatting them.
+    Equal ops share one fragment; that is exact because plans hold no
+    ``-0.0`` (which equals ``0.0`` but prints differently): coordinates
+    and conductances are non-negative.
+    """
+    return json.dumps(op.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class StackPlan:
     """A complete, replayable recipe for one stacked R-mesh.
@@ -276,6 +292,10 @@ class StackPlan:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
+        return {**self._header(), "ops": [op.to_dict() for op in self.ops]}
+
+    def _header(self) -> Dict[str, Any]:
+        """Every top-level field of :meth:`to_dict` but ``ops``."""
         return {
             "schema_version": PLAN_SCHEMA_VERSION,
             "benchmark": self.benchmark,
@@ -284,17 +304,25 @@ class StackPlan:
             "dram_grid": asdict(self.dram_grid),
             "dram_origin": list(self.dram_origin),
             "logic_grid": asdict(self.logic_grid) if self.logic_grid else None,
-            "ops": [op.to_dict() for op in self.ops],
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent) + "\n"
 
     def canonical_json(self) -> str:
-        """Deterministic single-line JSON: the hashing pre-image."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
+        """Deterministic single-line JSON: the hashing pre-image.
+
+        Byte-identical to ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``, but each op's fragment comes from
+        :func:`_canonical_op_json`'s memo.  The header is encoded with a
+        ``null`` placeholder for ``ops``; inside any encoded string a
+        quote is escaped, so the first ``"ops":null`` is that key.
+        """
+        text = json.dumps(
+            {**self._header(), "ops": None}, sort_keys=True, separators=(",", ":")
         )
+        ops = ",".join(_canonical_op_json(op) for op in self.ops)
+        return text.replace('"ops":null', f'"ops":[{ops}]', 1)
 
     @property
     def plan_hash(self) -> str:

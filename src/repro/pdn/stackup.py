@@ -314,11 +314,20 @@ class PDNStack:
         )
 
     def solve_state(
-        self, state: MemoryState, logic_scale: float = 1.0
+        self,
+        state: MemoryState,
+        logic_scale: float = 1.0,
+        solver: Optional[StackSolver] = None,
     ) -> StackIRResult:
-        """Solve one memory state and extract per-die maxima."""
+        """Solve one memory state and extract per-die maxima.
+
+        ``solver`` replaces the stack's shared :attr:`solver` for this one
+        solve (the design-space sampler passes a private symmetric-ordering
+        factorization that no other caller may reuse).
+        """
         from repro.resil.retry import protected_call
 
+        solver = solver if solver is not None else self.solver
         maps = self.power_maps(state, logic_scale)
         # The solve runs under the resil chaos/retry hook: a plain call
         # when no fault spec is active, transparent retry of injected
@@ -326,7 +335,7 @@ class PDNStack:
         # funnels through here, so this one boundary covers them all.
         try:
             raw = protected_call(
-                lambda: self.solver.solve_power_maps(maps),
+                lambda: solver.solve_power_maps(maps),
                 site="solve_state",
                 key=f"{self.plan_hash or 'none'}:{state.label()}:{logic_scale}",
             )

@@ -40,7 +40,11 @@ from repro.pdn.config import (
 from repro.pdn.stackup import build_stack
 from repro.perf.parallel import map_design_points
 from repro.perf.timers import timed
+from repro.rmesh.solve import StackSolver
 from repro.tech.calibration import DEFAULT_TECH, TechConstants
+
+#: SuperLU column ordering of the sampling leg's factorizations.
+SAMPLING_ORDERING = "symmetric"
 
 #: Discrete part of a design point (the regression fits one linear model
 #: per combo).
@@ -178,6 +182,11 @@ def _eval_combo_chunk(
     each design point builds, factorizes, and solves its own stack, so
     points are independent and chunking by combo just bounds pickling
     overhead.
+
+    Each point is factorized once, with the ``"symmetric"`` ordering
+    (:mod:`repro.rmesh.backends`), by a solver private to this loop: the
+    stack comes from the uncached :func:`build_stack`, and the solver is
+    never stored on it, so no verification solve can pick it up.
     """
     bench, tech, pitch, key, grid = task
     state = bench.reference_state()
@@ -185,7 +194,9 @@ def _eval_combo_chunk(
     for m2, m3, tc in grid:
         config = config_from_parts(bench, key, m2, m3, tc)
         stack = build_stack(bench.stack, config, tech=tech, pitch=pitch)
-        out.append(DesignSample(config=config, ir_mv=stack.dram_max_mv(state)))
+        solver = StackSolver(stack.model, ordering=SAMPLING_ORDERING)
+        result = stack.solve_state(state, solver=solver)
+        out.append(DesignSample(config=config, ir_mv=result.dram_max_mv))
     return out
 
 

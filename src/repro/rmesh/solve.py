@@ -163,13 +163,21 @@ class IRDropResult:
 
 
 class StackSolver:
-    """Factorize a stack's system once, solve many load configurations."""
+    """Factorize a stack's system once, solve many load configurations.
 
-    def __init__(self, model: StackModel) -> None:
+    ``ordering`` picks the SuperLU column ordering
+    (:data:`repro.rmesh.backends.ORDERINGS`) and is recorded on the
+    ``solver.factorize`` span; shared solvers keep the default.
+    """
+
+    def __init__(self, model: StackModel, ordering: str = "colamd") -> None:
         self.model = model
+        self.ordering = ordering
         matrix = model.conductance_matrix().tocsc()
-        with span("solver.factorize", nodes=model.num_nodes) as sp:
-            self._lu = make_operator(matrix)
+        with span(
+            "solver.factorize", nodes=model.num_nodes, ordering=ordering
+        ) as sp:
+            self._lu = make_operator(matrix, ordering=ordering)
         self.factor_time = sp.duration
         # Kept for residual-norm checks; the factors dominate memory.
         self._matrix = matrix

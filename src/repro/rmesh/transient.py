@@ -123,7 +123,9 @@ class TransientSolver:
         self._c_over_dt = cap / dt_s
         g = stack.model.conductance_matrix().tocsc()
         c_over_dt = sp.diags(self._c_over_dt).tocsc()
-        with span("solver.factorize", nodes=n, kind="transient") as factorize:
+        with span(
+            "solver.factorize", nodes=n, kind="transient", ordering="colamd"
+        ) as factorize:
             self._lu = make_operator((g + c_over_dt).tocsc())
         self.factor_time = factorize.duration
 

@@ -149,3 +149,28 @@ class TestSlowDriversSmoke:
         assert rows["standard"]["max_ir_mv"] > rows["ir_distr"]["max_ir_mv"]
         assert rows["ir_distr"]["bandwidth"] >= rows["ir_fcfs"]["bandwidth"]
         assert rows["ir_fcfs"]["bandwidth"] > 2.0 * rows["standard"]["bandwidth"]
+
+
+class TestSamplingDrivers:
+    """The two drivers behind the design-space sampling leg, which
+    factorizes with the symmetric ordering (``repro.rmesh.backends``)."""
+
+    def test_sec61(self, assert_rows_golden):
+        res = run_experiment("sec61")
+        assert_rows_golden(res)
+        (row,) = res.rows
+        assert row.model["samples"] == 288
+        assert row.model["r_squared"] > 0.99
+
+    def test_table9(self, assert_rows_golden):
+        res = run_experiment("table9")
+        assert_rows_golden(res)
+        rows = {r.label.split(" ")[1]: r.model for r in res.rows}
+        # alpha trades cost for IR drop: alpha=0 is the cheapest pick,
+        # alpha=1 the lowest-drop one, and the tradeoff beats the baseline.
+        picks = [rows[f"alpha={a}"] for a in ("0.0", "0.3", "1.0")]
+        assert [p["cost"] for p in picks] == sorted(p["cost"] for p in picks)
+        assert [p["rmesh_mv"] for p in picks] == sorted(
+            (p["rmesh_mv"] for p in picks), reverse=True
+        )
+        assert rows["alpha=0.3"]["rmesh_mv"] < rows["baseline"]["rmesh_mv"]

@@ -40,6 +40,7 @@ from repro.pdn.plan import (
     OP_TYPES,
     PLAN_TOUCH_PREFIX,
     StackPlan,
+    _canonical_op_json,
     op_from_dict,
     plans_from_counters,
     record_plan_use,
@@ -49,6 +50,11 @@ from repro.pdn.stackup import build_single_die_stack, plan_stack
 from repro.perf.cache import cached_build_stack, clear_caches
 from repro.power.model import DDR3_POWER
 from repro.power.state import MemoryState
+from repro.regress.model import (
+    config_from_parts,
+    continuous_sample_grid,
+    valid_discrete_combos,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -340,6 +346,23 @@ class TestHashPreimage:
     def test_canonical_json_matches_asdict_preimage(self, key):
         plan = self._plans()[key]
         assert plan.canonical_json() == _asdict_preimage(plan)
+
+    def test_memoized_canonical_json_over_table9_sample_plans(self):
+        """Every fast Table 9 sample plan hashes from the same bytes as a
+        plain ``json.dumps`` of its dict, op memo hits included."""
+        bench = off_chip_ddr3()
+        grid = continuous_sample_grid(bench, tc_points=2)
+        plans = [
+            plan_stack(bench.stack, config_from_parts(bench, key, m2, m3, tc))
+            for key in valid_discrete_combos(bench)
+            for m2, m3, tc in grid
+        ]
+        assert len(plans) == 288
+        hits = _canonical_op_json.cache_info().hits
+        for plan in plans:
+            plain = json.dumps(plan.to_dict(), sort_keys=True, separators=(",", ":"))
+            assert plan.canonical_json() == plain
+        assert _canonical_op_json.cache_info().hits > hits
 
     @pytest.mark.parametrize("key", sorted(FACTORIES))
     def test_golden_plan_preimage_and_hash(self, key):
