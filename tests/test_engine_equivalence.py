@@ -1,7 +1,7 @@
 """The event-driven engine is pinned to frozen controller decisions.
 
 ``tests/golden/controller_decisions.json`` holds the full
-:class:`SimResult` of 19 seeded runs and the DDR3 IR-drop LUT they ran
+:class:`SimResult` of 26 seeded runs and the DDR3 IR-drop LUT they ran
 under, as ``IRDropLUT.to_json`` text.  Fifteen of them -- 3 seeds x 3
 policies, refresh + 2 channels + 20% writes per policy, a 3-state
 occupancy cap, refresh at seed 13, and ``repro3d sim`` on
@@ -23,8 +23,14 @@ with a one-bank-per-channel activation cap, refresh, 25% writes, 21 and
 commit 525ccc43982196c47b6439775d8e25f9bb9c0c67, where DistR still ran
 on a separate whole-queue scan that re-sorted the queue by the policy's
 priority every scheduling iteration, under the same golden LUT.
+
+The seven ``shape/*`` cases (see :class:`TestEngineShapes`) were
+recorded at commit 3d918bc2602c11056a9d971c5350fe29366eec5f, where the
+engine still re-partitioned each channel's queue and re-sorted it by die
+load whenever the queue or the counts changed.
 """
 
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -44,6 +50,7 @@ from repro.controller.engine import (
     BankStateVec,
     OccupancyAccumulator,
 )
+from repro.controller.lut import StaticIRDropLUT
 from repro.controller.request import ReadRequest
 from repro.dram import TimingParams
 from repro.errors import SimulationError
@@ -57,12 +64,12 @@ def timing():
     return TimingParams.ddr3_1600()
 
 
-def _make_policy(name, timing, lut):
+def _make_policy(name, timing, lut, constraint_mv=24.0):
     if name == "standard":
         return StandardJEDEC(timing)
     if name == "ir_fcfs":
-        return IRAwareFCFS(lut, 24.0)
-    return IRAwareDistR(lut, 24.0)
+        return IRAwareFCFS(lut, constraint_mv)
+    return IRAwareDistR(lut, constraint_mv)
 
 
 def _run(cfg, name, timing, lut, wc):
@@ -135,6 +142,78 @@ class TestDistRMultiChannel:
             iter(workload) if streamed else workload,
             golden_lut,
         ).run()
+        assert_golden(name, result)
+
+
+def _hmc_lut():
+    """A solver-free LUT in the HMC's shape: 4 dies, 0..8 active banks
+    each, ``1.25 mV`` per active bank plus ``0.5 mV`` per bank on the
+    most loaded die (every value is exact in binary)."""
+    table = {
+        counts: 1.25 * sum(counts) + 0.5 * max(counts)
+        for counts in itertools.product(range(9), repeat=4)
+    }
+    return StaticIRDropLUT(table, num_dies=4, max_banks_per_die=8)
+
+
+def _shape_case(name, timing, golden_lut):
+    """``(SimConfig, policy, workload, report LUT)`` of a ``shape/*`` case."""
+    group, policy_name = name.split("/")[1:]
+    if group == "hmc":
+        # ext_hmc's controller shape: 16 channels, 32 banks per die, up
+        # to 8 active banks per die (2 per channel), saturating traffic.
+        hmc_timing = TimingParams.hmc_2500()
+        cfg = SimConfig(
+            timing=hmc_timing,
+            num_dies=4,
+            banks_per_die=32,
+            num_channels=16,
+            max_banks_per_die=8,
+            max_banks_per_channel=2,
+        )
+        wc = WorkloadConfig(
+            num_requests=2000,
+            banks_per_die=32,
+            arrival_interval=1,
+            seed=41,
+            write_fraction=0.2,
+        )
+        lut = _hmc_lut()
+        policy = _make_policy(policy_name, hmc_timing, lut, 26.0)
+        return cfg, policy, generate_workload(wc), lut
+    if group == "qd2_refresh":
+        cfg = SimConfig(timing=timing, queue_depth=2, refresh_enabled=True)
+        wc = WorkloadConfig(num_requests=1500, seed=17, write_fraction=0.2)
+    else:  # "conflict_cw0": writes and row conflicts, no idle window
+        cfg = SimConfig(timing=timing, close_window=0, num_channels=2)
+        wc = WorkloadConfig(
+            num_requests=1500,
+            seed=31,
+            write_fraction=0.6,
+            num_rows=3,
+            row_hit_rate=0.5,
+            arrival_interval=3,
+        )
+    policy = _make_policy(policy_name, timing, golden_lut)
+    return cfg, policy, generate_workload(wc), golden_lut
+
+
+SHAPE_CASES = [f"shape/hmc/{p}" for p in POLICIES] + [
+    "shape/qd2_refresh/ir_distr"
+] + [f"shape/conflict_cw0/{p}" for p in POLICIES]
+
+
+class TestEngineShapes:
+    """Shapes the cases above leave out: ext_hmc's 16-channel shape,
+    where DistR's die loads span 0..8, under a closed-form LUT; DistR
+    with a two-entry queue and refresh; and a write-heavy stream over
+    three rows per bank with ``close_window=0``, where banks are often
+    due to close while a queued request still wants their open row."""
+
+    @pytest.mark.parametrize("name", SHAPE_CASES)
+    def test_shape_case(self, timing, golden_lut, assert_golden, name):
+        cfg, policy, workload, lut = _shape_case(name, timing, golden_lut)
+        result = EventDrivenEngine(cfg, policy, workload, lut).run()
         assert_golden(name, result)
 
 
