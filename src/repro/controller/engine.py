@@ -63,6 +63,7 @@ Design
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -98,9 +99,9 @@ _FAR: int = 1 << 62
 #: idle-close eligibility masks beat the incremental scalar scans.
 _VEC_THRESHOLD: int = 48
 
-#: one queue entry: (request, flat bank index, global arrival sequence
-#: number).
-_Entry = Tuple[ReadRequest, int, int]
+#: one queue entry: (global arrival sequence number, flat bank index,
+#: request).  Entries order by arrival.
+_Entry = Tuple[int, int, ReadRequest]
 
 
 @dataclass(frozen=True)
@@ -204,30 +205,58 @@ class OccupancyAccumulator:
             self.dropped += cycles
 
 
-class BankStateVec:
-    """Flat per-bank state vectors indexed ``die * banks_per_die + bank``.
+class BankState:
+    """Flat per-bank state lists indexed ``die * banks_per_die + bank``.
 
-    The numpy arrays are the authoritative storage (and what the
-    vectorized next-event / eligibility math runs over); the ``*_l``
-    attributes are plain-list views of the same values for the scalar
-    scheduling scan.  Mutations must go through the ``set_*`` helpers so
-    the two views stay identical.
+    The scheduling loop reads the ``*_l`` lists directly and writes them
+    through the ``set_*`` helpers.  Below ``_VEC_THRESHOLD`` banks nothing
+    else is needed, so this list-only state is what the engine keeps.
     """
 
     def __init__(self, num_banks: int) -> None:
         neg = -(10**9)
-        self.st: NDArray[np.int64] = np.zeros(num_banks, dtype=np.int64)
-        self.row: NDArray[np.int64] = np.full(num_banks, -1, dtype=np.int64)
-        self.rdy: NDArray[np.int64] = np.zeros(num_banks, dtype=np.int64)
-        self.act: NDArray[np.int64] = np.full(num_banks, neg, dtype=np.int64)
-        self.col: NDArray[np.int64] = np.full(num_banks, neg, dtype=np.int64)
-        self.lact: NDArray[np.int64] = np.full(num_banks, neg, dtype=np.int64)
         self.st_l: List[int] = [0] * num_banks
         self.row_l: List[int] = [-1] * num_banks
         self.rdy_l: List[int] = [0] * num_banks
         self.act_l: List[int] = [neg] * num_banks
         self.col_l: List[int] = [neg] * num_banks
         self.lact_l: List[int] = [neg] * num_banks
+
+    def set_st(self, i: int, v: int) -> None:
+        self.st_l[i] = v
+
+    def set_row(self, i: int, v: int) -> None:
+        self.row_l[i] = v
+
+    def set_rdy(self, i: int, v: int) -> None:
+        self.rdy_l[i] = v
+
+    def set_act(self, i: int, v: int) -> None:
+        self.act_l[i] = v
+
+    def set_col(self, i: int, v: int) -> None:
+        self.col_l[i] = v
+
+    def set_lact(self, i: int, v: int) -> None:
+        self.lact_l[i] = v
+
+
+class BankStateVec(BankState):
+    """:class:`BankState` plus numpy ``int64`` mirrors of every list.
+
+    The arrays are what the vectorized next-event / eligibility math runs
+    over at ``_VEC_THRESHOLD`` banks and above.  Mutations must go
+    through the ``set_*`` helpers so the two views stay identical.
+    """
+
+    def __init__(self, num_banks: int) -> None:
+        super().__init__(num_banks)
+        self.st: NDArray[np.int64] = np.array(self.st_l, dtype=np.int64)
+        self.row: NDArray[np.int64] = np.array(self.row_l, dtype=np.int64)
+        self.rdy: NDArray[np.int64] = np.array(self.rdy_l, dtype=np.int64)
+        self.act: NDArray[np.int64] = np.array(self.act_l, dtype=np.int64)
+        self.col: NDArray[np.int64] = np.array(self.col_l, dtype=np.int64)
+        self.lact: NDArray[np.int64] = np.array(self.lact_l, dtype=np.int64)
 
     def set_st(self, i: int, v: int) -> None:
         self.st[i] = v
@@ -263,6 +292,163 @@ class BankStateVec:
             and self.col.tolist() == self.col_l
             and self.lact.tolist() == self.lact_l
         )
+
+
+def load_groups(counts: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Dies grouped by equal active-bank count, least loaded group first.
+
+    DistR's priority order is a stable sort of the queue by the target
+    die's load: the least loaded group's requests in arrival order, then
+    the next group's, and so on.
+    """
+    by_load: Dict[int, List[int]] = {}
+    for d, load in enumerate(counts):
+        by_load.setdefault(load, []).append(d)
+    return tuple(tuple(by_load[load]) for load in sorted(by_load))
+
+
+class RequestQueue:
+    """The controller's request queue, kept ready for scheduling.
+
+    An entry is ``(seq, flat bank, request)`` with ``seq`` the global
+    arrival number, so entries sort by arrival.  For every channel and
+    *bucket* two seq-ordered lists hold the entries: ``ready`` (the
+    target bank is open at the entry's row) and ``waiting`` (the rest).
+    With ``per_die`` there is one bucket per die, which DistR merges by
+    die load (:meth:`ready_order`, :meth:`waiting_head`); otherwise all
+    dies of a channel share one bucket, already in arrival order.  Per
+    bank, ``by_bank`` lists its entries and ``hits`` counts its ready
+    ones; per channel, ``size`` and ``n_ready`` count entries.
+
+    The caller reports every event that can move an entry between the
+    lists -- arrival, a bank opening, a bank closing with ready entries,
+    a column command -- and each costs work on that bank's entries only.
+    """
+
+    def __init__(
+        self,
+        num_channels: int,
+        num_dies: int,
+        banks_per_die: int,
+        per_die: bool,
+    ) -> None:
+        self.banks_per_die = banks_per_die
+        self.per_die = per_die
+        self.ready: List[List[List[_Entry]]] = []
+        self.waiting: List[List[List[_Entry]]] = []
+        for _ in range(num_channels):
+            if per_die:
+                self.ready.append([[] for _ in range(num_dies)])
+                self.waiting.append([[] for _ in range(num_dies)])
+            else:
+                self.ready.append([[]] * num_dies)
+                self.waiting.append([[]] * num_dies)
+        num_banks = num_dies * banks_per_die
+        self.by_bank: List[List[_Entry]] = [[] for _ in range(num_banks)]
+        self.hits: List[int] = [0] * num_banks
+        self.size: List[int] = [0] * num_channels
+        self.n_ready: List[int] = [0] * num_channels
+
+    def push(self, c: int, entry: _Entry, open_row: int) -> bool:
+        """Queue ``entry`` on channel ``c``; ``open_row`` is its bank's
+        open row (-1 unless the bank is open).  Returns whether the
+        entry is ready."""
+        i = entry[1]
+        req = entry[2]
+        self.by_bank[i].append(entry)
+        self.size[c] += 1
+        if req.row == open_row:
+            self.ready[c][req.die].append(entry)
+            self.hits[i] += 1
+            self.n_ready[c] += 1
+            return True
+        self.waiting[c][req.die].append(entry)
+        return False
+
+    def pop(self, c: int, entry: _Entry) -> int:
+        """Remove a ready ``entry`` (its column command issued); returns
+        the bank's remaining hit count."""
+        i = entry[1]
+        self.ready[c][entry[2].die].remove(entry)
+        self.by_bank[i].remove(entry)
+        self.size[c] -= 1
+        self.n_ready[c] -= 1
+        self.hits[i] -= 1
+        return self.hits[i]
+
+    def open_bank(self, c: int, i: int, row: int) -> int:
+        """Bank ``i`` opened at ``row``: its entries for that row become
+        ready.  Returns the bank's hit count."""
+        d = i // self.banks_per_die
+        ready = self.ready[c][d]
+        waiting = self.waiting[c][d]
+        k = 0
+        for entry in self.by_bank[i]:
+            if entry[2].row == row:
+                waiting.remove(entry)
+                insort(ready, entry)
+                k += 1
+        self.hits[i] = k
+        self.n_ready[c] += k
+        return k
+
+    def close_bank(self, c: int, i: int, row: int) -> None:
+        """Bank ``i``, open at ``row``, is precharging: its ready entries
+        wait again."""
+        d = i // self.banks_per_die
+        ready = self.ready[c][d]
+        waiting = self.waiting[c][d]
+        for entry in self.by_bank[i]:
+            if entry[2].row == row:
+                ready.remove(entry)
+                insort(waiting, entry)
+        self.n_ready[c] -= self.hits[i]
+        self.hits[i] = 0
+
+    def ready_order(
+        self, c: int, groups: Tuple[Tuple[int, ...], ...]
+    ) -> List[_Entry]:
+        """Channel ``c``'s ready entries in priority order: by die group
+        of ``groups`` (:func:`load_groups`), then by arrival.  Without
+        ``per_die`` this is the live arrival-ordered list."""
+        ready = self.ready[c]
+        if not self.per_die:
+            return ready[0]
+        out: List[_Entry] = []
+        for grp in groups:
+            if len(grp) == 1:
+                out += ready[grp[0]]
+                continue
+            start = len(out)
+            for d in grp:
+                out += ready[d]
+            if len(out) - start > 1:
+                out[start:] = sorted(out[start:])
+        return out
+
+    def waiting_head(
+        self, c: int, groups: Tuple[Tuple[int, ...], ...], k: int
+    ) -> List[_Entry]:
+        """The first ``k`` of channel ``c``'s waiting entries, in the
+        order of :meth:`ready_order`."""
+        waiting = self.waiting[c]
+        if not self.per_die:
+            return waiting[0][:k]
+        out: List[_Entry] = []
+        for grp in groups:
+            need = k - len(out)
+            if len(grp) == 1:
+                out += waiting[grp[0]][:need]
+            else:
+                part: List[_Entry] = []
+                for d in grp:
+                    part += waiting[d][:need]
+                if len(part) > 1:
+                    part.sort()
+                out += part[:need]
+            if len(out) >= k:
+                break
+        return out
 
 
 class EventDrivenEngine:
@@ -356,6 +542,9 @@ class EventDrivenEngine:
         tREFI = timing.tREFI
         burst = timing.burst_cycles
         close_window = cfg.close_window
+        # After a column command a bank cannot close before this many
+        # cycles (the idle window and tWR both restart at it).
+        col_close = max(close_window, tWR)
         depth = cfg.queue_depth
         max_per_die = cfg.max_banks_per_die
         max_per_chan = cfg.max_banks_per_channel
@@ -382,9 +571,13 @@ class EventDrivenEngine:
         else:
             mr_kind = 2  # arbitrary override: call per request
         mr_cache: Dict[Tuple[int, ...], bool] = {}
-        # The stock act_candidates would return the FCFS window cache_nr
-        # unchanged; skipping the call matters at 16 channels.
+        # The stock act_candidates would return the FCFS window unchanged;
+        # skipping the call matters at 16 channels.  DistR's stock one
+        # re-sorts the window by the current counts, a no-op while the
+        # dies' load grouping is the one the channel's order was built
+        # under.
         own_window = type(policy).act_candidates is not ReadPolicy.act_candidates
+        stock_distr = type(policy).act_candidates is IRAwareDistR.act_candidates
         # may_activate dispatch: StandardJEDEC's is die- and
         # counts-independent, so one evaluation covers the whole cycle (an
         # ACT re-arms tRRD, blocking further ACTs this cycle); IRAwareFCFS's
@@ -396,9 +589,9 @@ class EventDrivenEngine:
             ma_kind = 2
         else:
             ma_kind = 0
-        ma_cache: Dict[Tuple[Tuple[int, ...], int], bool] = {}
+        ma_cache: Dict[Tuple[int, ...], List[Optional[bool]]] = {}
 
-        vec = BankStateVec(N)
+        vec = BankStateVec(N) if use_vec else BankState(N)
         st = vec.st_l
         rowv = vec.row_l
         rdy = vec.rdy_l
@@ -416,30 +609,54 @@ class EventDrivenEngine:
         next_req = next(source, None)
         next_arrival = _FAR if next_req is None else next_req.arrival_cycle
 
-        # Request queue, partitioned per channel in arrival order, with a
-        # cached ready / non-ready split per channel (in DistR order for
-        # a balancing policy, re-sorted whenever the counts change).
-        q_by_chan: List[List[_Entry]] = [[] for _ in range(C)]
+        # Request queue, bucketed per (channel, die) under DistR and per
+        # channel otherwise (see RequestQueue).
+        queue = RequestQueue(C, D, B, per_die=balance)
+        q_size = queue.size
+        q_ready_n = queue.n_ready
+        hits = queue.hits
         q_len = 0
-        dirty = [True] * C
+        # Per channel, the ready order and the first act_lookahead
+        # waiting entries, each with the load grouping it was built
+        # under; None marks it stale.
         cache_ready: List[List[_Entry]] = [[] for _ in range(C)]
-        cache_nr: List[List[ReadRequest]] = [[] for _ in range(C)]
-        cache_head = [0] * C  # arrival seq of cache_nr[c][0]
-        cache_counts: List[Tuple[int, ...]] = [()] * C  # DistR sort key
+        ready_groups: List[Optional[Tuple[Tuple[int, ...], ...]]] = [None] * C
+        cache_nr: List[List[_Entry]] = [[] for _ in range(C)]
+        wait_groups: List[Optional[Tuple[Tuple[int, ...], ...]]] = [None] * C
+        # counts -> load grouping, interned so that equal groupings are
+        # one object and a cache check is an identity test.
+        groups_of: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
+        interned: Dict[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]] = {}
+
+        def grouping(counts_t: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+            g = groups_of.get(counts_t)
+            if g is None:
+                g = load_groups(counts_t)
+                g = groups_of[counts_t] = interned.setdefault(g, g)
+            return g
 
         # Incremental bookkeeping.
         counts = [0] * D  # is_active (ACTIVATING|ACTIVE) banks per die
+        counts_t = tuple(counts)
+        # FCFS policies keep the all-idle grouping throughout.
+        groups = grouping(counts_t)
         nonidle = [0] * D  # banks not in IDLE (includes PRECHARGING)
         act_by_die_chan = [[0] * C for _ in range(D)]
         transient: Set[int] = set()  # banks in state 1 or 3
+        trans_next = _FAR  # conservative-low min of transient rdy
         open_set: Set[int] = set()  # banks in state 2
-        min_close = _FAR  # conservative-low idle-close deadline
+        # Conservative-low idle-close deadline over open banks without
+        # queued hits (a bank with hits only closes while shedding or for
+        # refresh, which run the block anyway).
+        min_close = _FAR
         used_mark = [0] * C  # used_mark[c] == gen: channel issued this cycle
         gen = 0
 
         next_refresh = [(d + 1) * tREFI // D for d in range(D)]
+        refresh_next = min(next_refresh) if refresh_enabled else _FAR
         refresh_blocked_until = [0] * D
         no_refresh_due = [False] * D
+        refresh_due = no_refresh_due
 
         occ = OccupancyAccumulator(cfg.max_tracked_states)
         occ_cycles = 0
@@ -454,6 +671,11 @@ class EventDrivenEngine:
         read_states: Set[Tuple[int, ...]] = set()
         command_states: Set[Tuple[int, ...]] = set()
         shed_cache: Dict[Tuple[int, ...], bool] = {}
+        # The caches above are keyed by counts; the last lookup of each
+        # is reused while counts_t is the same object.
+        mr_counts = shed_counts = ma_counts = None
+        mr_val = shedding = False
+        ma_row: List[Optional[bool]] = []
         now = 0
         prev_now = 0
         last_state: Optional[Tuple[int, ...]] = None
@@ -472,9 +694,16 @@ class EventDrivenEngine:
                     and next_req.arrival_cycle <= now
                 ):
                     b = next_req.bank
+                    i = next_req.die * B + b
                     c = chan_of_bank[b]
-                    q_by_chan[c].append((next_req, next_req.die * B + b, arrived))
-                    dirty[c] = True
+                    if queue.push(
+                        c,
+                        (arrived, i, next_req),
+                        rowv[i] if st[i] == 2 else -1,
+                    ):
+                        ready_groups[c] = None
+                    else:
+                        wait_groups[c] = None
                     q_len += 1
                     arrived += 1
                     next_req = next(source, None)
@@ -483,21 +712,30 @@ class EventDrivenEngine:
                 )
 
             # --- sync transient banks; occupancy accounting ----------------
-            if transient:
+            if now >= trans_next:
+                nxt = _FAR
                 for i in tuple(transient):
-                    if rdy[i] <= now:
-                        if st[i] == 1:
-                            vec.set_st(i, 2)
-                            open_set.add(i)
+                    v = rdy[i]
+                    if v > now:
+                        if v < nxt:
+                            nxt = v
+                        continue
+                    if st[i] == 1:
+                        vec.set_st(i, 2)
+                        open_set.add(i)
+                        c = chan_of_bank[i % B]
+                        if queue.open_bank(c, i, rowv[i]):
+                            ready_groups[c] = None
+                            wait_groups[c] = None
+                        else:
                             dl = lact[i] + close_window
                             if dl < min_close:
                                 min_close = dl
-                            dirty[chan_of_bank[i % B]] = True
-                        else:  # state 3: precharge finished
-                            vec.set_st(i, 0)
-                            nonidle[i // B] -= 1
-                        transient.discard(i)
-            counts_t = tuple(counts)
+                    else:  # state 3: precharge finished
+                        vec.set_st(i, 0)
+                        nonidle[i // B] -= 1
+                    transient.discard(i)
+                trans_next = nxt
             if last_state is not None and now > prev_now:
                 w = now - prev_now
                 occ.add(last_state, w)
@@ -511,27 +749,27 @@ class EventDrivenEngine:
             used_n = 0
 
             # --- refresh (per die, staggered deadlines) --------------------
-            if refresh_enabled:
+            if now >= refresh_next:
                 refresh_due = [now >= next_refresh[d] for d in range(D)]
-                any_due = True in refresh_due
-                if any_due:
-                    for d in range(D):
-                        if not refresh_due[d] or nonidle[d]:
-                            continue
-                        c0 = chan_of_bank[0]
-                        if used_mark[c0] != gen and now >= cmd_free[c0]:
-                            cmd_free[c0] = now + 1
-                            used_mark[c0] = gen
-                            used_n += 1
-                            blocked = now + tRFC
-                            refresh_blocked_until[d] = blocked
-                            base = d * B
-                            for j in range(base, base + B):
-                                if rdy[j] < blocked:
-                                    vec.set_rdy(j, blocked)
-                            next_refresh[d] += tREFI
-                            refreshes += 1
-                            issued_any = True
+                any_due = True
+                for d in range(D):
+                    if not refresh_due[d] or nonidle[d]:
+                        continue
+                    c0 = chan_of_bank[0]
+                    if used_mark[c0] != gen and now >= cmd_free[c0]:
+                        cmd_free[c0] = now + 1
+                        used_mark[c0] = gen
+                        used_n += 1
+                        blocked = now + tRFC
+                        refresh_blocked_until[d] = blocked
+                        base = d * B
+                        for j in range(base, base + B):
+                            if rdy[j] < blocked:
+                                vec.set_rdy(j, blocked)
+                        next_refresh[d] += tREFI
+                        refreshes += 1
+                        issued_any = True
+                refresh_next = min(next_refresh)
             else:
                 refresh_due = no_refresh_due
                 any_due = False
@@ -543,48 +781,29 @@ class EventDrivenEngine:
             # a row mismatch.
             if q_len:
                 if mr_kind == 1:
-                    mr_val = mr_cache.get(counts_t)
-                    if mr_val is None:
-                        mr_val = policy.may_read(0, now, counts_t)
-                        mr_cache[counts_t] = mr_val
+                    if mr_counts is not counts_t:
+                        mr_val = mr_cache.get(counts_t)
+                        if mr_val is None:
+                            mr_val = policy.may_read(0, now, counts_t)
+                            mr_cache[counts_t] = mr_val
+                        mr_counts = counts_t
                     reads_possible = mr_val
                 else:
                     reads_possible = True
                 p2: List[Tuple[int, int, int]] = []
                 for c in range(C):
-                    lst = q_by_chan[c]
-                    if not lst or used_mark[c] == gen or now < cmd_free[c]:
+                    if not q_size[c] or used_mark[c] == gen or now < cmd_free[c]:
                         continue
-                    if dirty[c] or (balance and cache_counts[c] != counts_t):
-                        rc: List[_Entry] = []
-                        nre: List[_Entry] = []
-                        for e in lst:
-                            i = e[1]
-                            if st[i] == 2 and rowv[i] == e[0].row:
-                                rc.append(e)
-                            elif balance or len(nre) < lookahead:
-                                nre.append(e)
-                        if balance:
-                            # Stable: arrival order breaks die-load ties.
-                            rc.sort(key=lambda e: counts_t[e[0].die])
-                            nre.sort(key=lambda e: counts_t[e[0].die])
-                            cache_counts[c] = counts_t
-                        nr = [e[0] for e in nre]
-                        cache_ready[c] = rc
-                        cache_nr[c] = nr
-                        if nre:
-                            cache_head[c] = nre[0][2]
-                        dirty[c] = False
-                    else:
-                        rc = cache_ready[c]
-                        nr = cache_nr[c]
                     issued_here = False
-                    if rc and reads_possible:
+                    if reads_possible and q_ready_n[c]:
                         r_ok = now + tCL >= data_free[c]
                         w_ok = now + tCWL >= data_free[c]
                         if r_ok or w_ok:
-                            for e in rc:
-                                req = e[0]
+                            if ready_groups[c] is not groups:
+                                cache_ready[c] = queue.ready_order(c, groups)
+                                ready_groups[c] = groups
+                            for e in cache_ready[c]:
+                                req = e[2]
                                 i = e[1]
                                 if now < rdy[i] or now < col[i] + tCCD:
                                     continue
@@ -597,7 +816,7 @@ class EventDrivenEngine:
                                     req.die, now, counts_t
                                 ):
                                     continue
-                                if refresh_enabled and refresh_due[req.die]:
+                                if refresh_due[req.die]:
                                     continue
                                 cmd_free[c] = now + 1
                                 if req.is_write:
@@ -612,12 +831,17 @@ class EventDrivenEngine:
                                 req.issue_cycle = now
                                 req.complete_cycle = end
                                 latency_sum += end - req.arrival_cycle
-                                for pos, ee in enumerate(lst):
-                                    if ee is e:
-                                        del lst[pos]
-                                        break
+                                if not queue.pop(c, e):
+                                    # The bank's last hit went out: it
+                                    # may close once idle.
+                                    dl = now + col_close
+                                    v = act[i] + tRAS
+                                    if v > dl:
+                                        dl = v
+                                    if dl < min_close:
+                                        min_close = dl
+                                ready_groups[c] = None
                                 q_len -= 1
-                                dirty[c] = True
                                 completed += 1
                                 read_states.add(counts_t)
                                 used_mark[c] = gen
@@ -625,24 +849,37 @@ class EventDrivenEngine:
                                 issued_any = True
                                 issued_here = True
                                 break
-                    if not issued_here and nr:
-                        load = counts_t[nr[0].die] if balance else 0
-                        p2.append((load, cache_head[c], c))
+                    if not issued_here and q_ready_n[c] < q_size[c]:
+                        if wait_groups[c] is not groups:
+                            cache_nr[c] = queue.waiting_head(c, groups, lookahead)
+                            wait_groups[c] = groups
+                        head = cache_nr[c][0]
+                        load = counts_t[head[2].die] if balance else 0
+                        p2.append((load, head[0], c))
                 # Pass 2: channels take turns by the rank of their
                 # waiting list's head, (die load, arrival) under DistR and
                 # plain arrival otherwise.  The policy picks the window
-                # from that list under the counts as they stand now.
+                # from the list's first act_lookahead entries under the
+                # counts as they stand now.
                 if p2:
                     if len(p2) > 1:
                         p2.sort()
                     act_ok = ma_kind != 1 or now >= act_window
                     for _, _, c in p2:
                         window = cache_nr[c]
-                        if own_window:
-                            window = policy.act_candidates(window, counts_t)
-                        for req in window:
+                        if own_window and not (
+                            stock_distr and wait_groups[c] is groups
+                        ):
+                            window = [
+                                (0, r.die * B + r.bank, r)
+                                for r in policy.act_candidates(
+                                    [e[2] for e in window], counts_t
+                                )
+                            ]
+                        for e in window:
+                            req = e[2]
+                            i = e[1]
                             d = req.die
-                            i = d * B + req.bank
                             if st[i] == 0 and now >= rdy[i]:
                                 if not act_ok:
                                     continue
@@ -659,13 +896,16 @@ class EventDrivenEngine:
                                 ):
                                     continue
                                 if ma_kind == 2:
-                                    mkey = (counts_t, d)
-                                    ok = ma_cache.get(mkey)
+                                    if ma_counts is not counts_t:
+                                        ma_row = ma_cache.get(counts_t)
+                                        if ma_row is None:
+                                            ma_row = ma_cache[counts_t] = [None] * D
+                                        ma_counts = counts_t
+                                    ok = ma_row[d]
                                     if ok is None:
-                                        ok = policy.may_activate(
+                                        ok = ma_row[d] = policy.may_activate(
                                             d, now, counts_t
                                         )
-                                        ma_cache[mkey] = ok
                                     if not ok:
                                         continue
                                 elif ma_kind == 0 and not policy.may_activate(
@@ -678,10 +918,14 @@ class EventDrivenEngine:
                                 vec.set_rdy(i, now + tRCD)
                                 vec.set_lact(i, now)
                                 transient.add(i)
+                                if now + tRCD < trans_next:
+                                    trans_next = now + tRCD
                                 nonidle[d] += 1
                                 counts[d] += 1
                                 act_by_die_chan[d][c] += 1
                                 counts_t = tuple(counts)
+                                if balance:
+                                    groups = grouping(counts_t)
                                 cmd_free[c] = now + 1
                                 policy.on_activate(d, now)
                                 if std_policy is not None:
@@ -701,101 +945,101 @@ class EventDrivenEngine:
                                 and now >= act[i] + tRAS
                                 and now >= col[i] + tWR
                             ):
-                                bb = req.bank
-                                rr = rowv[i]
-                                hit = False
-                                for e in q_by_chan[c]:
-                                    r2 = e[0]
-                                    if (
-                                        r2.die == d
-                                        and r2.bank == bb
-                                        and r2.row == rr
-                                    ):
-                                        hit = True
-                                        break
-                                if hit:
+                                if hits[i]:
                                     continue
                                 vec.set_st(i, 3)
                                 vec.set_row(i, -1)
                                 vec.set_rdy(i, now + tRP)
                                 open_set.discard(i)
                                 transient.add(i)
+                                if now + tRP < trans_next:
+                                    trans_next = now + tRP
                                 counts[d] -= 1
                                 act_by_die_chan[d][c] -= 1
                                 counts_t = tuple(counts)
+                                if balance:
+                                    groups = grouping(counts_t)
                                 cmd_free[c] = now + 1
                                 precharges += 1
                                 used_mark[c] = gen
                                 used_n += 1
                                 issued_any = True
-                                dirty[c] = True
                                 break
 
             # --- idle close ("a few cycles" without reads) -----------------
             # Gated on a conservative-low deadline so quiescent cycles
             # skip the scan entirely; under a violating drift state the
             # IR-aware policies *shed* banks even if queued requests
-            # still want their rows (window permitting).
-            if open_set and (any_due or now >= min_close):
-                shedding = shed_cache.get(counts_t)
-                if shedding is None:
-                    shedding = policy.must_shed(counts_t)
-                    shed_cache[counts_t] = shedding
-                if use_vec:
-                    elig = (
-                        (vec.st == 2)
-                        & (vec.act + tRAS <= now)
-                        & (vec.col + tWR <= now)
-                    )
-                    candidates = [int(x) for x in np.nonzero(elig)[0]]
-                else:
-                    candidates = sorted(open_set)
-                for i in candidates:
-                    if st[i] != 2:
-                        continue
-                    d = i // B
-                    b = i % B
-                    c = chan_of_bank[b]
-                    if used_mark[c] == gen:
-                        continue
-                    force_close = refresh_enabled and refresh_due[d]
-                    if not (force_close or now - lact[i] >= close_window):
-                        continue
-                    if now < act[i] + tRAS or now < col[i] + tWR:
-                        continue
-                    if not (shedding or force_close):
-                        rr = rowv[i]
-                        hit = False
-                        for e in q_by_chan[c]:
-                            r2 = e[0]
-                            if r2.die == d and r2.bank == b and r2.row == rr:
-                                hit = True
-                                break
-                        if hit:
+            # still want their rows (window permitting).  Nothing can
+            # close once every channel has issued this cycle.
+            if open_set and used_n < C:
+                if shed_counts is not counts_t:
+                    shedding = shed_cache.get(counts_t)
+                    if shedding is None:
+                        shedding = policy.must_shed(counts_t)
+                        shed_cache[counts_t] = shedding
+                    shed_counts = counts_t
+                if shedding or any_due or now >= min_close:
+                    if use_vec:
+                        elig = (
+                            (vec.st == 2)
+                            & (vec.act + tRAS <= now)
+                            & (vec.col + tWR <= now)
+                        )
+                        candidates = [int(x) for x in np.nonzero(elig)[0]]
+                    else:
+                        candidates = sorted(open_set)
+                    closed = False
+                    for i in candidates:
+                        if st[i] != 2:
                             continue
-                    if now < cmd_free[c]:
-                        continue
-                    vec.set_st(i, 3)
-                    vec.set_row(i, -1)
-                    vec.set_rdy(i, now + tRP)
-                    open_set.discard(i)
-                    transient.add(i)
-                    counts[d] -= 1
-                    act_by_die_chan[d][c] -= 1
-                    cmd_free[c] = now + 1
-                    precharges += 1
-                    used_mark[c] = gen
-                    used_n += 1
-                    issued_any = True
-                    dirty[c] = True
-                # Recompute the deadline floor for the skip gate: each
-                # open bank cannot close before its window elapses AND
-                # tRAS/tWR are met (queue targets and bus contention only
-                # delay further, and lact/col/act never move backward, so
-                # the min over these maxima stays a valid lower bound).
-                if open_set:
+                        d = i // B
+                        c = chan_of_bank[i % B]
+                        if used_mark[c] == gen:
+                            continue
+                        force_close = refresh_due[d]
+                        if not (force_close or now - lact[i] >= close_window):
+                            continue
+                        if now < act[i] + tRAS or now < col[i] + tWR:
+                            continue
+                        if hits[i] and not (shedding or force_close):
+                            continue
+                        if now < cmd_free[c]:
+                            continue
+                        if hits[i]:
+                            queue.close_bank(c, i, rowv[i])
+                            ready_groups[c] = None
+                            wait_groups[c] = None
+                        vec.set_st(i, 3)
+                        vec.set_row(i, -1)
+                        vec.set_rdy(i, now + tRP)
+                        open_set.discard(i)
+                        transient.add(i)
+                        if now + tRP < trans_next:
+                            trans_next = now + tRP
+                        counts[d] -= 1
+                        act_by_die_chan[d][c] -= 1
+                        cmd_free[c] = now + 1
+                        precharges += 1
+                        used_mark[c] = gen
+                        used_n += 1
+                        issued_any = True
+                        closed = True
+                    if closed:
+                        counts_t = tuple(counts)
+                        if balance:
+                            groups = grouping(counts_t)
+                    # Recompute the deadline floor for the skip gate: each
+                    # open bank without queued hits cannot close before
+                    # its window elapses AND tRAS/tWR are met (bus
+                    # contention only delays further, and lact/col/act
+                    # never move backward, so the min over these maxima
+                    # stays a valid lower bound).  A bank whose last hit
+                    # issues later lowers the floor then.
                     mn = _FAR
                     for i in open_set:
+                        if hits[i]:
+                            continue
                         dl2 = lact[i] + close_window
                         v2 = act[i] + tRAS
                         if v2 > dl2:
@@ -806,8 +1050,6 @@ class EventDrivenEngine:
                         if dl2 < mn:
                             mn = dl2
                     min_close = mn
-                else:
-                    min_close = _FAR
 
             # --- advance time ----------------------------------------------
             if issued_any:
