@@ -14,15 +14,16 @@ workloads across all shipped policies, and
 Design
 ======
 
-* **Vectorized bank state.**  All per-bank state lives in flat arrays
+* **Flat bank state.**  All per-bank state lives in flat lists
   indexed ``die * banks_per_die + bank``: FSM code (0 idle,
   1 activating, 2 active, 3 precharging), open row, next-ready cycle,
   ACT cycle, last column-op cycle, and last-activity cycle (the idle
-  close deadline base).  The authoritative copies are numpy ``int64``
-  arrays (``BankStateVec``); the scheduling scan reads through plain
-  Python list views of the same values because scalar indexing into
-  small numpy arrays costs more than the arithmetic it feeds.  All
-  mutations go through the vector so the two views cannot diverge.
+  close deadline base).  The scheduling scan reads plain Python lists
+  because scalar indexing into small numpy arrays costs more than the
+  arithmetic it feeds.  At ``_VEC_THRESHOLD`` banks and above
+  (``BankStateVec``) every write is mirrored into numpy ``int64``
+  arrays for the vector math below; smaller configurations keep the
+  lists alone (``BankState``).
 
 * **Event skipping as a vector min.**  When no command issues, the next
   interesting cycle is the minimum over bank deadlines (state
@@ -34,25 +35,43 @@ Design
   faster and produces the same minimum — a property test asserts both
   paths agree.
 
-* **One channel-partitioned issue pass.**  Within one cycle, whether a
-  command issues on channel ``c`` depends only on ``c``'s buses, ``c``'s
-  banks, and the active counts.  The queue is therefore kept per
-  channel, with each channel's ready / non-ready split cached until an
-  event can change it (arrival, completion, precharge, or a bank
-  finishing activation).  Every policy runs on this pass.  FCFS policies
-  keep arrival order and hand ``act_candidates`` the oldest
+* **One channel-partitioned issue pass over per-event bookkeeping.**
+  Within one cycle, whether a command issues on channel ``c`` depends
+  only on ``c``'s buses, ``c``'s banks, and the active counts.  Every
+  policy runs on this pass.  The queue (``RequestQueue``) keeps, per
+  channel, arrival-ordered *ready* (bank open at the entry's row) and
+  *waiting* lists -- one pair per die under DistR -- plus each bank's
+  queued entries and hit count.  An arrival, a bank opening or closing,
+  or a column command moves only that bank's entries, so an event costs
+  work on the event, not on the queue.  FCFS policies read the ready
+  list as it stands and hand ``act_candidates`` the oldest
   ``act_lookahead`` waiting requests.  For ``IRAwareDistR``, recognised
-  by type, the engine stable-sorts both lists by the target die's
-  active-bank count, hands ``act_candidates`` the whole sorted waiting
-  list, and ranks channels for activation by their list head's (die
-  load, arrival).
+  by type, the order is the dies grouped by active-bank count, least
+  loaded group first, merged by arrival within a group (the stable sort
+  by die load); each channel's ready order and waiting head are cached
+  until an entry moves or the grouping changes.  The engine hands
+  ``act_candidates`` the first ``act_lookahead`` entries of that order
+  (skipping DistR's re-sort while the grouping is the one the order
+  was built under) and ranks channels for activation by their head's
+  (die load, arrival).  A bank's hit count answers both "does a queued
+  request still want this open row?" questions: before a PRE on a row
+  mismatch and before an idle close.
+
+* **Gated per-cycle blocks.**  Transient-bank sync runs only once the
+  earliest transient ``rdy`` is reached, the refresh block only once the
+  earliest refresh deadline is, and idle close only while some channel
+  is still free and either a refresh is due, the state must shed, or a
+  conservative-low close deadline has passed.  That deadline skips
+  banks with queued hits (they cannot close idle) and is lowered when a
+  bank's last hit issues.
 
 * **Streaming workloads.**  The engine consumes any iterable of
   :class:`~repro.controller.request.ReadRequest` through one pull-ahead
   cursor.  A list or tuple is validated up front and can be run again;
   any other iterable (a lazy trace reader) is validated as it is pulled,
   which is what makes multi-million-request runs possible without
-  holding the whole trace's request objects alive.
+  holding the whole trace's request objects alive.  Such a stream is
+  consumed by one run; a second run raises ``SimulationError``.
 
 * **Bounded state tracking.**  ``SimResult.state_occupancy`` is a
   sparse histogram capped at ``SimConfig.max_tracked_states`` distinct
@@ -66,12 +85,12 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -102,6 +121,10 @@ _VEC_THRESHOLD: int = 48
 #: one queue entry: (global arrival sequence number, flat bank index,
 #: request).  Entries order by arrival.
 _Entry = Tuple[int, int, ReadRequest]
+
+#: dies grouped by equal active-bank count, least loaded group first
+#: (see :func:`load_groups`).
+_Groups = Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -294,7 +317,7 @@ class BankStateVec(BankState):
         )
 
 
-def load_groups(counts: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+def load_groups(counts: Tuple[int, ...]) -> _Groups:
     """Dies grouped by equal active-bank count, least loaded group first.
 
     DistR's priority order is a stable sort of the queue by the target
@@ -405,9 +428,7 @@ class RequestQueue:
         self.n_ready[c] -= self.hits[i]
         self.hits[i] = 0
 
-    def ready_order(
-        self, c: int, groups: Tuple[Tuple[int, ...], ...]
-    ) -> List[_Entry]:
+    def ready_order(self, c: int, groups: _Groups) -> List[_Entry]:
         """Channel ``c``'s ready entries in priority order: by die group
         of ``groups`` (:func:`load_groups`), then by arrival.  Without
         ``per_die`` this is the live arrival-ordered list."""
@@ -426,9 +447,7 @@ class RequestQueue:
                 out[start:] = sorted(out[start:])
         return out
 
-    def waiting_head(
-        self, c: int, groups: Tuple[Tuple[int, ...], ...], k: int
-    ) -> List[_Entry]:
+    def waiting_head(self, c: int, groups: _Groups, k: int) -> List[_Entry]:
         """The first ``k`` of channel ``c``'s waiting entries, in the
         order of :meth:`ready_order`."""
         waiting = self.waiting[c]
@@ -470,15 +489,15 @@ class EventDrivenEngine:
         self.report_lut = report_lut
         #: request count when known up front (-1 for a stream).
         self._total = -1
-        self._source: Callable[[], Iterator[ReadRequest]]
+        self._requests: Optional[Sequence[ReadRequest]] = None
+        self._stream: Optional[Iterator[ReadRequest]] = None
         if isinstance(workload, (list, tuple)):
             for req in workload:
                 self._validate(req)
             self._total = len(workload)
-            self._source = lambda: iter(workload)
+            self._requests = workload
         else:
-            stream = map(self._validate, workload)
-            self._source = lambda: stream
+            self._stream = map(self._validate, workload)
 
     def _validate(self, req: ReadRequest) -> ReadRequest:
         cfg = self.config
@@ -492,6 +511,19 @@ class EventDrivenEngine:
             )
         return req
 
+    def _source(self) -> Iterator[ReadRequest]:
+        """This run's request cursor: a fresh pass over a list or tuple,
+        or the stream, which only one run can consume."""
+        if self._requests is not None:
+            return iter(self._requests)
+        stream, self._stream = self._stream, None
+        if stream is None:
+            raise SimulationError(
+                "the workload stream is consumed: an engine built on an "
+                "iterator runs once; pass a list or tuple to run again"
+            )
+        return stream
+
     # -- public API ----------------------------------------------------------
 
     def run(self, max_cycles: int = 5_000_000) -> SimResult:
@@ -500,14 +532,17 @@ class EventDrivenEngine:
         The run executes inside a ``sim.run`` trace span (with
         ``engine="event"`` provenance) and pushes queue-depth,
         cycle-count, and command-mix metrics into the global registry.
+        A list or tuple workload runs again from its start; a streamed
+        one raises :class:`SimulationError` on a second run.
         """
+        source = self._source()
         with span(
             "sim.run",
             policy=self.policy.name,
             requests=self._total,
             engine="event",
         ):
-            result = self._run(max_cycles)
+            result = self._run(source, max_cycles)
         _metrics.inc("sim.runs")
         _metrics.inc("sim.requests_completed", result.completed)
         _metrics.inc("sim.activations", result.activations)
@@ -519,7 +554,7 @@ class EventDrivenEngine:
 
     # -- main loop -----------------------------------------------------------
 
-    def _run(self, max_cycles: int) -> SimResult:
+    def _run(self, source: Iterator[ReadRequest], max_cycles: int) -> SimResult:
         # The loop is deliberately one large function: it is the hot core
         # of every simulation and the call overhead of factoring it into
         # helpers is measurable at millions of iterations.
@@ -604,7 +639,6 @@ class EventDrivenEngine:
         data_free = [0] * C
 
         # Workload cursor: one pulled-ahead request, None once drained.
-        source = self._source()
         arrived = 0
         next_req = next(source, None)
         next_arrival = _FAR if next_req is None else next_req.arrival_cycle
@@ -620,15 +654,15 @@ class EventDrivenEngine:
         # waiting entries, each with the load grouping it was built
         # under; None marks it stale.
         cache_ready: List[List[_Entry]] = [[] for _ in range(C)]
-        ready_groups: List[Optional[Tuple[Tuple[int, ...], ...]]] = [None] * C
+        ready_groups: List[Optional[_Groups]] = [None] * C
         cache_nr: List[List[_Entry]] = [[] for _ in range(C)]
-        wait_groups: List[Optional[Tuple[Tuple[int, ...], ...]]] = [None] * C
+        wait_groups: List[Optional[_Groups]] = [None] * C
         # counts -> load grouping, interned so that equal groupings are
         # one object and a cache check is an identity test.
-        groups_of: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
-        interned: Dict[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]] = {}
+        groups_of: Dict[Tuple[int, ...], _Groups] = {}
+        interned: Dict[_Groups, _Groups] = {}
 
-        def grouping(counts_t: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+        def grouping(counts_t: Tuple[int, ...]) -> _Groups:
             g = groups_of.get(counts_t)
             if g is None:
                 g = load_groups(counts_t)

@@ -12,9 +12,12 @@ answer it with the look-up table: activation is allowed whenever the
 resulting memory state stays under the IR-drop constraint.
 
 Requests are considered in arrival order, except under
-``IRAwareDistR``: the engine recognises it by type and ranks every
-queued request by its target die's active-bank count (see
-``repro.controller.engine``).
+``IRAwareDistR``: the engine recognises it by type and orders each
+channel's queue by its target die's active-bank count, least loaded die
+first and arrival order within equal loads (see
+``repro.controller.engine``).  Either way a policy's
+:meth:`ReadPolicy.act_candidates` sees the first ``act_lookahead``
+waiting requests of that order.
 """
 
 from __future__ import annotations
@@ -73,10 +76,10 @@ class ReadPolicy(ABC):
         """Waiting requests considered for a new activation this cycle,
         best first.
 
-        ``non_ready`` is one channel's waiting requests in the engine's
-        priority order: the oldest ``act_lookahead`` for FCFS policies,
-        all of them for DistR.  The default keeps the first
-        ``act_lookahead``."""
+        ``non_ready`` is the first ``act_lookahead`` of one channel's
+        waiting requests in the engine's priority order: the oldest for
+        FCFS policies, the least loaded dies' oldest for DistR.  The
+        default keeps them as given."""
         return list(non_ready[: self.act_lookahead])
 
     def must_shed(self, active_counts: Tuple[int, ...]) -> bool:
@@ -182,13 +185,14 @@ class IRAwareDistR(IRAwareFCFS):
         ``non_ready``, re-sorted by the current active counts (stable, so
         arrival order breaks ties within a die-load class).
 
-        The engine passes the channel's *whole* waiting list, already
-        stable-sorted by die load as the cycle began, so the window holds
-        the ``act_lookahead`` requests on the least-loaded dies drawn from
-        the entire channel queue -- not a re-sort of the oldest few.  A
-        young request to an idle die therefore activates ahead of older
-        requests to loaded dies, however many of those are queued.  The
-        re-sort only matters when an earlier channel's ACT or PRE in the
-        same cycle has changed the counts."""
+        The engine passes the first ``act_lookahead`` entries of the
+        channel's whole waiting list ordered by die load (the engine's
+        cached order), so the window holds the requests on the
+        least-loaded dies drawn from the entire channel queue -- not a
+        re-sort of the oldest few.  A young request to an idle die
+        therefore activates ahead of older requests to loaded dies,
+        however many of those are queued.  The re-sort only matters when
+        an earlier channel's ACT or PRE in the same cycle has changed the
+        dies' load grouping; otherwise the engine skips this call."""
         window = list(non_ready[: self.act_lookahead])
         return sorted(window, key=lambda r: active_counts[r.die])

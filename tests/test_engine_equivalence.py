@@ -31,6 +31,7 @@ load whenever the queue or the counts changed.
 """
 
 import itertools
+import random
 from dataclasses import asdict
 
 import numpy as np
@@ -47,8 +48,11 @@ from repro.controller import (
 )
 from repro.controller.engine import (
     _FAR,
+    BankState,
     BankStateVec,
     OccupancyAccumulator,
+    RequestQueue,
+    load_groups,
 )
 from repro.controller.lut import StaticIRDropLUT
 from repro.controller.request import ReadRequest
@@ -292,15 +296,29 @@ class TestStreamingWorkload:
         ).run()
         assert asdict(as_stream) == asdict(as_list)
 
-    def test_list_runs_again(self, timing):
-        """A list workload is replayed from its start on every run."""
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_list_runs_again(self, timing, container):
+        """A list or tuple workload is replayed from its start on every
+        run."""
         cfg = SimConfig(timing=timing, num_channels=2)
         engine = EventDrivenEngine(
             cfg,
             StandardJEDEC(timing),
-            generate_workload(WorkloadConfig(num_requests=300, seed=4)),
+            container(
+                generate_workload(WorkloadConfig(num_requests=300, seed=4))
+            ),
         )
         assert asdict(engine.run()) == asdict(engine.run())
+
+    def test_stream_runs_once(self, timing):
+        """A stream cannot be replayed: a second run raises instead of
+        returning an empty result that claims to have finished."""
+        cfg = SimConfig(timing=timing)
+        workload = generate_workload(WorkloadConfig(num_requests=300, seed=4))
+        engine = EventDrivenEngine(cfg, StandardJEDEC(timing), iter(workload))
+        assert engine.run().completed == 300
+        with pytest.raises(SimulationError, match="stream is consumed"):
+            engine.run()
 
     def test_stream_validated_when_pulled(self, timing):
         """A stream is checked request by request as the engine pulls it,
@@ -398,3 +416,103 @@ class TestVectorScalarParity:
         # consistent() exists to catch.
         vec.st[3] = 0
         assert not vec.consistent()
+
+    def test_list_state_matches_vector_lists(self):
+        """Below ``_VEC_THRESHOLD`` the engine keeps the list-only
+        ``BankState``; its setters write exactly the lists the vector
+        state keeps beside its arrays."""
+        rng = np.random.default_rng(7)
+        lists = BankState(16)
+        vec = BankStateVec(16)
+        assert not hasattr(lists, "st")
+        setters = ("set_st", "set_row", "set_rdy", "set_act", "set_col", "set_lact")
+        for _ in range(200):
+            name = setters[int(rng.integers(len(setters)))]
+            i, v = int(rng.integers(16)), int(rng.integers(-5, 500))
+            getattr(lists, name)(i, v)
+            getattr(vec, name)(i, v)
+        for attr in ("st_l", "row_l", "rdy_l", "act_l", "col_l", "lact_l"):
+            assert getattr(lists, attr) == getattr(vec, attr)
+        assert vec.consistent()
+
+
+class TestRequestQueueBookkeeping:
+    """``RequestQueue`` against a reference rebuilt from scratch after
+    every event of random arrive / open / precharge / issue sequences.
+
+    The reference is the definition: an entry is ready when its bank is
+    open at the entry's row; a bank's hits are a scan of the queue; the
+    order is a stable sort of the queue by the target die's load
+    (per-die buckets, DistR) or plain arrival order (one bucket per
+    channel, FCFS)."""
+
+    C, D, B = 2, 3, 4  # channels, dies, banks per die
+
+    def _channel(self, i):
+        return (i % self.B) * self.C // self.B
+
+    def _check(self, queue, queued, open_row, rng, per_die):
+        hits = [0] * (self.D * self.B)
+        for e in queued:
+            if open_row[e[1]] == e[2].row:
+                hits[e[1]] += 1
+        assert queue.hits == hits
+        for i in range(self.D * self.B):
+            assert queue.by_bank[i] == [e for e in queued if e[1] == i]
+        counts = tuple(rng.randrange(3) for _ in range(self.D))
+        groups = load_groups(counts)
+        for c in range(self.C):
+            mine = [e for e in queued if self._channel(e[1]) == c]
+            ready = [e for e in mine if open_row[e[1]] == e[2].row]
+            waiting = [e for e in mine if open_row[e[1]] != e[2].row]
+            assert queue.size[c] == len(mine)
+            assert queue.n_ready[c] == len(ready)
+            for lists, want in ((queue.ready[c], ready), (queue.waiting[c], waiting)):
+                buckets = lists if per_die else lists[:1]
+                for bucket in buckets:
+                    assert bucket == sorted(bucket)
+                assert sorted(e for b in buckets for e in b) == want
+            if per_die:
+                ready.sort(key=lambda e: counts[e[2].die])
+                waiting.sort(key=lambda e: counts[e[2].die])
+            assert queue.ready_order(c, groups) == ready
+            for k in (1, 2, 4):
+                assert queue.waiting_head(c, groups, k) == waiting[:k]
+
+    @pytest.mark.parametrize("per_die", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference(self, per_die, seed):
+        rng = random.Random(seed)
+        n = self.D * self.B
+        queue = RequestQueue(self.C, self.D, self.B, per_die=per_die)
+        open_row = [-1] * n  # -1: the bank is not open
+        queued = []
+        for seq in range(400):
+            i = rng.randrange(n)
+            c = self._channel(i)
+            op = rng.random()
+            if op < 0.4 and len(queued) < 20:
+                req = ReadRequest(seq, i // self.B, i % self.B, rng.randrange(3), 0)
+                entry = (seq, i, req)
+                assert queue.push(c, entry, open_row[i]) == (open_row[i] == req.row)
+                queued.append(entry)
+            elif op < 0.6 and open_row[i] < 0:
+                open_row[i] = rng.randrange(3)
+                hit = sum(e[1] == i and e[2].row == open_row[i] for e in queued)
+                assert queue.open_bank(c, i, open_row[i]) == hit
+            elif op < 0.75 and open_row[i] >= 0:
+                queue.close_bank(c, i, open_row[i])
+                open_row[i] = -1
+            else:
+                ready = [e for e in queued if open_row[e[1]] == e[2].row]
+                if not ready:
+                    continue
+                entry = rng.choice(ready)
+                queued.remove(entry)
+                left = sum(e[1] == entry[1] and e[2].row == entry[2].row for e in queued)
+                assert queue.pop(self._channel(entry[1]), entry) == left
+            self._check(queue, queued, open_row, rng, per_die)
+
+    def test_load_groups(self):
+        assert load_groups((1, 0, 2, 0)) == ((1, 3), (0,), (2,))
+        assert load_groups((0, 0, 0)) == ((0, 1, 2),)
