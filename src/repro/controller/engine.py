@@ -874,7 +874,10 @@ class EventDrivenEngine:
                                         dl = v
                                     if dl < min_close:
                                         min_close = dl
-                                ready_groups[c] = None
+                                if balance:
+                                    # FCFS reads the live list pop
+                                    # already updated.
+                                    cache_ready[c].remove(e)
                                 q_len -= 1
                                 completed += 1
                                 read_states.add(counts_t)
