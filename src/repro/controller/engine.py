@@ -585,7 +585,6 @@ class EventDrivenEngine:
         max_per_chan = cfg.max_banks_per_channel
         refresh_enabled = cfg.refresh_enabled
         chan_of_bank = [cfg.channel_of(b) for b in range(B)]
-        use_vec = N >= _VEC_THRESHOLD
         std_policy = policy if isinstance(policy, StandardJEDEC) else None
         # DistR ranks waiting requests by their die's active-bank count.
         balance = isinstance(policy, IRAwareDistR)
@@ -626,7 +625,9 @@ class EventDrivenEngine:
             ma_kind = 0
         ma_cache: Dict[Tuple[int, ...], List[Optional[bool]]] = {}
 
-        vec = BankStateVec(N) if use_vec else BankState(N)
+        # Numpy mirrors only where the vector math below uses them.
+        vector = BankStateVec(N) if N >= _VEC_THRESHOLD else None
+        vec: BankState = vector if vector is not None else BankState(N)
         st = vec.st_l
         rowv = vec.row_l
         rdy = vec.rdy_l
@@ -707,8 +708,11 @@ class EventDrivenEngine:
         shed_cache: Dict[Tuple[int, ...], bool] = {}
         # The caches above are keyed by counts; the last lookup of each
         # is reused while counts_t is the same object.
-        mr_counts = shed_counts = ma_counts = None
-        mr_val = shedding = False
+        mr_counts: Optional[Tuple[int, ...]] = None
+        shed_counts: Optional[Tuple[int, ...]] = None
+        ma_counts: Optional[Tuple[int, ...]] = None
+        mr_val = True
+        shedding = False
         ma_row: List[Optional[bool]] = []
         now = 0
         prev_now = 0
@@ -816,10 +820,12 @@ class EventDrivenEngine:
             if q_len:
                 if mr_kind == 1:
                     if mr_counts is not counts_t:
-                        mr_val = mr_cache.get(counts_t)
-                        if mr_val is None:
-                            mr_val = policy.may_read(0, now, counts_t)
-                            mr_cache[counts_t] = mr_val
+                        known = mr_cache.get(counts_t)
+                        if known is None:
+                            known = mr_cache[counts_t] = policy.may_read(
+                                0, now, counts_t
+                            )
+                        mr_val = known
                         mr_counts = counts_t
                     reads_possible = mr_val
                 else:
@@ -934,9 +940,9 @@ class EventDrivenEngine:
                                     continue
                                 if ma_kind == 2:
                                     if ma_counts is not counts_t:
-                                        ma_row = ma_cache.get(counts_t)
-                                        if ma_row is None:
-                                            ma_row = ma_cache[counts_t] = [None] * D
+                                        ma_row = ma_cache.setdefault(
+                                            counts_t, [None] * D
+                                        )
                                         ma_counts = counts_t
                                     ok = ma_row[d]
                                     if ok is None:
@@ -1011,17 +1017,17 @@ class EventDrivenEngine:
             # close once every channel has issued this cycle.
             if open_set and used_n < C:
                 if shed_counts is not counts_t:
-                    shedding = shed_cache.get(counts_t)
-                    if shedding is None:
-                        shedding = policy.must_shed(counts_t)
-                        shed_cache[counts_t] = shedding
+                    known = shed_cache.get(counts_t)
+                    if known is None:
+                        known = shed_cache[counts_t] = policy.must_shed(counts_t)
+                    shedding = known
                     shed_counts = counts_t
                 if shedding or any_due or now >= min_close:
-                    if use_vec:
+                    if vector is not None:
                         elig = (
-                            (vec.st == 2)
-                            & (vec.act + tRAS <= now)
-                            & (vec.col + tWR <= now)
+                            (vector.st == 2)
+                            & (vector.act + tRAS <= now)
+                            & (vector.col + tWR <= now)
                         )
                         candidates = [int(x) for x in np.nonzero(elig)[0]]
                     else:
@@ -1100,9 +1106,12 @@ class EventDrivenEngine:
                     v = now + 1
                 if v < best:
                     best = v
-            if use_vec and len(transient) + len(open_set) >= _VEC_THRESHOLD:
+            if (
+                vector is not None
+                and len(transient) + len(open_set) >= _VEC_THRESHOLD
+            ):
                 v = self._bank_events_vec(
-                    vec, now, tCCD, tRAS, tWR, close_window
+                    vector, now, tCCD, tRAS, tWR, close_window
                 )
                 if v < best:
                     best = v
