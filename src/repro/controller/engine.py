@@ -432,42 +432,37 @@ class RequestQueue:
         """Channel ``c``'s ready entries in priority order: by die group
         of ``groups`` (:func:`load_groups`), then by arrival.  Without
         ``per_die`` this is the live arrival-ordered list."""
-        ready = self.ready[c]
         if not self.per_die:
-            return ready[0]
-        out: List[_Entry] = []
-        for grp in groups:
-            if len(grp) == 1:
-                out += ready[grp[0]]
-                continue
-            start = len(out)
-            for d in grp:
-                out += ready[d]
-            if len(out) - start > 1:
-                out[start:] = sorted(out[start:])
-        return out
+            return self.ready[c][0]
+        return _merge_groups(self.ready[c], groups, self.n_ready[c])
 
     def waiting_head(self, c: int, groups: _Groups, k: int) -> List[_Entry]:
         """The first ``k`` of channel ``c``'s waiting entries, in the
         order of :meth:`ready_order`."""
-        waiting = self.waiting[c]
         if not self.per_die:
-            return waiting[0][:k]
-        out: List[_Entry] = []
-        for grp in groups:
-            need = k - len(out)
-            if len(grp) == 1:
-                out += waiting[grp[0]][:need]
-            else:
-                part: List[_Entry] = []
-                for d in grp:
-                    part += waiting[d][:need]
-                if len(part) > 1:
-                    part.sort()
-                out += part[:need]
-            if len(out) >= k:
-                break
-        return out
+            return self.waiting[c][0][:k]
+        return _merge_groups(self.waiting[c], groups, k)
+
+
+def _merge_groups(
+    buckets: List[List[_Entry]], groups: _Groups, k: int
+) -> List[_Entry]:
+    """The first ``k`` entries of per-die ``buckets`` taken group by
+    group, merged by arrival within a group."""
+    out: List[_Entry] = []
+    for grp in groups:
+        need = k - len(out)
+        if need <= 0:
+            break
+        if len(grp) == 1:
+            out += buckets[grp[0]][:need]
+            continue
+        part: List[_Entry] = []
+        for d in grp:
+            part += buckets[d][:need]
+        part.sort()
+        out += part[:need]
+    return out
 
 
 class EventDrivenEngine:
