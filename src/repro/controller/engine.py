@@ -761,6 +761,9 @@ class EventDrivenEngine:
                             ready_groups[c] = None
                             wait_groups[c] = None
                         else:
+                            # No queued request wants the row (a policy's
+                            # own act_candidates may name one that is not
+                            # queued): the bank may close once idle.
                             dl = lact[i] + close_window
                             if dl < min_close:
                                 min_close = dl
