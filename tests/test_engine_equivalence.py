@@ -296,19 +296,16 @@ class TestStreamingWorkload:
         ).run()
         assert asdict(as_stream) == asdict(as_list)
 
-    @pytest.mark.parametrize("container", [list, tuple])
-    def test_list_runs_again(self, timing, container):
+    def test_list_runs_again(self, timing):
         """A list or tuple workload is replayed from its start on every
         run."""
         cfg = SimConfig(timing=timing, num_channels=2)
-        engine = EventDrivenEngine(
-            cfg,
-            StandardJEDEC(timing),
-            container(
-                generate_workload(WorkloadConfig(num_requests=300, seed=4))
-            ),
-        )
-        assert asdict(engine.run()) == asdict(engine.run())
+        workload = generate_workload(WorkloadConfig(num_requests=300, seed=4))
+        for container in (list, tuple):
+            engine = EventDrivenEngine(
+                cfg, StandardJEDEC(timing), container(workload)
+            )
+            assert asdict(engine.run()) == asdict(engine.run())
 
     def test_stream_runs_once(self, timing):
         """A stream cannot be replayed: a second run raises instead of
