@@ -1,5 +1,7 @@
 """IR-drop look-up table semantics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,29 @@ class TestSuperposition:
         ref = hmc_lut.lookup(hmc_bench.reference_state().counts)
         assert hmc_lut.size == 9**4
         assert self._margin(hmc_lut, [CONSTRAINT_FRACTION * ref]) > 1e-9
+
+
+def _table_sha1(lut):
+    """SHA-1 over every entry, in sorted count order, as ``float.hex``."""
+    text = "".join(
+        f"{'-'.join(map(str, counts))}:{float(value).hex()}\n"
+        for counts, value in sorted(lut.as_dict().items())
+    )
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+class TestTableGolden:
+    """Every entry of the DDR3 and ext_hmc tables, bitwise.
+
+    The hashes were recorded before the table-driven superposition and
+    the chunked block solves; nothing regenerates them.  A change that
+    moves any entry by one ulp fails here.
+    """
+
+    def test_ddr3_table_hash(self, ddr3_lut):
+        assert ddr3_lut.size == 81
+        assert _table_sha1(ddr3_lut) == "7bd3245d569a0e8eb191097ecc60eb71d6838b0e"
+
+    def test_hmc_table_hash(self, hmc_lut):
+        assert hmc_lut.size == 9**4
+        assert _table_sha1(hmc_lut) == "0b67dc80a2a3d577b75f2d49e266327a0cd47e1a"
