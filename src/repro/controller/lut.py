@@ -17,17 +17,23 @@ in c)`` that edge placement produces, the stack with only those banks
 active at activity 0 (``X0``) and at activity 1 (``X1``).  An entry is
 then, over the DRAM nodes,
 
-    drops = idle + sum over (d, c) of [(X0 - idle) + a_c * (X1 - X0)]
+    drops = idle + sum over (d, c) of [(X0 - idle) + (1/k_c) * (X1 - X0)]
 
-with ``a_c = state.channel_io_activity(d, c, floorplan)``, the activity
-the rasterizer itself uses.  Superposed entries match whole-state
-solves to a few 1e-15 relative.
+where ``1/k_c`` is the activity the rasterizer itself uses
+(``MemoryState.channel_io_activity``): ``k_c`` dies have banks active in
+channel ``c``.  No entry builds a ``MemoryState``.  The table knows, per
+count, the channel groups of that count's edge-placed banks, so ``k_c``
+comes from the entry's counts alone; and the basis keeps each group's
+bracketed term ready for every ``k`` in ``1..num_dies``.  An entry adds
+those terms in die and group order.  Superposed entries match
+whole-state solves to a few 1e-15 relative.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,9 +45,6 @@ from repro.pdn.stackup import PDNStack
 from repro.perf.timers import timed
 from repro.power.state import MemoryState
 from repro.units import to_mv
-
-#: A basis group: (die, channel, the die's active banks in that channel).
-_Group = Tuple[int, int, Tuple[int, ...]]
 
 
 class IRDropLUT:
@@ -58,54 +61,61 @@ class IRDropLUT:
         self.stack = stack
         self.num_dies = stack.spec.num_dram_dies
         self.max_banks_per_die = max_banks_per_die
-        self._floorplan = stack.spec.dram_floorplan
-        #: Active banks of a die per count: ``MemoryState.from_counts``'s
-        #: edge placement, ranked once rather than once per entry.
-        self._edge_banks = [
-            MemoryState.from_counts((count,), self._floorplan).active[0]
-            for count in range(max_banks_per_die + 1)
-        ]
+        fp = stack.spec.dram_floorplan
+        #: The basis groups, each a channel and the die's active banks in
+        #: it, and per count its ``MemoryState.from_counts`` edge banks
+        #: split by ``channel_banks`` as (channel, group index) pairs, in
+        #: state order: ranked once per table rather than once per entry.
+        self._groups: List[Tuple[int, Tuple[int, ...]]] = []
+        self._count_groups: List[Tuple[Tuple[int, int], ...]] = []
+        for count in range(max_banks_per_die + 1):
+            state = MemoryState.from_counts((count,), fp)
+            pairs: List[Tuple[int, int]] = []
+            for group in state.channel_banks(0, fp).items():
+                if group not in self._groups:
+                    self._groups.append(group)
+                pairs.append((group[0], self._groups.index(group)))
+            self._count_groups.append(tuple(pairs))
         self._table: Dict[Tuple[int, ...], float] = {}
-        #: Built on first need: DRAM-node drops of the idle stack, per
-        #: basis group the columns ``X0 - idle`` and ``X1 - X0``, and
-        #: (die, channel, banks) -> index of the group's ``X0 - idle``.
-        self._basis: Optional[Tuple[np.ndarray, np.ndarray, Dict[_Group, int]]] = None
+        #: Built on first need: DRAM-node drops of the idle stack, and
+        #: ``terms[die, group, k - 1] = (X0 - idle) + (1/k) * (X1 - X0)``.
+        self._basis: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if precompute:
             self.precompute_all()
 
-    def _build_basis(self) -> Tuple[np.ndarray, np.ndarray, Dict[_Group, int]]:
-        """Solve the idle stack and the two columns of every basis group.
+    def _build_basis(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Solve the idle stack and the two columns of every basis group,
+        then form each group's term for every count of active dies.
 
         One :meth:`PDNStack.solve_states` batch per die; only the DRAM
-        rows of each solve are kept, written into one preallocated array.
+        nodes of each solve are kept, each solve written as one row of a
+        preallocated array.
         """
-        groups: List[Tuple[int, Tuple[int, ...]]] = []
-        for banks in self._edge_banks[1:]:
-            for group in MemoryState((banks,)).channel_banks(0, self._floorplan).items():
-                if group not in groups:
-                    groups.append(group)
+        dies, groups = self.num_dies, len(self._groups)
         rows = np.concatenate(
             [self.stack.model.die_node_ids(name) for name in self.stack.dram_die_names]
         )
-        idle_state = MemoryState.idle(self.num_dies)
-        column: Dict[_Group, int] = {}
-        basis = np.empty((rows.size, 2 * self.num_dies * len(groups)), order="F")
-        with span("lut.basis", columns=1 + basis.shape[1]):
+        idle_state = MemoryState.idle(dies)
+        basis = np.empty((2 * dies * groups, rows.size))
+        with span("lut.basis", columns=1 + basis.shape[0]):
             idle = self.stack.solve_states([idle_state])[0].raw.drops[rows]
-            for die in range(self.num_dies):
+            for die in range(dies):
                 states: List[MemoryState] = []
                 activities: List[Dict[int, float]] = []
-                for chan, banks in groups:
-                    column[die, chan, banks] = 2 * len(column)
+                for chan, banks in self._groups:
                     states += [idle_state.with_die(die, banks)] * 2
                     activities += [{chan: 0.0}, {chan: 1.0}]
-                first = 2 * die * len(groups)
+                first = 2 * die * groups
                 results = self.stack.solve_states(states, activities=activities)
                 for j, result in enumerate(results):
-                    basis[:, first + j] = result.raw.drops[rows]
-            basis[:, 1::2] -= basis[:, 0::2]  # X1 - X0
-            basis[:, 0::2] -= idle[:, None]  # X0 - idle
-        return idle, basis, column
+                    basis[first + j] = result.raw.drops[rows]
+            basis[1::2] -= basis[0::2]  # X1 - X0
+            basis[0::2] -= idle  # X0 - idle
+            terms = np.empty((dies * groups, dies, rows.size))
+            share = 1.0 / np.arange(1, dies + 1)
+            np.multiply(share[None, :, None], basis[1::2, None, :], out=terms)
+            terms += basis[0::2, None, :]
+        return idle, terms.reshape(dies, groups, dies, rows.size)
 
     def _superposed(self, counts: Tuple[int, ...]) -> float:
         """Max DRAM IR drop (mV) of a state, superposed from the basis.
@@ -117,16 +127,15 @@ class IRDropLUT:
             return 0.0
         if self._basis is None:
             self._basis = self._build_basis()
-        idle, basis, column = self._basis
-        fp = self._floorplan
-        state = MemoryState(tuple(self._edge_banks[c] for c in counts))
+        idle, terms = self._basis
+        per_die = [self._count_groups[c] for c in counts]
+        dies_in = Counter(chan for pairs in per_die for chan, _ in pairs)
         active = np.zeros_like(idle)
-        for die in range(self.num_dies):
-            for chan, group in state.channel_banks(die, fp).items():
-                j = column[die, chan, group]
-                act = state.channel_io_activity(die, chan, fp)
-                active += basis[:, j] + act * basis[:, j + 1]
+        for die, pairs in enumerate(per_die):
+            for chan, group in pairs:
+                active += terms[die, group, dies_in[chan] - 1]
         value = to_mv(float((idle + active).max()))
+        _metrics.inc("lut.entries_superposed")
         _metrics.observe("ir.dram_max_mv", value)
         return value
 

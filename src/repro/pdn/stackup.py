@@ -355,7 +355,8 @@ class PDNStack:
         All states' current vectors are stacked into a ``(num_nodes, k)``
         block and pushed through the factorization in a single
         :meth:`~repro.rmesh.solve.StackSolver.solve_many` call.  Result
-        ``i`` is numerically identical to ``solve_state(states[i])``.
+        ``i`` agrees with ``solve_state(states[i])`` to rounding (not
+        bitwise; see :meth:`~repro.rmesh.solve.StackSolver.solve_block`).
         ``activities``, one entry per state, are per-channel I/O activity
         overrides for :meth:`power_maps` (``None`` entries derive the
         activity from the state).

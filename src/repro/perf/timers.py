@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
 #: Context manager timing a block as a trace span (nested regions nest
@@ -25,6 +26,10 @@ timed = _trace.span
 
 #: Clearing the timers is clearing the span buffer they are read from.
 reset_timers = _trace.reset_trace
+
+#: Counters of work too fine-grained for a span of its own (its time sits
+#: inside the enclosing timers), printed under the timer table when set.
+REPORTED_COUNTERS = ("lut.entries_superposed",)
 
 
 def snapshot() -> Dict[str, Tuple[float, int]]:
@@ -54,6 +59,10 @@ def report() -> str:
         lines.append(
             f"{name:<{width}}  {total:>8.3f}s  {count:>7d}  {mean * 1e3:>7.2f}ms"
         )
+    for name in REPORTED_COUNTERS:
+        value = _metrics.get_counter(name)
+        if value:
+            lines.append(f"{name}: {value} (counter; timed inside the rows above)")
     dropped = _trace.dropped_count()
     if dropped:
         lines.append(

@@ -43,6 +43,14 @@ RESIDUAL_SAMPLE_EVERY = 16
 
 RESIDUAL_ENV = "REPRO_RESIDUAL_EVERY"
 
+#: Columns per SuperLU call in :meth:`StackSolver.solve_block`.  SuperLU's
+#: multi-column triangular solves call dense BLAS kernels; blocks of 4 or
+#: fewer columns never take OpenBLAS's threaded path, whose threads
+#: contend on small machines (on 2 vCPUs a 16-column HMC block took
+#: ~110 ms, its four 4-column chunks ~7 ms together).  Chunks of 4 give
+#: the same bits as the 16-column block there; chunks of 1-3 do not.
+BLOCK_CHUNK_COLUMNS = 4
+
 
 def _residual_every() -> int:
     return envcfg.env_int(RESIDUAL_ENV, RESIDUAL_SAMPLE_EVERY, minimum=1)
@@ -237,8 +245,12 @@ class StackSolver:
         """Solve ``k`` load configurations; return one Fortran-ordered block.
 
         ``currents_matrix`` has shape ``(num_nodes, k)``, one current
-        vector per column; the result block matches it.  Column ``i`` is
-        bitwise identical to ``solve_currents(currents_matrix[:, i])``.
+        vector per column; the result block matches it.  The block goes
+        through SuperLU in chunks of :data:`BLOCK_CHUNK_COLUMNS` columns,
+        so the result is bitwise equal to solving each chunk on its own.
+        Column ``i`` agrees with ``solve_currents(currents_matrix[:, i])``
+        to rounding, not bitwise: the multi-column
+        kernels sum in another order than the single-column ones.
         This is the memory-lean primitive under :meth:`solve_many`:
         callers that only need the raw drops (LUT builds, batched
         sweeps) can consume the block directly -- one allocation, no
@@ -259,11 +271,12 @@ class StackSolver:
             )
         k = currents_matrix.shape[1]
         with span("solver.solve_many", count=k, batch=k) as sp:
-            # The whole block goes through SuperLU's triangular solves in
-            # a single call, amortizing the sparse traversal over all RHS.
-            block = np.asfortranarray(
-                self._lu.solve(np.asfortranarray(currents_matrix))
-            )
+            # Each chunk amortizes the sparse traversal over its columns.
+            rhs = np.asfortranarray(currents_matrix)
+            block = np.empty(rhs.shape, order="F")
+            for first in range(0, k, BLOCK_CHUNK_COLUMNS):
+                chunk = slice(first, first + BLOCK_CHUNK_COLUMNS)
+                block[:, chunk] = self._lu.solve(rhs[:, chunk])
         if not np.all(np.isfinite(block)):
             raise SolverError(
                 "solve produced non-finite drops",
@@ -285,8 +298,9 @@ class StackSolver:
         zero-copy *view* into the shared Fortran-ordered block (columns
         of an F-ordered array are contiguous), so a large LUT batch no
         longer doubles peak RSS by materializing per-column copies.
-        Column ``i`` of the result is bitwise identical to
-        ``solve_currents(currents_matrix[:, i])``.
+        Column ``i`` of the result agrees with
+        ``solve_currents(currents_matrix[:, i])`` to rounding, as in
+        :meth:`solve_block`.
         """
         block = self.solve_block(currents_matrix)
         if block.shape[1] == 0:

@@ -15,6 +15,7 @@ from repro.experiments.fig9_constraint_sweep import (
     table7_cases,
 )
 from repro.experiments.table6_policies import CONSTRAINT_MV
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.perf.cache import cached_build_stack
 from repro.power.state import MemoryState
@@ -95,6 +96,16 @@ def test_basis_is_built_once_lazily_and_lookups_never_solve(ddr3_stack, ddr3_lut
     assert "lut.basis" not in later
     assert not any(name.startswith("solver.solve") for name in later)
     assert lut.as_dict() == ddr3_lut.as_dict()
+
+
+def test_superposed_entries_are_counted(ddr3_stack):
+    """One ``lut.entries_superposed`` per entry superposed, none for the
+    idle state or a repeated lookup."""
+    lut = IRDropLUT(ddr3_stack, precompute=False)
+    before = obs_metrics.get_counter("lut.entries_superposed")
+    for counts in [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (1, 0, 2, 1)]:
+        lut.lookup(counts)
+    assert obs_metrics.get_counter("lut.entries_superposed") - before == 2
 
 
 def _relative_error(lut, stack, states):

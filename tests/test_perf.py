@@ -407,6 +407,18 @@ def test_report_notes_spans_dropped_at_cap(monkeypatch):
     reset_timers()
 
 
+def test_report_prints_counters_of_unspanned_work():
+    reset_timers()
+    with timed("unit.outer"):
+        obs_metrics.inc("lut.entries_superposed", 3)
+    total = obs_metrics.get_counter("lut.entries_superposed")
+    assert (
+        f"lut.entries_superposed: {total} (counter; timed inside the rows above)"
+        in report().splitlines()
+    )
+    reset_timers()
+
+
 def test_solver_paths_record_timers(ddr3_off_bench):
     reset_timers()
     clear_caches()

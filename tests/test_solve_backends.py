@@ -3,7 +3,7 @@
 Covers :func:`repro.rmesh.backends.make_operator` (the SuperLU
 factorization every DC and transient solve goes through) and the
 ``IRDropResult`` / ``SolverError`` paths of :mod:`repro.rmesh.solve`:
-input checks, batched-solve layout and bitwise contract, residual
+input checks, batched-solve layout and chunk-wise bitwise contract, residual
 sampling, and the heat-map helpers.  Solves run on the stacked-DDR3
 baseline (``ddr3_stack``).
 """
@@ -21,6 +21,7 @@ from repro.errors import SolverError
 from repro.geometry import Point
 from repro.obs import metrics as obs_metrics
 from repro.perf.cache import cached_build_stack, clear_caches
+from repro.power.state import MemoryState
 from repro.rmesh.backends import make_operator
 from repro.rmesh.solve import IRDropResult, StackSolver
 
@@ -141,6 +142,28 @@ def test_solve_block_matches_per_column_solves(workload, solver):
     for i in range(batch.shape[1]):
         single = solver.solve_currents(batch[:, i])
         np.testing.assert_array_equal(block[:, i], single.drops)
+
+
+def test_hmc_block_is_its_4_column_chunks_and_near_single_solves(paper_stacks):
+    """A 16-column HMC block is not bitwise equal to single-column solves
+    (SuperLU's multi-column kernels sum in another order).  Its contract
+    is bitwise equality with its 4-column chunks solved on their own, and
+    agreement with single solves to rounding."""
+    bench, stack = paper_stacks["hmc"]
+    fp = bench.stack.dram_floorplan
+    solver = stack.solver
+    rng = np.random.default_rng(24)
+    states = [MemoryState.from_counts(rng.integers(1, 9, 4), fp) for _ in range(16)]
+    currents = np.column_stack(
+        [solver.currents_from_maps(stack.power_maps(s)) for s in states]
+    )
+    block = solver.solve_block(currents)
+    chunks = [solver.solve_block(currents[:, i : i + 4]) for i in range(0, 16, 4)]
+    assert np.array_equal(block, np.hstack(chunks))
+    for i in range(16):
+        single = solver.solve_currents(currents[:, i]).drops
+        gap = np.max(np.abs(block[:, i] - single))
+        assert gap <= 1e-13 * np.max(np.abs(single))
 
 
 def test_solve_many_returns_views_into_one_block(workload, solver):
