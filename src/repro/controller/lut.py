@@ -62,10 +62,11 @@ class IRDropLUT:
         self.num_dies = stack.spec.num_dram_dies
         self.max_banks_per_die = max_banks_per_die
         fp = stack.spec.dram_floorplan
-        #: The basis groups, each a channel and the die's active banks in
-        #: it, and per count its ``MemoryState.from_counts`` edge banks
-        #: split by ``channel_banks`` as (channel, group index) pairs, in
-        #: state order: ranked once per table rather than once per entry.
+        #: ``_groups``: the basis groups, each (channel, a die's active
+        #: banks in it).  ``_count_groups[n]``: the groups of ``n``
+        #: edge-placed banks (``MemoryState.from_counts`` split by
+        #: ``channel_banks``) as (channel, group index) pairs in state
+        #: order, computed once per table rather than once per entry.
         self._groups: List[Tuple[int, Tuple[int, ...]]] = []
         self._count_groups: List[Tuple[Tuple[int, int], ...]] = []
         for count in range(max_banks_per_die + 1):
