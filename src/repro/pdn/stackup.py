@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SolverError
 from repro.floorplan.blocks import DieFloorplan
 from repro.geometry import Grid2D, Point, Rect
-from repro.pdn.assemble import AssembledStack, assemble
+from repro.pdn.assemble import AssembledStack, AssemblySession, assemble
 from repro.pdn.config import (
     Bonding,
     BumpLocation,
@@ -900,15 +900,19 @@ def build_stack(
     config: PDNConfig,
     tech: TechConstants = DEFAULT_TECH,
     pitch: Optional[float] = None,
+    session: Optional[AssemblySession] = None,
 ) -> PDNStack:
     """Build the resistive network for one benchmark at one design point.
 
     Drop-in for the former monolithic builder: plans, assembles, and
     wraps.  Results are bitwise identical to the pre-plan pipeline.
+    ``session`` reuses the artifacts of earlier builds under it
+    (:class:`~repro.pdn.assemble.AssemblySession`, bitwise equal to a
+    cold build); no shared cache is read or written either way.
     """
     with timed("stackup.build"):
         plan = plan_stack(spec, config, tech=tech, pitch=pitch)
-        assembled = assemble(plan)
+        assembled = assemble(plan, session=session)
         record_plan_use(plan)
         return PDNStack.from_assembled(spec, config, tech, plan, assembled)
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.designs import BenchmarkSpec
 from repro.errors import RegressionError
+from repro.pdn.assemble import AssemblySession
 from repro.pdn.config import (
     Bonding,
     BumpLocation,
@@ -40,6 +41,7 @@ from repro.pdn.config import (
 from repro.pdn.stackup import build_stack
 from repro.perf.parallel import map_design_points
 from repro.perf.timers import timed
+from repro.rmesh.backends import OrderingMemo
 from repro.rmesh.solve import StackSolver
 from repro.tech.calibration import DEFAULT_TECH, TechConstants
 
@@ -179,22 +181,32 @@ def _eval_combo_chunk(
     """Evaluate one discrete combo's continuous grid (worker unit).
 
     Module-level so it pickles into :class:`ProcessPoolExecutor` workers;
-    each design point builds, factorizes, and solves its own stack, so
-    points are independent and chunking by combo just bounds pickling
-    overhead.
+    each design point builds, factorizes, and solves its own stack, and
+    the task's result depends on nothing but the task, so samples are the
+    same bits at any worker count.
 
     Each point is factorized once, with the ``"symmetric"`` ordering
     (:mod:`repro.rmesh.backends`), by a solver private to this loop: the
-    stack comes from the uncached :func:`build_stack`, and the solver is
-    never stored on it, so no verification solve can pick it up.
+    stack comes from :func:`build_stack`, outside the shared caches, and
+    the solver is never stored on it, so no verification solve can pick
+    it up.  The points share one assembly session and one ordering memo,
+    both made here and dropped with the task: the grid's (M2, M3) points
+    at one TSV count have one sparsity pattern, so only the first is
+    ordered from scratch.
     """
     bench, tech, pitch, key, grid = task
     state = bench.reference_state()
+    session = AssemblySession()
+    orderings = OrderingMemo()
     out: List[DesignSample] = []
     for m2, m3, tc in grid:
         config = config_from_parts(bench, key, m2, m3, tc)
-        stack = build_stack(bench.stack, config, tech=tech, pitch=pitch)
-        solver = StackSolver(stack.model, ordering=SAMPLING_ORDERING)
+        stack = build_stack(
+            bench.stack, config, tech=tech, pitch=pitch, session=session
+        )
+        solver = StackSolver(
+            stack.model, ordering=SAMPLING_ORDERING, orderings=orderings
+        )
         result = stack.solve_state(state, solver=solver)
         out.append(DesignSample(config=config, ir_mv=result.dram_max_mv))
     return out

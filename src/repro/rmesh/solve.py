@@ -33,7 +33,7 @@ from repro.geometry import Point
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
 from repro.power.powermap import PowerMap
-from repro.rmesh.backends import make_operator
+from repro.rmesh.backends import OrderingMemo, PermutedLU, make_operator
 from repro.rmesh.stack import StackModel
 from repro.units import to_mv
 
@@ -176,17 +176,29 @@ class StackSolver:
     ``ordering`` picks the SuperLU column ordering
     (:data:`repro.rmesh.backends.ORDERINGS`) and is recorded on the
     ``solver.factorize`` span; shared solvers keep the default.
+    ``orderings`` lends a ``"symmetric"`` solver an
+    :class:`~repro.rmesh.backends.OrderingMemo`; the span's
+    ``ordering_reused`` attribute says whether it supplied the ordering.
     """
 
-    def __init__(self, model: StackModel, ordering: str = "colamd") -> None:
+    def __init__(
+        self,
+        model: StackModel,
+        ordering: str = "colamd",
+        orderings: Optional[OrderingMemo] = None,
+    ) -> None:
         self.model = model
         self.ordering = ordering
         matrix = model.conductance_matrix().tocsc()
         with span(
             "solver.factorize", nodes=model.num_nodes, ordering=ordering
         ) as sp:
-            self._lu = make_operator(matrix, ordering=ordering)
+            self._lu = make_operator(matrix, ordering=ordering, orderings=orderings)
+            reused = isinstance(self._lu, PermutedLU)
+            sp.attrs["ordering_reused"] = reused
         self.factor_time = sp.duration
+        if reused:
+            _metrics.inc("solver.orderings_reused")
         # Kept for residual-norm checks; the factors dominate memory.
         self._matrix = matrix
         self._num_nodes = model.num_nodes

@@ -11,7 +11,12 @@ other solve keeps SuperLU's default COLAMD.  Pinned here:
   on ``tests/golden/ir_baseline.json``;
 * a sampled stack's factorization never leaks into the shared caches: a
   cached build of a just-sampled config solves with the default
-  ordering, bitwise equal to a cold build.
+  ordering, bitwise equal to a cold build;
+* within one sampling task the ordering is computed once per sparsity
+  pattern (:class:`~repro.rmesh.backends.OrderingMemo`) and the memo dies
+  with the task, so serial and parallel samples stay bitwise equal in
+  any order; reused orderings agree with fresh ones to 1e-12 relative;
+* session assembly of a task's points equals cold builds bitwise.
 """
 
 from __future__ import annotations
@@ -24,12 +29,20 @@ import pytest
 
 from repro.designs import hmc, off_chip_ddr3, on_chip_ddr3, wide_io
 from repro.errors import ConfigurationError
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.pdn import build_stack
+from repro.pdn import AssemblySession, build_stack
 from repro.perf.cache import cached_build_stack, clear_caches
-from repro.regress.model import sample_design_space, valid_discrete_combos
-from repro.rmesh.backends import make_operator
+from repro.regress.model import (
+    _eval_combo_chunk,
+    config_from_parts,
+    continuous_sample_grid,
+    sample_design_space,
+    valid_discrete_combos,
+)
+from repro.rmesh.backends import OrderingMemo, PermutedLU, make_operator
 from repro.rmesh.solve import StackSolver
+from repro.tech.calibration import DEFAULT_TECH
 
 GOLDEN_IR = Path(__file__).parent / "golden" / "ir_baseline.json"
 
@@ -115,3 +128,139 @@ def test_sampled_factorizations_stay_out_of_the_caches():
             assert sample.ir_mv == pytest.approx(result.dram_max_mv, rel=1e-10)
     finally:
         clear_caches()
+
+
+# -- ordering reuse within a sampling task -------------------------------------
+
+
+def _pattern(matrix):
+    return (matrix.shape, matrix.indptr.tobytes(), matrix.indices.tobytes())
+
+
+@pytest.fixture(scope="module")
+def task():
+    """One sampling task of stacked DDR3: a combo and a grid whose
+    (M2, M3) points share a pattern per TSV count."""
+    bench = off_chip_ddr3()
+    key = valid_discrete_combos(bench)[0]
+    grid = continuous_sample_grid(bench, m2_points=2, m3_points=2, tc_points=2)
+    return bench, key, grid
+
+
+def test_serial_then_parallel_samples_are_bitwise_equal(ddr3_off_bench):
+    # A serial run first, in this process: an ordering memo that outlived
+    # its task would be inherited by the forked workers and change bits.
+    combos = valid_discrete_combos(ddr3_off_bench)[:2]
+    kwargs = dict(m2_points=2, m3_points=2, tc_points=2, combos=combos)
+    serial = sample_design_space(ddr3_off_bench, workers=1, **kwargs)
+    parallel = sample_design_space(ddr3_off_bench, workers=2, **kwargs)
+    assert [s.config for s in serial] == [s.config for s in parallel]
+    assert [s.ir_mv.hex() for s in serial] == [s.ir_mv.hex() for s in parallel]
+
+
+def test_one_fresh_ordering_per_pattern_in_a_task(task):
+    bench, key, grid = task
+    patterns = {
+        _pattern(
+            build_stack(bench.stack, config_from_parts(bench, key, *point))
+            .model.conductance_matrix()
+            .tocsc()
+        )
+        for point in grid
+    }
+    assert 1 < len(patterns) < len(grid)
+    _trace.reset_trace()
+    before = _metrics.get_counter("solver.orderings_reused")
+    _eval_combo_chunk((bench, DEFAULT_TECH, None, key, grid))
+    reused = [
+        r.attrs["ordering_reused"]
+        for r in _trace.spans()
+        if r.name == "solver.factorize"
+    ]
+    assert len(reused) == len(grid)
+    assert reused.count(False) == len(patterns)
+    assert reused.count(True) == len(grid) - len(patterns)
+    assert (
+        _metrics.get_counter("solver.orderings_reused") - before
+        == len(grid) - len(patterns)
+    )
+
+
+@pytest.fixture(scope="module")
+def same_pattern_stacks(task):
+    """Two points of the task at one TSV count: same pattern, new values."""
+    bench, key, grid = task
+    (m2a, m3a, tc), (m2b, m3b, _) = [p for p in grid if p[2] == grid[0][2]][:2]
+    stacks = [
+        build_stack(bench.stack, config_from_parts(bench, key, m2, m3, tc))
+        for m2, m3 in ((m2a, m3a), (m2b, m3b))
+    ]
+    first, second = (s.model.conductance_matrix().tocsc() for s in stacks)
+    assert _pattern(first) == _pattern(second)
+    assert not np.array_equal(first.data, second.data)
+    return bench, stacks
+
+
+def test_reused_ordering_matches_fresh_factorization(same_pattern_stacks):
+    bench, (first, second) = same_pattern_stacks
+    state = bench.reference_state()
+    memo = OrderingMemo()
+    StackSolver(first.model, ordering="symmetric", orderings=memo)
+    reused = StackSolver(second.model, ordering="symmetric", orderings=memo)
+    assert isinstance(reused._lu, PermutedLU)
+    fresh = StackSolver(second.model, ordering="symmetric")
+    got = second.solve_state(state, solver=reused).raw.drops
+    want = second.solve_state(state, solver=fresh).raw.drops
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    # A block is un-permuted like a single right-hand side.
+    rhs = np.column_stack([want, 2.0 * want])
+    single = np.column_stack([reused.solve_currents(c).drops for c in rhs.T])
+    np.testing.assert_allclose(reused.solve_block(rhs), single, rtol=1e-12)
+
+
+def test_first_point_of_a_pattern_is_the_plain_symmetric_factorization(
+    same_pattern_stacks,
+):
+    bench, (first, _) = same_pattern_stacks
+    state = bench.reference_state()
+    memoized = StackSolver(first.model, ordering="symmetric", orderings=OrderingMemo())
+    plain = StackSolver(first.model, ordering="symmetric")
+    got = first.solve_state(state, solver=memoized).raw.drops
+    assert np.array_equal(got, first.solve_state(state, solver=plain).raw.drops)
+
+
+def test_residual_gauge_uses_the_unpermuted_matrix(same_pattern_stacks):
+    bench, (first, second) = same_pattern_stacks
+    memo = OrderingMemo()
+    StackSolver(first.model, ordering="symmetric", orderings=memo)
+    solver = StackSolver(second.model, ordering="symmetric", orderings=memo)
+    matrix = second.model.conductance_matrix().tocsc()
+    currents = solver.currents_from_maps(second.power_maps(bench.reference_state()))
+    drops = solver.solve_currents(currents).drops  # first solve: sampled
+    want = np.linalg.norm(matrix @ drops - currents) / np.linalg.norm(currents)
+    assert _metrics.get_gauge("solver.residual_norm") == want
+    assert want < 1e-12
+
+
+def test_ordering_memo_needs_the_symmetric_ordering(baselines):
+    _, stack = baselines["ddr3_off"]
+    with pytest.raises(ConfigurationError, match="ordering memo"):
+        make_operator(
+            stack.model.conductance_matrix().tocsc(),
+            ordering="colamd",
+            orderings=OrderingMemo(),
+        )
+
+
+def test_session_assembly_of_a_task_is_bitwise_cold(task):
+    bench, key, grid = task
+    session = AssemblySession()
+    for point in grid:
+        config = config_from_parts(bench, key, *point)
+        warm = build_stack(bench.stack, config, session=session)
+        cold = build_stack(bench.stack, config)
+        a = warm.model.conductance_matrix().tocsc()
+        b = cold.model.conductance_matrix().tocsc()
+        assert _pattern(a) == _pattern(b)
+        assert a.data.tobytes() == b.data.tobytes()
+    assert session.stats()["meshes"] > 0
