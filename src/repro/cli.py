@@ -45,7 +45,6 @@ from repro.obs.trace import span, write_chrome_trace
 from repro.pdn.config import Bonding
 from repro.pdn.stackup import build_stack
 from repro.perf.parallel import WORKERS_ENV
-from repro.resil.checkpoint import CHECKPOINT_ENV
 from repro.perf.timers import report as perf_report
 from repro.power.state import MemoryState
 
@@ -601,7 +600,6 @@ _GLOBAL_DEFAULTS = {
     "manifest_out": None,
     "profile": False,
     "history": False,
-    "resume": None,
 }
 
 
@@ -672,14 +670,6 @@ def _global_options() -> argparse.ArgumentParser:
         action="store_true",
         help="record this run in the run-history store when the command "
         "finishes (query it with `repro3d obs`)",
-    )
-    common.add_argument(
-        "--resume",
-        metavar="CKPT",
-        help="journal completed design points into CKPT and resume from "
-        "it: a re-run after a kill serves already-solved sweep points "
-        f"from the checkpoint (sets {CHECKPOINT_ENV}; see "
-        "docs/robustness.md)",
     )
     return common
 
@@ -1086,11 +1076,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the sampler itself for this process.
         os.environ[PROFILE_ENV] = "1"
         start_profiler()
-    if args.resume:
-        # Checkpointed solves resolve their journal from the environment
-        # (repro.resil.checkpoint), so the flag covers every sweep in
-        # the run without threading a handle through each driver.
-        os.environ[CHECKPOINT_ENV] = args.resume
     with span(f"cli.{args.command}") as sp:
         code = args.func(args)
     if args.perf_report:

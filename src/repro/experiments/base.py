@@ -147,22 +147,16 @@ def run_experiment(
     from repro.obs import metrics as _metrics
     from repro.obs.manifest import build_manifest
     from repro.obs.trace import span
-    from repro.resil.checkpoint import active_checkpoint_info
 
     before = _metrics.snapshot()
     with span(f"experiment.{experiment_id}", fast=fast) as sp:
         result = registry[experiment_id](fast=fast)
-    # Resume lineage: when a checkpoint is active, the manifest records
-    # where it journals and how many points it served vs. solved -- the
-    # receipt that distinguishes a resumed run from a fresh one.
-    resume_info = active_checkpoint_info()
     result.manifest = build_manifest(
         experiment_id=experiment_id,
         title=result.title,
         config={"experiment": experiment_id, "fast": fast},
         duration_s=sp.duration,
         metrics_snapshot=_metrics.diff(before, _metrics.snapshot()),
-        extra={"resume": resume_info} if resume_info else None,
     )
     if manifest_out is not None:
         result.manifest.write(manifest_out)

@@ -19,7 +19,6 @@ from repro.experiments.base import ExperimentResult, Row, register
 from repro.pdn.config import TSVLocation
 from repro.pdn.tsv import distributed_tsv_points, mean_alignment_distance
 from repro.perf.cache import cached_build_stack
-from repro.resil.checkpoint import checkpointed_solve
 from repro.tech.calibration import DEFAULT_TECH
 
 
@@ -43,13 +42,12 @@ def run(fast: bool = True) -> ExperimentResult:
                 dedicated_tsv=False,
             )
             for aligned, atag in ((False, "misaligned"), (True, "aligned")):
-                # Journaled: ``repro3d --resume`` serves finished points.
                 stack = cached_build_stack(
                     bench.stack,
                     config.with_options(tsv_aligned=aligned),
                     tech=DEFAULT_TECH,
                 )
-                res = checkpointed_solve(stack, state)
+                res = stack.solve_state(state)
                 values[f"{tag}_{atag}_mv"] = res.dram_max_mv
                 if tag == "on" and aligned:
                     values["logic_mv"] = res.logic_max_mv

@@ -38,7 +38,6 @@ from repro.regress.model import (
     sample_design_space,
     valid_discrete_combos,
 )
-from repro.resil.checkpoint import checkpointed_solve
 from repro.tech.calibration import DEFAULT_TECH, TechConstants
 
 
@@ -103,17 +102,16 @@ class CoOptimizer:
         self.surrogate = surrogate
 
     def _verify(self, config: PDNConfig, state: MemoryState) -> float:
-        """Full R-Mesh worst DRAM drop of one config (cached, journaled).
+        """Full R-Mesh worst DRAM drop of one config (cached).
 
         Alpha sweeps often converge on the same winning config, and
         fig9/table9 re-verify configs across runs, so the keyed stack
-        cache makes repeats free; ``repro3d --resume`` serves finished
-        verifications from the checkpoint journal.
+        cache makes repeats free.
         """
         stack = cached_build_stack(
             self.bench.stack, config, tech=self.tech, pitch=self.pitch
         )
-        return checkpointed_solve(stack, state).dram_max_mv
+        return stack.solve_state(state).dram_max_mv
 
     # -- inner continuous optimization ---------------------------------------
 

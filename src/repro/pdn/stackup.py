@@ -325,20 +325,10 @@ class PDNStack:
         solve (the design-space sampler passes a private symmetric-ordering
         factorization that no other caller may reuse).
         """
-        from repro.resil.retry import protected_call
-
         solver = solver if solver is not None else self.solver
         maps = self.power_maps(state, logic_scale)
-        # The solve runs under the resil chaos/retry hook: a plain call
-        # when no fault spec is active, transparent retry of injected
-        # transients otherwise -- every experiment driver and LUT build
-        # funnels through here, so this one boundary covers them all.
         try:
-            raw = protected_call(
-                lambda: solver.solve_power_maps(maps),
-                site="solve_state",
-                key=f"{self.plan_hash or 'none'}:{state.label()}:{logic_scale}",
-            )
+            raw = solver.solve_power_maps(maps)
         except SolverError as exc:
             self._annotate_solver_error(exc, [state])
             raise
@@ -361,8 +351,6 @@ class PDNStack:
         overrides for :meth:`power_maps` (``None`` entries derive the
         activity from the state).
         """
-        from repro.resil.retry import protected_call
-
         if not states:
             return []
         try:
@@ -374,11 +362,7 @@ class PDNStack:
             currents = np.stack(
                 [solver.currents_from_maps(maps) for maps in all_maps], axis=1
             )
-            raws = protected_call(
-                lambda: solver.solve_many(currents),
-                site="solve_states",
-                key=f"{self.plan_hash or 'none'}:{len(states)}:{logic_scale}",
-            )
+            raws = solver.solve_many(currents)
         except SolverError as exc:
             self._annotate_solver_error(exc, states)
             raise

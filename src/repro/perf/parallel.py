@@ -8,14 +8,12 @@ plain serial loop when one worker is requested or when the platform
 cannot spawn processes (sandboxes, restricted containers).
 
 Execution is fault-tolerant (:mod:`repro.resil.execute`): every item is
-its own future, transient failures (worker crashes, pool breakage,
-injected faults) are retried with backoff, a broken pool is rebuilt --
-re-queueing only in-flight items, keeping completed results -- and the
-remaining work degrades to a serial run when the pool cannot be
-restored.  ``map_design_points`` keeps the historical all-or-nothing
-contract (the first *permanent* failure raises); callers that want
-partial results plus a failure report use
-:func:`repro.resil.execute.run_tasks` directly.
+its own future, a broken pool (a dead worker) is rebuilt -- re-queueing
+only in-flight items, keeping completed results -- a hung task is
+resubmitted past its deadline, and the remaining work degrades to a
+serial run when the pool cannot be restored.  An exception raised by
+the function itself is deterministic: the lowest-index one is
+re-raised.
 
 Observability crosses the process boundary on one path: each worker
 task runs inside :class:`_ObsTask`, which marks the span buffer, the
@@ -56,7 +54,7 @@ from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.perf.timers import timed
 from repro.resil import faults as _faults
-from repro.resil.execute import TaskReport, run_tasks
+from repro.resil.execute import run_tasks
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -136,18 +134,23 @@ class _ResilTask:
 
     Receives ``(index, tries, item)`` so the worker-side fault-injection
     decision point is keyed by the task *and* its submission attempt --
-    a retried task re-rolls its fault draw instead of crashing
-    identically forever.  The fault check runs before the obs snapshots:
-    an injected failure ships no delta, exactly like a real crash.
+    a resubmitted task re-rolls its fault draw instead of crashing
+    identically forever.  The fault check runs inside the obs window, so
+    a ``slow_task`` fault ships its ``resil.fault.*`` counts home; a
+    ``worker_crash`` ships nothing, exactly like a real crash.
     """
 
     def __init__(self, fn: Callable[[T], R]) -> None:
-        self._obs = _ObsTask(fn)
+        self.fn = fn
 
     def __call__(self, payload: Tuple[int, int, T]) -> _WorkerReturn:
         index, tries, item = payload
-        _faults.check_task(str(index), attempt=tries)
-        return self._obs(item)
+
+        def faulted(item: T) -> R:
+            _faults.check_task(str(index), attempt=tries)
+            return self.fn(item)
+
+        return _ObsTask(faulted)(item)
 
 
 def _merge_worker_return(wr: _WorkerReturn) -> Any:
@@ -177,40 +180,33 @@ def map_design_points(
     usable CPU by default); at most one process per item is started,
     and a single resolved worker runs the loop in this process.  ``fn``
     and the items must be picklable when that count exceeds 1.  Execution
-    runs on the fault-tolerant engine (:mod:`repro.resil.execute`):
-    transient worker failures are retried, a broken pool is rebuilt
-    (completed results kept), and if the executor cannot start or stay
-    up, the remaining items degrade to a serial loop instead of
-    discarding finished work.  Worker spans, metrics and profiler
-    samples are merged back into this process (see module docstring),
-    so observability output matches a serial run.
+    runs on the fault-tolerant engine (:mod:`repro.resil.execute`): a
+    broken pool is rebuilt (completed results kept), and if the executor
+    cannot start or stay up, the remaining items degrade to a serial
+    loop instead of discarding finished work.  Worker spans, metrics and
+    profiler samples are merged back into this process (see module
+    docstring), so observability output matches a serial run.
 
-    A task that fails *permanently* (non-transient error, or attempts
-    exhausted) raises, preserving the historical all-or-nothing
-    contract; use :func:`repro.resil.execute.run_tasks` for partial
-    results plus a failure report.
+    An exception raised by ``fn`` (or a task that timed out on every
+    attempt) is re-raised, lowest input index first.
     """
     items = list(items)
     workers = min(resolve_workers(workers), len(items))
     if workers <= 1:
         with timed("parallel.serial_map"):
-            report = run_tasks(fn, items, workers=1)
-    else:
-        with timed("parallel.process_map"):
-            report = run_tasks(
-                fn,
-                items,
-                workers=workers,
-                task_factory=_ResilTask,
-                merge=_merge_worker_return,
-            )
-    report.raise_first()
-    return list(report.results)
+            return run_tasks(fn, items, workers=1)
+    with timed("parallel.process_map"):
+        return run_tasks(
+            fn,
+            items,
+            workers=workers,
+            task_factory=_ResilTask,
+            merge=_merge_worker_return,
+        )
 
 
 __all__ = [
     "WORKERS_ENV",
-    "TaskReport",
     "map_design_points",
     "resolve_workers",
     "run_tasks",

@@ -1,29 +1,24 @@
-"""Submit-per-item task execution with retries, timeouts, and rebuilds.
+"""Submit-per-item task execution with timeouts and pool rebuilds.
 
 :func:`run_tasks` is the engine under
-:func:`repro.perf.parallel.map_design_points`.  Where the old
-``ex.map`` path was all-or-nothing -- the first worker exception (or a
-``BrokenProcessPool`` from an OOM-killed worker) discarded every
-completed solve -- this one tracks each item as its own future and
-degrades stepwise:
+:func:`repro.perf.parallel.map_design_points`.  It handles the two
+failures a sweep can really meet, and nothing else:
 
-* a failed task is retried (transient errors only, bounded attempts
-  with backoff -- see :class:`~repro.resil.retry.RetryPolicy`);
-* a task past its deadline is abandoned and resubmitted
-  (``task_timeout_s``);
-* a broken pool is torn down and rebuilt (up to ``pool_rebuilds``
-  times), re-queueing only the in-flight items -- completed results
-  are kept;
-* when the pool cannot be rebuilt (or cannot start at all: sandboxes,
-  restricted containers), the remaining items run serially in the
-  parent;
-* a task that exhausts its attempts becomes a
-  :class:`~repro.resil.retry.TaskFailure` record, not a crash.
+* a pool worker that dies (the OOM killer, an injected
+  ``worker_crash``): the broken pool is torn down and rebuilt (up to
+  ``pool_rebuilds`` times), re-queueing only the in-flight items --
+  completed results are kept -- and once the rebuild budget is spent
+  (or no pool can start at all: sandboxes, restricted containers) the
+  remaining items run serially in the parent;
+* a task that hangs past ``task_timeout_s``: it is abandoned and
+  resubmitted, at most ``max_attempts`` times in all.
 
-The return value is a :class:`TaskReport`: results in input order
-(``None`` holes where a task failed) plus the failure records and
-retry/timeout/rebuild counters, which also land in the obs metrics
-registry under ``resil.*``.
+An exception raised by ``fn`` itself is deterministic -- a singular
+matrix is singular on every retry -- so it fails its task at once.
+:func:`run_tasks` returns the results in input order, or re-raises the
+lowest-index failure once the run is over.  The events land in the obs
+metrics registry as ``resil.{retries,task_timeouts,pool_rebuilds,
+task_failures,serial_fallbacks}``.
 
 Observability still crosses the process boundary exactly as before:
 every worker task runs inside :class:`~repro.perf.parallel._ObsTask`,
@@ -35,6 +30,10 @@ runs (``--profile``): that thread takes the trace and profile locks, and
 a fork landing while it holds one would hand the child a lock nobody
 releases, deadlocking the child on its first span.  Those pools are
 spawned instead.
+
+Env knobs (all warn-and-default via :mod:`repro.envcfg`):
+``REPRO_RETRY_MAX`` (attempts per timed-out task), ``REPRO_TASK_TIMEOUT``
+(seconds, 0 disables), ``REPRO_POOL_REBUILDS``.
 """
 
 from __future__ import annotations
@@ -44,131 +43,83 @@ import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
+from repro import envcfg
 from repro.obs import metrics as _metrics
 from repro.obs import profile as _profile
 from repro.obs.log import get_logger
-from repro.resil import faults
-from repro.resil.retry import RetryPolicy, TaskFailure
 
 _log = get_logger("resil.execute")
 
 T = TypeVar("T")
 R = TypeVar("R")
 
+RETRY_MAX_ENV = "REPRO_RETRY_MAX"
+TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
+POOL_REBUILDS_ENV = "REPRO_POOL_REBUILDS"
+
+DEFAULT_MAX_ATTEMPTS = 4
+DEFAULT_POOL_REBUILDS = 8
+
 #: Poll period while waiting on futures; short enough that deadline
 #: enforcement is responsive, long enough to stay off the hot path.
 _WAIT_SLICE_S = 0.1
 
 
-@dataclass
-class TaskReport:
-    """Partial results plus everything that went wrong getting them."""
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How long a task may run, how often it is resubmitted, how often
+    a broken pool is rebuilt."""
 
-    results: List[Any] = field(default_factory=list)
-    failures: List[TaskFailure] = field(default_factory=list)
-    retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    serial_fallback: bool = False
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    task_timeout_s: Optional[float] = None
+    pool_rebuilds: int = DEFAULT_POOL_REBUILDS
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def completed(self) -> int:
-        return len(self.results) - len(self.failures)
-
-    def raise_first(self) -> None:
-        """Re-raise the first (by input order) failure's exception.
-
-        Compatibility shim for all-or-nothing callers
-        (:func:`~repro.perf.parallel.map_design_points`): the historical
-        contract was "first exception propagates".
-        """
-        if not self.failures:
-            return
-        first = min(self.failures, key=lambda f: f.index)
-        if first.exception is not None:
-            raise first.exception
-        raise TimeoutError(
-            f"task {first.index} ({first.item}) timed out after "
-            f"{first.attempts} attempts"
+    @classmethod
+    def from_env(cls) -> "RetryPolicy":
+        timeout = envcfg.env_float(TASK_TIMEOUT_ENV, 0.0, minimum=0.0)
+        return cls(
+            max_attempts=envcfg.env_int(
+                RETRY_MAX_ENV, DEFAULT_MAX_ATTEMPTS, minimum=1
+            ),
+            task_timeout_s=timeout if timeout > 0 else None,
+            pool_rebuilds=envcfg.env_int(
+                POOL_REBUILDS_ENV, DEFAULT_POOL_REBUILDS, minimum=0
+            ),
         )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "tasks": len(self.results),
-            "completed": self.completed,
-            "failures": [f.to_dict() for f in self.failures],
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallback": self.serial_fallback,
-        }
 
 
 @dataclass
 class _TaskState:
-    """Parent-side bookkeeping for one item across its attempts."""
+    """Parent-side bookkeeping for one item across its submissions."""
 
     index: int
     item: Any
     tries: int = 0  # submissions so far (fault-injection re-roll key)
-    failures: int = 0  # failed attempts counted against the budget
+    timeouts: int = 0  # timed-out attempts counted against the budget
     deadline: Optional[float] = None
-    last_exc: Optional[BaseException] = None
-
-
-def _observe_report(report: TaskReport) -> None:
-    if report.retries:
-        _metrics.inc("resil.retries", report.retries)
-    if report.timeouts:
-        _metrics.inc("resil.task_timeouts", report.timeouts)
-    if report.pool_rebuilds:
-        _metrics.inc("resil.pool_rebuilds", report.pool_rebuilds)
-    if report.failures:
-        _metrics.inc("resil.task_failures", len(report.failures))
-    if report.serial_fallback:
-        _metrics.inc("resil.serial_fallbacks")
 
 
 def _run_serial(
     fn: Callable[[T], R],
     states: Sequence[_TaskState],
-    policy: RetryPolicy,
-    report: TaskReport,
+    results: List[Any],
+    failures: Dict[int, BaseException],
 ) -> None:
-    """Run task states in the parent process, with retry + faults.
+    """Run task states (sorted by index) in the parent process.
 
-    The serial path cannot preempt itself, so ``task_timeout_s`` is not
-    enforced here -- timeouts are a parallel-executor feature.
+    Stops at the first failure: every later state has a higher index,
+    so its result could not be returned.  The serial path cannot
+    preempt itself, so ``task_timeout_s`` is not enforced here.
     """
     for st in states:
-        while True:
-            try:
-                faults.check_task(f"{st.index}", attempt=st.tries)
-                report.results[st.index] = fn(st.item)
-                break
-            except Exception as exc:
-                st.tries += 1
-                st.failures += 1
-                st.last_exc = exc
-                if policy.is_transient(exc) and st.failures < policy.max_attempts:
-                    report.retries += 1
-                    delay = policy.backoff_s(st.failures, key=str(st.index))
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                report.failures.append(
-                    TaskFailure.from_exception(
-                        st.index, st.item, exc, attempts=st.failures
-                    )
-                )
-                break
+        try:
+            results[st.index] = fn(st.item)
+        except Exception as exc:
+            failures[st.index] = exc
+            return
 
 
 def _drain_broken_pool(
@@ -187,7 +138,6 @@ def _drain_broken_pool(
         requeue.append(st)
     pending.clear()
     ex.shutdown(wait=False, cancel_futures=True)
-    requeue.sort(key=lambda s: s.index)
     return requeue
 
 
@@ -201,6 +151,14 @@ def _new_pool(max_workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
+def _finish(results: List[Any], failures: Dict[int, BaseException]) -> List[Any]:
+    """The ordered results, or the lowest-index failure re-raised."""
+    if failures:
+        _metrics.inc("resil.task_failures", len(failures))
+        raise failures[min(failures)]
+    return results
+
+
 def run_tasks(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -208,27 +166,26 @@ def run_tasks(
     policy: Optional[RetryPolicy] = None,
     task_factory: Optional[Callable[[Callable[[T], R]], Callable]] = None,
     merge: Optional[Callable[[Any], Any]] = None,
-) -> TaskReport:
-    """Fan ``fn`` over ``items``; always returns a :class:`TaskReport`.
+) -> List[Any]:
+    """``[fn(item) for item in items]``, fanned over ``workers`` processes.
 
     ``workers`` must already be resolved (see
     :func:`repro.perf.parallel.resolve_workers`).  ``task_factory``
     wraps ``fn`` for worker-side execution (the obs-delta shipping
-    wrapper); ``merge`` post-processes each worker return parent-side
-    and yields the bare result.  Both default to identity, which is
-    what the serial path uses.
+    wrapper) and is called with ``(index, tries, item)``; ``merge``
+    post-processes each worker return parent-side and yields the bare
+    result.  Both default to identity; the serial path, including the
+    fallback after the rebuild budget is spent, calls ``fn`` directly.
     """
     items = list(items)
     policy = policy or RetryPolicy.from_env()
-    report = TaskReport(results=[None] * len(items))
+    results: List[Any] = [None] * len(items)
+    failures: Dict[int, BaseException] = {}
     states = [_TaskState(index=i, item=item) for i, item in enumerate(items)]
-    if not items:
-        return report
 
     if workers <= 1 or len(items) <= 1:
-        _run_serial(fn, states, policy, report)
-        _observe_report(report)
-        return report
+        _run_serial(fn, states, results, failures)
+        return _finish(results, failures)
 
     task = task_factory(fn) if task_factory is not None else fn
     unwrap = merge if merge is not None else (lambda wr: wr)
@@ -236,39 +193,6 @@ def run_tasks(
     rebuilds_left = policy.pool_rebuilds
     queue: List[_TaskState] = list(states)
     pending: Dict[Future, _TaskState] = {}
-    ex: Optional[ProcessPoolExecutor] = None
-
-    def _submit(st: _TaskState) -> None:
-        assert ex is not None
-        fut = ex.submit(task, (st.index, st.tries, st.item))
-        if policy.task_timeout_s:
-            st.deadline = time.monotonic() + policy.task_timeout_s
-        pending[fut] = st
-
-    def _record_failure(st: _TaskState, timed_out: bool = False) -> None:
-        exc = st.last_exc
-        if exc is None:
-            exc = TimeoutError(
-                f"task timed out after {policy.task_timeout_s}s"
-            )
-        report.failures.append(
-            TaskFailure.from_exception(
-                st.index, st.item, exc, attempts=st.failures, timed_out=timed_out
-            )
-        )
-
-    def _handle_error(st: _TaskState, exc: BaseException) -> None:
-        st.tries += 1
-        st.failures += 1
-        st.last_exc = exc
-        if policy.is_transient(exc) and st.failures < policy.max_attempts:
-            report.retries += 1
-            delay = policy.backoff_s(st.failures, key=str(st.index))
-            if delay > 0:
-                time.sleep(delay)
-            queue.append(st)
-        else:
-            _record_failure(st)
 
     try:
         ex = _new_pool(max_workers)
@@ -278,10 +202,15 @@ def run_tasks(
             RuntimeWarning,
             stacklevel=2,
         )
-        report.serial_fallback = True
-        _run_serial(fn, states, policy, report)
-        _observe_report(report)
-        return report
+        _metrics.inc("resil.serial_fallbacks")
+        _run_serial(fn, states, results, failures)
+        return _finish(results, failures)
+
+    def _submit(st: _TaskState) -> None:
+        fut = ex.submit(task, (st.index, st.tries, st.item))
+        if policy.task_timeout_s:
+            st.deadline = time.monotonic() + policy.task_timeout_s
+        pending[fut] = st
 
     try:
         while queue or pending:
@@ -290,19 +219,19 @@ def run_tasks(
                 st = queue.pop(0)
                 try:
                     _submit(st)
-                except (BrokenProcessPool, RuntimeError) as exc:
+                except (BrokenProcessPool, RuntimeError):
                     # submit() raises once the pool is already broken.
                     queue.insert(0, st)
-                    st.last_exc = exc
                     pool_broken = True
             if not pool_broken and pending:
                 timeout = _WAIT_SLICE_S
-                now = time.monotonic()
                 deadlines = [
                     st.deadline for st in pending.values() if st.deadline
                 ]
                 if deadlines:
-                    timeout = max(0.0, min(min(deadlines) - now, timeout))
+                    timeout = max(
+                        0.0, min(min(deadlines) - time.monotonic(), timeout)
+                    )
                 done, _ = wait(
                     set(pending), timeout=timeout, return_when=FIRST_COMPLETED
                 )
@@ -310,16 +239,15 @@ def run_tasks(
                     st = pending.pop(fut)
                     try:
                         wr = fut.result()
-                    except BrokenProcessPool as exc:
-                        st.last_exc = exc
+                    except BrokenProcessPool:
                         st.tries += 1
                         queue.append(st)
                         pool_broken = True
                     except Exception as exc:
-                        _handle_error(st, exc)
+                        failures[st.index] = exc
                     else:
-                        report.results[st.index] = unwrap(wr)
-                # Deadline sweep: abandon overdue futures and retry.
+                        results[st.index] = unwrap(wr)
+                # Deadline sweep: abandon overdue futures and resubmit.
                 if policy.task_timeout_s:
                     now = time.monotonic()
                     for fut, st in list(pending.items()):
@@ -327,20 +255,23 @@ def run_tasks(
                             del pending[fut]
                             fut.cancel()
                             st.tries += 1
-                            st.failures += 1
-                            st.last_exc = None
-                            report.timeouts += 1
-                            if st.failures < policy.max_attempts:
-                                report.retries += 1
+                            st.timeouts += 1
+                            _metrics.inc("resil.task_timeouts")
+                            if st.timeouts < policy.max_attempts:
+                                _metrics.inc("resil.retries")
                                 queue.append(st)
                             else:
-                                _record_failure(st, timed_out=True)
+                                failures[st.index] = TimeoutError(
+                                    f"task {st.index} ({st.item!r:.200}) "
+                                    f"timed out after {st.timeouts} attempts "
+                                    f"of {policy.task_timeout_s}s"
+                                )
             if pool_broken:
                 queue.extend(_drain_broken_pool(ex, pending))
                 queue.sort(key=lambda s: s.index)
                 if rebuilds_left > 0:
                     rebuilds_left -= 1
-                    report.pool_rebuilds += 1
+                    _metrics.inc("resil.pool_rebuilds")
                     _log.warning(
                         "process pool broke; rebuilding (%d rebuilds left, "
                         "%d tasks re-queued)",
@@ -363,12 +294,10 @@ def run_tasks(
                         len(queue),
                         extra={"fields": {"remaining": len(queue)}},
                     )
-                    report.serial_fallback = True
-                    _run_serial(fn, queue, policy, report)
+                    _metrics.inc("resil.serial_fallbacks")
+                    _run_serial(fn, queue, results, failures)
                     queue = []
     finally:
-        if ex is not None:
-            ex.shutdown(wait=False, cancel_futures=True)
+        ex.shutdown(wait=False, cancel_futures=True)
 
-    _observe_report(report)
-    return report
+    return _finish(results, failures)

@@ -1,42 +1,41 @@
 """Deterministic fault injection for chaos tests and benches.
 
 A fault-tolerance layer that is only exercised by real outages is
-untested code.  This module injects the failure modes the resil stack
-must survive -- worker crashes, transient exceptions, slow tasks --
-under a spec that makes every injection
+untested code.  This module injects the two failures the pool executor
+(:mod:`repro.resil.execute`) must survive -- a dying worker and a
+hanging task -- under a spec that makes every injection
 *deterministic*: whether a fault fires at a given site is a pure
 function of ``(seed, site, key, attempt)``, hashed through sha256 into
 a uniform [0, 1) draw compared against the rule's probability.  Two
 runs with the same spec inject the same faults at the same points;
-bumping ``attempt`` on retry re-rolls the draw, so a crashed task is
-not doomed to crash identically forever.
+bumping ``attempt`` on resubmission re-rolls the draw, so a crashed
+task is not doomed to crash identically forever.
+
+Faults are drawn only inside a pool worker
+(:class:`repro.perf.parallel._ResilTask`).  The serial path -- one
+worker, or the finish after the pool rebuild budget is spent -- draws
+none.
 
 Spec grammar (``REPRO_FAULT_SPEC``)::
 
     rule[,rule...]
     rule  := kind[:param=value...]
-    kind  := worker_crash | transient | slow_task
+    kind  := worker_crash | slow_task
     param := p=<probability 0..1> | n=<fire first n times>
            | seed=<int> | ms=<sleep milliseconds, slow_task only>
 
 Examples::
 
-    worker_crash:p=0.2:seed=7
-    transient:p=0.1:seed=3,slow_task:p=0.05:ms=200:seed=4
-    transient:n=1
+    worker_crash:p=0.3:seed=1
+    worker_crash:p=0.2:seed=7,slow_task:p=0.05:ms=200:seed=4
 
 Fault kinds:
 
 ``worker_crash``
-    Inside a pool worker process: ``os._exit`` -- the process dies
-    without cleanup, exactly like the OOM killer, and the parent sees
-    ``BrokenProcessPool``.  In the parent process (serial execution)
-    the hard kill would take the whole run down, so it degrades to
-    raising :class:`WorkerCrashFault` (retryable) instead.
-``transient``
-    Raises :class:`TransientFault` -- the injected stand-in for flaky
-    I/O and racy environment errors.  Retry policies treat it (like
-    every :class:`InjectedFault`) as transient.
+    ``os._exit`` -- the worker dies without cleanup, exactly like the
+    OOM killer, and the parent sees ``BrokenProcessPool``.  The worker
+    never ships its metrics delta, so ``resil.faults_injected`` does
+    not count it; the crash shows up as ``resil.pool_rebuilds``.
 ``slow_task``
     Sleeps ``ms`` milliseconds before the task body runs -- the hook
     for exercising per-task timeouts.
@@ -56,7 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 
@@ -65,22 +64,10 @@ _log = get_logger("resil.faults")
 #: Environment variable carrying the fault spec (workers inherit it).
 FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
 
-FAULT_KINDS = ("worker_crash", "transient", "slow_task")
+FAULT_KINDS = ("worker_crash", "slow_task")
 
 #: Exit code of an injected hard worker crash (visible in pool logs).
 CRASH_EXIT_CODE = 73
-
-
-class InjectedFault(ReproError):
-    """Base class for injected failures; always considered transient."""
-
-
-class WorkerCrashFault(InjectedFault):
-    """Serial-mode stand-in for a hard worker death."""
-
-
-class TransientFault(InjectedFault):
-    """An injected flaky-environment error."""
 
 
 @dataclass(frozen=True)
@@ -187,23 +174,9 @@ class FaultPlan:
             _metrics.inc(f"resil.fault.{rule.kind}")
             if rule.kind == "slow_task":
                 time.sleep(rule.ms / 1000.0)
-                continue
-            if rule.kind == "worker_crash":
-                if multiprocessing.parent_process() is not None:
-                    # A real pool worker: die like the OOM killer struck.
-                    os._exit(CRASH_EXIT_CODE)
-                raise WorkerCrashFault(
-                    "injected worker crash (serial mode)",
-                    site=site,
-                    key=key,
-                    attempt=attempt,
-                )
-            raise TransientFault(
-                "injected transient fault",
-                site=site,
-                key=key,
-                attempt=attempt,
-            )
+            else:
+                # worker_crash: die like the OOM killer struck.
+                os._exit(CRASH_EXIT_CODE)
 
 
 _plan_lock = threading.Lock()
@@ -236,13 +209,14 @@ def active_plan() -> Optional[FaultPlan]:
         return plan
 
 
-def fault_injection_active() -> bool:
-    """Whether a fault spec is set (cheap guard for hot paths)."""
-    return bool(os.environ.get(FAULT_SPEC_ENV, "").strip())
+def check_task(key: str, attempt: int = 0) -> None:
+    """Task-level decision point in a pool worker: worker_crash / slow_task.
 
-
-def check_task(key: str, attempt: int = 0, site: str = "task") -> None:
-    """Task-level decision point: worker_crash / transient / slow_task."""
+    A no-op in the parent process, where a hard crash would take the
+    whole run down: the serial path draws no faults.
+    """
+    if multiprocessing.parent_process() is None:
+        return
     plan = active_plan()
     if plan is not None:
-        plan.fire(site, key, attempt)
+        plan.fire("task", key, attempt)

@@ -150,6 +150,31 @@ class TestSlowDriversSmoke:
         assert rows["ir_distr"]["bandwidth"] >= rows["ir_fcfs"]["bandwidth"]
         assert rows["ir_fcfs"]["bandwidth"] > 2.0 * rows["standard"]["bandwidth"]
 
+    def test_ext_crowding(self, assert_rows_golden):
+        res = run_experiment("ext_crowding")
+        assert_rows_golden(res)
+        rows = {r.label: r.model for r in res.rows}
+        base = rows["edge TSVs (baseline)"]
+        # More links share the current: the worst link carries less and
+        # the drop falls, even though crowding relative to the mean grows.
+        dense = rows["edge TSVs, 240x"]
+        assert dense["worst_link_ma"] < base["worst_link_ma"]
+        assert dense["ir_mv"] < base["ir_mv"]
+        for row in rows.values():
+            assert row["crowding_factor"] >= 1.0
+
+    def test_ext_transient(self, assert_rows_golden):
+        res = run_experiment("ext_transient")
+        assert_rows_golden(res)
+        for row in res.rows:
+            # Decap only filters the burst; it never exceeds the DC droop.
+            assert row.model["burst_peak_mv"] <= row.model["dc_droop_mv"]
+        rows = {r.label: r.model for r in res.rows}
+        for bond in ("no wirebond", "wire-bonded"):
+            small = rows[f"{bond}, small decap"]
+            large = rows[f"{bond}, large decap"]
+            assert large["suppression_pct"] > small["suppression_pct"]
+
 
 class TestSamplingDrivers:
     """The two drivers behind the design-space sampling leg, which

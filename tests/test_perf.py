@@ -311,11 +311,11 @@ def test_pool_forks_unless_profiler_thread_runs(monkeypatch, profiler_off):
 
     monkeypatch.setattr(execute, "ProcessPoolExecutor", probe)
     with pytest.warns(RuntimeWarning):
-        assert execute.run_tasks(_square, [1, 2], workers=2).results == [1, 4]
+        assert execute.run_tasks(_square, [1, 2], workers=2) == [1, 4]
     assert "mp_context" not in calls[-1]
     obs_profile.start_profiler(interval_s=0.05)
     with pytest.warns(RuntimeWarning):
-        assert execute.run_tasks(_square, [1, 2], workers=2).results == [1, 4]
+        assert execute.run_tasks(_square, [1, 2], workers=2) == [1, 4]
     assert calls[-1]["mp_context"].get_start_method() == "spawn"
 
 
