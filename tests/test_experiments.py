@@ -140,6 +140,14 @@ class TestSlowDriversSmoke:
             row = next(r for r in res.rows if r.label == label)
             assert row.model["max_ir_mv"] <= 24.0
 
+    def test_fig9(self, assert_rows_golden):
+        res = run_experiment("fig9")
+        assert_rows_golden(res)
+        for row in res.rows:
+            # A looser IR constraint never slows the schedule down.
+            times = [row.model[f"runtime_us@{c}mV"] for c in (16, 20, 24, 28)]
+            assert times == sorted(times, reverse=True)
+
     def test_ext_hmc(self, assert_rows_golden):
         res = run_experiment("ext_hmc")
         assert_rows_golden(res)
