@@ -194,10 +194,9 @@ def default_seeds() -> Dict[str, int]:
 def _plans_of(metrics: Mapping[str, object]) -> Dict[str, object]:
     """``{plan hash: benchmark}`` from a metrics snapshot's touch counters.
 
-    ``plan.touch.<hash>`` counters survive cross-process metric merges
-    and worker ``plan.hash`` spans carry their labels home, so a
-    fanned-out sweep's manifest names every structure its workers solved
-    by benchmark.
+    ``plan.touch.<benchmark>.<hash>`` counters survive cross-process
+    metric merges, label included, so a fanned-out sweep's manifest
+    names every structure its workers solved by benchmark.
     """
     counters = metrics.get("counters")
     if not isinstance(counters, Mapping) or not counters:

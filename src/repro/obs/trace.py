@@ -12,8 +12,7 @@ recorded into a process-global buffer and can be
   returns each worker's spans and absorbs them into the parent buffer,
   so a parallel run's trace covers the workers too,
 * read back as views: the flat ``--perf-report`` table
-  (:mod:`repro.perf.timers`) is the per-name aggregate of this buffer,
-  and plan labels ride on ``plan.hash`` spans.
+  (:mod:`repro.perf.timers`) is the per-name aggregate of this buffer.
 
 Because every one of those is a span, the buffer is the only record of
 "what ran" that crosses a process boundary.

@@ -30,7 +30,7 @@ from repro.pdn.config import (
     RDLScope,
     TSVLocation,
 )
-from repro.pdn.plan import StackPlan, observed_plans, record_plan_use
+from repro.pdn.plan import StackPlan, record_plan_use
 from repro.pdn.stackup import (
     PDNStack,
     StackSpec,
@@ -61,6 +61,5 @@ __all__ = [
     "build_stack",
     "plan_stack",
     "plan_single_die_stack",
-    "observed_plans",
     "record_plan_use",
 ]

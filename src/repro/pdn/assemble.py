@@ -75,22 +75,21 @@ class OpArtifactSpan:
 class AssembledStack:
     """One assembled plan: the model plus its lazily factorized solver.
 
-    This is the unit the content-addressed cache stores: every
-    :class:`~repro.pdn.stackup.PDNStack` wrapping the same plan hash
-    shares one ``AssembledStack`` and hence one factorization.
+    Made only by :func:`assemble`; its
+    :class:`~repro.pdn.stackup.PDNStack` solves through it.
     """
 
     def __init__(
         self,
         plan: StackPlan,
         model: StackModel,
-        op_spans: Optional[Tuple[OpArtifactSpan, ...]] = None,
+        op_spans: Tuple[OpArtifactSpan, ...],
     ) -> None:
         self.plan = plan
         self.model = model
         #: Per-op artifact ranges, aligned with ``plan.ops`` (see
-        #: :class:`OpArtifactSpan`); empty only for hand-built wrappers.
-        self.op_spans: Tuple[OpArtifactSpan, ...] = op_spans or ()
+        #: :class:`OpArtifactSpan`).
+        self.op_spans = op_spans
 
     @property
     def plan_hash(self) -> str:
@@ -288,4 +287,4 @@ def assemble(
                     supply=(supply_start, model.supply_count),
                 )
             )
-        return AssembledStack(plan, model, op_spans=tuple(spans))
+        return AssembledStack(plan, model, tuple(spans))

@@ -657,7 +657,7 @@ def diagnose_stack(stack, state=None, logic_scale: float = 1.0) -> DesignDiagnos
             raw,
             currents,
             plan=stack.plan,
-            op_spans=stack.assembled.op_spans if stack.assembled else (),
+            op_spans=stack.assembled.op_spans,
             benchmark=stack.spec.name,
             config_label=stack.config.label(),
             state_label=state.label(),

@@ -39,7 +39,6 @@ from typing import (
     Any,
     ClassVar,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -542,54 +541,28 @@ def validate_plan_dict(data: Mapping[str, Any]) -> None:
 # Plan observation registry (provenance)
 # ---------------------------------------------------------------------------
 
-#: Process-lifetime map of plan hash -> benchmark name, fed by the build
-#: entry points and by the ``plan.hash`` spans worker processes ship home
-#: (see :mod:`repro.perf.parallel`).  Manifests resolve touched-plan
-#: counters against it.
-_observed: Dict[str, str] = {}
-
-#: Full plan objects by hash, kept alongside the name map so the
-#: run-history store (:mod:`repro.obs.store`) can persist plan *bodies*
-#: content-addressed and later render a real :class:`PlanDiff` between
-#: two historical runs instead of only comparing hashes.
+#: Full plan objects by hash, so the run-history store
+#: (:mod:`repro.obs.store`) can persist plan *bodies* content-addressed
+#: and later render a real :class:`PlanDiff` between two historical runs
+#: instead of only comparing hashes.
 _observed_objects: Dict[str, "StackPlan"] = {}
 
-#: Metrics-counter prefix for per-run plan attribution.  Counters merge
-#: across worker processes, so per-experiment deltas stay complete even
-#: for fanned-out sweeps.
+#: Metrics-counter prefix for per-run plan attribution.  A counter is
+#: named ``plan.touch.<benchmark>.<hash>``: counters merge across worker
+#: processes, so per-experiment deltas name every plan a fanned-out
+#: sweep used, label included.
 PLAN_TOUCH_PREFIX = "plan.touch."
 
 
 def record_plan_use(plan: StackPlan) -> None:
-    """Note that a build used ``plan`` (registry + touch counter).
-
-    The ``plan.hash`` span carries the label as ``plan``/``benchmark``
-    attrs, which is how a worker's labels reach the parent.
-    """
+    """Note that a build used ``plan`` (plan body + labelled touch counter)."""
     with timed("plan.hash", benchmark=plan.benchmark) as sp:
         plan_hash = sp.attrs["plan"] = plan.plan_hash
-    _observed[plan_hash] = plan.benchmark
     _observed_objects[plan_hash] = plan
     # Local import: obs must stay importable without the pdn package.
     from repro.obs import metrics as _metrics
 
-    _metrics.inc(PLAN_TOUCH_PREFIX + plan_hash)
-
-
-def observed_plans() -> Dict[str, str]:
-    """Every plan hash this process has built, mapped to its benchmark."""
-    return dict(_observed)
-
-
-def absorb_plan_labels(spans: Iterable[Mapping[str, Any]]) -> None:
-    """Merge the labels on another process's exported ``plan.hash`` spans.
-
-    Labels only, not plan bodies.
-    """
-    for data in spans:
-        attrs = data.get("attrs") or {}
-        if data.get("name") == "plan.hash" and "plan" in attrs:
-            _observed.setdefault(str(attrs["plan"]), str(attrs["benchmark"]))
+    _metrics.inc(f"{PLAN_TOUCH_PREFIX}{plan.benchmark}.{plan_hash}")
 
 
 def observed_plan_objects() -> Dict[str, "StackPlan"]:
@@ -601,14 +574,15 @@ def plans_from_counters(counters: Mapping[str, Any]) -> Dict[str, str]:
     """Extract ``{plan_hash: benchmark}`` from a metrics counter mapping.
 
     Used by manifests and the bench runner to attribute a *per-run*
-    metric delta to the exact structures it solved.
+    metric delta to the exact structures it solved.  An unlabelled
+    ``plan.touch.<hash>`` counter (older records) maps the hash to
+    itself.
     """
     out: Dict[str, str] = {}
-    registry = observed_plans()
     for name in counters:
         if name.startswith(PLAN_TOUCH_PREFIX):
-            plan_hash = name[len(PLAN_TOUCH_PREFIX):]
-            out[plan_hash] = registry.get(plan_hash, plan_hash)
+            label, _, plan_hash = name[len(PLAN_TOUCH_PREFIX):].rpartition(".")
+            out[plan_hash] = label or plan_hash
     return out
 
 

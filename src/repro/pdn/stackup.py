@@ -150,62 +150,35 @@ class StackIRResult:
 class PDNStack:
     """A built stack: the network, its solver, and state evaluation.
 
-    When built through the plan/assemble pipeline the stack carries its
-    :class:`StackPlan` and the shared :class:`AssembledStack`; stacks
-    wrapping the same assembled model (same plan hash) share one
-    factorized solver.
+    Wraps a :class:`StackPlan` and its :class:`AssembledStack`; the
+    grids are reconstructed from the plan, and the solver is the
+    assembled stack's, so it is factorized once per stack.
     """
 
     def __init__(
         self,
-        model: StackModel,
-        spec: StackSpec,
-        config: PDNConfig,
-        tech: TechConstants,
-        dram_grid: Grid2D,
-        dram_origin: Point,
-        logic_grid: Optional[Grid2D],
-        plan: Optional[StackPlan] = None,
-        assembled: Optional[AssembledStack] = None,
-    ) -> None:
-        self.model = model
-        self.spec = spec
-        self.config = config
-        self.tech = tech
-        self.dram_grid = dram_grid
-        self.dram_origin = dram_origin
-        self.logic_grid = logic_grid
-        self.plan = plan
-        self.assembled = assembled
-
-    @classmethod
-    def from_assembled(
-        cls,
         spec: StackSpec,
         config: PDNConfig,
         tech: TechConstants,
         plan: StackPlan,
         assembled: AssembledStack,
-    ) -> "PDNStack":
-        """Wrap an assembled plan; grids are reconstructed from the plan."""
-        return cls(
-            model=assembled.model,
-            spec=spec,
-            config=config,
-            tech=tech,
-            dram_grid=plan.dram_grid.to_grid(),
-            dram_origin=Point(*plan.dram_origin),
-            logic_grid=plan.logic_grid.to_grid() if plan.logic_grid else None,
-            plan=plan,
-            assembled=assembled,
-        )
+    ) -> None:
+        self.model: StackModel = assembled.model
+        self.spec = spec
+        self.config = config
+        self.tech = tech
+        self.dram_grid = plan.dram_grid.to_grid()
+        self.dram_origin = Point(*plan.dram_origin)
+        self.logic_grid = plan.logic_grid.to_grid() if plan.logic_grid else None
+        self.plan = plan
+        self.assembled = assembled
 
     # -- structure ------------------------------------------------------------
 
     @property
-    def plan_hash(self) -> Optional[str]:
-        """Content address of the build plan (None for hand-built models)."""
-        return self.plan.plan_hash if self.plan is not None else None
+    def plan_hash(self) -> str:
+        """Content address of the build plan."""
+        return self.plan.plan_hash
 
     def dram_die_name(self, die: int) -> str:
         """Dies are named dram1 (bottom) .. dramN (top), paper convention."""
@@ -223,17 +196,11 @@ class PDNStack:
     def logic_load_key(self) -> Optional[str]:
         return "logic/ML1" if self.logic_grid is not None else None
 
-    @functools.cached_property
+    @property
     def solver(self) -> StackSolver:
         """The stack's solver, factorized on first use and reused for all
-        states (setup dominates; per-state solves are cheap).
-
-        Delegates to the assembled stack when present, so every wrapper
-        of the same plan hash shares one factorization.
-        """
-        if self.assembled is not None:
-            return self.assembled.solver
-        return StackSolver(self.model)
+        states (setup dominates; per-state solves are cheap)."""
+        return self.assembled.solver
 
     # -- evaluation --------------------------------------------------------------
 
@@ -301,7 +268,7 @@ class PDNStack:
         exc.add_context(
             spec=self.spec.name,
             config=self.config.label(),
-            plan_hash=self.plan_hash or "none",
+            plan_hash=self.plan_hash,
             cache_key_hash=config_hash_of(
                 {"spec": repr(self.spec), "config": repr(self.config)}
             ),
@@ -898,7 +865,7 @@ def build_stack(
         plan = plan_stack(spec, config, tech=tech, pitch=pitch)
         assembled = assemble(plan, session=session)
         record_plan_use(plan)
-        return PDNStack.from_assembled(spec, config, tech, plan, assembled)
+        return PDNStack(spec, config, tech, plan, assembled)
 
 
 def build_single_die_stack(
@@ -933,4 +900,4 @@ def build_single_die_stack(
             num_dram_dies=1,
             mounting=Mounting.OFF_CHIP,
         )
-        return PDNStack.from_assembled(spec, config, tech, plan, assembled)
+        return PDNStack(spec, config, tech, plan, assembled)

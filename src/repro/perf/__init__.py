@@ -21,13 +21,10 @@ trace span, and the caches/fan-out report into the metrics registry.
 """
 
 from repro.perf.cache import (
-    StackCache,
-    assembled_cache,
     assembly_session,
     cache_stats,
     cached_build_stack,
     clear_caches,
-    plan_cache,
     power_map_cache_enabled,
     stack_cache,
 )
@@ -35,14 +32,11 @@ from repro.perf.parallel import map_design_points, resolve_workers
 from repro.perf.timers import report, reset_timers, snapshot, timed
 
 __all__ = [
-    "StackCache",
-    "assembled_cache",
     "assembly_session",
     "cache_stats",
     "cached_build_stack",
     "clear_caches",
     "map_design_points",
-    "plan_cache",
     "power_map_cache_enabled",
     "report",
     "reset_timers",

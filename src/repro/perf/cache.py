@@ -1,22 +1,15 @@
-"""Keyed LRU caches for plans, assembled stacks, and power maps.
+"""Keyed LRU caches for built stacks and power maps.
 
 The build pipeline is config -> plan -> assemble -> solve
-(:mod:`repro.pdn.plan`, :mod:`repro.pdn.assemble`), and each stage has
-its own process-global cache:
+(:mod:`repro.pdn.plan`, :mod:`repro.pdn.assemble`), and
+:func:`repro.pdn.stackup.build_stack` runs all of it.  Two
+process-global caches sit in front of it:
 
-* **Plan cache** -- maps ``(stack spec, PDNConfig, tech, pitch)`` to a
-  planned :class:`~repro.pdn.plan.StackPlan` (planning is cheap but not
-  free; sweeps revisit configs).
-* **Assembled cache** -- *content-addressed*: maps a plan's
-  :attr:`~repro.pdn.plan.StackPlan.plan_hash` to the shared
-  :class:`~repro.pdn.assemble.AssembledStack`.  Because the assembled
-  stack lazily holds its SuperLU factorization, any two configurations
-  that resolve to the same physical network -- regardless of how they
-  were expressed -- share one model and one factorization.
-* **Stack cache** -- maps ``(plan hash, spec, config)`` to the
-  :class:`~repro.pdn.stackup.PDNStack` wrapper (specs carry power
-  descriptions the plan deliberately excludes, so wrappers are keyed
-  separately from the physics they share).
+* **Stack cache** -- maps ``(stack spec, PDNConfig, tech, pitch)`` to
+  the built :class:`~repro.pdn.stackup.PDNStack`, which lazily holds its
+  SuperLU factorization.  The co-optimizer re-checks its picks on the
+  stacks earlier experiments built, so repeated configurations across
+  experiments reuse the build and the factorization.
 * **Power-map cache** -- maps ``(floorplan and power spec, state, die,
   grid, vdd, activity override)`` (DRAM) or ``(floorplan and power
   spec, grid, vdd, scale)`` (logic) to the rasterized per-node current
@@ -24,12 +17,12 @@ its own process-global cache:
   against the *same* reference state on the *same* grid, and every LUT
   basis column needs the same state-independent logic map.
 
-Assembly runs under a shared :class:`~repro.pdn.assemble.AssemblySession`,
+A miss builds under a shared :class:`~repro.pdn.assemble.AssemblySession`,
 so even *distinct* plans (a TSV-count sweep) reuse the unchanged layer
 meshes and link blocks of previously assembled ones.
 
-Plan/power-map keys are built from ``repr`` of the participating (frozen
-or effectively-immutable) dataclasses, which is deterministic and covers
+Keys are built from ``repr`` of the participating (frozen or
+effectively-immutable) dataclasses, which is deterministic and covers
 every physical field -- two specs that print the same build the same
 network.  :class:`~repro.pdn.stackup.PDNStack` computes its power-map
 reprs once per stack.  Entries are evicted least-recently-used.
@@ -111,73 +104,9 @@ class LRUCache:
         }
 
 
-class StackCache(LRUCache):
-    """LRU of content-addressed stack wrappers.
-
-    Keys are ``(plan hash, spec repr, config repr)``: the plan hash is
-    the physics identity, the spec/config reprs distinguish wrappers
-    whose power descriptions differ over the same network.
-    Factorizations hold dense L/U factors (in the assembled cache), so
-    the default capacity is deliberately modest; raise it for sweeps
-    that revisit many configs.
-    """
-
-    def __init__(self, maxsize: int = 32) -> None:
-        super().__init__(maxsize, name="stack")
-
-    @staticmethod
-    def key(plan_hash: str, spec: Any, config: Any) -> Tuple:
-        return (plan_hash, repr(spec), repr(config))
-
-    def build(
-        self,
-        spec: Any,
-        config: Any,
-        tech: Any = None,
-        pitch: Optional[float] = None,
-    ) -> "PDNStack":
-        """``build_stack`` with staged memoization; same signature semantics.
-
-        Resolution order: plan cache (keyed by spec/config/tech/pitch) ->
-        stack cache (keyed by plan hash) -> assembled cache (content
-        addressed) -> incremental assembly under the shared session.
-        """
-        # Imported lazily: stackup imports this module for the power-map
-        # cache, so a module-level import would be circular.
-        from repro.pdn.plan import record_plan_use
-        from repro.pdn.stackup import PDNStack, plan_stack
-        from repro.tech.calibration import DEFAULT_TECH
-
-        tech = tech or DEFAULT_TECH
-        pkey = (repr(spec), repr(config), repr(tech), pitch)
-        plan = plan_cache.get(pkey)
-        if plan is None:
-            plan = plan_stack(spec, config, tech=tech, pitch=pitch)
-            plan_cache.put(pkey, plan)
-        record_plan_use(plan)
-        key = self.key(plan.plan_hash, spec, config)
-        stack = self.get(key)
-        if stack is None:
-            assembled = assembled_cache.get(plan.plan_hash)
-            if assembled is None:
-                from repro.pdn.assemble import assemble
-
-                with timed("stackup.build"):
-                    assembled = assemble(plan, session=assembly_session())
-                assembled_cache.put(plan.plan_hash, assembled)
-            stack = PDNStack.from_assembled(spec, config, tech, plan, assembled)
-            self.put(key, stack)
-        return stack
-
-
-#: Process-global stack cache used by the cached build entry point.
-stack_cache = StackCache()
-
-#: Process-global plan memo: (spec, config, tech, pitch) reprs -> StackPlan.
-plan_cache = LRUCache(maxsize=256, name="plan")
-
-#: Process-global content-addressed cache: plan hash -> AssembledStack.
-assembled_cache = LRUCache(maxsize=32, name="assembled")
+#: Process-global stack memo used by :func:`cached_build_stack`.  Stacks
+#: hold their factorizations, so the capacity is deliberately modest.
+stack_cache = LRUCache(maxsize=32, name="stack")
 
 #: Process-global power-map cache (value: the (ny, nx) current array).
 power_map_cache = LRUCache(maxsize=256, name="power_map")
@@ -202,13 +131,32 @@ def cached_build_stack(
     tech: Any = None,
     pitch: Optional[float] = None,
 ) -> "PDNStack":
-    """Drop-in for :func:`repro.pdn.stackup.build_stack` with reuse.
+    """Memoized :func:`repro.pdn.stackup.build_stack` (same arguments).
 
     Returns the *same* ``PDNStack`` object for repeated identical keys;
-    treat the result as read-only (every library path does).
+    treat the result as read-only (every library path does).  A hit
+    records its plan use just as a build does, so per-run plan counters
+    name every structure a run solved, built or reused.
     """
+    # Imported lazily: stackup imports this module for the power-map
+    # cache, so a module-level import would be circular.
+    from repro.pdn import stackup
+    from repro.pdn.plan import record_plan_use
+    from repro.tech.calibration import DEFAULT_TECH
+
+    tech = tech or DEFAULT_TECH
+    pitch = pitch or tech.mesh_pitch
+    key = (repr(spec), repr(config), repr(tech), pitch)
     with timed("cache.stack_lookup"):
-        return stack_cache.build(spec, config, tech=tech, pitch=pitch)
+        stack = stack_cache.get(key)
+        if stack is None:
+            stack = stackup.build_stack(
+                spec, config, tech=tech, pitch=pitch, session=assembly_session()
+            )
+            stack_cache.put(key, stack)
+        else:
+            record_plan_use(stack.plan)
+        return stack
 
 
 def _cached_map(kind: str, key: Tuple, grid: Any, build: Callable[[], Any], **attrs: Any):
@@ -293,8 +241,6 @@ def power_map_cache_enabled(enabled: bool) -> None:
 def clear_caches() -> None:
     """Drop all cached plans, stacks, and power maps (frees factorizations)."""
     stack_cache.clear()
-    plan_cache.clear()
-    assembled_cache.clear()
     power_map_cache.clear()
     if _assembly_session is not None:
         _assembly_session.clear()
@@ -304,7 +250,5 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss/eviction counters of every process-global cache."""
     return {
         "stack": stack_cache.stats(),
-        "plan": plan_cache.stats(),
-        "assembled": assembled_cache.stats(),
         "power_map": power_map_cache.stats(),
     }

@@ -20,11 +20,12 @@ task runs inside :class:`_ObsTask`, which marks the span buffer, the
 metrics registry and the profiler buffer before the call and ships
 what the task added back with the result.  Spans carry everything
 about "what ran" -- the ``--perf-report`` timers are their per-name
-sums, and plan labels ride on ``plan.hash`` spans -- so the parent's
-single :func:`_merge_worker_return` makes ``--perf-report``,
-``--metrics-out``, ``--trace-out`` and manifests report true totals for
-parallel runs: solve counts from a ``--workers 4`` sweep equal the
-serial run's, and every plan a worker built is labelled by benchmark.
+sums -- and the metric delta carries the labelled
+``plan.touch.<benchmark>.<hash>`` counters, so the parent's single
+:func:`_merge_worker_return` makes ``--perf-report``, ``--metrics-out``,
+``--trace-out`` and manifests report true totals for parallel runs:
+solve counts from a ``--workers 4`` sweep equal the serial run's, and
+every plan a worker built is labelled by benchmark.
 
 Worker count resolution order:
 
@@ -155,12 +156,7 @@ class _ResilTask:
 
 def _merge_worker_return(wr: _WorkerReturn) -> Any:
     """Fold one worker's telemetry into this process; return the result."""
-    # Lazy: repro.pdn imports repro.perf, so a module-level import would
-    # be circular.
-    from repro.pdn import plan as _plan
-
     _trace.absorb_spans(wr.spans)
-    _plan.absorb_plan_labels(wr.spans)
     _metrics.merge(wr.metrics)
     _profile.absorb_samples(wr.profile)
     _metrics.inc("parallel.worker_tasks_merged")

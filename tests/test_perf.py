@@ -125,7 +125,7 @@ def test_lru_eviction_and_stats():
     stats = lru.stats()
     assert stats["evictions"] == 1
     assert stats["size"] == 2
-    assert cache_stats().keys() == {"stack", "plan", "assembled", "power_map"}
+    assert cache_stats().keys() == {"stack", "power_map"}
 
 
 @pytest.mark.parametrize("kind", ["dram", "logic"])
@@ -241,10 +241,9 @@ def test_default_sample_is_parallel_and_matches_serial(ddr3_off_bench, monkeypat
     assert merged.get("parallel.worker_tasks_merged", 0) == (2 if parallel else 0)
 
 
-def test_parallel_manifest_keeps_plan_labels(ddr3_off_bench, monkeypatch):
+def test_parallel_manifest_keeps_plan_labels(ddr3_off_bench):
     """Worker-built plans are labelled by benchmark, as in a serial run."""
     from repro.obs.manifest import build_manifest
-    from repro.pdn import plan as plan_mod
 
     combos = valid_discrete_combos(ddr3_off_bench)[:2]
     kwargs = dict(m2_points=2, m3_points=1, tc_points=1, combos=combos)
@@ -255,8 +254,6 @@ def test_parallel_manifest_keeps_plan_labels(ddr3_off_bench, monkeypatch):
         delta = obs_metrics.diff(before, obs_metrics.snapshot())
         return build_manifest("test.plans", metrics_snapshot=delta).plans
 
-    # An empty registry: only the workers can label what they built.
-    monkeypatch.setattr(plan_mod, "_observed", {})
     parallel = sample_plans(2)
     serial = sample_plans(1)
     assert len(serial) == 4

@@ -523,27 +523,9 @@ class TestIncrementalReassembly:
 
 
 class TestContentAddressedCache:
-    def test_equivalent_configs_share_assembled_stack(self, ddr3_off_bench):
-        """Off-chip stacks ignore ``dedicated_tsv``: both configs resolve
-        to the same plan hash, so both wrappers share one assembled model
-        (and hence one factorization) while staying distinct wrappers."""
-        clear_caches()
-        try:
-            spec = ddr3_off_bench.stack
-            cfg_a = ddr3_off_bench.baseline.with_options(dedicated_tsv=False)
-            cfg_b = ddr3_off_bench.baseline.with_options(dedicated_tsv=True)
-            a = cached_build_stack(spec, cfg_a)
-            b = cached_build_stack(spec, cfg_b)
-            assert a is not b
-            assert a.plan_hash == b.plan_hash
-            assert a.assembled is b.assembled
-            assert a.solver is b.solver
-        finally:
-            clear_caches()
-
     def test_default_pitch_is_content_addressed(self, ddr3_off_bench):
-        """pitch=None resolves to tech.mesh_pitch: the plans hash equal,
-        so the cache returns the *same* wrapper for both spellings."""
+        """pitch=None resolves to tech.mesh_pitch in the cache key, so the
+        cache returns the *same* stack for both spellings."""
         clear_caches()
         try:
             a = cached_build_stack(
@@ -553,6 +535,29 @@ class TestContentAddressedCache:
                 ddr3_off_bench.stack, ddr3_off_bench.baseline, pitch=0.4
             )
             assert a is b
+        finally:
+            clear_caches()
+
+    def test_hit_records_the_plan_once(self, ddr3_off_bench):
+        """A hit touches its plan exactly once, like the miss that built
+        it, so a run that only reuses an earlier run's stack still names
+        the plan in its manifest."""
+        from repro.obs.manifest import build_manifest
+
+        clear_caches()
+        spec, config = ddr3_off_bench.stack, ddr3_off_bench.baseline
+        try:
+            deltas = []
+            for _ in range(2):
+                before = _metrics.snapshot()
+                stack = cached_build_stack(spec, config)
+                deltas.append(_metrics.diff(before, _metrics.snapshot()))
+            miss, hit = (d["counters"] for d in deltas)
+            touch = f"{PLAN_TOUCH_PREFIX}ddr3_off.{stack.plan_hash}"
+            assert (miss.get("cache.stack.misses"), miss.get(touch)) == (1, 1)
+            assert (hit.get("cache.stack.hits"), hit.get(touch)) == (1, 1)
+            plans = build_manifest("test.hit", metrics_snapshot=deltas[1]).plans
+            assert plans == {stack.plan_hash: "ddr3_off"}
         finally:
             clear_caches()
 
@@ -566,7 +571,7 @@ class TestPlanProvenance:
         before = _metrics.snapshot()
         record_plan_use(plan)
         delta = _metrics.diff(before, _metrics.snapshot())["counters"]
-        assert delta.get(PLAN_TOUCH_PREFIX + plan.plan_hash) == 1
+        assert delta.get(f"{PLAN_TOUCH_PREFIX}ddr3_off.{plan.plan_hash}") == 1
         assert plans_from_counters(delta) == {plan.plan_hash: "ddr3_off"}
 
     def test_unknown_hash_degrades_to_itself(self):
