@@ -9,12 +9,12 @@ replays its unchanged layers from cache instead of re-rasterizing them.
 
 Two legs over the same plans:
 
-* **cold** -- ``assemble(plan)`` per point, no session: every mesh and
-  link block is rebuilt from its op (the pre-refactor behaviour);
+* **cold** -- ``assemble(plan, AssemblySession())`` per point, a fresh
+  session each time: every mesh and link block is rebuilt from its op;
 * **incremental** -- one shared session across the sweep.
 
-The legs must agree *bitwise* (identical link lists, supply lists, and
-mesh conductance arrays) -- the session trades no accuracy: a cache hit
+The legs must agree *bitwise* (identical link arrays, supply arrays,
+and mesh conductance arrays) -- the session trades no accuracy: a cache hit
 contributes the same bytes a rebuild would.  The speedup is asserted at
 >= 1.3x (typically 2-3x; the margin absorbs CI timing noise) and is
 recorded as the ``bench.incremental_reassembly.speedup`` gauge plus a
@@ -72,10 +72,12 @@ def _models_bitwise_equal(a, b) -> bool:
             return False
         if not np.array_equal(ea.mesh.gy, eb.mesh.gy):
             return False
-    if a.links_range(0, a.link_count) != b.links_range(0, b.link_count):
-        return False
-    return a.supply_range(0, a.supply_count) == b.supply_range(
-        0, b.supply_count
+    return all(
+        np.array_equal(xa, xb)
+        for xa, xb in zip(
+            (*a.link_arrays(), *a.supply_arrays()),
+            (*b.link_arrays(), *b.supply_arrays()),
+        )
     )
 
 
@@ -110,7 +112,7 @@ def run_benchmark() -> dict:
     repeats = 3
 
     # Warm-up outside the timed region (imports, allocator, BLAS).
-    assemble(plans[0])
+    assemble(plans[0], AssemblySession())
 
     # --- cold: every sweep point rebuilds all artifacts ---------------------
     cold_s = float("inf")
@@ -118,7 +120,7 @@ def run_benchmark() -> dict:
         with _gc_paused():
             t0 = time.perf_counter()
             for _ in range(repeats):
-                cold_models = [assemble(p).model for p in plans]
+                cold_models = [assemble(p, AssemblySession()).model for p in plans]
             cold_s = min(cold_s, time.perf_counter() - t0)
 
     # --- incremental: one shared session across the sweep -------------------

@@ -230,19 +230,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         artifact = diag.to_json() if args.out.endswith(".json") else text + "\n"
         atomic_write_text(args.out, artifact)
         _log.info("explain artifact written: %s", args.out)
-    if args.heatmaps and diag.raw is not None:
-        _log.info(
-            "\n%s", diag.raw.ascii_heatmap_stack()
-        )
-    if args.heatmap_out and diag.raw is not None:
-        from repro.rmesh.branches import extract_branches
-
-        branches = extract_branches(diag.raw.model, np.asarray(diag.raw.drops))
+    if args.heatmaps:
+        _log.info("\n%s", diag.raw.ascii_heatmap_stack())
+    if args.heatmap_out:
         fields = {}
         for key in diag.raw.model.layer_keys:
             tag = key.replace("/", "__")
             fields[f"drop_mv__{tag}"] = diag.raw.layer_drops(key) * 1e3
-            fields[f"dissipation_w__{tag}"] = branches.layer_dissipation_map(key)
+            fields[f"dissipation_w__{tag}"] = diag.branches.layer_dissipation_map(key)
         np.savez_compressed(args.heatmap_out, **fields)
         _log.info(
             "heatmaps written: %s (%d layers x drop/dissipation)",

@@ -50,7 +50,6 @@ from repro.obs.metrics import (
     write_metrics,
 )
 from repro.obs.profile import (
-    BoundedSeries,
     ProfileSample,
     ensure_profiler,
     profiling_enabled,
@@ -68,7 +67,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "BoundedSeries",
     "JsonLinesFormatter",
     "MetricsRegistry",
     "ProfileSample",

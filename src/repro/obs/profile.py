@@ -40,54 +40,9 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs import trace as _trace
-
-
-class BoundedSeries:
-    """Append-only ``(x, y)`` series bounded by stride-doubling decimation.
-
-    The series never stores more than ``cap`` points no matter how many
-    are appended: appends are recorded every ``stride``-th call, and when
-    the stored points reach ``cap`` every other one is dropped and the
-    stride doubles.  The first point always survives (index 0 is kept by
-    each decimation pass) and the most recent point is tracked separately
-    and always included in :meth:`points` -- so a curve keeps its exact
-    endpoints while its interior degrades to a coarser, still
-    shape-faithful sampling.  For any unbounded-length curve that must
-    travel in a manifest.
-    """
-
-    def __init__(self, cap: int = 64) -> None:
-        if cap < 4:
-            raise ValueError(f"BoundedSeries cap must be >= 4, got {cap}")
-        self.cap = cap
-        self.stride = 1
-        self._points: List[Tuple[float, float]] = []
-        self._last: Optional[Tuple[float, float]] = None
-        self._count = 0
-
-    def append(self, x: float, y: float) -> None:
-        point = (float(x), float(y))
-        if self._count % self.stride == 0:
-            self._points.append(point)
-            if len(self._points) >= self.cap:
-                self._points = self._points[::2]
-                self.stride *= 2
-        self._last = point
-        self._count += 1
-
-    def __len__(self) -> int:
-        """Raw appends seen (not the stored-point count)."""
-        return self._count
-
-    def points(self) -> List[Tuple[float, float]]:
-        """The bounded curve, first and latest appended points included."""
-        out = list(self._points)
-        if self._last is not None and (not out or out[-1] != self._last):
-            out.append(self._last)
-        return out
 
 #: Environment switch: any value but ""/"0" enables the sampler.
 PROFILE_ENV = "REPRO_PROFILE"

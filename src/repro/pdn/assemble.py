@@ -40,7 +40,7 @@ from repro.pdn.plan import (
 from repro.perf.timers import timed
 from repro.rmesh.mesh import LayerMesh
 from repro.rmesh.solve import StackSolver
-from repro.rmesh.stack import LinkBlock, StackModel, SupplyLink
+from repro.rmesh.stack import LinkBlock, StackModel, SupplyBlock
 
 #: Endpoint placement signature: (node offset, grid, origin).  Link node
 #: ids depend on exactly these -- never on the layer's conductances -- so
@@ -68,8 +68,8 @@ class OpArtifactSpan:
     kind: str  # the op's ``kind`` discriminator
     role: str  # the op's electrical role (metal/tsv/c4/bump/...)
     layer_key: Optional[str]  # AddLayerOp: the registered mesh's key
-    links: Tuple[int, int]  # half-open range into model.vertical_links()
-    supply: Tuple[int, int]  # half-open range into model.supply_links()
+    links: Tuple[int, int]  # half-open range into model.link_arrays()
+    supply: Tuple[int, int]  # half-open range into model.supply_arrays()
 
 
 class AssembledStack:
@@ -105,15 +105,14 @@ class AssemblySession:
     """Per-op artifact cache carried across assemblies of related plans.
 
     Meshes are shared by object (models never mutate a registered mesh);
-    vertical-link blocks are read-only arrays and supply blocks tuples of
-    frozen links.  All are exact: a cache hit contributes the same bytes
-    a rebuild would.
+    vertical-link and supply blocks are read-only arrays.  All are exact:
+    a cache hit contributes the same bytes a rebuild would.
     """
 
     def __init__(self) -> None:
         self._meshes: Dict[AddLayerOp, LayerMesh] = {}
         self._links: Dict[Tuple[PlanOp, _LayerSig, _LayerSig], LinkBlock] = {}
-        self._supply: Dict[Tuple[SupplyOp, _LayerSig], Tuple[SupplyLink, ...]] = {}
+        self._supply: Dict[Tuple[SupplyOp, _LayerSig], SupplyBlock] = {}
 
     def clear(self) -> None:
         self._meshes.clear()
@@ -127,41 +126,47 @@ class AssemblySession:
             "supply_blocks": len(self._supply),
         }
 
-    # -- artifact lookup ------------------------------------------------------
+    def replay(self, model: StackModel, op: PlanOp) -> Optional[str]:
+        """Append one op's artifacts to ``model``, reusing cached ones.
 
-    def mesh_for(self, op: AddLayerOp) -> LayerMesh:
-        mesh = self._meshes.get(op)
-        if mesh is None:
-            mesh = _build_mesh(op)
-            self._meshes[op] = mesh
-            _metrics.inc("assemble.layers_built")
-        else:
-            _metrics.inc("assemble.layers_reused")
-        return mesh
-
-    def links_for(
-        self, op: PlanOp, sig_a: _LayerSig, sig_b: _LayerSig
-    ) -> Optional[LinkBlock]:
-        return self._links.get((op, sig_a, sig_b))
-
-    def store_links(
-        self,
-        op: PlanOp,
-        sig_a: _LayerSig,
-        sig_b: _LayerSig,
-        links: LinkBlock,
-    ) -> None:
-        self._links[(op, sig_a, sig_b)] = links
-
-    def supply_for(
-        self, op: SupplyOp, sig: _LayerSig
-    ) -> Optional[Tuple[SupplyLink, ...]]:
-        return self._supply.get((op, sig))
-
-    def store_supply(
-        self, op: SupplyOp, sig: _LayerSig, links: Tuple[SupplyLink, ...]
-    ) -> None:
-        self._supply[(op, sig)] = links
+        Returns the layer key an :class:`AddLayerOp` registered.
+        """
+        if isinstance(op, AddLayerOp):
+            mesh = self._meshes.get(op)
+            if mesh is None:
+                mesh = self._meshes[op] = _build_mesh(op)
+                _metrics.inc("assemble.layers_built")
+            else:
+                _metrics.inc("assemble.layers_reused")
+            return model.add_layer(op.die, mesh, origin=Point(*op.origin), key=op.key)
+        if isinstance(op, SupplyOp):
+            key = (op, _layer_sig(model, op.key))
+            block = self._supply.get(key)
+            if block is not None:
+                model.extend_supply(block)
+            else:
+                self._supply[key] = model.connect_supply_at_xy(
+                    op.key, op.xs, op.ys, op.conductances
+                )
+        elif isinstance(op, (ConnectUniformOp, ConnectAtPointsOp)):
+            key = (op, _layer_sig(model, op.key_a), _layer_sig(model, op.key_b))
+            block = self._links.get(key)
+            if block is not None:
+                model.extend_links(block)
+            elif isinstance(op, ConnectUniformOp):
+                self._links[key] = model.connect_layers_uniform(
+                    op.key_a, op.key_b, op.conductance_per_mm2
+                )
+            else:
+                self._links[key] = model.connect_layers_at_xy(
+                    op.key_a, op.key_b, op.xs, op.ys, op.conductances
+                )
+        else:  # pragma: no cover - planner emits only known ops
+            raise MeshError(f"cannot replay op kind {type(op).kind!r}")
+        _metrics.inc(
+            "assemble.connects_reused" if block is not None else "assemble.connects_built"
+        )
+        return None
 
 
 def _build_mesh(op: AddLayerOp) -> LayerMesh:
@@ -187,55 +192,6 @@ def _layer_sig(model: StackModel, key: str) -> _LayerSig:
     return (entry.offset, entry.mesh.grid, entry.origin)
 
 
-def _replay_connect(
-    model: StackModel,
-    op: PlanOp,
-    session: Optional[AssemblySession],
-) -> None:
-    """Replay one layer-to-layer connect op, reusing cached link blocks."""
-    if isinstance(op, ConnectUniformOp):
-        key_a, key_b = op.key_a, op.key_b
-    elif isinstance(op, ConnectAtPointsOp):
-        key_a, key_b = op.key_a, op.key_b
-    else:  # pragma: no cover - planner emits only known connects
-        raise MeshError(f"cannot replay op kind {type(op).kind!r}")
-    if session is not None:
-        sig_a = _layer_sig(model, key_a)
-        sig_b = _layer_sig(model, key_b)
-        cached = session.links_for(op, sig_a, sig_b)
-        if cached is not None:
-            model.extend_links(cached)
-            _metrics.inc("assemble.connects_reused")
-            return
-    start = model.link_count
-    if isinstance(op, ConnectUniformOp):
-        model.connect_layers_uniform(key_a, key_b, op.conductance_per_mm2)
-    else:
-        model.connect_layers_at_xy(key_a, key_b, op.xs, op.ys, op.conductances)
-    _metrics.inc("assemble.connects_built")
-    if session is not None:
-        session.store_links(op, sig_a, sig_b, model.link_block(start, model.link_count))
-
-
-def _replay_supply(
-    model: StackModel,
-    op: SupplyOp,
-    session: Optional[AssemblySession],
-) -> None:
-    if session is not None:
-        sig = _layer_sig(model, op.key)
-        cached = session.supply_for(op, sig)
-        if cached is not None:
-            model.extend_supply(cached)
-            _metrics.inc("assemble.connects_reused")
-            return
-    start = model.supply_count
-    model.connect_supply_at_xy(op.key, op.xs, op.ys, op.conductances)
-    _metrics.inc("assemble.connects_built")
-    if session is not None:
-        session.store_supply(op, sig, model.supply_range(start, model.supply_count))
-
-
 def _op_role(op: PlanOp) -> str:
     """The electrical role an op's artifacts carry (SupplyOp has none)."""
     role = getattr(op, "role", None)
@@ -249,34 +205,20 @@ def assemble(
 ) -> AssembledStack:
     """Replay a plan into a fresh :class:`StackModel`.
 
-    With a ``session``, artifacts of ops already assembled under the
-    same endpoint placements are reused; the result is bitwise identical
-    either way.  Each op's contribution (mesh key, link range, supply
-    range) is recorded as an :class:`OpArtifactSpan` so branch-level
-    diagnostics can attribute every resistor back to the plan op that
-    created it.
+    Artifacts of ops already assembled under ``session`` with the same
+    endpoint placements are reused (a fresh session when none is given);
+    the result is bitwise identical either way.  Each op's contribution
+    (mesh key, link range, supply range) is recorded as an
+    :class:`OpArtifactSpan` so branch-level diagnostics can attribute
+    every resistor back to the plan op that created it.
     """
+    session = session or AssemblySession()
     with timed("stackup.assemble"):
         model = StackModel()
         spans: List[OpArtifactSpan] = []
         for index, op in enumerate(plan.ops):
             link_start, supply_start = model.link_count, model.supply_count
-            layer_key: Optional[str] = None
-            if isinstance(op, AddLayerOp):
-                mesh = (
-                    session.mesh_for(op)
-                    if session is not None
-                    else _build_mesh(op)
-                )
-                if session is None:
-                    _metrics.inc("assemble.layers_built")
-                layer_key = model.add_layer(
-                    op.die, mesh, origin=Point(*op.origin), key=op.key
-                )
-            elif isinstance(op, SupplyOp):
-                _replay_supply(model, op, session)
-            else:
-                _replay_connect(model, op, session)
+            layer_key = session.replay(model, op)
             spans.append(
                 OpArtifactSpan(
                     index=index,

@@ -111,10 +111,16 @@ class DesignDiagnosis:
 
     benchmark: str
     config_label: str
-    plan_hash: Optional[str]
     state_label: str
     num_nodes: int
     num_branches: int
+    #: The plan, solved result, branch view and the assembler's op spans
+    #: (not serialized; callers render heatmaps or slice per-op currents
+    #: of the same solution without re-solving or re-extracting).
+    plan: StackPlan = field(repr=False, compare=False)
+    raw: IRDropResult = field(repr=False, compare=False)
+    branches: StackBranches = field(repr=False, compare=False)
+    op_spans: Tuple[OpArtifactSpan, ...] = field(repr=False, compare=False)
     #: Worst-drop node: global id, layer key, stack coords, drop (V).
     worst: Dict[str, object] = field(default_factory=dict)
     #: KCL verification of the branch recovery (see
@@ -130,14 +136,15 @@ class DesignDiagnosis:
     layers: List[Dict[str, object]] = field(default_factory=list)
     #: Per-role aggregate over link/supply branches.
     roles: List[Dict[str, object]] = field(default_factory=list)
-    #: Per-plan-op attribution rows (empty for hand-built models).
+    #: Per-plan-op attribution rows, aligned with the plan's ops.
     ops: List[Dict[str, object]] = field(default_factory=list)
     #: Branch coverage of the op attribution.
     coverage: Dict[str, int] = field(default_factory=dict)
     total_dissipation_w: float = 0.0
-    #: The solved result this diagnosis explains (not serialized; lets
-    #: callers render heatmaps of the same solution without re-solving).
-    raw: Optional[IRDropResult] = field(default=None, repr=False, compare=False)
+
+    @property
+    def plan_hash(self) -> str:
+        return self.plan.plan_hash
 
     # -- serialization --------------------------------------------------------
 
@@ -168,6 +175,14 @@ class DesignDiagnosis:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, default=str) + "\n"
+
+    def op_currents(self, index: int) -> np.ndarray:
+        """Signed currents of every branch plan op ``index`` created, in
+        branch order (the inputs of its row's current statistics)."""
+        slices = _op_slices(self.branches, self.op_spans[index])
+        return np.concatenate(
+            [np.empty(0), *(self.branches.current[sl] for sl in slices)]
+        )
 
     # -- summaries ------------------------------------------------------------
 
@@ -210,7 +225,7 @@ class DesignDiagnosis:
             f"# explain {self.benchmark} [{self.config_label}]",
             "",
             f"- **state**: {self.state_label}",
-            f"- **plan**: `{self.plan_hash or 'hand-built'}` "
+            f"- **plan**: `{self.plan_hash}` "
             f"({self.num_nodes} nodes, {self.num_branches} branches)",
             f"- **worst drop**: {float(w.get('drop_mv', 0.0)):.4f} mV at "
             f"{w.get('layer')} ({float(w.get('x', 0.0)):.2f}, "
@@ -294,16 +309,30 @@ class DesignDiagnosis:
 # ---------------------------------------------------------------------------
 
 
-class _BranchIndex:
-    """Flat branch arrays + group-level role/layer metadata + adjacency.
+def _op_slices(
+    branches: StackBranches, span_: OpArtifactSpan
+) -> List[slice]:
+    """The non-empty branch slices one op's artifacts occupy: its layer's
+    mesh edges, then its links, then its supply links."""
+    (ls, le), (ss, se) = span_.links, span_.supply
+    slices = [
+        slice(branches.links.start + ls, branches.links.start + le),
+        slice(branches.supply.start + ss, branches.supply.start + se),
+    ]
+    if span_.layer_key is not None:
+        slices.insert(0, branches.layers[span_.layer_key])
+    return [sl for sl in slices if sl.stop > sl.start]
 
-    Branch order: per-layer mesh groups (layer order), then vertical
-    links (insertion order), then supply links -- exactly the order
-    :func:`extract_branches` produces, which the assembler's op spans
-    index into.  Per-branch kind/role/layer is resolved on demand from
-    the group table (:meth:`meta`) rather than materialized per branch;
-    the supply-path walk only touches a handful of branches, so
-    branch-count-sized metadata arrays would be pure construction cost.
+
+class _BranchIndex:
+    """Per-branch kind/role/layer lookup plus adjacency over a branch view.
+
+    Roles come from the assembler's op spans: a layer's mesh edges carry
+    its AddLayerOp's role, a link its connect op's role, and supply links
+    are ``package``.  They are resolved on demand from the group table
+    (:meth:`meta`) rather than materialized per branch; the supply-path
+    walk only touches a handful of branches, so branch-count-sized
+    metadata arrays would be pure construction cost.
     """
 
     def __init__(
@@ -312,86 +341,41 @@ class _BranchIndex:
         op_spans: Tuple[OpArtifactSpan, ...],
     ) -> None:
         self.branches = branches
-        model = branches.model
-        a_parts: List[np.ndarray] = []
-        b_parts: List[np.ndarray] = []
-        g_parts: List[np.ndarray] = []
-        i_parts: List[np.ndarray] = []
-
-        layer_role: Dict[str, str] = {}
-        link_role = np.full(branches.links.count, "link", dtype=object)
-        supply_role = np.full(branches.supply.count, "package", dtype=object)
+        #: Layer key -> role of the AddLayerOp that registered it.
+        self.layer_role: Dict[str, str] = {}
+        #: Per-link role (object array, link-local index).
+        self.link_role = np.full(
+            branches.links.stop - branches.links.start, "link", dtype=object
+        )
         for span_ in op_spans:
             if span_.layer_key is not None:
-                layer_role[span_.layer_key] = span_.role
+                self.layer_role[span_.layer_key] = span_.role
             ls, le = span_.links
             if le > ls:
-                link_role[ls:le] = span_.role
+                self.link_role[ls:le] = span_.role
 
-        #: Layer key -> role from the plan's AddLayerOps ("metal" when
-        #: no spans are available, e.g. hand-built models).
-        self.layer_role = layer_role
-        #: Per-link / per-supply-link role (object arrays, group-local).
-        self.link_role = link_role
-        self.supply_role = supply_role
-
-        # (start, kind, role-or-None, layer, group-local role array).
-        group_meta: List[tuple] = []
-        offset = 0
-        self.group_slices: Dict[str, slice] = {}
-        for key, group in branches.mesh.items():
-            n = group.count
-            a_parts.append(group.a)
-            b_parts.append(group.b)
-            g_parts.append(group.g)
-            i_parts.append(group.current)
-            role = layer_role.get(key, "metal")
-            group_meta.append((offset, "mesh", role, key, None))
-            self.group_slices[f"mesh:{key}"] = slice(offset, offset + n)
-            offset += n
-        for name, group, role_arr in (
-            ("link", branches.links, link_role),
-            ("supply", branches.supply, supply_role),
-        ):
-            n = group.count
-            a_parts.append(group.a)
-            b_parts.append(group.b)
-            g_parts.append(group.g)
-            i_parts.append(group.current)
-            group_meta.append((offset, name, None, None, role_arr))
-            self.group_slices[name] = slice(offset, offset + n)
-            offset += n
-
-        self._group_meta = group_meta
-        self._group_starts = np.asarray(
-            [m[0] for m in group_meta], dtype=np.int64
-        )
-
-        self.a = np.concatenate(a_parts) if a_parts else np.empty(0, np.int64)
-        self.b = np.concatenate(b_parts) if b_parts else np.empty(0, np.int64)
-        self.g = np.concatenate(g_parts) if g_parts else np.empty(0, float)
-        self.current = (
-            np.concatenate(i_parts) if i_parts else np.empty(0, float)
-        )
-        self.num = int(self.a.size)
-
-        # Per-branch dissipated power, computed once over the flat arrays
-        # and sliced by every aggregation pass (roles, ops).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.dissipation = np.where(
-                self.g > 0.0, self.current**2 / self.g, 0.0
-            )
+        # (start, kind, layer) per group, in branch order.
+        self._groups = [
+            (sl.start, "mesh", key) for key, sl in branches.layers.items()
+        ]
+        self._groups += [
+            (branches.links.start, "link", None),
+            (branches.supply.start, "supply", None),
+        ]
+        self._group_starts = np.asarray([g[0] for g in self._groups], np.int64)
 
         # Undirected adjacency (CSR over endpoint -> incident branches).
         # Supply branches appear once (their far end is the eliminated
         # supply node); mesh/link branches appear from both endpoints.
-        both = np.concatenate([self.a, self.b[self.b >= 0]])
+        a, b = branches.a, branches.b
+        inner = b >= 0
+        both = np.concatenate([a, b[inner]])
         bidx = np.concatenate(
-            [np.arange(self.num), np.arange(self.num)[self.b >= 0]]
+            [np.arange(a.size), np.arange(a.size)[inner]]
         )
         order = np.argsort(both, kind="stable")
         self._adj_branch = bidx[order]
-        counts = np.bincount(both, minlength=model.num_nodes)
+        counts = np.bincount(both, minlength=branches.model.num_nodes)
         stops = np.cumsum(counts)
         self._adj_starts = stops - counts
         self._adj_stops = stops
@@ -405,10 +389,12 @@ class _BranchIndex:
         gi = (
             int(np.searchsorted(self._group_starts, branch, side="right")) - 1
         )
-        start, kind, role, layer, role_arr = self._group_meta[gi]
-        if role_arr is not None:
-            role = role_arr[branch - start]
-        return kind, str(role), layer
+        start, kind, layer = self._groups[gi]
+        if kind == "mesh":
+            return kind, self.layer_role[layer], layer
+        if kind == "link":
+            return kind, str(self.link_role[branch - start]), None
+        return kind, "package", None
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +425,8 @@ def _walk_worst_path(
         candidates = index.incident(node)
         if candidates.size == 0:  # pragma: no cover - connected by assembly
             raise SolverError("worst-path walk hit an isolated node", node=node)
-        a = index.a[candidates]
-        others = np.where(a == node, index.b[candidates], a)
+        a = index.branches.a[candidates]
+        others = np.where(a == node, index.branches.b[candidates], a)
         # The eliminated supply node (-1) sits at drop 0.
         u = np.where(others < 0, 0.0, drops[np.maximum(others, 0)])
         pick = int(np.argmin(u))
@@ -462,8 +448,8 @@ def _walk_worst_path(
                 layer=layer,
                 category=_category_of(kind, role, layer),
                 drop=u_here - best_u,
-                current=float(index.current[best_branch]),
-                conductance=float(index.g[best_branch]),
+                current=float(index.branches.current[best_branch]),
+                conductance=float(index.branches.g[best_branch]),
             )
         )
         node = other
@@ -478,8 +464,8 @@ def _walk_worst_path(
 def diagnose_result(
     raw: IRDropResult,
     currents: np.ndarray,
-    plan: Optional[StackPlan] = None,
-    op_spans: Tuple[OpArtifactSpan, ...] = (),
+    plan: StackPlan,
+    op_spans: Tuple[OpArtifactSpan, ...],
     benchmark: str = "",
     config_label: str = "",
     state_label: str = "",
@@ -487,12 +473,12 @@ def diagnose_result(
     """Diagnose one solved result given its injected current vector.
 
     Pure read-side analysis: ``raw.drops`` and the model are only read.
-    ``plan``/``op_spans`` enable per-op attribution (plan-built stacks
-    carry both; hand-built models degrade to role-level classification).
+    ``plan``/``op_spans`` (an assembled stack carries both) attribute
+    every branch to the plan op that created it.
     """
     model = raw.model
     with span("diagnose.extract", nodes=model.num_nodes):
-        branches = extract_branches(model, np.asarray(raw.drops))
+        branches = extract_branches(model, raw.drops)
         kcl = branches.kcl_residual(np.asarray(currents))
     index = _BranchIndex(branches, op_spans)
     with span("diagnose.path"):
@@ -507,17 +493,16 @@ def diagnose_result(
         abs(total - worst_drop) / worst_drop if worst_drop > 0 else 0.0
     )
 
-    total_p = float(index.dissipation.sum())
+    dissipation = branches.dissipation
+    total_p = float(dissipation.sum())
     layer_rows: List[Dict[str, object]] = []
-    for lkey in branches.mesh:
-        entry = model.layer_entry(lkey)
-        gsl = index.group_slices[f"mesh:{lkey}"]
-        p = float(index.dissipation[gsl].sum())
+    for lkey, sl in branches.layers.items():
+        p = float(dissipation[sl].sum())
         layer_rows.append(
             {
                 "key": lkey,
-                "die": entry.die,
-                "role": index.layer_role.get(lkey, "metal"),
+                "die": model.layer_entry(lkey).die,
+                "role": index.layer_role[lkey],
                 "peak_mv": to_mv(float(raw.layer_drops(lkey).max())),
                 "dissipation_w": p,
                 "share": p / total_p if total_p > 0 else 0.0,
@@ -525,13 +510,15 @@ def diagnose_result(
         )
 
     role_rows: List[Dict[str, object]] = []
-    for name in ("link", "supply"):
-        sl = index.group_slices[name]
-        if sl.stop == sl.start:
-            continue
-        roles_here = index.link_role if name == "link" else index.supply_role
-        cur = index.current[sl.start:sl.stop]
-        p = index.dissipation[sl.start:sl.stop]
+    supply_role = np.full(
+        branches.supply.stop - branches.supply.start, "package", dtype=object
+    )
+    for sl, roles_here in (
+        (branches.links, index.link_role),
+        (branches.supply, supply_role),
+    ):
+        cur = branches.current[sl]
+        p = dissipation[sl]
         for role in sorted(set(roles_here.tolist())):
             mask = roles_here == role
             role_rows.append(
@@ -545,60 +532,42 @@ def diagnose_result(
             )
 
     op_rows: List[Dict[str, object]] = []
-    attributed = 0
-    if plan is not None and op_spans:
-        mesh_by_key = {
-            k: branches.mesh[k] for k in branches.mesh
-        }
-        link_sl = index.group_slices["link"]
-        supply_sl = index.group_slices["supply"]
-        for span_ in op_spans:
-            op = plan.ops[span_.index]
-            count = 0
-            p_op = 0.0
-            cur_max = 0.0
-            if span_.layer_key is not None and span_.layer_key in mesh_by_key:
-                group = mesh_by_key[span_.layer_key]
-                gsl = index.group_slices[f"mesh:{span_.layer_key}"]
-                count += group.count
-                p_op += float(index.dissipation[gsl].sum())
-                if group.count:
-                    cur_max = float(np.abs(group.current).max())
-            ls, le = span_.links
-            if le > ls:
-                sl = slice(link_sl.start + ls, link_sl.start + le)
-                cur = index.current[sl]
-                count += le - ls
-                p_op += float(index.dissipation[sl].sum())
-                cur_max = max(cur_max, float(np.abs(cur).max()))
-            ss, se = span_.supply
-            if se > ss:
-                sl = slice(supply_sl.start + ss, supply_sl.start + se)
-                cur = index.current[sl]
-                count += se - ss
-                p_op += float(index.dissipation[sl].sum())
-                cur_max = max(cur_max, float(np.abs(cur).max()))
-            attributed += count
-            op_rows.append(
-                {
-                    "index": span_.index,
-                    "kind": span_.kind,
-                    "role": span_.role,
-                    "brief": _op_brief(op),
-                    "branches": count,
-                    "dissipation_w": p_op,
-                    "max_current_a": cur_max,
-                    "share": p_op / total_p if total_p > 0 else 0.0,
-                }
-            )
+    for span_ in op_spans:
+        count = 0
+        p_op = 0.0
+        cur_max = 0.0
+        cur_total = 0.0
+        for sl in _op_slices(branches, span_):
+            cur = np.abs(branches.current[sl])
+            count += sl.stop - sl.start
+            p_op += float(dissipation[sl].sum())
+            cur_max = max(cur_max, float(cur.max()))
+            cur_total += float(cur.sum())
+        op_rows.append(
+            {
+                "index": span_.index,
+                "kind": span_.kind,
+                "role": span_.role,
+                "brief": _op_brief(plan.ops[span_.index]),
+                "branches": count,
+                "dissipation_w": p_op,
+                "max_current_a": cur_max,
+                "total_current_a": cur_total,
+                "share": p_op / total_p if total_p > 0 else 0.0,
+            }
+        )
+    attributed = sum(int(row["branches"]) for row in op_rows)
 
     diagnosis = DesignDiagnosis(
-        benchmark=benchmark or (plan.benchmark if plan is not None else ""),
+        benchmark=benchmark or plan.benchmark,
         config_label=config_label,
-        plan_hash=plan.plan_hash if plan is not None else None,
         state_label=state_label,
         num_nodes=model.num_nodes,
         num_branches=branches.num_branches,
+        plan=plan,
+        raw=raw,
+        branches=branches,
+        op_spans=op_spans,
         worst={
             "node": int(np.argmax(branches.drops)),
             "layer": key,
@@ -617,12 +586,9 @@ def diagnose_result(
         coverage={
             "total": branches.num_branches,
             "attributed": attributed,
-            "orphans": (branches.num_branches - attributed)
-            if op_rows
-            else branches.num_branches,
+            "orphans": branches.num_branches - attributed,
         },
         total_dissipation_w=total_p,
-        raw=raw,
     )
     _metrics.inc("diagnose.reports")
     _metrics.inc("diagnose.branches", branches.num_branches)
@@ -702,7 +668,7 @@ EXPLAIN_SCHEMA: Dict[str, Tuple[type, ...]] = {
     "schema_version": (int,),
     "benchmark": (str,),
     "config": (str,),
-    "plan_hash": (str, type(None)),
+    "plan_hash": (str,),
     "state": (str,),
     "backend": (str,),
     "num_nodes": (int,),

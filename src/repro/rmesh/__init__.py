@@ -12,19 +12,16 @@ the role of Cadence EPS in the paper's Figure 4 validation.
 """
 
 from repro.rmesh.backends import make_operator
-from repro.rmesh.branches import BranchGroup, StackBranches, extract_branches
+from repro.rmesh.branches import StackBranches, extract_branches
 from repro.rmesh.mesh import LayerMesh
-from repro.rmesh.stack import StackModel, VerticalLink, SupplyLink
+from repro.rmesh.stack import StackModel
 from repro.rmesh.solve import IRDropResult, StackSolver
 
 __all__ = [
-    "BranchGroup",
     "StackBranches",
     "extract_branches",
     "LayerMesh",
     "StackModel",
-    "VerticalLink",
-    "SupplyLink",
     "IRDropResult",
     "StackSolver",
     "make_operator",

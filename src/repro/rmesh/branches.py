@@ -6,23 +6,17 @@ on-die metal.  That question lives on the branches, not the nodes: every
 resistor in the assembled network carries a current ``I = g * (u_a -
 u_b)`` that is fully determined by the solution, and recovering those
 currents turns a black-box drop field into a physical circuit one can
-interrogate (current density per TSV group, dissipation per layer, the
-supply path feeding the worst node).
+interrogate (current per TSV, dissipation per layer, the supply path
+feeding the worst node).
 
-This module extracts that branch-level view from a
-:class:`~repro.rmesh.stack.StackModel` plus a drop vector:
-
-* :func:`extract_branches` -- every mesh edge, vertical link and supply
-  link as vectorized ``(a, b, g, current)`` groups, in the model's
-  insertion order (so plan-op artifact ranges map 1:1 onto link
-  indices; see :mod:`repro.pdn.diagnose`);
-* :meth:`StackBranches.node_net_current` -- the per-node KCL sum, which
-  must reproduce the injected load vector (the conservation property
-  the physics tests pin at 1e-9 relative);
-* :meth:`StackBranches.interface_mask` plus :class:`CrowdingReport` --
-  the per-TSV current distribution of one die-to-die interface (the
-  current crowding of the paper's section 3.2 and its reference [6]);
-* per-layer dissipation / current-density aggregation helpers.
+:func:`extract_branches` returns that view as one set of flat
+``(a, b, g, current)`` arrays over every mesh edge, vertical link and
+supply link, in the model's insertion order, with per-layer, link and
+supply slices into them.  Plan-op artifact ranges therefore map 1:1
+onto link indices (see :mod:`repro.pdn.diagnose`), and
+:meth:`StackBranches.node_net_current` gives the per-node KCL sum, which
+must reproduce the injected load vector (the conservation property the
+physics tests pin at 1e-9 relative).
 
 Everything here *reads* the solution -- nothing mutates the model or the
 solver, so diagnostics can never perturb recorded physics.
@@ -30,8 +24,7 @@ solver, so diagnostics can never perturb recorded physics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -39,131 +32,54 @@ from repro.errors import SolverError
 from repro.rmesh.stack import StackModel
 
 
-@dataclass(frozen=True)
-class BranchGroup:
-    """One homogeneous slice of the network's branches.
-
-    ``kind`` is ``"mesh"`` (edges of one layer, ``layer`` set),
-    ``"link"`` (all vertical links, insertion order), or ``"supply"``
-    (links to the ideal package node; ``b`` is ``-1``, the eliminated
-    supply at drop 0).  ``current`` is signed: positive flows from
-    ``a`` toward ``b`` in drop coordinates, i.e. from the hotter (higher
-    drop) end toward the supply side.
-    """
-
-    kind: str
-    layer: Optional[str]
-    a: np.ndarray  # global node ids
-    b: np.ndarray  # global node ids (-1 for the supply node)
-    g: np.ndarray  # conductance, siemens
-    current: np.ndarray  # signed amps, a -> b
-
-    @property
-    def count(self) -> int:
-        return int(self.a.size)
-
-    def dissipation(self) -> np.ndarray:
-        """Per-branch dissipated power, watts (``I^2 / g`` = ``g * dV^2``).
-
-        Memoized: the group is frozen, so the field is computed once and
-        shared across aggregation passes (treat it as read-only).
-        """
-        cached = self.__dict__.get("_dissipation")
-        if cached is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cached = np.where(self.g > 0.0, self.current**2 / self.g, 0.0)
-            object.__setattr__(self, "_dissipation", cached)
-        return cached
-
-
-@dataclass
-class CrowdingReport:
-    """Distribution of current over a group of parallel vertical links.
-
-    "Crowding factor" is the classic metric: the worst link's current
-    over the uniform share (total / count).  1.0 means perfectly balanced
-    TSVs; the paper's misaligned and center-clustered configurations show
-    factors well above that.
-    """
-
-    currents: np.ndarray  # per-link magnitudes, A
-
-    def __post_init__(self) -> None:
-        if self.currents.size == 0:
-            raise SolverError("crowding report over an empty link group")
-
-    @property
-    def total_a(self) -> float:
-        return float(np.sum(self.currents))
-
-    @property
-    def max_a(self) -> float:
-        return float(np.max(self.currents))
-
-    @property
-    def mean_a(self) -> float:
-        return float(np.mean(self.currents))
-
-    @property
-    def crowding_factor(self) -> float:
-        """max / uniform-share; 1.0 = perfectly balanced."""
-        if self.total_a <= 0.0:
-            return 1.0
-        return self.max_a / (self.total_a / self.currents.size)
-
-    @property
-    def gini(self) -> float:
-        """Gini coefficient of the current distribution (0 = uniform)."""
-        if self.total_a <= 0.0:
-            return 0.0
-        sorted_c = np.sort(self.currents)
-        n = sorted_c.size
-        cum = np.cumsum(sorted_c)
-        return float((n + 1 - 2 * np.sum(cum) / cum[-1]) / n)
-
-
 class StackBranches:
-    """All branch currents of one solved stack, grouped and queryable."""
+    """Every branch current of one solved stack, as one flat array view.
 
-    def __init__(
-        self,
-        model: StackModel,
-        drops: np.ndarray,
-        mesh: Dict[str, BranchGroup],
-        links: BranchGroup,
-        supply: BranchGroup,
-    ) -> None:
+    Branch order: each layer's mesh edges (layer order), then vertical
+    links (insertion order), then supply links.  ``layers`` maps a layer
+    key to its slice; ``links`` and ``supply`` are slices too.  Supply
+    branches have ``b == -1``, the eliminated supply node at drop 0.
+    ``current`` is signed: positive flows from ``a`` toward ``b`` in
+    drop coordinates, i.e. from the hotter (higher drop) end toward the
+    supply side.  ``dissipation`` is each branch's ``I^2 / g`` in watts.
+    """
+
+    def __init__(self, model: StackModel, drops: np.ndarray) -> None:
+        if drops.shape != (model.num_nodes,):
+            raise SolverError(
+                f"drop vector has shape {drops.shape}, expected "
+                f"({model.num_nodes},)"
+            )
         self.model = model
         self.drops = drops
-        self.mesh = mesh  # layer key -> group
-        self.links = links
-        self.supply = supply
-
-    # -- totals ----------------------------------------------------------------
+        a_parts, b_parts, g_parts = [], [], []
+        self.layers: Dict[str, slice] = {}
+        offset = 0
+        for key in model.layer_keys:
+            a, b, g = model.mesh_edge_arrays(key)
+            self.layers[key] = slice(offset, offset + a.size)
+            offset += a.size
+            a_parts.append(a)
+            b_parts.append(b)
+            g_parts.append(g)
+        la, lb, lg = model.link_arrays()
+        self.links = slice(offset, offset + la.size)
+        sa, sg = model.supply_arrays()
+        self.supply = slice(self.links.stop, self.links.stop + sa.size)
+        self.a = np.concatenate([*a_parts, la, sa])
+        self.b = np.concatenate([*b_parts, lb, np.full(sa.size, -1, np.int64)])
+        self.g = np.concatenate([*g_parts, lg, sg])
+        # Index -1 reads the appended 0.0: the supply side of a supply link.
+        ext = np.append(drops, 0.0)
+        self.current = self.g * (ext[self.a] - ext[self.b])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.dissipation = np.where(
+                self.g > 0.0, self.current**2 / self.g, 0.0
+            )
 
     @property
     def num_branches(self) -> int:
-        return (
-            sum(g.count for g in self.mesh.values())
-            + self.links.count
-            + self.supply.count
-        )
-
-    def groups(self) -> List[BranchGroup]:
-        """Every group: per-layer meshes first, then links, then supply."""
-        return [*self.mesh.values(), self.links, self.supply]
-
-    def interface_mask(self, key_a: str, key_b: str) -> np.ndarray:
-        """Boolean mask over :attr:`links` selecting those that join
-        layers ``key_a`` and ``key_b`` (in either direction)."""
-        sa = self.model.layer_slice(key_a)
-        sb = self.model.layer_slice(key_b)
-        a, b = self.links.a, self.links.b
-        a_in_a = (a >= sa.start) & (a < sa.stop)
-        b_in_b = (b >= sb.start) & (b < sb.stop)
-        a_in_b = (a >= sb.start) & (a < sb.stop)
-        b_in_a = (b >= sa.start) & (b < sa.stop)
-        return (a_in_a & b_in_b) | (a_in_b & b_in_a)
+        return int(self.a.size)
 
     # -- conservation ----------------------------------------------------------
 
@@ -177,10 +93,10 @@ class StackBranches:
         tests the recovery.
         """
         net = np.zeros(self.model.num_nodes)
-        for group in self.groups():
-            np.add.at(net, group.a, group.current)
-            if group.kind != "supply":
-                np.add.at(net, group.b, -group.current)
+        for sl in (*self.layers.values(), self.links):
+            np.add.at(net, self.a[sl], self.current[sl])
+            np.add.at(net, self.b[sl], -self.current[sl])
+        np.add.at(net, self.a[self.supply], self.current[self.supply])
         return net
 
     def kcl_residual(self, injected: np.ndarray) -> Dict[str, float]:
@@ -200,17 +116,10 @@ class StackBranches:
             "max_abs_a": max_abs,
             "max_rel": max_abs / scale,
             "injected_a": float(injected.sum()),
-            "supply_return_a": float(self.supply.current.sum()),
+            "supply_return_a": float(self.current[self.supply].sum()),
         }
 
     # -- aggregation -----------------------------------------------------------
-
-    def layer_dissipation(self) -> Dict[str, float]:
-        """Dissipated power per layer mesh, watts."""
-        return {
-            key: float(group.dissipation().sum())
-            for key, group in self.mesh.items()
-        }
 
     def layer_dissipation_map(self, key: str) -> np.ndarray:
         """Per-node dissipation field of one layer, shape (ny, nx), watts.
@@ -219,56 +128,16 @@ class StackBranches:
         the standard lumping that keeps the total exact while giving a
         plottable per-node heat field.
         """
-        group = self.mesh[key]
-        sl = self.model.layer_slice(key)
+        sl = self.layers[key]
+        layer = self.model.layer_slice(key)
         grid = self.model.layer_grid(key)
         field = np.zeros(self.model.num_nodes)
-        half = 0.5 * group.dissipation()
-        np.add.at(field, group.a, half)
-        np.add.at(field, group.b, half)
-        return field[sl].reshape(grid.ny, grid.nx)
-
-    def total_dissipation(self) -> float:
-        """Total dissipated power over every branch, watts."""
-        return float(sum(g.dissipation().sum() for g in self.groups()))
+        half = 0.5 * self.dissipation[sl]
+        np.add.at(field, self.a[sl], half)
+        np.add.at(field, self.b[sl], half)
+        return field[layer].reshape(grid.ny, grid.nx)
 
 
-def extract_branches(model: StackModel, drops: np.ndarray) -> "StackBranches":
+def extract_branches(model: StackModel, drops: np.ndarray) -> StackBranches:
     """Recover every branch current of ``model`` under solution ``drops``."""
-    if drops.shape != (model.num_nodes,):
-        raise SolverError(
-            f"drop vector has shape {drops.shape}, expected "
-            f"({model.num_nodes},)"
-        )
-    mesh: Dict[str, BranchGroup] = {}
-    for key in model.layer_keys:
-        a, b, g = model.mesh_edge_arrays(key)
-        mesh[key] = BranchGroup(
-            kind="mesh",
-            layer=key,
-            a=a,
-            b=b,
-            g=g,
-            current=g * (drops[a] - drops[b]),
-        )
-    la, lb, lg = model.link_arrays()
-    links = BranchGroup(
-        kind="link",
-        layer=None,
-        a=la,
-        b=lb,
-        g=lg,
-        current=lg * (drops[la] - drops[lb]) if la.size else lg.copy(),
-    )
-    sa, sg = model.supply_arrays()
-    supply = BranchGroup(
-        kind="supply",
-        layer=None,
-        a=sa,
-        b=np.full(sa.size, -1, dtype=np.int64),
-        g=sg,
-        # The eliminated supply node sits at drop 0, so the branch drop
-        # is the node's own drop.
-        current=sg * drops[sa] if sa.size else sg.copy(),
-    )
-    return StackBranches(model, drops, mesh, links, supply)
+    return StackBranches(model, np.asarray(drops))

@@ -22,6 +22,9 @@ from repro.power.state import MemoryState
 from repro.pdn.stackup import PDNStack
 from repro.tech.calibration import DEFAULT_TECH, TechConstants
 
+#: Interleaved build+solve repeats per leg; the fastest of each counts.
+TIMING_REPEATS = 3
+
 
 @dataclass
 class ValidationReport:
@@ -68,27 +71,31 @@ def validate_against_reference(
     ``build`` is a callable mapping a mesh pitch to a built stack (so the
     same design can be re-discretized); timings cover build+factorize+
     solve for each resolution, mirroring how the paper timed both tools
-    end to end.
+    end to end.  Each leg's time is the minimum over
+    :data:`TIMING_REPEATS` interleaved repeats, so one scheduler stall
+    cannot decide the speedup; every repeat solves the same network, so
+    the IR values do not depend on the repeat count.
     """
     coarse_pitch = coarse_pitch or tech.mesh_pitch
     reference_pitch = reference_pitch or tech.reference_pitch
 
-    t0 = time.perf_counter()
-    coarse = build(coarse_pitch)
-    coarse_ir = coarse.dram_max_mv(state)
-    coarse_time = time.perf_counter() - t0
-    coarse_resistors = coarse.model.num_resistors
+    coarse_time = reference_time = float("inf")
+    for _ in range(TIMING_REPEATS):
+        t0 = time.perf_counter()
+        coarse = build(coarse_pitch)
+        coarse_ir = coarse.dram_max_mv(state)
+        coarse_time = min(coarse_time, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    reference = build(reference_pitch)
-    reference_ir = reference.dram_max_mv(state)
-    reference_time = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        reference = build(reference_pitch)
+        reference_ir = reference.dram_max_mv(state)
+        reference_time = min(reference_time, time.perf_counter() - t0)
 
     return ValidationReport(
         coarse_ir_mv=coarse_ir,
         reference_ir_mv=reference_ir,
         coarse_time_s=coarse_time,
         reference_time_s=reference_time,
-        coarse_resistors=coarse_resistors,
+        coarse_resistors=coarse.model.num_resistors,
         reference_resistors=reference.model.num_resistors,
     )

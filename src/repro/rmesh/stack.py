@@ -23,27 +23,45 @@ from repro.errors import MeshError
 from repro.geometry import Point
 from repro.rmesh.mesh import LayerMesh
 
-
-@dataclass(frozen=True)
-class VerticalLink:
-    """A lumped conductance between one node of two different layers."""
-
-    node_a: int  # global node id
-    node_b: int
-    conductance: float
-
-
 #: A block of vertical links as parallel ``(node_a, node_b, conductance)``
 #: arrays (int64, int64, float64).  Never mutated once appended to a model.
 LinkBlock = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: A block of supply links as parallel ``(node, conductance)`` arrays
+#: (int64, float64).  Never mutated once appended to a model.
+SupplyBlock = Tuple[np.ndarray, np.ndarray]
 
-@dataclass(frozen=True)
-class SupplyLink:
-    """A lumped conductance from a node to the ideal package supply."""
 
-    node: int  # global node id
-    conductance: float
+class _BlockStore:
+    """Append-only parallel-array blocks with a cached concatenation.
+
+    A stack has thousands of links, so they only ever exist as arrays:
+    blocks land in insertion order and :meth:`arrays` concatenates them
+    once per new block (cached against the element count).
+    """
+
+    def __init__(self, *dtypes: type) -> None:
+        self._blocks: List[tuple] = [tuple(np.empty(0, dt) for dt in dtypes)]
+        self.count = 0
+        self._cache: "tuple[int, tuple] | None" = None
+
+    def append(self, block: tuple) -> None:
+        self._blocks.append(block)
+        self.count += len(block[-1])
+
+    def arrays(self) -> tuple:
+        """The concatenated columns, in insertion order; read-only."""
+        cached = self._cache
+        if cached is None or cached[0] != self.count:
+            cols = tuple(
+                np.concatenate([blk[i] for blk in self._blocks])
+                for i in range(len(self._blocks[0]))
+            )
+            for arr in cols:
+                arr.flags.writeable = False
+            cached = (self.count, cols)
+            self._cache = cached
+        return cached[1]
 
 
 @dataclass
@@ -61,17 +79,9 @@ class StackModel:
     def __init__(self) -> None:
         self._layers: List[_LayerEntry] = []
         self._by_key: Dict[str, _LayerEntry] = {}
-        # Vertical links as appended array blocks, in insertion order: a
-        # stack has thousands of them, so they never exist as objects
-        # unless a caller asks (vertical_links, links_range).
-        self._link_blocks: List[LinkBlock] = []
-        self._link_count = 0
-        self._supply: List[SupplyLink] = []
+        self._links = _BlockStore(np.int64, np.int64, float)
+        self._supply = _BlockStore(np.int64, float)
         self._num_nodes = 0
-        # Vectorized views of the (append-only) link stores, keyed by the
-        # link count they were built at; see link_arrays().
-        self._link_arrays_cache: "tuple[int, LinkBlock] | None" = None
-        self._supply_arrays_cache: "tuple[int, tuple] | None" = None
         # Layer key -> globally-offset (a, b, g) mesh edge arrays.  A
         # layer's mesh and offset are fixed at add_layer time, so these
         # never invalidate.  Read-only for callers.
@@ -109,20 +119,11 @@ class StackModel:
         except KeyError:
             raise MeshError(f"unknown layer {key!r}; have {list(self._by_key)}")
 
-    def node_at(self, key: str, point: Point) -> int:
-        """Global node id of the layer node nearest to a stack-coordinate
-        point (snapped to the layer's grid)."""
-        entry = self._entry(key)
-        local = Point(point.x - entry.origin.x, point.y - entry.origin.y)
-        i, j = entry.mesh.grid.nearest_node(local)
-        return entry.offset + entry.mesh.grid.node_id(i, j)
-
     def _nodes_at_xy(self, key: str, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`node_at`: global ids for stack-coordinate arrays.
+        """Global ids of the layer nodes nearest to stack-coordinate arrays.
 
-        Matches the scalar path exactly: truncation toward zero (like
-        ``int()``) then clamping to the grid, so snapped ids are
-        identical whichever path built them.
+        Snaps like :meth:`repro.geometry.Grid2D.nearest_node`: truncation
+        toward zero (like ``int()``) then clamping to the grid.
         """
         entry = self._entry(key)
         grid = entry.mesh.grid
@@ -132,26 +133,6 @@ class StackModel:
         np.clip(j, 0, grid.ny - 1, out=j)
         return entry.offset + j * grid.nx + i
 
-    def connect_layers_at_points(
-        self,
-        key_a: str,
-        key_b: str,
-        points: Sequence[Point],
-        conductances: "float | Sequence[float]",
-    ) -> None:
-        """Link two layers at given stack-coordinate points.
-
-        ``conductances`` is either one value for all points or a per-point
-        sequence (used when each TSV carries its own alignment detour
-        resistance).  Links landing on the same node pair accumulate
-        (parallel conductances add).
-        """
-        if isinstance(conductances, (int, float)):
-            conductances = [float(conductances)] * len(points)
-        xs = np.fromiter((p.x for p in points), dtype=float, count=len(points))
-        ys = np.fromiter((p.y for p in points), dtype=float, count=len(points))
-        self.connect_layers_at_xy(key_a, key_b, xs, ys, conductances)
-
     def connect_layers_at_xy(
         self,
         key_a: str,
@@ -159,37 +140,27 @@ class StackModel:
         xs: "np.ndarray | Sequence[float]",
         ys: "np.ndarray | Sequence[float]",
         conductances: Sequence[float],
-    ) -> None:
-        """Coordinate-array form of :meth:`connect_layers_at_points`.
+    ) -> LinkBlock:
+        """Link two layers at stack-coordinate points; returns the block.
 
         Takes x/y arrays plus a per-point conductance sequence -- the
         shape a replayed :class:`~repro.pdn.plan.ConnectAtPointsOp`
-        carries -- and produces the identical link list the point-based
-        method would.
+        carries (each TSV has its own alignment detour resistance).
+        Links landing on the same node pair accumulate (parallel
+        conductances add).
         """
-        if len(conductances) != len(xs):
-            raise MeshError(
-                f"{len(xs)} points but {len(conductances)} conductances"
-            )
-        if not len(xs):
-            return
-        g = np.array(conductances, dtype=float)
-        bad = np.flatnonzero(g <= 0.0)
-        if bad.size:
-            raise MeshError(
-                f"link conductance must be positive, got {float(g[bad[0]])}"
-            )
+        g = _positive(conductances, len(xs), "link")
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        self.extend_links(
-            (self._nodes_at_xy(key_a, xs, ys), self._nodes_at_xy(key_b, xs, ys), g)
-        )
+        block = (self._nodes_at_xy(key_a, xs, ys), self._nodes_at_xy(key_b, xs, ys), g)
+        self.extend_links(block)
+        return block
 
     def connect_layers_uniform(
         self, key_a: str, key_b: str, conductance_per_mm2: float
-    ) -> None:
+    ) -> LinkBlock:
         """Link two layers at every node of the coarser layer, with an
-        area-scaled conductance.
+        area-scaled conductance; returns the appended block.
 
         Models distributed stitched vias inside a die and dense F2F bond
         vias between dies: the total coupling per unit area is resolution
@@ -210,20 +181,9 @@ class StackModel:
         ys = grid.outline.y0 + (jj + 0.5) * grid.dy + src.origin.y
         src_nodes = src.offset + np.arange(grid.num_nodes, dtype=np.int64)
         dst_nodes = self._nodes_at_xy(dst.key, xs, ys)
-        self.extend_links((src_nodes, dst_nodes, np.full(grid.num_nodes, g)))
-
-    def connect_supply_at_points(
-        self,
-        key: str,
-        points: Sequence[Point],
-        conductances: "float | Sequence[float]",
-    ) -> None:
-        """Link layer nodes to the ideal supply (package) at given points."""
-        if isinstance(conductances, (int, float)):
-            conductances = [float(conductances)] * len(points)
-        xs = np.fromiter((p.x for p in points), dtype=float, count=len(points))
-        ys = np.fromiter((p.y for p in points), dtype=float, count=len(points))
-        self.connect_supply_at_xy(key, xs, ys, conductances)
+        block = (src_nodes, dst_nodes, np.full(grid.num_nodes, g))
+        self.extend_links(block)
+        return block
 
     def connect_supply_at_xy(
         self,
@@ -231,23 +191,15 @@ class StackModel:
         xs: "np.ndarray | Sequence[float]",
         ys: "np.ndarray | Sequence[float]",
         conductances: Sequence[float],
-    ) -> None:
-        """Coordinate-array form of :meth:`connect_supply_at_points`."""
-        if len(conductances) != len(xs):
-            raise MeshError(
-                f"{len(xs)} points but {len(conductances)} conductances"
-            )
-        if not len(xs):
-            return
-        for g in conductances:
-            if g <= 0.0:
-                raise MeshError(f"supply conductance must be positive, got {g}")
+    ) -> SupplyBlock:
+        """Link layer nodes to the ideal supply (package) at given
+        stack-coordinate points; returns the appended block."""
+        g = _positive(conductances, len(xs), "supply")
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        nodes = self._nodes_at_xy(key, xs, ys)
-        self._supply.extend(
-            SupplyLink(int(n), g) for n, g in zip(nodes, conductances)
-        )
+        block = (self._nodes_at_xy(key, xs, ys), g)
+        self.extend_supply(block)
+        return block
 
     # -- inspection -------------------------------------------------------------
 
@@ -261,8 +213,8 @@ class StackModel:
         paper's Figure 4 credits the R-Mesh speedup to reducing this."""
         return (
             sum(e.mesh.num_resistors for e in self._layers)
-            + self._link_count
-            + len(self._supply)
+            + self._links.count
+            + self._supply.count
         )
 
     @property
@@ -301,37 +253,17 @@ class StackModel:
             raise MeshError(f"no layers registered for die {die!r}")
         return np.concatenate(parts)
 
-    def has_supply(self) -> bool:
-        return bool(self._supply)
-
     # -- link blocks (incremental-reassembly support) ---------------------------
 
     @property
     def link_count(self) -> int:
         """Number of vertical links added so far."""
-        return self._link_count
+        return self._links.count
 
     @property
     def supply_count(self) -> int:
         """Number of supply links added so far."""
-        return len(self._supply)
-
-    def links_range(self, start: int, stop: int) -> "tuple[VerticalLink, ...]":
-        """The vertical links added between two :attr:`link_count` marks."""
-        a, b, g = self.link_block(start, stop)
-        return tuple(
-            VerticalLink(na, nb, gg)
-            for na, nb, gg in zip(a.tolist(), b.tolist(), g.tolist())
-        )
-
-    def link_block(self, start: int, stop: int) -> LinkBlock:
-        """Array form of :meth:`links_range` (read-only views)."""
-        a, b, g = self.link_arrays()
-        return a[start:stop], b[start:stop], g[start:stop]
-
-    def supply_range(self, start: int, stop: int) -> "tuple[SupplyLink, ...]":
-        """The supply links added between two :attr:`supply_count` marks."""
-        return tuple(self._supply[start:stop])
+        return self._supply.count
 
     def extend_links(self, block: LinkBlock) -> None:
         """Append a block of vertical links (e.g. a cached replay block).
@@ -340,38 +272,29 @@ class StackModel:
         same offsets/grids/origins this model has -- the assembler keys
         its cache on exactly that -- and never mutate the arrays after.
         """
-        self._link_blocks.append(block)
-        self._link_count += len(block[2])
+        self._links.append(block)
 
-    def extend_supply(self, links: Sequence[SupplyLink]) -> None:
-        """Append pre-computed supply links (cached replay blocks)."""
-        self._supply.extend(links)
-
-    def vertical_links(self) -> List[VerticalLink]:
-        """All vertical links (TSVs, F2F vias, bond wires, via stitching)."""
-        return list(self.links_range(0, self._link_count))
-
-    def supply_links(self) -> List[SupplyLink]:
-        """All links to the ideal package supply."""
-        return list(self._supply)
+    def extend_supply(self, block: SupplyBlock) -> None:
+        """Append a block of supply links, under :meth:`extend_links`'s
+        contract."""
+        self._supply.append(block)
 
     def link_arrays(self) -> LinkBlock:
-        """Vectorized ``(node_a, node_b, conductance)`` over all vertical
-        links, in insertion order.  The block list is append-only, so the
-        concatenation is cached against the link count and redone only
-        after new links land.  The returned arrays are read-only."""
-        n = self._link_count
-        cached = self._link_arrays_cache
-        if cached is None or cached[0] != n:
-            blocks = self._link_blocks or [
-                (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-            ]
-            a, b, g = (np.concatenate([blk[i] for blk in blocks]) for i in range(3))
-            for arr in (a, b, g):
-                arr.flags.writeable = False
-            cached = (n, (a, b, g))
-            self._link_arrays_cache = cached
-        return cached[1]
+        """``(node_a, node_b, conductance)`` over all vertical links (TSVs,
+        F2F vias, bond wires, via stitching), in insertion order.  The
+        concatenation is cached and redone only after new links land;
+        the returned arrays are read-only."""
+        return self._links.arrays()
+
+    def link_block(self, start: int, stop: int) -> LinkBlock:
+        """The links added between two :attr:`link_count` marks (views)."""
+        a, b, g = self.link_arrays()
+        return a[start:stop], b[start:stop], g[start:stop]
+
+    def supply_arrays(self) -> SupplyBlock:
+        """``(node, conductance)`` over all links to the ideal package
+        supply, cached like :meth:`link_arrays`.  Read-only."""
+        return self._supply.arrays()
 
     def mesh_edge_arrays(self, key: str) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """One layer's mesh edges ``(a, b, g)`` in *global* node ids.
@@ -388,22 +311,6 @@ class StackModel:
             self._mesh_edges_cache[key] = cached
         return cached
 
-    def supply_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized ``(node, conductance)`` over all supply links,
-        cached like :meth:`link_arrays`.  Read-only."""
-        n = len(self._supply)
-        cached = self._supply_arrays_cache
-        if cached is None or cached[0] != n:
-            node = np.fromiter(
-                (lk.node for lk in self._supply), dtype=np.int64, count=n
-            )
-            g = np.fromiter(
-                (lk.conductance for lk in self._supply), dtype=float, count=n
-            )
-            cached = (n, (node, g))
-            self._supply_arrays_cache = cached
-        return cached[1]
-
     def layer_entry(self, key: str):
         """The internal layer record (mesh + offset + origin) for a key."""
         return self._entry(key)
@@ -414,7 +321,7 @@ class StackModel:
         """Assemble the reduced (supply-eliminated) conductance matrix."""
         if self._num_nodes == 0:
             raise MeshError("empty stack: no layers added")
-        if not self._supply:
+        if not self._supply.count:
             raise MeshError(
                 "no supply connection: the network is floating and the "
                 "solve would be singular"
@@ -431,7 +338,7 @@ class StackModel:
         for entry in self._layers:
             a, b, g = self.mesh_edge_arrays(entry.key)
             stamp(a, b, g)
-        if self._link_count:
+        if self._links.count:
             a, b, g = self.link_arrays()
             stamp(a, b, g)
         # Supply links only add to the diagonal (the supply node, at drop 0,
@@ -446,3 +353,14 @@ class StackModel:
             shape=(self._num_nodes, self._num_nodes),
         )
         return matrix.tocsr()
+
+
+def _positive(conductances: Sequence[float], count: int, what: str) -> np.ndarray:
+    """Per-point conductances as an array, checked positive and one per point."""
+    if len(conductances) != count:
+        raise MeshError(f"{count} points but {len(conductances)} conductances")
+    g = np.array(conductances, dtype=float)
+    bad = np.flatnonzero(g <= 0.0)
+    if bad.size:
+        raise MeshError(f"{what} conductance must be positive, got {float(g[bad[0]])}")
+    return g

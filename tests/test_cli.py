@@ -104,18 +104,30 @@ class TestExplainCommand:
         assert printed["plan_hash"] == data["plan_hash"]
 
     def test_heatmaps_and_npz_export(self, capsys, tmp_path):
+        import json
+
         import numpy as np
 
         path = tmp_path / "maps.npz"
         assert main(
-            ["explain", "ddr3_off", "--heatmaps", "--heatmap-out", str(path)]
+            [
+                "explain", "ddr3_off", "--format", "json",
+                "--heatmaps", "--heatmap-out", str(path),
+            ]
         ) == 0
         out = capsys.readouterr().out
         assert "shared scale" in out
+        data, _ = json.JSONDecoder().raw_decode(out)
         with np.load(path) as maps:
             keys = set(maps.files)
             assert "drop_mv__dram4__M1" in keys
             assert "dissipation_w__dram4__M1" in keys
+            # Each per-node heat field sums to its layer's explain row.
+            for row in data["layers"]:
+                field = maps[f"dissipation_w__{row['key'].replace('/', '__')}"]
+                assert float(field.sum()) == pytest.approx(
+                    row["dissipation_w"], rel=1e-12
+                )
 
     def test_explain_with_overrides(self, capsys):
         assert main(["explain", "ddr3_off", "0-0-0-1", "--tsv-count", "66"]) == 0

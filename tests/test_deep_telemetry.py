@@ -16,7 +16,6 @@ from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.atomic import atomic_write_text
 from repro.obs.manifest import build_manifest, load_manifest
-from repro.obs.profile import BoundedSeries
 from repro.obs.store import (
     RunHistoryStore,
     delta_markdown,
@@ -37,46 +36,6 @@ def clean_profile():
     yield
     obs_profile.stop_profiler(final_sample=False)
     obs_profile.reset_profile()
-
-
-# -- BoundedSeries (the shared curve downsampler) -----------------------------
-
-
-class TestBoundedSeries:
-    def test_short_series_is_exact(self):
-        s = BoundedSeries(cap=16)
-        for i in range(10):
-            s.append(i, i * 2.0)
-        assert s.points() == [(float(i), float(i * 2)) for i in range(10)]
-        assert s.stride == 1
-        assert len(s) == 10
-
-    def test_bounded_size_and_endpoints(self):
-        s = BoundedSeries(cap=16)
-        for i in range(10_000):
-            s.append(i, 1.0 / (i + 1))
-        pts = s.points()
-        assert len(pts) <= 16
-        assert pts[0] == (0.0, 1.0)  # first point always survives
-        assert pts[-1] == (9999.0, 1.0 / 10_000)  # latest always included
-        assert s.stride > 1
-        # Interior stays monotonically ordered in x.
-        xs = [p[0] for p in pts]
-        assert xs == sorted(xs)
-
-    def test_endpoints_survive_every_decimation_level(self):
-        for total in (15, 16, 17, 100, 1023):
-            s = BoundedSeries(cap=8)
-            for i in range(total):
-                s.append(i, float(i))
-            pts = s.points()
-            assert pts[0][0] == 0.0
-            assert pts[-1][0] == float(total - 1)
-            assert len(pts) <= 8
-
-    def test_cap_floor(self):
-        with pytest.raises(ValueError):
-            BoundedSeries(cap=2)
 
 
 # -- resource profiler --------------------------------------------------------

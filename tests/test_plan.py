@@ -372,24 +372,24 @@ class TestHashPreimage:
         assert plan.plan_hash == hashes[key]
 
 
-# -- vertical links: array store, objects on demand --------------------------
+# -- vertical links: append-only array blocks ---------------------------------
 
 
-def _links_digest(links):
+def _links_digest(block):
     h = hashlib.sha256()
-    for lk in links:
-        h.update(f"{lk.node_a},{lk.node_b},{float(lk.conductance).hex()};".encode())
+    for node_a, node_b, g in zip(*(arr.tolist() for arr in block)):
+        h.update(f"{node_a},{node_b},{float(g).hex()};".encode())
     return h.hexdigest()[:16]
 
 
 def _link_fingerprint(assembled):
-    """Count, all-links digest and per-op ``links_range`` digests."""
+    """Count, all-links digest and per-op ``link_block`` digests."""
     model = assembled.model
     return {
         "count": model.link_count,
-        "all": _links_digest(model.vertical_links()),
+        "all": _links_digest(model.link_arrays()),
         "ops": [
-            [s.index, s.links[0], s.links[1], _links_digest(model.links_range(*s.links))]
+            [s.index, s.links[0], s.links[1], _links_digest(model.link_block(*s.links))]
             for s in assembled.op_spans
             if s.links[1] > s.links[0]
         ],
@@ -428,15 +428,13 @@ class TestVerticalLinkStore:
             assert _link_fingerprint(warm) == golden_links[key]
         assert session.stats()["link_blocks"] > 0
 
-    def test_link_arrays_match_objects(self, ddr3_stack):
+    def test_link_block_is_a_read_only_slice(self, ddr3_stack):
         model = ddr3_stack.model
-        a, b, g = model.link_arrays()
-        links = model.vertical_links()
-        assert len(links) == model.link_count == a.size
-        assert [lk.node_a for lk in links] == a.tolist()
-        assert [lk.node_b for lk in links] == b.tolist()
-        assert [lk.conductance for lk in links] == g.tolist()
-        assert model.links_range(3, 7) == tuple(links[3:7])
+        arrays = model.link_arrays()
+        assert model.link_count == arrays[0].size
+        for column, sliced in zip(arrays, model.link_block(3, 7)):
+            assert not column.flags.writeable
+            assert np.array_equal(sliced, column[3:7])
 
 
 # -- incremental reassembly ---------------------------------------------------
@@ -450,11 +448,7 @@ def _model_fingerprint(model):
         layers.append(
             (key, entry.offset, entry.origin, entry.mesh.gx, entry.mesh.gy)
         )
-    return (
-        layers,
-        model.links_range(0, model.link_count),
-        model.supply_range(0, model.supply_count),
-    )
+    return layers, model.link_arrays(), model.supply_arrays()
 
 
 def _assert_models_equal(a, b):
@@ -464,8 +458,11 @@ def _assert_models_equal(a, b):
         assert (ka, oa, pa) == (kb, ob, pb)
         assert np.array_equal(gxa, gxb)
         assert np.array_equal(gya, gyb)
-    assert fa[1] == fb[1]
-    assert fa[2] == fb[2]
+    for arrays_a, arrays_b in zip(fa[1:], fb[1:]):
+        assert len(arrays_a) == len(arrays_b)
+        for xa, xb in zip(arrays_a, arrays_b):
+            assert xa.dtype == xb.dtype
+            assert np.array_equal(xa, xb)
 
 
 class TestIncrementalReassembly:

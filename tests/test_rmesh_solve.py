@@ -24,7 +24,7 @@ def build_chain(n: int, g_edge: float, g_supply: float) -> StackModel:
     """Supply at node 0 of an n-node resistor chain."""
     model = StackModel()
     key = model.add_layer("die", line_mesh(n, g_edge))
-    model.connect_supply_at_points(key, [Point(0.5, 0.5)], g_supply)
+    model.connect_supply_at_xy(key, [0.5], [0.5], [g_supply])
     return model
 
 
@@ -65,9 +65,7 @@ class TestAnalyticNetworks:
         """Two equal supply links halve the entry resistance."""
         model = StackModel()
         key = model.add_layer("die", line_mesh(2, 100.0))
-        model.connect_supply_at_points(
-            key, [Point(0.5, 0.5), Point(1.5, 0.5)], 1.0
-        )
+        model.connect_supply_at_xy(key, [0.5, 1.5], [0.5, 0.5], [1.0, 1.0])
         solver = StackSolver(model)
         res = solver.solve_currents(np.array([1.0, 0.0]))
         # Strong edge ties the nodes; total supply conductance 2 S.
@@ -78,8 +76,8 @@ class TestAnalyticNetworks:
         model = StackModel()
         bottom = model.add_layer("die", line_mesh(2, 1.0, "bot"))
         top = model.add_layer("die", line_mesh(2, 1.0, "top"), key="die/top")
-        model.connect_supply_at_points(bottom, [Point(0.5, 0.5)], 1.0)
-        model.connect_layers_at_points(bottom, top, [Point(0.5, 0.5)], 0.5)
+        model.connect_supply_at_xy(bottom, [0.5], [0.5], [1.0])
+        model.connect_layers_at_xy(bottom, top, [0.5], [0.5], [0.5])
         solver = StackSolver(model)
         currents = np.zeros(4)
         currents[2] = 1.0  # top layer node 0
@@ -110,15 +108,13 @@ class TestStackModel:
         a = model.add_layer("d", line_mesh(2, 1.0, "a"))
         b = model.add_layer("d", line_mesh(2, 1.0, "b"), key="d/b")
         with pytest.raises(MeshError):
-            model.connect_layers_at_points(a, b, [Point(0.5, 0.5)], 0.0)
+            model.connect_layers_at_xy(a, b, [0.5], [0.5], [0.0])
 
     def test_mismatched_conductance_list(self):
         model = StackModel()
         a = model.add_layer("d", line_mesh(2, 1.0, "a"))
         with pytest.raises(MeshError):
-            model.connect_supply_at_points(
-                a, [Point(0.5, 0.5), Point(1.5, 0.5)], [1.0]
-            )
+            model.connect_supply_at_xy(a, [0.5, 1.5], [0.5, 0.5], [1.0])
 
     def test_die_node_ids(self):
         model = StackModel()
@@ -133,7 +129,8 @@ class TestStackModel:
         model = StackModel()
         key = model.add_layer("d", line_mesh(2, 1.0), origin=Point(10.0, 0.0))
         # Stack coordinate 10.5 is local 0.5 -> node 0.
-        assert model.node_at(key, Point(10.5, 0.5)) == 0
+        model.connect_supply_at_xy(key, [10.5], [0.5], [1.0])
+        assert model.supply_arrays()[0].tolist() == [0]
 
     def test_matrix_symmetric_diagonally_dominant(self):
         model = build_chain(6, 1.3, 0.7)
