@@ -61,7 +61,7 @@ def run_benchmark() -> dict:
     from repro.controller import IRDropLUT
     from repro.designs import off_chip_ddr3
     from repro.pdn.stackup import build_stack
-    from repro.perf.cache import clear_caches, power_map_cache_enabled
+    from repro.perf.cache import clear_caches
     from repro.perf.timers import reset_timers
     from repro.power.state import MemoryState
     from repro.regress.model import (
@@ -83,17 +83,17 @@ def run_benchmark() -> dict:
     reset_timers()
 
     # --- seed serial path: rebuild per point, single RHS, no caches -------
-    clear_caches()
-    power_map_cache_enabled(False)
+    # Every point starts from empty caches, so nothing is memoized
+    # across points.
     t0 = time.perf_counter()
     seed_values = []
     for key in combos:
         for m2, m3, tc in grid:
+            clear_caches()
             config = config_from_parts(bench, key, m2, m3, tc)
             stack = build_stack(bench.stack, config)
             seed_values.append(stack.dram_max_mv(state))
     seed_s = time.perf_counter() - t0
-    power_map_cache_enabled(True)
 
     # --- optimized engine, serial ------------------------------------------
     clear_caches()

@@ -94,13 +94,24 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    bench = benchmark(args.benchmark)
+def _configured(benchmark_name: str, args: argparse.Namespace):
+    """One benchmark and its baseline config with the CLI's
+    ``--f2f`` / ``--wirebond`` / ``--tsv-count`` overrides applied
+    (``solve`` has no ``--tsv-count``)."""
+    bench = benchmark(benchmark_name)
     config = bench.baseline
     if args.f2f:
         config = config.with_options(bonding=Bonding.F2F)
     if args.wirebond:
         config = config.with_options(wire_bond=True)
+    tsv_count = getattr(args, "tsv_count", None)
+    if tsv_count is not None:
+        config = config.with_options(tsv_count=tsv_count)
+    return bench, config
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    bench, config = _configured(args.benchmark, args)
     stack = build_stack(bench.stack, config)
     state = (
         MemoryState.from_string(args.state, bench.stack.dram_floorplan)
@@ -119,14 +130,7 @@ def _plan_for(benchmark_name: str, args: argparse.Namespace):
     """Plan one benchmark's stack with the CLI's config overrides."""
     from repro.pdn.stackup import plan_stack
 
-    bench = benchmark(benchmark_name)
-    config = bench.baseline
-    if args.f2f:
-        config = config.with_options(bonding=Bonding.F2F)
-    if args.wirebond:
-        config = config.with_options(wire_bond=True)
-    if args.tsv_count is not None:
-        config = config.with_options(tsv_count=args.tsv_count)
+    bench, config = _configured(benchmark_name, args)
     return bench, config, plan_stack(bench.stack, config)
 
 
@@ -204,14 +208,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.experiments.common import explain_design
     from repro.pdn.diagnose import validate_explain_dict
 
-    bench = benchmark(args.benchmark)
-    config = bench.baseline
-    if args.f2f:
-        config = config.with_options(bonding=Bonding.F2F)
-    if args.wirebond:
-        config = config.with_options(wire_bond=True)
-    if args.tsv_count is not None:
-        config = config.with_options(tsv_count=args.tsv_count)
+    bench, config = _configured(args.benchmark, args)
     state = (
         MemoryState.from_string(args.state, bench.stack.dram_floorplan)
         if args.state

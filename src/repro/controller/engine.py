@@ -4,7 +4,7 @@ This is the only controller engine: every experiment, ``repro3d sim``
 and the benchmarks run it.  It implements the *decision logic* of
 the paper's controller (section 2.3) -- per-bank FSMs, one command per
 channel per cycle, tRRD/tFAW or IR-LUT admission -- with flat per-bank
-state vectors and an event queue that jumps straight to the next cycle
+state lists and an event queue that jumps straight to the next cycle
 at which anything can change.  Its decisions are pinned to recorded
 reference results: ``tests/golden/controller_decisions.json`` holds the
 full :class:`SimResult` recorded from a per-cycle reference loop on seeded
@@ -14,26 +14,20 @@ workloads across all shipped policies, and
 Design
 ======
 
-* **Flat bank state.**  All per-bank state lives in flat lists
-  indexed ``die * banks_per_die + bank``: FSM code (0 idle,
-  1 activating, 2 active, 3 precharging), open row, next-ready cycle,
-  ACT cycle, last column-op cycle, and last-activity cycle (the idle
-  close deadline base).  The scheduling scan reads plain Python lists
-  because scalar indexing into small numpy arrays costs more than the
-  arithmetic it feeds.  At ``_VEC_THRESHOLD`` banks and above
-  (``BankStateVec``) every write is mirrored into numpy ``int64``
-  arrays for the vector math below; smaller configurations keep the
-  lists alone (``BankState``).
+* **Flat bank state.**  All per-bank state lives in six plain Python
+  lists local to the run loop, indexed ``die * banks_per_die + bank``:
+  FSM code (0 idle, 1 activating, 2 active, 3 precharging), open row,
+  next-ready cycle, ACT cycle, last column-op cycle, and last-activity
+  cycle (the idle-close deadline base).  Every read and write is a
+  plain index; nothing mirrors them.
 
-* **Event skipping as a vector min.**  When no command issues, the next
-  interesting cycle is the minimum over bank deadlines (state
-  transitions, tCCD/tRAS/tWR windows, idle-close deadlines), channel
-  command/data bus free times, the next arrival, refresh deadlines, and
-  the policy's activation window.  For large configurations (HMC-class:
-  128+ banks) the bank term is computed as a masked numpy vector min;
-  for small ones an incremental scan over the (few) non-idle banks is
-  faster and produces the same minimum — a property test asserts both
-  paths agree.
+* **Event skipping.**  When no command issues, the next interesting
+  cycle is the minimum over bank deadlines (state transitions,
+  tCCD/tRAS/tWR windows, idle-close deadlines), channel command/data
+  bus free times, the next arrival, refresh deadlines, and the policy's
+  activation window.  The bank term scans only the transient and open
+  banks, a small subset even on a 128-bank part (the active-bank caps
+  bound the open ones).
 
 * **One channel-partitioned issue pass over per-event bookkeeping.**
   Within one cycle, whether a command issues on channel ``c`` depends
@@ -95,9 +89,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-from numpy.typing import NDArray
-
 from repro.controller.lut import IRDropLUT, StaticIRDropLUT
 from repro.controller.policies import (
     IRAwareDistR,
@@ -113,10 +104,6 @@ from repro.obs.trace import span
 
 #: sentinel larger than any reachable cycle count.
 _FAR: int = 1 << 62
-
-#: bank-count threshold above which the vectorized next-event min and
-#: idle-close eligibility masks beat the incremental scalar scans.
-_VEC_THRESHOLD: int = 48
 
 #: one queue entry: (global arrival sequence number, flat bank index,
 #: request).  Entries order by arrival.
@@ -226,95 +213,6 @@ class OccupancyAccumulator:
             table[state] = cycles
         else:
             self.dropped += cycles
-
-
-class BankState:
-    """Flat per-bank state lists indexed ``die * banks_per_die + bank``.
-
-    The scheduling loop reads the ``*_l`` lists directly and writes them
-    through the ``set_*`` helpers.  Below ``_VEC_THRESHOLD`` banks nothing
-    else is needed, so this list-only state is what the engine keeps.
-    """
-
-    def __init__(self, num_banks: int) -> None:
-        neg = -(10**9)
-        self.st_l: List[int] = [0] * num_banks
-        self.row_l: List[int] = [-1] * num_banks
-        self.rdy_l: List[int] = [0] * num_banks
-        self.act_l: List[int] = [neg] * num_banks
-        self.col_l: List[int] = [neg] * num_banks
-        self.lact_l: List[int] = [neg] * num_banks
-
-    def set_st(self, i: int, v: int) -> None:
-        self.st_l[i] = v
-
-    def set_row(self, i: int, v: int) -> None:
-        self.row_l[i] = v
-
-    def set_rdy(self, i: int, v: int) -> None:
-        self.rdy_l[i] = v
-
-    def set_act(self, i: int, v: int) -> None:
-        self.act_l[i] = v
-
-    def set_col(self, i: int, v: int) -> None:
-        self.col_l[i] = v
-
-    def set_lact(self, i: int, v: int) -> None:
-        self.lact_l[i] = v
-
-
-class BankStateVec(BankState):
-    """:class:`BankState` plus numpy ``int64`` mirrors of every list.
-
-    The arrays are what the vectorized next-event / eligibility math runs
-    over at ``_VEC_THRESHOLD`` banks and above.  Mutations must go
-    through the ``set_*`` helpers so the two views stay identical.
-    """
-
-    def __init__(self, num_banks: int) -> None:
-        super().__init__(num_banks)
-        self.st: NDArray[np.int64] = np.array(self.st_l, dtype=np.int64)
-        self.row: NDArray[np.int64] = np.array(self.row_l, dtype=np.int64)
-        self.rdy: NDArray[np.int64] = np.array(self.rdy_l, dtype=np.int64)
-        self.act: NDArray[np.int64] = np.array(self.act_l, dtype=np.int64)
-        self.col: NDArray[np.int64] = np.array(self.col_l, dtype=np.int64)
-        self.lact: NDArray[np.int64] = np.array(self.lact_l, dtype=np.int64)
-
-    def set_st(self, i: int, v: int) -> None:
-        self.st[i] = v
-        self.st_l[i] = v
-
-    def set_row(self, i: int, v: int) -> None:
-        self.row[i] = v
-        self.row_l[i] = v
-
-    def set_rdy(self, i: int, v: int) -> None:
-        self.rdy[i] = v
-        self.rdy_l[i] = v
-
-    def set_act(self, i: int, v: int) -> None:
-        self.act[i] = v
-        self.act_l[i] = v
-
-    def set_col(self, i: int, v: int) -> None:
-        self.col[i] = v
-        self.col_l[i] = v
-
-    def set_lact(self, i: int, v: int) -> None:
-        self.lact[i] = v
-        self.lact_l[i] = v
-
-    def consistent(self) -> bool:
-        """The list views mirror the vectors (debug/test invariant)."""
-        return (
-            self.st.tolist() == self.st_l
-            and self.row.tolist() == self.row_l
-            and self.rdy.tolist() == self.rdy_l
-            and self.act.tolist() == self.act_l
-            and self.col.tolist() == self.col_l
-            and self.lact.tolist() == self.lact_l
-        )
 
 
 def load_groups(counts: Tuple[int, ...]) -> _Groups:
@@ -620,15 +518,15 @@ class EventDrivenEngine:
             ma_kind = 0
         ma_cache: Dict[Tuple[int, ...], List[Optional[bool]]] = {}
 
-        # Numpy mirrors only where the vector math below uses them.
-        vector = BankStateVec(N) if N >= _VEC_THRESHOLD else None
-        vec: BankState = vector if vector is not None else BankState(N)
-        st = vec.st_l
-        rowv = vec.row_l
-        rdy = vec.rdy_l
-        act = vec.act_l
-        col = vec.col_l
-        lact = vec.lact_l
+        # Flat per-bank state, indexed die * B + bank (module docstring).
+        # Timestamps start far in the past, so no window binds at cycle 0.
+        never = -(10**9)
+        st = [0] * N
+        rowv = [-1] * N
+        rdy = [0] * N
+        act = [never] * N
+        col = [never] * N
+        lact = [never] * N
 
         # Channel buses.
         cmd_free = [0] * C
@@ -754,7 +652,7 @@ class EventDrivenEngine:
                             nxt = v
                         continue
                     if st[i] == 1:
-                        vec.set_st(i, 2)
+                        st[i] = 2
                         open_set.add(i)
                         c = chan_of_bank[i % B]
                         if queue.open_bank(c, i, rowv[i]):
@@ -768,7 +666,7 @@ class EventDrivenEngine:
                             if dl < min_close:
                                 min_close = dl
                     else:  # state 3: precharge finished
-                        vec.set_st(i, 0)
+                        st[i] = 0
                         nonidle[i // B] -= 1
                     transient.discard(i)
                 trans_next = nxt
@@ -801,7 +699,7 @@ class EventDrivenEngine:
                         base = d * B
                         for j in range(base, base + B):
                             if rdy[j] < blocked:
-                                vec.set_rdy(j, blocked)
+                                rdy[j] = blocked
                         next_refresh[d] += tREFI
                         refreshes += 1
                         issued_any = True
@@ -864,8 +762,8 @@ class EventDrivenEngine:
                                     end = now + tCL + burst
                                     reads_n += 1
                                 data_free[c] = end
-                                vec.set_col(i, now)
-                                vec.set_lact(i, now)
+                                col[i] = now
+                                lact[i] = now
                                 req.issue_cycle = now
                                 req.complete_cycle = end
                                 latency_sum += end - req.arrival_cycle
@@ -953,11 +851,11 @@ class EventDrivenEngine:
                                     d, now, counts_t
                                 ):
                                     continue
-                                vec.set_st(i, 1)
-                                vec.set_row(i, req.row)
-                                vec.set_act(i, now)
-                                vec.set_rdy(i, now + tRCD)
-                                vec.set_lact(i, now)
+                                st[i] = 1
+                                rowv[i] = req.row
+                                act[i] = now
+                                rdy[i] = now + tRCD
+                                lact[i] = now
                                 transient.add(i)
                                 if now + tRCD < trans_next:
                                     trans_next = now + tRCD
@@ -988,9 +886,9 @@ class EventDrivenEngine:
                             ):
                                 if hits[i]:
                                     continue
-                                vec.set_st(i, 3)
-                                vec.set_row(i, -1)
-                                vec.set_rdy(i, now + tRP)
+                                st[i] = 3
+                                rowv[i] = -1
+                                rdy[i] = now + tRP
                                 open_set.discard(i)
                                 transient.add(i)
                                 if now + tRP < trans_next:
@@ -1021,17 +919,8 @@ class EventDrivenEngine:
                     shedding = known
                     shed_counts = counts_t
                 if shedding or any_due or now >= min_close:
-                    if vector is not None:
-                        elig = (
-                            (vector.st == 2)
-                            & (vector.act + tRAS <= now)
-                            & (vector.col + tWR <= now)
-                        )
-                        candidates = [int(x) for x in np.nonzero(elig)[0]]
-                    else:
-                        candidates = sorted(open_set)
                     closed = False
-                    for i in candidates:
+                    for i in sorted(open_set):
                         if st[i] != 2:
                             continue
                         d = i // B
@@ -1051,9 +940,9 @@ class EventDrivenEngine:
                             queue.close_bank(c, i, rowv[i])
                             ready_groups[c] = None
                             wait_groups[c] = None
-                        vec.set_st(i, 3)
-                        vec.set_row(i, -1)
-                        vec.set_rdy(i, now + tRP)
+                        st[i] = 3
+                        rowv[i] = -1
+                        rdy[i] = now + tRP
                         open_set.discard(i)
                         transient.add(i)
                         if now + tRP < trans_next:
@@ -1104,35 +993,25 @@ class EventDrivenEngine:
                     v = now + 1
                 if v < best:
                     best = v
-            if (
-                vector is not None
-                and len(transient) + len(open_set) >= _VEC_THRESHOLD
-            ):
-                v = self._bank_events_vec(
-                    vector, now, tCCD, tRAS, tWR, close_window
-                )
-                if v < best:
+            for i in transient:
+                v = rdy[i]
+                if now < v < best:
                     best = v
-            else:
-                for i in transient:
+            for i in open_set:
+                v = col[i] + tCCD
+                if rdy[i] > v:
                     v = rdy[i]
-                    if now < v < best:
-                        best = v
-                for i in open_set:
-                    v = col[i] + tCCD
-                    if rdy[i] > v:
-                        v = rdy[i]
-                    if now < v < best:
-                        best = v
-                    v = act[i] + tRAS
-                    if now < v < best:
-                        best = v
-                    v = col[i] + tWR
-                    if now < v < best:
-                        best = v
-                    v = lact[i] + close_window
-                    if now < v < best:
-                        best = v
+                if now < v < best:
+                    best = v
+                v = act[i] + tRAS
+                if now < v < best:
+                    best = v
+                v = col[i] + tWR
+                if now < v < best:
+                    best = v
+                v = lact[i] + close_window
+                if now < v < best:
+                    best = v
             for c in range(C):
                 v = cmd_free[c]
                 if now < v < best:
@@ -1189,35 +1068,6 @@ class EventDrivenEngine:
             writes=writes_n,
             states_dropped=occ.dropped,
         )
-
-    @staticmethod
-    def _bank_events_vec(
-        vec: BankStateVec,
-        now: int,
-        tCCD: int,
-        tRAS: int,
-        tWR: int,
-        close_window: int,
-    ) -> int:
-        """Earliest future bank deadline as a masked vector min."""
-        st = vec.st
-        trans = (st == 1) | (st == 3)
-        open_m = st == 2
-        best = _FAR
-        if bool(trans.any()):
-            sel = np.where(trans & (vec.rdy > now), vec.rdy, _FAR)
-            best = min(best, int(sel.min()))
-        if bool(open_m.any()):
-            col_next = np.maximum(vec.rdy, vec.col + tCCD)
-            for arr in (
-                col_next,
-                vec.act + tRAS,
-                vec.col + tWR,
-                vec.lact + close_window,
-            ):
-                sel = np.where(open_m & (arr > now), arr, _FAR)
-                best = min(best, int(sel.min()))
-        return best
 
     def _max_visited_ir(
         self, states: Set[Tuple[int, ...]]

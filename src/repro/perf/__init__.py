@@ -25,7 +25,6 @@ from repro.perf.cache import (
     cache_stats,
     cached_build_stack,
     clear_caches,
-    power_map_cache_enabled,
     stack_cache,
 )
 from repro.perf.parallel import map_design_points, resolve_workers
@@ -37,7 +36,6 @@ __all__ = [
     "cached_build_stack",
     "clear_caches",
     "map_design_points",
-    "power_map_cache_enabled",
     "report",
     "reset_timers",
     "resolve_workers",

@@ -58,15 +58,12 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.enabled = True
 
     def _count(self, event: str) -> None:
         if self.name is not None:
             _metrics.inc(f"cache.{self.name}.{event}")
 
     def get(self, key: Any) -> Optional[Any]:
-        if not self.enabled:
-            return None
         try:
             value = self._data[key]
         except KeyError:
@@ -79,8 +76,6 @@ class LRUCache:
         return value
 
     def put(self, key: Any, value: Any) -> None:
-        if not self.enabled:
-            return
         self._data[key] = value
         self._data.move_to_end(key)
         while len(self._data) > self.maxsize:
@@ -229,13 +224,6 @@ def cached_logic_power_map(
         grid,
         lambda: logic_power_map(floorplan, spec, grid, vdd, scale=scale),
     )
-
-
-def power_map_cache_enabled(enabled: bool) -> None:
-    """Globally enable/disable power-map memoization (benchmark knob)."""
-    power_map_cache.enabled = enabled
-    if not enabled:
-        power_map_cache.clear()
 
 
 def clear_caches() -> None:

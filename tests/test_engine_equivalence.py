@@ -34,7 +34,6 @@ import itertools
 import random
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 
 from repro.controller import (
@@ -47,9 +46,6 @@ from repro.controller import (
     generate_workload,
 )
 from repro.controller.engine import (
-    _FAR,
-    BankState,
-    BankStateVec,
     OccupancyAccumulator,
     RequestQueue,
     load_groups,
@@ -221,6 +217,80 @@ class TestEngineShapes:
         assert_golden(name, result)
 
 
+class _PlainHooks:
+    """Mixin overriding ``may_read`` and ``may_activate`` with plain
+    ``super()`` calls."""
+
+    def may_read(self, die, now, active_counts):
+        return super().may_read(die, now, active_counts)
+
+    def may_activate(self, die, now, active_counts):
+        return super().may_activate(die, now, active_counts)
+
+
+class _PlainJEDEC(_PlainHooks, StandardJEDEC):
+    pass
+
+
+class _PlainFCFS(_PlainHooks, IRAwareFCFS):
+    pass
+
+
+class _PlainDistR(_PlainHooks, IRAwareDistR):
+    def act_candidates(self, non_ready, active_counts):
+        return super().act_candidates(non_ready, active_counts)
+
+
+def _plain(policy):
+    """``policy``'s twin whose hooks are overrides that only call
+    ``super()``."""
+    if isinstance(policy, IRAwareDistR):
+        return _PlainDistR(policy.lut, policy.constraint_mv)
+    if isinstance(policy, IRAwareFCFS):
+        return _PlainFCFS(policy.lut, policy.constraint_mv)
+    return _PlainJEDEC(policy.timing)
+
+
+GENERIC_CASES = (
+    [f"base/{p}/seed={s}" for p in POLICIES for s in SEEDS]
+    + sorted(DISTR_CASES)
+    + [f"shape/hmc/{p}" for p in POLICIES]
+)
+
+
+class TestGenericPolicyDispatch:
+    """The engine recognises the stock hooks by identity and caches
+    them: ``may_read`` once per active-count state, ``may_activate``
+    per (state, die) or once per cycle, and DistR's ``act_candidates``
+    skipped while the load grouping is unchanged.  A policy that
+    overrides a hook takes the generic branch instead, one plain call
+    per use.  With overrides that only call ``super()``, every run must
+    match the golden the stock policy is pinned to, field for field."""
+
+    @pytest.mark.parametrize("name", GENERIC_CASES)
+    def test_plain_overrides_match_golden(
+        self, timing, golden_lut, assert_golden, name
+    ):
+        streamed = False
+        if name.startswith("shape/"):
+            cfg, policy, workload, lut = _shape_case(name, timing, golden_lut)
+        elif name.startswith("distr/"):
+            overrides, wc, constraint_mv, streamed = DISTR_CASES[name]
+            cfg = SimConfig(timing=timing, **overrides)
+            policy = IRAwareDistR(golden_lut, constraint_mv)
+            workload, lut = generate_workload(wc), golden_lut
+        else:
+            cfg = SimConfig(timing=timing)
+            policy = _make_policy(name.split("/")[1], timing, golden_lut)
+            seed = int(name.rsplit("=", 1)[1])
+            wc = WorkloadConfig(num_requests=1200, seed=seed)
+            workload, lut = generate_workload(wc), golden_lut
+        result = EventDrivenEngine(
+            cfg, _plain(policy), iter(workload) if streamed else workload, lut
+        ).run()
+        assert_golden(name, result)
+
+
 class _ActLog:
     """Mixin recording every ACT as ``(die, cycle)``."""
 
@@ -361,76 +431,6 @@ class TestBoundedOccupancy:
         acc.add((1, 0), 1)  # already tracked: always accumulates
         assert acc.table == {(1, 0): 4, (0, 1): 2}
         assert acc.dropped == 5
-
-
-class TestVectorScalarParity:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_next_event_vector_matches_scalar(self, seed):
-        """The masked vector min equals the scalar scan on random bank
-        state (the engine switches between them on bank count)."""
-        rng = np.random.default_rng(seed)
-        n = 64
-        vec = BankStateVec(n)
-        for i in range(n):
-            vec.set_st(i, int(rng.integers(0, 4)))
-            vec.set_rdy(i, int(rng.integers(0, 300)))
-            vec.set_act(i, int(rng.integers(0, 200)))
-            vec.set_col(i, int(rng.integers(0, 250)))
-            vec.set_lact(i, int(rng.integers(0, 250)))
-        now = 100
-        tCCD, tRAS, tWR, cw = 4, 28, 12, 8
-        got = EventDrivenEngine._bank_events_vec(vec, now, tCCD, tRAS, tWR, cw)
-        best = _FAR
-        for i in range(n):
-            st = vec.st_l[i]
-            if st in (1, 3):
-                v = vec.rdy_l[i]
-                if now < v < best:
-                    best = v
-            elif st == 2:
-                for v in (
-                    max(vec.col_l[i] + tCCD, vec.rdy_l[i]),
-                    vec.act_l[i] + tRAS,
-                    vec.col_l[i] + tWR,
-                    vec.lact_l[i] + cw,
-                ):
-                    if now < v < best:
-                        best = v
-        assert got == best
-
-    def test_bank_state_vec_consistency(self):
-        vec = BankStateVec(8)
-        assert vec.consistent()
-        vec.set_st(3, 2)
-        vec.set_row(3, 41)
-        vec.set_rdy(3, 17)
-        vec.set_act(3, 9)
-        vec.set_col(3, 13)
-        vec.set_lact(3, 9)
-        assert vec.consistent()
-        assert vec.st[3] == vec.st_l[3] == 2
-        # A raw array write (bypassing set_*) is exactly what
-        # consistent() exists to catch.
-        vec.st[3] = 0
-        assert not vec.consistent()
-
-    def test_list_state_matches_vector_lists(self):
-        """Below ``_VEC_THRESHOLD`` the engine keeps the list-only
-        ``BankState``; its setters write exactly the lists the vector
-        state keeps beside its arrays."""
-        rng = np.random.default_rng(7)
-        lists = BankState(16)
-        vec = BankStateVec(16)
-        assert not hasattr(lists, "st")
-        setters = ("set_st", "set_row", "set_rdy", "set_act", "set_col", "set_lact")
-        for _ in range(200):
-            name = setters[int(rng.integers(len(setters)))]
-            i, v = int(rng.integers(16)), int(rng.integers(-5, 500))
-            getattr(lists, name)(i, v)
-            getattr(vec, name)(i, v)
-        for attr in ("st_l", "row_l", "rdy_l", "act_l", "col_l", "lact_l"):
-            assert getattr(lists, attr) == getattr(vec, attr)
-        assert vec.consistent()
 
 
 class TestRequestQueueBookkeeping:
