@@ -122,6 +122,7 @@ def assert_golden(golden_decisions):
 
 
 GOLDEN_ROWS = Path(__file__).parent / "golden" / "experiment_rows.json"
+GOLDEN_ROWS_FULL = Path(__file__).parent / "golden" / "experiment_rows_full.json"
 
 
 @pytest.fixture(scope="session")
@@ -133,7 +134,12 @@ def golden_rows():
 
 
 @pytest.fixture(scope="session")
-def assert_rows_golden(golden_rows):
+def golden_rows_full():
+    """Frozen full-mode experiment rows, laid out like :func:`golden_rows`."""
+    return json.loads(GOLDEN_ROWS_FULL.read_text())
+
+
+def _rows_checker(golden):
     """``check(result)``: every row of an ``ExperimentResult`` equals the
     golden bitwise -- labels, paper and model fields, and value types --
     apart from the wall-clock fields the golden excludes by name."""
@@ -143,7 +149,7 @@ def assert_rows_golden(golden_rows):
 
     def check(result):
         eid = result.experiment_id
-        skip = golden_rows["excluded_model_fields"].get(eid, {}).get("fields", ())
+        skip = golden["excluded_model_fields"].get(eid, {}).get("fields", ())
         got = [
             {
                 "label": row.label,
@@ -156,6 +162,18 @@ def assert_rows_golden(golden_rows):
             }
             for row in result.rows
         ]
-        assert got == golden_rows["experiments"][eid], f"{eid}: rows diverged"
+        assert got == golden["experiments"][eid], f"{eid}: rows diverged"
 
     return check
+
+
+@pytest.fixture(scope="session")
+def assert_rows_golden(golden_rows):
+    """Checks fast-mode rows against ``experiment_rows.json``."""
+    return _rows_checker(golden_rows)
+
+
+@pytest.fixture(scope="session")
+def assert_full_rows_golden(golden_rows_full):
+    """Checks full-mode rows against ``experiment_rows_full.json``."""
+    return _rows_checker(golden_rows_full)

@@ -3,7 +3,10 @@
 Every driver run here is pinned bitwise to
 ``tests/golden/experiment_rows.json`` (``assert_rows_golden``) and
 keeps its trend asserts, which say *why* the numbers matter.  The
-docs quote the same golden (``tests/test_doc_numbers.py``).
+docs quote the same golden (``tests/test_doc_numbers.py``).  Full mode
+is pinned to ``tests/golden/experiment_rows_full.json`` by the
+``slow``-marked :func:`test_full_mode_rows`, which tier-1 deselects
+(``pytest -m slow`` runs it, ~150 s).
 """
 
 import pytest
@@ -207,3 +210,13 @@ class TestSamplingDrivers:
             (p["rmesh_mv"] for p in picks), reverse=True
         )
         assert rows["alpha=0.3"]["rmesh_mv"] < rows["baseline"]["rmesh_mv"]
+
+
+def test_full_golden_covers_every_experiment(golden_rows_full):
+    assert sorted(golden_rows_full["experiments"]) == sorted(registry)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("experiment_id", sorted(registry))
+def test_full_mode_rows(experiment_id, assert_full_rows_golden):
+    assert_full_rows_golden(run_experiment(experiment_id, fast=False))
