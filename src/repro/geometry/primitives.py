@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,9 @@ class Rect:
             Point(self.x0, self.y1),
         )
 
-    def edge_points(self, spacing: float) -> Iterator[Point]:
-        """Yield points along the rectangle boundary at roughly ``spacing``.
+    def edge_points(self, spacing: float) -> np.ndarray:
+        """Points along the rectangle boundary at roughly ``spacing``, as an
+        ``(n, 2)`` array of ``(x, y)`` rows.
 
         Used to place edge TSVs and PG-ring taps.  The walk starts at the
         lower-left corner and proceeds counter-clockwise; the last segment
@@ -163,24 +166,24 @@ class Rect:
             raise ValueError("spacing must be positive")
         perimeter = 2.0 * (self.width + self.height)
         if perimeter == 0.0:
-            yield Point(self.x0, self.y0)
-            return
+            return np.array([[self.x0, self.y0]])
         n = max(1, int(round(perimeter / spacing)))
         step = perimeter / n
-        for i in range(n):
-            yield self._point_at_perimeter(i * step)
+        return self._point_at_perimeter(np.arange(n) * step)
 
-    def _point_at_perimeter(self, s: float) -> Point:
-        """The point a distance ``s`` along the boundary, counter-clockwise."""
+    def _point_at_perimeter(self, s: "float | np.ndarray") -> np.ndarray:
+        """The ``(x, y)`` point(s) a distance ``s`` along the boundary,
+        counter-clockwise: shape ``np.shape(s) + (2,)``."""
         w, h = self.width, self.height
-        s = s % (2.0 * (w + h)) if (w + h) > 0 else 0.0
-        if s <= w:
-            return Point(self.x0 + s, self.y0)
-        s -= w
-        if s <= h:
-            return Point(self.x1, self.y0 + s)
-        s -= h
-        if s <= w:
-            return Point(self.x1 - s, self.y1)
-        s -= w
-        return Point(self.x0, self.y1 - s)
+        s = np.asarray(s, dtype=float)
+        s = s % (2.0 * (w + h)) if (w + h) > 0 else np.zeros_like(s)
+        # Distances past the bottom, right and top sides.
+        s1 = s - w
+        s2 = s1 - h
+        s3 = s2 - w
+        bottom, right, top = s <= w, s1 <= h, s2 <= w
+        x = np.where(top, self.x1 - s2, self.x0)
+        x = np.where(bottom, self.x0 + s, np.where(right, self.x1, x))
+        y = np.where(top, self.y1, self.y1 - s3)
+        y = np.where(bottom, self.y0, np.where(right, self.y0 + s1, y))
+        return np.stack((x, y), axis=-1)

@@ -390,8 +390,9 @@ def _mesh_values(grid: Grid2D, layer: MetalLayer, usage: float) -> Tuple[float, 
     return gx_val, gy_val
 
 
-def _xs_ys(points: Sequence[Point]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    return tuple(p.x for p in points), tuple(p.y for p in points)
+def _xs_ys(points: np.ndarray) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """An ``(n, 2)`` point array as the op's coordinate tuples."""
+    return tuple(points[:, 0].tolist()), tuple(points[:, 1].tolist())
 
 
 def _plan_dram_die(
@@ -474,14 +475,14 @@ def _plan_logic_die(
     return keys
 
 
-def _c4_field_points(outline: Rect, pitch: float) -> List[Point]:
-    """Regular C4 bump field over a die outline."""
+@functools.lru_cache(maxsize=16)
+def _c4_field(outline: Rect, pitch: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Regular C4 bump field over a die outline: the node centers of
+    :meth:`Grid2D.from_pitch`, in flat-id order, as coordinate tuples."""
     grid = Grid2D.from_pitch(outline, pitch)
-    return [grid.node_point(i, j) for i, j in grid.iter_indices()]
-
-
-def _shift(points: Sequence[Point], origin: Point) -> List[Point]:
-    return [Point(p.x + origin.x, p.y + origin.y) for p in points]
+    xs = outline.x0 + (np.arange(grid.nx) + 0.5) * grid.dx
+    ys = outline.y0 + (np.arange(grid.ny) + 0.5) * grid.dy
+    return tuple(np.tile(xs, grid.ny).tolist()), tuple(np.repeat(ys, grid.nx).tolist())
 
 
 def _plan_rdl_layer(
@@ -579,15 +580,14 @@ def _plan_stack(
     if on_chip:
         assert logic_grid is not None
         logic_keys = _plan_logic_die(ops, logic_grid, Point(0.0, 0.0), tech)
-        c4_points = _c4_field_points(spec.logic_floorplan.outline, tech.c4.pitch)
-        xs, ys = _xs_ys(c4_points)
+        xs, ys = _c4_field(spec.logic_floorplan.outline, tech.c4.pitch)
         ops.append(
             ConnectAtPointsOp(
                 plane_key,
                 logic_keys["MTOP"],
                 xs,
                 ys,
-                (float(tech.c4.conductance),) * len(c4_points),
+                (float(tech.c4.conductance),) * len(xs),
                 role="c4",
             )
         )
@@ -602,8 +602,8 @@ def _plan_stack(
         )
 
     # --- TSV and bump geometry ---------------------------------------------------
-    tsv_local = tsv_points_for_config(fp.outline, config, fp)
-    tsv_points = _shift(tsv_local, dram_origin)
+    shift = np.array([dram_origin.x, dram_origin.y])
+    tsv_points = tsv_points_for_config(fp.outline, config, fp) + shift
     bump_location = spec.effective_bump_location(config)
     if (
         config.tsv_location is TSVLocation.EDGE
@@ -615,8 +615,8 @@ def _plan_stack(
             "(section 6.2)"
         )
     if bump_location is BumpLocation.CENTER:
-        bump_points = _shift(center_bump_points(fp.outline, config.tsv_count), dram_origin)
-        detours = [0.0] * len(bump_points)  # balls route to the cluster
+        bump_points = center_bump_points(fp.outline, config.tsv_count) + shift
+        detours = np.zeros(len(bump_points))  # balls route to the cluster
     else:
         bump_points = tsv_points
         if on_chip:
@@ -668,7 +668,7 @@ def _plan_stack(
                 rdl0,
                 bump_xs,
                 bump_ys,
-                tuple(1.0 / (base_c4 + MICROBUMP_RES + d) for d in detours),
+                tuple((1.0 / (base_c4 + MICROBUMP_RES + detours)).tolist()),
                 role="bump",
             )
         )
@@ -688,7 +688,7 @@ def _plan_stack(
                 bottom_key,
                 bump_xs,
                 bump_ys,
-                tuple(1.0 / (base_c4 + through_res + d) for d in detours),
+                tuple((1.0 / (base_c4 + through_res + detours)).tolist()),
             )
         )
 
@@ -746,9 +746,7 @@ def _plan_stack(
 
     # --- wire bonding -----------------------------------------------------------------
     if config.wire_bond:
-        pads = _shift(
-            wirebond_points(fp.outline, tech.wirebond.groups_per_edge), dram_origin
-        )
+        pads = wirebond_points(fp.outline, tech.wirebond.groups_per_edge) + shift
         pad_xs, pad_ys = _xs_ys(pads)
         top_key = dram_keys[-1]["M3"]
         ops.append(
@@ -817,7 +815,7 @@ def plan_single_die_stack(
     # the Encounter-style PG ring hookup of the generated 2D design).
     ring = floorplan.outline.inset(0.20)
     perimeter = 2.0 * (ring.width + ring.height)
-    pads = list(ring.edge_points(perimeter / pad_count))[:pad_count]
+    pads = ring.edge_points(perimeter / pad_count)[:pad_count]
     pad_xs, pad_ys = _xs_ys(pads)
     ops.append(
         ConnectAtPointsOp(

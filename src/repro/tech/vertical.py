@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.tech.metals import MetalLayer, RouteDirection
 
 
@@ -85,10 +87,10 @@ class C4Tech:
     def conductance(self) -> float:
         return 1.0 / self.resistance
 
-    def detour_resistance(self, distance: float) -> float:
+    def detour_resistance(self, distance: "float | np.ndarray") -> "float | np.ndarray":
         """Extra series resistance for a TSV landing ``distance`` mm from
-        its nearest C4 bump (Manhattan distance)."""
-        if distance < 0.0:
+        its nearest C4 bump (Manhattan distance; elementwise on arrays)."""
+        if np.any(np.less(distance, 0.0)):
             raise ValueError("distance must be >= 0")
         return self.detour_res_per_mm * distance
 

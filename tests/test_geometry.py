@@ -98,16 +98,16 @@ class TestRect:
 
     def test_edge_points_on_boundary(self):
         r = Rect(0, 0, 4, 2)
-        pts = list(r.edge_points(0.5))
-        assert len(pts) == 24  # perimeter 12 / 0.5
-        for p in pts:
-            on_x = math.isclose(p.x, 0) or math.isclose(p.x, 4)
-            on_y = math.isclose(p.y, 0) or math.isclose(p.y, 2)
+        pts = r.edge_points(0.5)
+        assert pts.shape == (24, 2)  # perimeter 12 / 0.5
+        for x, y in pts:
+            on_x = math.isclose(x, 0) or math.isclose(x, 4)
+            on_y = math.isclose(y, 0) or math.isclose(y, 2)
             assert on_x or on_y
 
     def test_edge_points_bad_spacing(self):
         with pytest.raises(ValueError):
-            list(Rect(0, 0, 1, 1).edge_points(0.0))
+            Rect(0, 0, 1, 1).edge_points(0.0)
 
     @given(coords, coords, sizes, sizes, coords, coords, sizes, sizes)
     def test_overlap_symmetric_and_bounded(self, x1, y1, w1, h1, x2, y2, w2, h2):
@@ -119,8 +119,8 @@ class TestRect:
     @given(coords, coords, sizes, sizes, st.floats(min_value=0.2, max_value=5.0))
     def test_perimeter_walk_total(self, x, y, w, h, spacing):
         r = Rect.from_size(x, y, w, h)
-        pts = list(r.edge_points(spacing))
+        pts = r.edge_points(spacing)
         assert len(pts) >= 1
         # All points lie on the rectangle.
-        for p in pts:
-            assert r.contains(p, tol=1e-9)
+        for x, y in pts:
+            assert r.contains(Point(x, y), tol=1e-9)

@@ -47,14 +47,13 @@ class TestGeometryCorners:
 
     def test_perimeter_walk_wraps(self):
         r = Rect(0, 0, 2, 1)
-        p = r._point_at_perimeter(2.0 * (r.width + r.height))  # full loop
-        assert (p.x, p.y) == (pytest.approx(0.0), pytest.approx(0.0))
+        x, y = r._point_at_perimeter(2.0 * (r.width + r.height))  # full loop
+        assert (x, y) == (pytest.approx(0.0), pytest.approx(0.0))
 
     def test_degenerate_rect_edge_points(self):
         r = Rect(1, 1, 1, 1)
-        pts = list(r.edge_points(0.5))
-        assert len(pts) == 1
-        assert (pts[0].x, pts[0].y) == (1, 1)
+        pts = r.edge_points(0.5)
+        assert pts.tolist() == [[1.0, 1.0]]
 
 
 class TestPowerMapLayout:

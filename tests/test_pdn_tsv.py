@@ -1,4 +1,9 @@
-"""TSV / bump / wire-bond placement and the alignment model."""
+"""TSV / bump / wire-bond placement and the alignment model.
+
+Placements are ``(n, 2)`` arrays of ``(x, y)`` rows.
+"""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +36,13 @@ class TestCenterCluster:
     def test_clustered_at_center(self):
         pts = center_tsv_points(OUTLINE, 33)
         c = OUTLINE.center
-        for p in pts:
-            assert p.manhattan_to(c) < 2.5
+        for x, y in pts:
+            assert Point(x, y).manhattan_to(c) < 2.5
 
     def test_cluster_size_scales_with_count(self):
         small = center_tsv_points(OUTLINE, 15)
         large = center_tsv_points(OUTLINE, 480)
-        spread = lambda pts: max(p.x for p in pts) - min(p.x for p in pts)
+        spread = lambda pts: pts[:, 0].max() - pts[:, 0].min()
         assert spread(small) < spread(large)
 
     def test_zero_rejected(self):
@@ -50,12 +55,12 @@ class TestEdgeRing:
         pts = edge_tsv_points(OUTLINE, 33)
         assert len(pts) == 33
         ring = OUTLINE.inset(0.25)
-        for p in pts:
+        for x, y in pts:
             on_ring = (
-                abs(p.x - ring.x0) < 1e-6
-                or abs(p.x - ring.x1) < 1e-6
-                or abs(p.y - ring.y0) < 1e-6
-                or abs(p.y - ring.y1) < 1e-6
+                abs(x - ring.x0) < 1e-6
+                or abs(x - ring.x1) < 1e-6
+                or abs(y - ring.y0) < 1e-6
+                or abs(y - ring.y1) < 1e-6
             )
             assert on_ring
 
@@ -68,7 +73,7 @@ class TestDistributed:
     def test_uniform_without_floorplan(self):
         pts = distributed_tsv_points(OUTLINE, 64)
         assert len(pts) == 64
-        xs = sorted(p.x for p in pts)
+        xs = sorted(pts[:, 0])
         assert xs[0] < OUTLINE.width * 0.35
         assert xs[-1] > OUTLINE.width * 0.65
 
@@ -77,8 +82,8 @@ class TestDistributed:
         pts = distributed_tsv_points(fp.outline, 160, fp)
         assert len(pts) == 160
         regions = [b.rect for b in fp.blocks if b.type.value == "tsv_region"]
-        for p in pts:
-            assert any(r.contains(p, tol=1e-9) for r in regions)
+        for x, y in pts:
+            assert any(r.contains(Point(x, y), tol=1e-9) for r in regions)
 
 
 class TestConfigDispatch:
@@ -97,8 +102,8 @@ class TestWirebond:
         pts = wirebond_points(OUTLINE, groups_per_edge=4)
         assert len(pts) == 16
         ring = OUTLINE.inset(0.12)
-        for p in pts:
-            assert ring.contains(p, tol=1e-9)
+        for x, y in pts:
+            assert ring.contains(Point(x, y), tol=1e-9)
 
 
 class TestAlignment:
@@ -106,16 +111,17 @@ class TestAlignment:
 
     def test_on_bump_distance_zero(self):
         # Bumps at half-pitch offsets: (0.1, 0.1) is a bump.
-        d = nearest_c4_distance(Point(0.1, 0.1), OUTLINE, 0.2)
+        d = nearest_c4_distance((0.1, 0.1), OUTLINE, 0.2)
         assert d == pytest.approx(0.0)
 
     def test_worst_case_half_pitch(self):
-        d = nearest_c4_distance(Point(0.2, 0.2), OUTLINE, 0.2)
+        d = nearest_c4_distance((0.2, 0.2), OUTLINE, 0.2)
         assert d == pytest.approx(0.2)  # 0.1 in each axis, Manhattan
 
     def test_aligned_zero_detours(self):
         pts = edge_tsv_points(OUTLINE, 20)
-        assert alignment_detours(pts, OUTLINE, self.C4, aligned=True) == [0.0] * 20
+        detours = alignment_detours(pts, OUTLINE, self.C4, aligned=True)
+        assert detours.tolist() == [0.0] * 20
 
     def test_misaligned_nonnegative(self):
         pts = edge_tsv_points(OUTLINE, 20)
@@ -133,7 +139,7 @@ class TestAlignment:
 
     def test_bad_pitch(self):
         with pytest.raises(ConfigurationError):
-            nearest_c4_distance(Point(0, 0), OUTLINE, 0.0)
+            nearest_c4_distance((0.0, 0.0), OUTLINE, 0.0)
 
     @settings(max_examples=50)
     @given(
@@ -143,5 +149,61 @@ class TestAlignment:
     def test_distance_bounded(self, x, y):
         # Interior points are within half a pitch per axis; at the die
         # boundary the clamped bump row can be up to a full pitch away.
-        d = nearest_c4_distance(Point(x, y), OUTLINE, 0.2)
+        d = nearest_c4_distance((x, y), OUTLINE, 0.2)
         assert 0.0 <= d <= 0.4 + 1e-9
+
+
+class TestArraysMatchThePointLoop:
+    """Array placements are bitwise the per-point float arithmetic (same
+    operations, same order), so plan coordinates and hashes never move."""
+
+    @pytest.mark.parametrize("count", [1, 15, 33, 100, 480])
+    def test_cluster_grid(self, count):
+        pts = center_tsv_points(OUTLINE, count)
+        region = Rect.centered(
+            OUTLINE.center,
+            min(math.sqrt(count) * 0.45, 0.6 * OUTLINE.width),
+            min(math.sqrt(count) * 0.45, 0.6 * OUTLINE.height),
+        )
+        cols = max(1, int(round(math.sqrt(count * region.width / region.height))))
+        rows = max(1, math.ceil(count / cols))
+        want = []
+        for k in range(count):
+            r, c = divmod(k, cols)
+            want.append(
+                [
+                    region.x0 + (c + 0.5) * region.width / cols,
+                    region.y0 + (r + 0.5) * region.height / rows,
+                ]
+            )
+        assert pts.tolist() == want
+
+    @pytest.mark.parametrize("spacing", [0.3, 0.77, 1.9, 13.0])
+    def test_perimeter_walk(self, spacing):
+        ring = OUTLINE.inset(0.25)
+        w, h = ring.width, ring.height
+        n = max(1, int(round(2.0 * (w + h) / spacing)))
+        step = 2.0 * (w + h) / n
+        want = []
+        for i in range(n):
+            s = (i * step) % (2.0 * (w + h))
+            if s <= w:
+                want.append([ring.x0 + s, ring.y0])
+            elif s - w <= h:
+                want.append([ring.x1, ring.y0 + (s - w)])
+            elif s - w - h <= w:
+                want.append([ring.x1 - (s - w - h), ring.y1])
+            else:
+                want.append([ring.x0, ring.y1 - (s - w - h - w)])
+        assert ring.edge_points(spacing).tolist() == want
+
+    def test_c4_distance(self):
+        pts = distributed_tsv_points(OUTLINE, 100)
+
+        def axis(coord, lo, hi, pitch=0.2):
+            k = round((coord - lo) / pitch - 0.5)
+            k = min(max(k, 0), max(int((hi - lo) / pitch) - 1, 0))
+            return abs(coord - (lo + (k + 0.5) * pitch))
+
+        want = [axis(x, 0, 6.8) + axis(y, 0, 6.7) for x, y in pts.tolist()]
+        assert nearest_c4_distance(pts, OUTLINE, 0.2).tolist() == want
