@@ -77,7 +77,16 @@ class Grid2D:
 
     def node_point(self, i: int, j: int) -> Point:
         """Physical location (cell center) of node (i, j)."""
-        return Point(
+        return Point(*self._center(i, j))
+
+    def node_centers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(xs, ys)``: the cell center of every node, in flat-id order."""
+        jj, ii = np.divmod(np.arange(self.num_nodes), self.nx)
+        return self._center(ii, jj)
+
+    def _center(self, i, j):
+        """Cell center of index ``(i, j)``: scalars or index arrays."""
+        return (
             self.outline.x0 + (i + 0.5) * self.dx,
             self.outline.y0 + (j + 0.5) * self.dy,
         )

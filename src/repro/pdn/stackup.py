@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SolverError
 from repro.floorplan.blocks import DieFloorplan
-from repro.geometry import Grid2D, Point, Rect
+from repro.geometry import Grid2D, Point
 from repro.pdn.assemble import AssembledStack, AssemblySession, assemble
 from repro.pdn.config import (
     Bonding,
@@ -475,16 +475,6 @@ def _plan_logic_die(
     return keys
 
 
-@functools.lru_cache(maxsize=16)
-def _c4_field(outline: Rect, pitch: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Regular C4 bump field over a die outline: the node centers of
-    :meth:`Grid2D.from_pitch`, in flat-id order, as coordinate tuples."""
-    grid = Grid2D.from_pitch(outline, pitch)
-    xs = outline.x0 + (np.arange(grid.nx) + 0.5) * grid.dx
-    ys = outline.y0 + (np.arange(grid.ny) + 0.5) * grid.dy
-    return tuple(np.tile(xs, grid.ny).tolist()), tuple(np.repeat(ys, grid.nx).tolist())
-
-
 def _plan_rdl_layer(
     ops: List[AnyOp],
     name: str,
@@ -580,13 +570,15 @@ def _plan_stack(
     if on_chip:
         assert logic_grid is not None
         logic_keys = _plan_logic_die(ops, logic_grid, Point(0.0, 0.0), tech)
-        xs, ys = _c4_field(spec.logic_floorplan.outline, tech.c4.pitch)
+        # Regular C4 bump field: one bump per node of a C4-pitch grid.
+        c4 = Grid2D.from_pitch(spec.logic_floorplan.outline, tech.c4.pitch)
+        xs, ys = c4.node_centers()
         ops.append(
             ConnectAtPointsOp(
                 plane_key,
                 logic_keys["MTOP"],
-                xs,
-                ys,
+                tuple(xs.tolist()),
+                tuple(ys.tolist()),
                 (float(tech.c4.conductance),) * len(xs),
                 role="c4",
             )

@@ -1,8 +1,7 @@
 """TSV, bump and wire-bond placement plus the C4 alignment model.
 
 Placement generators return the points for a die outline as ``(n, 2)``
-arrays of ``(x, y)`` rows, computed with a per-point loop's float
-operations in the same order, so every coordinate is exact.
+arrays of ``(x, y)`` rows.
 The alignment model (paper section 3.2) measures, for every TSV, the
 Manhattan distance to the nearest C4 bump of a regular bump field; the
 detour resistance of that escape route is charged in series with the TSV.

@@ -29,11 +29,7 @@ reset_timers = _trace.reset_trace
 
 #: Counters of work too fine-grained for a span of its own (its time sits
 #: inside the enclosing timers), printed under the timer table when set.
-REPORTED_COUNTERS = (
-    "lut.entries_superposed",
-    "solver.orderings_reused",
-    "solver.assembly_replays",
-)
+REPORTED_COUNTERS = ("lut.entries_superposed", "solver.orderings_reused")
 
 
 def snapshot() -> Dict[str, Tuple[float, int]]:

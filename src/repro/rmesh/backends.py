@@ -21,28 +21,23 @@ bitwise.  Only the design-space sampling leg, whose samples feed a
 least-squares fit, asks for it.
 
 The symmetric ordering also fixes SuperLU's supernode settings at
-``panel_size=1`` and ``relax=1`` (:data:`_SMALL_PANELS`).  These stacks'
-supernodes are narrow, so wide panels only add overhead: on a 3469-node
-ddr3_off and a 4513-node hmc sample matrix, interleaved medians of the
-natural-order refactorization fell from 13.5 to 11.2 ms and from 23.4 to
-19.3 ms (2-vCPU VM; drops within 1e-13 relative of the default panels).
-COLAMD keeps SuperLU's bare default call, so golden IR stays bitwise.
+``panel_size=3`` and ``relax=1`` (:data:`_SMALL_PANELS`): these stacks'
+supernodes are narrow, and wide panels only add overhead (a 4513-node
+hmc sample refactorizes in 24.2 ms instead of 27.5 ms).  ``panel_size=1``
+is faster still, but moved Table 9's alpha = 0.3 picks past the row
+goldens' 1e-8 re-bless bound (docs/performance.md section 4).  COLAMD
+keeps SuperLU's bare default call, so golden IR stays bitwise.
 
-Many sampled stacks share one topology (the usage knobs change
-conductances, not connections).  An :class:`OrderingMemo` keeps, per
-pattern, what the first matrix of that pattern cost to work out:
-
-* the *assembly replay map* per stamp pattern: later matrices skip
-  scipy's COO -> CSR -> CSC conversion and sum their stamps with one
-  ``np.bincount``, byte-identical to it;
-* the symmetric-mode *ordering* per CSC sparsity pattern: later matrices
-  are permuted symmetrically by it and factorized in their natural
-  order, which skips SuperLU's minimum-degree pass.
+Many sampled stacks share one sparsity pattern (the usage knobs change
+conductances, not topology).  An :class:`OrderingMemo` keeps the first
+symmetric-mode ordering of each pattern; later matrices with the same
+pattern are permuted symmetrically by it and factorized in their
+natural order, which skips SuperLU's minimum-degree pass.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +47,7 @@ from repro.errors import ConfigurationError, SolverError
 
 #: Supernode settings of every symmetric-mode factorization (measured in
 #: the module docstring).
-_SMALL_PANELS = {"panel_size": 1, "relax": 1}
+_SMALL_PANELS = {"panel_size": 3, "relax": 1}
 
 #: ``splu`` keyword arguments per ordering name.  ``"colamd"`` passes
 #: none, so the default path is exactly SuperLU's default call.
@@ -96,55 +91,20 @@ Operator = Union[spla.SuperLU, PermutedLU]
 
 
 class OrderingMemo:
-    """Per-pattern assembly replay maps and symmetric-mode orderings.
+    """Symmetric-mode orderings kept per exact sparsity pattern.
 
-    Two maps, both made once per pattern and reused by later matrices:
-
-    * **Assembly replay**, keyed on the *stamp* pattern: the raw COO
-      ``(rows, cols)`` arrays of :meth:`~repro.rmesh.stack.StackModel.stamps`.
-      :meth:`assemble` learns the order in which scipy's COO -> CSR
-      conversion sums duplicate stamps (:func:`_replay_map`); after that a
-      matrix's canonical CSC data is one ``np.bincount`` over its stamp
-      values, byte-identical to ``conductance_matrix().tocsc()``.  The key
-      is the stamp pattern, not the CSC pattern, because stamp lists that
-      differ can share one CSC pattern yet sum in another order.
-    * **Ordering**, keyed on the canonical CSC pattern bytes (shape,
-      ``indptr``, ``indices``).  The first matrix of a pattern is
-      factorized exactly as the plain ``"symmetric"`` ordering does; its
-      final column permutation is kept with the gather map that permutes
-      any same-pattern matrix symmetrically, which is then factorized in
-      its natural order.
-
-    Make one memo per unit of work and drop it after: a memo shared
-    across units makes a unit's numbers depend on which units ran before
-    it in the same process.
+    Keyed on the canonical CSC pattern bytes (shape, ``indptr``,
+    ``indices``).  The first matrix of a pattern is factorized exactly as
+    the plain ``"symmetric"`` ordering does; its final column permutation
+    is kept with the gather map that permutes any same-pattern matrix
+    symmetrically.  Make one memo per unit of work and drop it after: a
+    memo shared across units makes a unit's numbers depend on which units
+    ran before it in the same process.
     """
 
     def __init__(self) -> None:
-        #: (n, stamp count) -> [(rows, cols, (slots, take, indptr, indices))]
-        self._stamps: Dict[Tuple[int, int], List[Tuple[Any, ...]]] = {}
-        #: CSC pattern -> (order, permuted indptr, permuted indices, gather)
+        #: pattern -> (order, permuted indptr, permuted indices, gather)
         self._patterns: Dict[Tuple[Any, ...], Tuple[np.ndarray, ...]] = {}
-
-    def assemble(
-        self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int
-    ) -> Tuple[sp.csc_matrix, bool]:
-        """The canonical ``n x n`` CSC sum of COO stamps, and whether a kept
-        replay map built it (``False`` for a pattern's first matrix)."""
-        # Exact array comparison within a (size, count) bucket: cheaper
-        # than hashing the stamp bytes, and never a false match.
-        bucket = self._stamps.setdefault((n, len(rows)), [])
-        for kept_rows, kept_cols, replay in bucket:
-            if np.array_equal(rows, kept_rows) and np.array_equal(cols, kept_cols):
-                replayed = True
-                break
-        else:
-            replay = _replay_map(rows, cols, n)
-            bucket.append((rows, cols, replay))
-            replayed = False
-        slots, take, indptr, indices = replay
-        data = np.bincount(slots, weights=values[take], minlength=len(indices))
-        return sp.csc_matrix((data, indices, indptr), shape=(n, n)), replayed
 
     def factorize(self, matrix: sp.csc_matrix) -> Operator:
         """Factorize a canonical CSC matrix (no duplicate entries)."""
@@ -159,47 +119,6 @@ class OrderingMemo:
             (matrix.data[gather], indices, indptr), shape=matrix.shape
         )
         return PermutedLU(spla.splu(permuted, **_REORDERED), order)
-
-
-def _replay_map(rows: np.ndarray, cols: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
-    """``(slots, take, indptr, indices)``: the CSC pattern of the summed
-    stamps, and the stamp order scipy sums them in.
-
-    scipy's COO -> CSR conversion buckets stamps by row in input order,
-    sorts each row by column (``sort_indices``, not a stable sort) and
-    adds equal neighbours left to right.  Running the same bucketing and
-    the same ``sort_indices`` on the stamp ids records that order: stamp
-    ``take[k]`` is the ``k``-th term summed, into CSC slot ``slots[k]``.
-    ``np.bincount`` adds its weights in input order, so it repeats every
-    sum bitwise.
-    """
-    bucketed = np.argsort(rows, kind="stable")
-    per_row = np.bincount(rows, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(per_row)))
-    ids = sp.csr_matrix((bucketed.astype(float), cols[bucketed], indptr), shape=(n, n))
-    ids.sort_indices()
-    take = ids.data.astype(np.int64)
-    # An entry of the summed matrix starts at each row's first stamp and
-    # wherever the column changes within a row.
-    starts = np.ones(len(take), dtype=bool)
-    starts[1:] = ids.indices[1:] != ids.indices[:-1]
-    starts[indptr[:-1][per_row > 0]] = True
-    csr_slots = np.cumsum(starts) - 1
-    nnz = int(csr_slots[-1]) + 1
-    # The canonical CSR pattern, converted to CSC with its slot numbers
-    # as data: that is where each CSR entry lands.
-    entries = np.bincount(rows[take[starts]], minlength=n)
-    positions = sp.csr_matrix(
-        (
-            np.arange(nnz, dtype=float),
-            ids.indices[starts],
-            np.concatenate(([0], np.cumsum(entries))),
-        ),
-        shape=(n, n),
-    ).tocsc()
-    to_csc = np.empty(nnz, dtype=np.int64)
-    to_csc[positions.data.astype(np.int64)] = np.arange(nnz)
-    return to_csc[csr_slots], take, positions.indptr, positions.indices
 
 
 def _reordering(matrix: sp.csc_matrix, order: np.ndarray) -> Tuple[np.ndarray, ...]:

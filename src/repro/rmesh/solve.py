@@ -177,11 +177,9 @@ class StackSolver:
     (:data:`repro.rmesh.backends.ORDERINGS`) and is recorded on the
     ``solver.factorize`` span; shared solvers keep the default.
     ``orderings`` lends a ``"symmetric"`` solver an
-    :class:`~repro.rmesh.backends.OrderingMemo`, which also assembles the
-    matrix by replaying its stamp pattern (counted by
-    ``solver.assembly_replays``); the span's ``ordering_reused`` attribute
-    says whether it supplied the ordering.  The span times the matrix
-    assembly too, replayed or not.
+    :class:`~repro.rmesh.backends.OrderingMemo`; the span's
+    ``ordering_reused`` attribute says whether it supplied the ordering.
+    The span times the matrix assembly too.
     """
 
     def __init__(
@@ -195,12 +193,7 @@ class StackSolver:
         with span(
             "solver.factorize", nodes=model.num_nodes, ordering=ordering
         ) as sp:
-            if orderings is None:
-                matrix = model.conductance_matrix().tocsc()
-            else:
-                matrix, replayed = orderings.assemble(*model.stamps(), model.num_nodes)
-                if replayed:
-                    _metrics.inc("solver.assembly_replays")
+            matrix = model.conductance_matrix().tocsc()
             self._lu = make_operator(matrix, ordering=ordering, orderings=orderings)
             reused = isinstance(self._lu, PermutedLU)
             sp.attrs["ordering_reused"] = reused

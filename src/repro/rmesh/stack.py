@@ -176,9 +176,9 @@ class StackModel:
         g = conductance_per_mm2 * cell_area
         # Vectorized over all source nodes, in flat-id (j-major) order so
         # the link list matches what the scalar loop produced.
-        jj, ii = np.divmod(np.arange(grid.num_nodes), grid.nx)
-        xs = grid.outline.x0 + (ii + 0.5) * grid.dx + src.origin.x
-        ys = grid.outline.y0 + (jj + 0.5) * grid.dy + src.origin.y
+        xs, ys = grid.node_centers()
+        xs = xs + src.origin.x
+        ys = ys + src.origin.y
         src_nodes = src.offset + np.arange(grid.num_nodes, dtype=np.int64)
         dst_nodes = self._nodes_at_xy(dst.key, xs, ys)
         block = (src_nodes, dst_nodes, np.full(grid.num_nodes, g))
@@ -319,22 +319,6 @@ class StackModel:
 
     def conductance_matrix(self) -> sp.csr_matrix:
         """Assemble the reduced (supply-eliminated) conductance matrix."""
-        rows, cols, vals = self.stamps()
-        matrix = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(self._num_nodes, self._num_nodes)
-        )
-        return matrix.tocsr()
-
-    def stamps(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, values)``: every conductance stamp, in assembly order.
-
-        A mesh edge or vertical link of conductance ``g`` stamps ``+g`` on
-        its two diagonal entries and ``-g`` on its two off-diagonal ones; a
-        supply link stamps ``+g`` on its diagonal (the supply node, at drop
-        0, is eliminated).  :meth:`conductance_matrix` sums duplicates of
-        these COO triplets; ``(rows, cols)`` alone is the stamp pattern
-        :class:`~repro.rmesh.backends.OrderingMemo` keeps a replay map for.
-        """
         if self._num_nodes == 0:
             raise MeshError("empty stack: no layers added")
         if not self._supply.count:
@@ -357,11 +341,18 @@ class StackModel:
         if self._links.count:
             a, b, g = self.link_arrays()
             stamp(a, b, g)
+        # Supply links only add to the diagonal (the supply node, at drop 0,
+        # is eliminated).
         s, gs = self.supply_arrays()
         rows.append(s)
         cols.append(s)
         vals.append(gs)
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+        matrix = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self._num_nodes, self._num_nodes),
+        )
+        return matrix.tocsr()
 
 
 def _positive(conductances: Sequence[float], count: int, what: str) -> np.ndarray:

@@ -16,10 +16,7 @@ other solve keeps SuperLU's default COLAMD.  Pinned here:
   pattern (:class:`~repro.rmesh.backends.OrderingMemo`) and the memo dies
   with the task, so serial and parallel samples stay bitwise equal in
   any order; reused orderings agree with fresh ones to 1e-12 relative;
-* session assembly of a task's points equals cold builds bitwise;
-* the memo's assembly replay (one map per *stamp* pattern) builds CSC
-  matrices byte-identical to ``conductance_matrix().tocsc()``, also where
-  two stamp lists share one CSC pattern (HMC edge TSVs).
+* session assembly of a task's points equals cold builds bitwise.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from repro.designs import hmc, off_chip_ddr3, on_chip_ddr3, wide_io
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.pdn import AssemblySession, TSVLocation, build_stack
+from repro.pdn import AssemblySession, build_stack
 from repro.perf.cache import cached_build_stack, clear_caches
 from repro.regress.model import (
     _eval_combo_chunk,
@@ -267,79 +264,3 @@ def test_session_assembly_of_a_task_is_bitwise_cold(task):
         assert _pattern(a) == _pattern(b)
         assert a.data.tobytes() == b.data.tobytes()
     assert session.stats()["meshes"] > 0
-
-
-# -- assembly replay -------------------------------------------------------------
-
-
-def _fast_task(bench, key):
-    """The models of one fast sampling task, assembled like the sampler's."""
-    session = AssemblySession()
-    return [
-        build_stack(
-            bench.stack, config_from_parts(bench, key, *point), session=session
-        ).model
-        for point in continuous_sample_grid(bench, tc_points=2)
-    ]
-
-
-def _stamp_pattern(model):
-    rows, cols, _ = model.stamps()
-    return rows.tobytes(), cols.tobytes()
-
-
-def _edge_combo(bench):
-    return next(k for k in valid_discrete_combos(bench) if k[0] is TSVLocation.EDGE)
-
-
-@pytest.mark.parametrize("key", sorted(FACTORIES))
-def test_replayed_matrix_is_byte_identical_to_tocsc(baselines, key):
-    bench, _ = baselines[key]
-    # HMC's edge task has two stamp lists on one CSC pattern.
-    combo = _edge_combo(bench) if key == "hmc" else valid_discrete_combos(bench)[0]
-    models = _fast_task(bench, combo)
-    memo = OrderingMemo()
-    replays = 0
-    for model in models:
-        got, replayed = memo.assemble(*model.stamps(), model.num_nodes)
-        want = model.conductance_matrix().tocsc()
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        replays += replayed
-    stamp_patterns = {_stamp_pattern(m) for m in models}
-    assert 0 < replays == len(models) - len(stamp_patterns)
-
-
-def test_stamp_lists_sharing_a_csc_pattern_reuse_the_ordering(hmc_bench):
-    combo = _edge_combo(hmc_bench)
-    models = _fast_task(hmc_bench, combo)
-    stamp_patterns = {_stamp_pattern(m) for m in models}
-    csc_patterns = {_pattern(m.conductance_matrix().tocsc()) for m in models}
-    assert len(stamp_patterns) == 2 and len(csc_patterns) == 1
-    grid = continuous_sample_grid(hmc_bench, tc_points=2)
-    _trace.reset_trace()
-    before = {
-        name: _metrics.get_counter(name)
-        for name in ("solver.assembly_replays", "solver.orderings_reused")
-    }
-    samples = _eval_combo_chunk((hmc_bench, DEFAULT_TECH, None, combo, grid))
-    reused = [
-        r.attrs["ordering_reused"]
-        for r in _trace.spans()
-        if r.name == "solver.factorize"
-    ]
-    assert reused == [False] + [True] * (len(grid) - 1)
-    delta = {name: _metrics.get_counter(name) - was for name, was in before.items()}
-    assert delta == {
-        "solver.assembly_replays": len(grid) - 2,
-        "solver.orderings_reused": len(grid) - 1,
-    }
-    # Every sample is the symmetric solve of its own matrix: no point was
-    # summed with the other stamp list's map.
-    state = hmc_bench.reference_state()
-    for sample, point in zip(samples, grid):
-        stack = build_stack(hmc_bench.stack, config_from_parts(hmc_bench, combo, *point))
-        plain = StackSolver(stack.model, ordering="symmetric")
-        want = stack.solve_state(state, solver=plain).dram_max_mv
-        assert sample.ir_mv == pytest.approx(want, rel=1e-12)
