@@ -29,40 +29,48 @@ Quick start::
     print(stack.solve_state(state))
 """
 
-from repro.designs import BenchmarkSpec, all_benchmarks, benchmark
-from repro.pdn import (
-    Bonding,
-    BumpLocation,
-    Mounting,
-    PDNConfig,
-    PDNStack,
-    RDLScope,
-    StackSpec,
-    TSVLocation,
-    build_stack,
+import importlib
+from typing import Any
+
+#: public name -> the module that defines it; resolved on first access
+#: (PEP 562), so ``import repro`` loads no numerics until a name is used.
+_EXPORTS = {
+    "BenchmarkSpec": "repro.designs",
+    "all_benchmarks": "repro.designs",
+    "benchmark": "repro.designs",
+    "PDNConfig": "repro.pdn",
+    "PDNStack": "repro.pdn",
+    "StackSpec": "repro.pdn",
+    "TSVLocation": "repro.pdn",
+    "Bonding": "repro.pdn",
+    "RDLScope": "repro.pdn",
+    "BumpLocation": "repro.pdn",
+    "Mounting": "repro.pdn",
+    "build_stack": "repro.pdn",
+    "cached_build_stack": "repro.perf",
+    "MemoryState": "repro.power",
+    "IRDropResult": "repro.rmesh",
+    "StackSolver": "repro.rmesh",
+}
+
+#: subpackages and modules reachable as ``repro.<name>`` before import.
+_SUBMODULES = frozenset(
+    "bench cli controller cost designs dram envcfg errors experiments "
+    "floorplan geometry obs opt pdn perf power regress reporting resil "
+    "rmesh tech units".split()
 )
-from repro.perf import cached_build_stack
-from repro.power import MemoryState
-from repro.rmesh import IRDropResult, StackSolver
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BenchmarkSpec",
-    "all_benchmarks",
-    "benchmark",
-    "PDNConfig",
-    "PDNStack",
-    "StackSpec",
-    "TSVLocation",
-    "Bonding",
-    "RDLScope",
-    "BumpLocation",
-    "Mounting",
-    "build_stack",
-    "cached_build_stack",
-    "MemoryState",
-    "IRDropResult",
-    "StackSolver",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"repro.{name}")
+    else:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -34,19 +34,13 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.designs import all_benchmarks, benchmark
-from repro.experiments import registry, run_experiment
 from repro.obs.log import configure, get_logger
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import write_metrics
 from repro.obs.profile import PROFILE_ENV, start_profiler
 from repro.obs.store import IR_DRIFT_MV, PERF_REL_TOL
 from repro.obs.trace import span, write_chrome_trace
-from repro.pdn.config import Bonding
-from repro.pdn.stackup import build_stack
 from repro.perf.parallel import WORKERS_ENV
-from repro.perf.timers import report as perf_report
-from repro.power.state import MemoryState
 
 _log = get_logger("cli")
 
@@ -68,6 +62,9 @@ def _manifest_path(args: argparse.Namespace) -> Optional[Path]:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from repro.designs import all_benchmarks
+    from repro.experiments import registry
+
     _log.info("available experiments:")
     for exp_id in sorted(registry):
         _log.info("  %s", exp_id)
@@ -76,6 +73,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments import run_experiment
+
     manifest_out = _manifest_path(args)
     result = run_experiment(
         args.experiment, fast=not args.full, manifest_out=manifest_out
@@ -88,6 +87,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    from repro.experiments import registry, run_experiment
+
     for exp_id in sorted(registry):
         result = run_experiment(exp_id, fast=not args.full)
         _log.info("%s\n", result.fmt())
@@ -98,6 +99,9 @@ def _configured(benchmark_name: str, args: argparse.Namespace):
     """One benchmark and its baseline config with the CLI's
     ``--f2f`` / ``--wirebond`` / ``--tsv-count`` overrides applied
     (``solve`` has no ``--tsv-count``)."""
+    from repro.designs import benchmark
+    from repro.pdn.config import Bonding
+
     bench = benchmark(benchmark_name)
     config = bench.baseline
     if args.f2f:
@@ -111,6 +115,9 @@ def _configured(benchmark_name: str, args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from repro.pdn.stackup import build_stack
+    from repro.power.state import MemoryState
+
     bench, config = _configured(args.benchmark, args)
     stack = build_stack(bench.stack, config)
     state = (
@@ -207,6 +214,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     from repro.experiments.common import explain_design
     from repro.pdn.diagnose import validate_explain_dict
+    from repro.power.state import MemoryState
 
     bench, config = _configured(args.benchmark, args)
     state = (
@@ -579,6 +587,45 @@ def _workers_arg(value: str) -> int:
     return count
 
 
+def _experiment_ids() -> List[str]:
+    from repro.experiments import registry
+
+    return sorted(registry)
+
+
+def _benchmark_names() -> List[str]:
+    from repro.designs import all_benchmarks
+
+    return sorted(all_benchmarks())
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose ``choices`` may be a zero-argument
+    callable.  The callable runs the first time this parser parses, so
+    building the CLI imports no experiment driver or design until a
+    subcommand needs its names."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._deferred_choices: List[tuple] = []
+
+    def add_argument(self, *args, **kwargs):
+        choices = kwargs.get("choices")
+        if not callable(choices):
+            return super().add_argument(*args, **kwargs)
+        del kwargs["choices"]
+        action = super().add_argument(*args, **kwargs)
+        self._deferred_choices.append((action, choices))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        # A subcommand's --help and usage errors are printed while it parses.
+        for action, choices in self._deferred_choices:
+            action.choices = choices()
+        self._deferred_choices.clear()
+        return super().parse_known_args(args, namespace)
+
+
 #: Defaults for the global flags; applied after parsing because the
 #: shared option group uses ``SUPPRESS`` (see :func:`_global_options`).
 _GLOBAL_DEFAULTS = {
@@ -669,7 +716,7 @@ def _global_options() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the repro3d argument parser (exposed for tests/docs)."""
     common = _global_options()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro3d",
         description="3D DRAM DC power-integrity co-optimization platform "
         "(DAC'15 reproduction)",
@@ -682,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(func=_cmd_list)
 
     run_p = sub.add_parser("run", help="run one experiment", parents=[common])
-    run_p.add_argument("experiment", choices=sorted(registry))
+    run_p.add_argument("experiment", choices=_experiment_ids)
     run_p.add_argument(
         "--full", action="store_true", help="full sweeps (slower)"
     )
@@ -693,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     all_p.set_defaults(func=_cmd_all)
 
     solve_p = sub.add_parser("solve", help="ad-hoc IR-drop solve", parents=[common])
-    solve_p.add_argument("benchmark", choices=sorted(all_benchmarks()))
+    solve_p.add_argument("benchmark", choices=_benchmark_names)
     solve_p.add_argument(
         "state", nargs="?", help='memory state, e.g. "0-0-0-2" (default: '
         "the benchmark's reference state)"
@@ -711,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_p.add_argument(
         "benchmark",
         nargs="?",
-        choices=sorted(all_benchmarks()),
+        choices=_benchmark_names,
         help="benchmark to explain (omit only with --diff)",
     )
     explain_p.add_argument(
@@ -776,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump or diff a benchmark's declarative stack build plan",
         parents=[common],
     )
-    plan_p.add_argument("benchmark", choices=sorted(all_benchmarks()))
+    plan_p.add_argument("benchmark", choices=_benchmark_names)
     plan_p.add_argument("--f2f", action="store_true", help="F2F bonding")
     plan_p.add_argument(
         "--wirebond", action="store_true", help="add bond wires"
@@ -1071,6 +1118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     with span(f"cli.{args.command}") as sp:
         code = args.func(args)
     if args.perf_report:
+        from repro.perf.timers import report as perf_report
+
         _log.info("\n%s", perf_report())
     if args.trace_out:
         write_chrome_trace(args.trace_out)

@@ -288,10 +288,12 @@ class RunHistoryStore:
     def ingest_live_run(self, manifest, source=None, kind: str = "cli") -> str:
         """Ingest the *current process's* run: manifest plus live buffers.
 
-        Beyond the manifest content, this persists the plan bodies of
-        every plan the process built (content-addressed, so repeats are
-        free) and backfills the profile from the live buffer when the
-        manifest predates it.
+        Beyond the manifest content, this persists the bodies of the
+        run's plans still held by the stack cache (content-addressed, so
+        repeats are free) and backfills the profile from the live buffer
+        when the manifest predates it.  Sampled stacks bypass that cache,
+        so the stored bodies do not depend on the worker count; a plan
+        built outside it keeps only its hash in ``plans``.
         """
         data = manifest.to_dict() if hasattr(manifest, "to_dict") else dict(manifest)
         record = normalize_manifest(data, source=source, kind=kind)
@@ -300,12 +302,11 @@ class RunHistoryStore:
 
             if _profile.sample_count():
                 record["profile"] = _profile.summary()
-        # Persist the bodies of every plan this process actually built.
-        from repro.pdn.plan import observed_plan_objects
+        from repro.perf.cache import stack_cache
 
-        for plan_hash, plan in observed_plan_objects().items():
-            if plan_hash in record["plans"]:
-                self.store_plan(plan)
+        for stack in stack_cache.values():
+            if stack.plan.plan_hash in record["plans"]:
+                self.store_plan(stack.plan)
         return self.append(record)
 
     def store_plan(self, plan) -> Path:

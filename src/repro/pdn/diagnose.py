@@ -325,7 +325,7 @@ def _op_slices(
 
 
 class _BranchIndex:
-    """Per-branch kind/role/layer lookup plus adjacency over a branch view.
+    """Per-branch kind/role/layer lookup plus incidence over a branch view.
 
     Roles come from the assembler's op spans: a layer's mesh edges carry
     its AddLayerOp's role, a link its connect op's role, and supply links
@@ -364,25 +364,16 @@ class _BranchIndex:
         ]
         self._group_starts = np.asarray([g[0] for g in self._groups], np.int64)
 
-        # Undirected adjacency (CSR over endpoint -> incident branches).
-        # Supply branches appear once (their far end is the eliminated
-        # supply node); mesh/link branches appear from both endpoints.
-        a, b = branches.a, branches.b
-        inner = b >= 0
-        both = np.concatenate([a, b[inner]])
-        bidx = np.concatenate(
-            [np.arange(a.size), np.arange(a.size)[inner]]
-        )
-        order = np.argsort(both, kind="stable")
-        self._adj_branch = bidx[order]
-        counts = np.bincount(both, minlength=branches.model.num_nodes)
-        stops = np.cumsum(counts)
-        self._adj_starts = stops - counts
-        self._adj_stops = stops
+        #: Both endpoints of every branch, one row each.  The walk visits
+        #: ~20 nodes, so each finds its branches by a scan rather than
+        #: every node's through a full endpoint sort.
+        self._ends = np.stack([branches.a, branches.b])
 
     def incident(self, node: int) -> np.ndarray:
-        """Branch indices incident to a node."""
-        return self._adj_branch[self._adj_starts[node]:self._adj_stops[node]]
+        """Branch indices incident to a node: those with it as ``a``, then
+        those with it as ``b``, each ascending.  A supply branch's far end
+        is the eliminated supply node (-1), never a node id."""
+        return np.flatnonzero(self._ends == node) % self._ends.shape[1]
 
     def meta(self, branch: int) -> Tuple[str, str, Optional[str]]:
         """``(kind, role, layer)`` of one branch, from the group table."""

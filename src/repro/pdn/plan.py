@@ -538,14 +538,8 @@ def validate_plan_dict(data: Mapping[str, Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Plan observation registry (provenance)
+# Plan observation (provenance)
 # ---------------------------------------------------------------------------
-
-#: Full plan objects by hash, so the run-history store
-#: (:mod:`repro.obs.store`) can persist plan *bodies* content-addressed
-#: and later render a real :class:`PlanDiff` between two historical runs
-#: instead of only comparing hashes.
-_observed_objects: Dict[str, "StackPlan"] = {}
 
 #: Metrics-counter prefix for per-run plan attribution.  A counter is
 #: named ``plan.touch.<benchmark>.<hash>``: counters merge across worker
@@ -555,19 +549,13 @@ PLAN_TOUCH_PREFIX = "plan.touch."
 
 
 def record_plan_use(plan: StackPlan) -> None:
-    """Note that a build used ``plan`` (plan body + labelled touch counter)."""
+    """Note that a build used ``plan`` (a labelled touch counter)."""
     with timed("plan.hash", benchmark=plan.benchmark) as sp:
         plan_hash = sp.attrs["plan"] = plan.plan_hash
-    _observed_objects[plan_hash] = plan
     # Local import: obs must stay importable without the pdn package.
     from repro.obs import metrics as _metrics
 
     _metrics.inc(f"{PLAN_TOUCH_PREFIX}{plan.benchmark}.{plan_hash}")
-
-
-def observed_plan_objects() -> Dict[str, "StackPlan"]:
-    """Every plan this process has built, by hash (full objects)."""
-    return dict(_observed_objects)
 
 
 def plans_from_counters(counters: Mapping[str, Any]) -> Dict[str, str]:

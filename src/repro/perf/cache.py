@@ -31,7 +31,7 @@ reprs once per stack.  Entries are evicted least-recently-used.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
@@ -85,6 +85,10 @@ class LRUCache:
 
     def clear(self) -> None:
         self._data.clear()
+
+    def values(self) -> List[Any]:
+        """The cached values, least recently used first."""
+        return list(self._data.values())
 
     def __len__(self) -> int:
         return len(self._data)

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.designs import all_benchmarks
+from repro.experiments import registry
 
 
 class TestParser:
@@ -10,9 +12,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_validates_experiment(self):
-        with pytest.raises(SystemExit):
+    def test_run_validates_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["run", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(repr(exp_id) in err for exp_id in registry)
+
+    def test_run_help_lists_every_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(sorted(registry)) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve", "plan", "explain"])
+    def test_benchmark_choices_are_the_designs(self, command):
+        parser = build_parser()
+        for name in sorted(all_benchmarks()):
+            assert parser.parse_args([command, name]).benchmark == name
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "bogus"])
 
 
 class TestCommands:

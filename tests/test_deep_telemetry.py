@@ -639,6 +639,34 @@ class TestObsCli:
         assert len(runs) == 1
         assert runs[0]["experiment_id"] == "table8"
 
+    def test_history_plan_bodies_independent_of_workers(self, tmp_path):
+        """``--history`` stores the bodies of the plans the stack cache
+        holds; sampled stacks bypass it, so a pooled run stores exactly
+        what a serial one does.  Each run is a fresh process, as from
+        the shell."""
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        stored = {}
+        for workers in ("1", "2"):
+            history = tmp_path / f"workers{workers}"
+            env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+            env.update(PYTHONPATH=str(root / "src"), REPRO_HISTORY_DIR=str(history))
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "--history", "--workers",
+                 workers, "run", "table9"],
+                cwd=root, env=env, check=True, capture_output=True, timeout=300,
+            )
+            store = RunHistoryStore(history)
+            (run,) = store.runs()
+            bodies = {
+                path.stem: path.read_text() for path in store.plans_dir.glob("*.json")
+            }
+            assert bodies and set(bodies) <= set(run["plans"])
+            stored[workers] = bodies
+        assert stored["1"] == stored["2"]
+
 
 # -- attribution physics axis (PR 8) ------------------------------------------
 

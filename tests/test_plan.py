@@ -594,6 +594,21 @@ class TestPlanProvenance:
         back = RunManifest.from_dict(manifest.to_dict())
         assert back.plans == manifest.plans
 
+    def test_build_loop_retains_no_plan(self, ddr3_off_bench):
+        """Recording a plan's use keeps no reference to it, so a sweep's
+        plans die with their stacks."""
+        import gc
+        import weakref
+
+        spec, config = ddr3_off_bench.stack, ddr3_off_bench.baseline
+        refs = []
+        for count in (200, 240, 280):
+            stack = build_stack(spec, config.with_options(tsv_count=count))
+            refs.append(weakref.ref(stack.plan))
+        del stack
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+
     def test_stack_exposes_plan_hash(self, ddr3_stack):
         assert ddr3_stack.plan_hash is not None
         assert len(ddr3_stack.plan_hash) == 16
