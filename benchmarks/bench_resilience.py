@@ -14,10 +14,7 @@ per point, six combos x 8 grid points on two workers:
   identical to the baseline (re-queued work recomputes deterministic
   work, it does not perturb it).  At least one pool rebuild must occur.
 
-The bench registers as ``resilience_pool``: it replaced a fig5-based
-``resilience`` bench, whose committed baseline entry (fig5's plans and
-max IR) does not describe this workload, so the suite comparator treats
-it as a new benchmark until the baseline is next blessed.
+The bench registers as ``resilience_pool``.
 
 Numbers land in the ``bench.resilience.*`` gauges and a JSON artifact
 under ``benchmarks/results/``.  Run directly

@@ -34,17 +34,19 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
-from repro.pdn.stackup import PDNStack
 from repro.perf.timers import timed
 from repro.power.state import MemoryState
 from repro.units import to_mv
+
+if TYPE_CHECKING:
+    from repro.pdn.stackup import PDNStack
 
 
 class IRDropLUT:

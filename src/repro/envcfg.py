@@ -3,7 +3,7 @@
 Environment variables are the project's cross-process configuration
 channel: the CLI sets them so spawned workers inherit the knobs.  That
 channel has a failure mode argument parsing does not -- a typo'd value
-(``REPRO_TASK_TIMEOUT=0.O5``) is not discovered at the shell prompt but
+(``REPRO_PROFILE_INTERVAL_MS=2O``) is not discovered at the shell prompt but
 deep inside a sweep, where a raised ``ValueError`` throws away every
 completed solve.  For *environment* knobs the robust contract is
 therefore warn-and-default: log one structured warning naming the

@@ -42,6 +42,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
+from repro import envcfg
 from repro.obs import trace as _trace
 
 #: Environment switch: any value but ""/"0" enables the sampler.
@@ -90,12 +91,12 @@ def profiling_enabled() -> bool:
 
 
 def profile_interval() -> float:
-    """Sampling interval in seconds (env override, floor 1 ms)."""
-    raw = os.environ.get(PROFILE_INTERVAL_ENV, "")
-    try:
-        ms = float(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL_S
+    """Sampling interval in seconds (env override in ms, floor 1 ms).
+
+    A malformed value warns and falls back to the default
+    (:mod:`repro.envcfg`).
+    """
+    ms = envcfg.env_float(PROFILE_INTERVAL_ENV, DEFAULT_INTERVAL_S * 1e3)
     return max(ms, 1.0) / 1e3
 
 

@@ -214,9 +214,9 @@ def absorb_spans(records: List[Dict[str, object]]) -> None:
     monotonic start-time order (workers record spans in *completion*
     order, so a parent's per-task digests would otherwise interleave
     children before the parents that contain them), and a span already
-    absorbed -- an executor retry, a caller merging the same worker
-    return twice -- is dropped instead of duplicated, so trace-derived
-    aggregates stay exact under re-absorption.
+    absorbed -- a caller merging the same worker return twice -- is
+    dropped instead of duplicated, so trace-derived aggregates stay
+    exact under re-absorption.
     """
     global _dropped
     ordered = sorted(

@@ -2,21 +2,28 @@
 
 The combos x grid sweep behind Table 9 is embarrassingly parallel: every
 design point builds, factorizes, and solves its own stack.
-:func:`map_design_points` fans a picklable function over items with a
-``ProcessPoolExecutor``, preserving input order, and falls back to a
-plain serial loop when one worker is requested or when the platform
-cannot spawn processes (sandboxes, restricted containers).
+:func:`map_design_points` submits each item to a ``ProcessPoolExecutor``
+as its own future, returns the results in input order, and runs a plain
+serial loop when one worker is requested.
 
-Execution is fault-tolerant (:mod:`repro.resil.execute`): every item is
-its own future, a broken pool (a dead worker) is rebuilt -- re-queueing
-only in-flight items, keeping completed results -- a hung task is
-resubmitted past its deadline, and the remaining work degrades to a
-serial run when the pool cannot be restored.  An exception raised by
-the function itself is deterministic: the lowest-index one is
-re-raised.
+It handles the one failure a pool really meets, a dead worker (the OOM
+killer, an injected ``worker_crash``): the broken pool is shut down and
+rebuilt, only the items still in flight are re-queued, and completed
+results are kept.  After :data:`POOL_REBUILDS` rebuilds, or when no pool
+can start at all (sandboxes, restricted containers), the remaining items
+finish serially in this process.  An exception raised by the function
+itself is deterministic, so it fails its item at once and the
+lowest-index one is re-raised after the run.  What a run survived lands
+in the ``resil.{pool_rebuilds,task_failures,serial_fallbacks}`` counters.
+
+Pools are forked, except while the resource profiler's sampler thread
+runs (``--profile``): that thread takes the trace and profile locks, and
+a fork landing while it holds one would hand the child a lock nobody
+releases, deadlocking the child on its first span.  Those pools are
+spawned instead.
 
 Observability crosses the process boundary on one path: each worker
-task runs inside :class:`_ObsTask`, which marks the span buffer, the
+task runs inside :class:`_Task`, which marks the span buffer, the
 metrics registry and the profiler buffer before the call and ships
 what the task added back with the result.  Spans carry everything
 about "what ran" -- the ``--perf-report`` timers are their per-name
@@ -45,7 +52,11 @@ items, and a sweep that resolves to one worker runs serially.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import warnings
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -53,15 +64,20 @@ from repro import envcfg
 from repro.obs import metrics as _metrics
 from repro.obs import profile as _profile
 from repro.obs import trace as _trace
+from repro.obs.log import get_logger
 from repro.perf.timers import timed
 from repro.resil import faults as _faults
-from repro.resil.execute import run_tasks
+
+_log = get_logger("perf.parallel")
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
+
+#: Pool reconstructions after worker deaths before the rest runs serially.
+POOL_REBUILDS = 8
 
 
 def _usable_cpus() -> int:
@@ -102,25 +118,30 @@ class _WorkerReturn:
     profile: List[Dict[str, object]] = field(default_factory=list)
 
 
-class _ObsTask:
-    """Picklable wrapper shipping per-task telemetry home.
+class _Task:
+    """Picklable worker-side task: fault check, ``fn``, telemetry home.
 
-    Marking (rather than reset-and-export) keeps the scheme correct
-    under both fork (workers inherit parent buffer state) and spawn
-    (fresh buffers), and under executor reuse across items.  The
-    resource profiler is started lazily in the worker when
-    ``REPRO_PROFILE`` asks for it -- spawn children don't inherit the
-    parent's sampler thread.
+    Called with ``(index, tries, item)``: the fault-injection draw is
+    keyed by the item *and* its submission count, so a re-queued item
+    re-rolls instead of crashing identically forever.  Marking (rather
+    than reset-and-export) keeps the telemetry delta correct under both
+    fork (workers inherit parent buffer state) and spawn (fresh
+    buffers), and across the items one worker runs.  The resource
+    profiler is started lazily in the worker when ``REPRO_PROFILE``
+    asks for it -- spawn children don't inherit the parent's sampler
+    thread.
     """
 
     def __init__(self, fn: Callable[[T], R]) -> None:
         self.fn = fn
 
-    def __call__(self, item: T) -> _WorkerReturn:
+    def __call__(self, payload: Tuple[int, int, T]) -> _WorkerReturn:
+        index, tries, item = payload
         _profile.ensure_profiler()
         spans_before = _trace.span_count()
         metrics_before = _metrics.snapshot()
         samples_before = _profile.sample_count()
+        _faults.check_task(str(index), attempt=tries)
         result = self.fn(item)
         return _WorkerReturn(
             result=result,
@@ -130,30 +151,6 @@ class _ObsTask:
         )
 
 
-class _ResilTask:
-    """Payload-form :class:`_ObsTask` for the fault-tolerant executor.
-
-    Receives ``(index, tries, item)`` so the worker-side fault-injection
-    decision point is keyed by the task *and* its submission attempt --
-    a resubmitted task re-rolls its fault draw instead of crashing
-    identically forever.  The fault check runs inside the obs window, so
-    a ``slow_task`` fault ships its ``resil.fault.*`` counts home; a
-    ``worker_crash`` ships nothing, exactly like a real crash.
-    """
-
-    def __init__(self, fn: Callable[[T], R]) -> None:
-        self.fn = fn
-
-    def __call__(self, payload: Tuple[int, int, T]) -> _WorkerReturn:
-        index, tries, item = payload
-
-        def faulted(item: T) -> R:
-            _faults.check_task(str(index), attempt=tries)
-            return self.fn(item)
-
-        return _ObsTask(faulted)(item)
-
-
 def _merge_worker_return(wr: _WorkerReturn) -> Any:
     """Fold one worker's telemetry into this process; return the result."""
     _trace.absorb_spans(wr.spans)
@@ -161,6 +158,110 @@ def _merge_worker_return(wr: _WorkerReturn) -> Any:
     _profile.absorb_samples(wr.profile)
     _metrics.inc("parallel.worker_tasks_merged")
     return wr.result
+
+
+def _new_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A process pool: forked, or spawned while the profiler thread runs."""
+    if _profile.profiler_running():
+        return ProcessPoolExecutor(
+            max_workers=max_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
+def _submit(pool: ProcessPoolExecutor, task: _Task, payload: tuple) -> Future:
+    """``pool.submit``, or a failed future when the pool already broke."""
+    try:
+        return pool.submit(task, payload)
+    except BrokenProcessPool as exc:
+        fut: Future = Future()
+        fut.set_exception(exc)
+        return fut
+
+
+def _run_serial(
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    indices: Sequence[int],
+    results: List[Any],
+    failures: Dict[int, Exception],
+) -> None:
+    """Run ``items[i]`` for ascending ``indices`` in this process.
+
+    Stops at the first failure: every later index is higher, so its
+    result could not be returned.  No fault is drawn here.
+    """
+    for i in indices:
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            failures[i] = exc
+            return
+
+
+def _run_pooled(
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    workers: int,
+    results: List[Any],
+    failures: Dict[int, Exception],
+) -> None:
+    """Fill ``results``/``failures`` over a pool rebuilt on worker death."""
+    task = _Task(fn)
+    todo = list(range(len(items)))
+    tries = [0] * len(items)
+    for rebuild in range(POOL_REBUILDS + 1):
+        try:
+            pool = _new_pool(workers)
+        except OSError as exc:
+            warnings.warn(
+                f"process pool unavailable ({exc}); falling back to serial",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            break
+        try:
+            pending = {_submit(pool, task, (i, tries[i], items[i])): i for i in todo}
+            todo = []
+            while pending:
+                # Futures are dropped as they are merged, so no task's
+                # telemetry delta outlives its merge.
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    i = pending.pop(fut)
+                    try:
+                        results[i] = _merge_worker_return(fut.result())
+                    except BrokenProcessPool:
+                        tries[i] += 1
+                        todo.append(i)
+                    except Exception as exc:
+                        failures[i] = exc
+        except BaseException:
+            # Ctrl-C and friends: leave at once, do not wait for workers.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown(wait=True)
+        if not todo:
+            return
+        todo.sort()
+        if rebuild == POOL_REBUILDS:
+            _log.warning(
+                "pool rebuild budget exhausted; finishing %d tasks serially",
+                len(todo),
+                extra={"fields": {"remaining": len(todo)}},
+            )
+            break
+        _metrics.inc("resil.pool_rebuilds")
+        left = POOL_REBUILDS - rebuild - 1
+        _log.warning(
+            "process pool broke; rebuilding (%d rebuilds left, %d tasks re-queued)",
+            left,
+            len(todo),
+            extra={"fields": {"rebuilds_left": left, "requeued": len(todo)}},
+        )
+    _metrics.inc("resil.serial_fallbacks")
+    _run_serial(fn, items, todo, results, failures)
 
 
 def map_design_points(
@@ -175,35 +276,34 @@ def map_design_points(
     ``workers`` resolves as :func:`resolve_workers` describes (one per
     usable CPU by default); at most one process per item is started,
     and a single resolved worker runs the loop in this process.  ``fn``
-    and the items must be picklable when that count exceeds 1.  Execution
-    runs on the fault-tolerant engine (:mod:`repro.resil.execute`): a
-    broken pool is rebuilt (completed results kept), and if the executor
-    cannot start or stay up, the remaining items degrade to a serial
-    loop instead of discarding finished work.  Worker spans, metrics and
-    profiler samples are merged back into this process (see module
-    docstring), so observability output matches a serial run.
+    and the items must be picklable when that count exceeds 1.  A dead
+    worker costs a pool rebuild and a re-run of the items in flight,
+    never completed results (see the module docstring).  Worker spans,
+    metrics and profiler samples are merged back into this process, so
+    observability output matches a serial run.  Every worker has exited
+    when this returns.
 
-    An exception raised by ``fn`` (or a task that timed out on every
-    attempt) is re-raised, lowest input index first.
+    An exception raised by ``fn`` is re-raised, lowest input index first.
     """
     items = list(items)
     workers = min(resolve_workers(workers), len(items))
+    results: List[Any] = [None] * len(items)
+    failures: Dict[int, Exception] = {}
     if workers <= 1:
         with timed("parallel.serial_map"):
-            return run_tasks(fn, items, workers=1)
-    with timed("parallel.process_map"):
-        return run_tasks(
-            fn,
-            items,
-            workers=workers,
-            task_factory=_ResilTask,
-            merge=_merge_worker_return,
-        )
+            _run_serial(fn, items, range(len(items)), results, failures)
+    else:
+        with timed("parallel.process_map"):
+            _run_pooled(fn, items, workers, results, failures)
+    if failures:
+        _metrics.inc("resil.task_failures", len(failures))
+        raise failures[min(failures)]
+    return results
 
 
 __all__ = [
+    "POOL_REBUILDS",
     "WORKERS_ENV",
     "map_design_points",
     "resolve_workers",
-    "run_tasks",
 ]

@@ -66,6 +66,20 @@ def test_sim_loads_no_optimizer_or_driver():
     assert loaded == ["repro.controller"]
 
 
+def test_sim_with_lut_loads_no_solver(tmp_path):
+    # An IR-aware policy reads its table from JSON: no stack is built,
+    # so neither the PDN nor the solver (nor scipy) is imported.
+    golden = ROOT / "tests" / "golden" / "controller_decisions.json"
+    lut = tmp_path / "lut.json"
+    lut.write_text(json.loads(golden.read_text())["lut"])
+    code = (
+        "from repro.cli import main\n"
+        f"main(['sim', '--trace', {str(TRACE)!r}, '--policy', 'ir_fcfs', "
+        f"'--lut', {str(lut)!r}])"
+    )
+    assert _loaded_after(code, ("repro.pdn", "repro.rmesh", "scipy")) == []
+
+
 def test_obs_list_loads_no_numpy(tmp_path):
     code = (
         "from repro.cli import main\n"

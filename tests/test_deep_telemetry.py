@@ -489,7 +489,7 @@ class TestDriftAttribution:
 
 
 def _square_with_profile(x: int) -> int:
-    # Worker-side: ensure_profiler() inside _ObsTask starts the sampler
+    # Worker-side: ensure_profiler() inside the pool task starts the sampler
     # (REPRO_PROFILE is inherited); one explicit sample guarantees at
     # least one record regardless of task duration.
     from repro.obs import profile as p

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -298,7 +299,7 @@ def profiler_off():
 
 
 def test_pool_forks_unless_profiler_thread_runs(monkeypatch, profiler_off):
-    from repro.resil import execute
+    from repro.perf import parallel
 
     calls = []
 
@@ -306,14 +307,19 @@ def test_pool_forks_unless_profiler_thread_runs(monkeypatch, profiler_off):
         calls.append(kwargs)
         raise OSError("probe: no pool")
 
-    monkeypatch.setattr(execute, "ProcessPoolExecutor", probe)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", probe)
     with pytest.warns(RuntimeWarning):
-        assert execute.run_tasks(_square, [1, 2], workers=2) == [1, 4]
+        assert map_design_points(_square, [1, 2], workers=2) == [1, 4]
     assert "mp_context" not in calls[-1]
     obs_profile.start_profiler(interval_s=0.05)
     with pytest.warns(RuntimeWarning):
-        assert execute.run_tasks(_square, [1, 2], workers=2) == [1, 4]
+        assert map_design_points(_square, [1, 2], workers=2) == [1, 4]
     assert calls[-1]["mp_context"].get_start_method() == "spawn"
+
+
+def test_no_worker_outlives_the_call():
+    assert map_design_points(_square, [1, 2, 3, 4], workers=2) == [1, 4, 9, 16]
+    assert multiprocessing.active_children() == []
 
 
 def _sleepy_square(x: int) -> int:

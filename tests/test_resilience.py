@@ -1,4 +1,4 @@
-"""Fault-tolerance layer: fault injection and the pool executor.
+"""Fault-tolerance layer: fault injection and the pooled fan-out.
 
 Chaos tests run under ``REPRO_FAULT_SPEC`` (deterministic, seeded), so a
 failure here replays identically -- there are no flaky-by-design tests
@@ -8,6 +8,7 @@ the tier-1 time budget.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,22 +18,16 @@ import pytest
 from repro import envcfg
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import metrics as obs_metrics
-from repro.perf.parallel import map_design_points
+from repro.obs import profile as obs_profile
+from repro.perf.parallel import POOL_REBUILDS, map_design_points
 from repro.resil import faults
-from repro.resil.execute import RetryPolicy, run_tasks
 from repro.rmesh.solve import StackSolver
 
 
 @pytest.fixture(autouse=True)
 def _clean_resil_env(monkeypatch):
-    """Every test starts with no fault spec / executor knobs."""
-    for var in (
-        "REPRO_FAULT_SPEC",
-        "REPRO_RETRY_MAX",
-        "REPRO_TASK_TIMEOUT",
-        "REPRO_POOL_REBUILDS",
-    ):
-        monkeypatch.delenv(var, raising=False)
+    """Every test starts with no fault spec."""
+    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
 
 
 def _counters_since(before):
@@ -43,13 +38,11 @@ def _counters_since(before):
 
 
 def test_parse_fault_spec_full_grammar():
-    rules = faults.parse_fault_spec(
-        "worker_crash:p=0.2:seed=7,slow_task:p=0.1:ms=20:seed=3,slow_task:n=1"
-    )
-    assert [r.kind for r in rules] == ["worker_crash", "slow_task", "slow_task"]
+    rules = faults.parse_fault_spec("worker_crash:p=0.2:seed=7, WORKER_CRASH:p=1")
+    assert [r.kind for r in rules] == ["worker_crash", "worker_crash"]
     assert rules[0].p == 0.2 and rules[0].seed == 7
-    assert rules[1].ms == 20
-    assert rules[2].n == 1
+    assert rules[1].p == 1.0 and rules[1].seed == 0
+    assert rules[0].describe() == "worker_crash:p=0.2:seed=7"
 
 
 @pytest.mark.parametrize(
@@ -57,11 +50,11 @@ def test_parse_fault_spec_full_grammar():
     [
         "meteor_strike:p=0.5",  # unknown kind
         "transient:p=0.5:seed=2",  # retired kind: nothing here is flaky
-        "slow_task:p=banana",  # malformed number
-        "slow_task:p",  # not name=value
-        "slow_task:p=2.0",  # probability out of range
-        "slow_task:seed=1",  # never fires
-        "slow_task:p=0.5:color=red",  # unknown parameter
+        "worker_crash:p=banana",  # malformed number
+        "worker_crash:p",  # not name=value
+        "worker_crash:p=2.0",  # probability out of range
+        "worker_crash:seed=1",  # never fires
+        "worker_crash:p=0.5:color=red",  # unknown parameter
     ],
 )
 def test_parse_fault_spec_rejects(bad):
@@ -80,20 +73,12 @@ def test_fault_decisions_are_deterministic():
 
 def test_active_plan_tracks_env(monkeypatch):
     assert faults.active_plan() is None
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "slow_task:p=0.5:seed=1")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "worker_crash:p=0.5:seed=1")
     plan = faults.active_plan()
-    assert plan is not None and plan.rules[0].kind == "slow_task"
+    assert plan is not None and plan.rules[0].kind == "worker_crash"
     assert faults.active_plan() is plan  # cached per spec string
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "slow_task:p=0.9:seed=1")
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "worker_crash:p=0.9:seed=1")
     assert faults.active_plan() is not plan  # spec changed -> new plan
-
-
-def test_n_rule_fires_exactly_n_times():
-    plan = faults.FaultPlan("slow_task:n=2:ms=0")
-    before = obs_metrics.snapshot()
-    for i in range(10):
-        plan.fire("task", str(i), 0)
-    assert _counters_since(before).get("resil.fault.slow_task") == 2
 
 
 def test_serial_path_draws_no_faults(monkeypatch):
@@ -142,15 +127,6 @@ def test_repro_error_context_through_spawn_workers():
 # -- env knob validation ------------------------------------------------------
 
 
-def test_retry_policy_env_knobs_warn_and_default(monkeypatch):
-    envcfg.reset_warnings()
-    monkeypatch.setenv("REPRO_RETRY_MAX", "many")
-    monkeypatch.setenv("REPRO_POOL_REBUILDS", "-3")
-    policy = RetryPolicy.from_env()
-    assert policy.max_attempts == 4  # default, not a crash
-    assert policy.pool_rebuilds == 8
-
-
 def test_solver_env_knobs_warn_and_default(monkeypatch, ddr3_stack):
     envcfg.reset_warnings()
     model = ddr3_stack.model
@@ -178,13 +154,13 @@ def test_workers_env_invalid_degrades_to_default(monkeypatch):
 def test_env_invalid_values_counted(monkeypatch):
     envcfg.reset_warnings()
     before = obs_metrics.snapshot()
-    monkeypatch.setenv("REPRO_RETRY_MAX", "nope")
-    RetryPolicy.from_env()
+    monkeypatch.setenv(obs_profile.PROFILE_INTERVAL_ENV, "nope")
+    assert obs_profile.profile_interval() == obs_profile.DEFAULT_INTERVAL_S
     delta = obs_metrics.diff(before, obs_metrics.snapshot())
-    assert delta["counters"].get("env.invalid_values", 0) >= 1
+    assert delta["counters"].get("env.invalid_values") == 1
 
 
-# -- run_tasks executor -------------------------------------------------------
+# -- pooled fan-out ------------------------------------------------------------
 
 
 def _square(x):
@@ -196,18 +172,6 @@ def _fail_odd(x):
     if x % 2:
         raise ValueError(f"bad point {x}")
     return x
-
-
-def _pooled(fn, items, workers=2):
-    from repro.perf.parallel import _merge_worker_return, _ResilTask
-
-    return run_tasks(
-        fn,
-        items,
-        workers=workers,
-        task_factory=_ResilTask,
-        merge=_merge_worker_return,
-    )
 
 
 def test_map_design_points_raises_first_failure():
@@ -224,15 +188,15 @@ def test_map_design_points_raises_first_failure():
     assert seen == [0, 1]  # fails at once: item 2 never runs
 
 
-def test_run_tasks_raises_lowest_index_failure():
-    # fn's own exceptions are deterministic: no retry, and the
+def test_map_design_points_raises_lowest_index_failure():
+    # fn's own exceptions are deterministic: no rebuild, and the
     # lowest-index one is re-raised whatever order the pool finished in.
     before = obs_metrics.snapshot()
     with pytest.raises(ValueError, match="bad point 1$"):
-        _pooled(_fail_odd, [0, 1, 2, 3])
+        map_design_points(_fail_odd, [0, 1, 2, 3], workers=2)
     counters = _counters_since(before)
     assert counters.get("resil.task_failures") == 2
-    assert "resil.retries" not in counters
+    assert "resil.pool_rebuilds" not in counters
 
 
 def test_map_design_points_parallel_survives_worker_crashes(monkeypatch):
@@ -246,47 +210,22 @@ def test_map_design_points_parallel_survives_worker_crashes(monkeypatch):
 
 
 def test_crash_loop_bounded_by_rebuild_budget(monkeypatch):
-    # Every submission kills its worker.  A pool crash is not counted
-    # against REPRO_RETRY_MAX: the bound is the rebuild budget, then the
-    # remaining items finish serially (where no fault is drawn).
+    # Every submission kills its worker: the pool is rebuilt
+    # POOL_REBUILDS times, then the remaining items finish serially
+    # (where no fault is drawn), and no broken pool leaves a worker.
     monkeypatch.setenv("REPRO_FAULT_SPEC", "worker_crash:p=1:seed=1")
-    monkeypatch.setenv("REPRO_POOL_REBUILDS", "1")
     before = obs_metrics.snapshot()
     assert map_design_points(_square, [1, 2, 3], workers=2) == [1, 4, 9]
     counters = _counters_since(before)
-    assert counters.get("resil.pool_rebuilds") == 1
+    assert counters.get("resil.pool_rebuilds") == POOL_REBUILDS
     assert counters.get("resil.serial_fallbacks") == 1
+    assert multiprocessing.active_children() == []
 
 
-def test_run_tasks_timeout_retries_slow_task(monkeypatch):
-    # First attempt of every task sleeps 1s (n=1 fires once per worker
-    # process); with a 0.25s deadline it times out, and the resubmission
-    # -- no fault left to fire in that worker -- completes.
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "slow_task:n=1:ms=1000")
-    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.25")
-    monkeypatch.setenv("REPRO_RETRY_MAX", "6")
-    before = obs_metrics.snapshot()
-    assert _pooled(str, [11, 22]) == ["11", "22"]
-    counters = _counters_since(before)
-    assert counters.get("resil.task_timeouts", 0) >= 1
-    assert counters.get("resil.retries", 0) >= 1
-
-
-def test_slow_task_injections_reach_the_parent(monkeypatch):
-    # The fault check runs inside the worker's obs window, so a task
-    # whose result is used ships its injection count home.
-    monkeypatch.setenv("REPRO_FAULT_SPEC", "slow_task:p=1:ms=1:seed=1")
-    before = obs_metrics.snapshot()
-    assert _pooled(_square, [1, 2, 3]) == [1, 4, 9]
-    assert _counters_since(before).get("resil.fault.slow_task") == 3
-
-
-def test_run_tasks_preserves_order_under_chaos(monkeypatch):
-    monkeypatch.setenv(
-        "REPRO_FAULT_SPEC", "worker_crash:p=0.15:seed=4,slow_task:p=0.25:ms=1:seed=9"
-    )
+def test_map_design_points_preserves_order_under_chaos(monkeypatch):
+    monkeypatch.setenv("REPRO_FAULT_SPEC", "worker_crash:p=0.15:seed=4")
     items = list(range(16))
-    assert _pooled(_square, items) == [x * x for x in items]
+    assert map_design_points(_square, items, workers=2) == [x * x for x in items]
 
 
 # -- obs.store truncated tail (satellite c) -----------------------------------
