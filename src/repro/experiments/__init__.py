@@ -4,29 +4,19 @@ Each driver exposes ``run(fast: bool = True) -> ExperimentResult``; the
 registry maps experiment ids (``"table6"``, ``"fig4"``, ...) to drivers.
 ``fast`` selects reduced sweeps where the full experiment is expensive
 (the benchmark harness uses the full versions).
+
+Importing this package imports no driver.  The static table
+:data:`DRIVERS` names each id's module; ``registry[id]`` and
+``run_experiment(id)`` import that one module on first use, so
+``repro3d run ext_hmc`` never loads the co-optimizer's ``scipy.optimize``.
 """
 
-from repro.experiments.base import ExperimentResult, Row, registry, run_experiment
-
-# Importing the driver modules registers them.
-from repro.experiments import (  # noqa: F401  (registration side effect)
-    ext_crowding,
-    ext_hmc_scheduling,
-    ext_transient,
-    fig4_validation,
-    fig5_tsv_count_alignment,
-    fig9_constraint_sweep,
-    sec3_metal_usage,
-    sec31_mounting,
-    sec61_regression,
-    table1_specs,
-    table2_tsv_rdl,
-    table3_wirebond,
-    table4_f2f_overlap,
-    table5_state_ioactivity,
-    table6_policies,
-    table8_cost_model,
-    table9_cooptimization,
+from repro.experiments.base import (
+    DRIVERS,
+    ExperimentResult,
+    Row,
+    registry,
+    run_experiment,
 )
 
-__all__ = ["ExperimentResult", "Row", "registry", "run_experiment"]
+__all__ = ["DRIVERS", "ExperimentResult", "Row", "registry", "run_experiment"]

@@ -8,8 +8,9 @@ optionally written to disk), so each experiment ships its own receipt.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 
@@ -108,17 +109,80 @@ def _fmt_value(value: object) -> str:
     return str(value)
 
 
+#: experiment id -> driver module under ``repro.experiments``.  Listing
+#: the ids reads this table only; a driver is imported on first lookup.
+DRIVERS: Dict[str, str] = {
+    "ext_crowding": "ext_crowding",
+    "ext_hmc": "ext_hmc_scheduling",
+    "ext_transient": "ext_transient",
+    "fig4": "fig4_validation",
+    "fig5": "fig5_tsv_count_alignment",
+    "fig9": "fig9_constraint_sweep",
+    "sec31": "sec31_mounting",
+    "sec3_metal": "sec3_metal_usage",
+    "sec61": "sec61_regression",
+    "table1": "table1_specs",
+    "table2": "table2_tsv_rdl",
+    "table3": "table3_wirebond",
+    "table4": "table4_f2f_overlap",
+    "table5": "table5_state_ioactivity",
+    "table6": "table6_policies",
+    "table8": "table8_cost_model",
+    "table9": "table9_cooptimization",
+}
+
+
+class _Registry(Mapping[str, Callable[..., ExperimentResult]]):
+    """Experiment id -> driver ``run``; keys come from :data:`DRIVERS`.
+
+    ``registry[id]`` imports that id's driver module the first time
+    (its ``@register`` fills the slot); iterating, ``len`` and ``in``
+    import nothing.
+    """
+
+    def __init__(self) -> None:
+        self._runs: Dict[str, Callable[..., ExperimentResult]] = {}
+
+    def __getitem__(self, experiment_id: str) -> Callable[..., ExperimentResult]:
+        if experiment_id not in self._runs:
+            importlib.import_module(f"repro.experiments.{DRIVERS[experiment_id]}")
+        return self._runs[experiment_id]
+
+    def __contains__(self, experiment_id: object) -> bool:
+        return experiment_id in DRIVERS
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(DRIVERS)
+
+    def __len__(self) -> int:
+        return len(DRIVERS)
+
+
 #: experiment id -> run callable.
-registry: Dict[str, Callable[..., ExperimentResult]] = {}
+registry = _Registry()
 
 
 def register(experiment_id: str):
-    """Decorator registering a driver's run() under an experiment id."""
+    """Decorator registering a driver's run() under an experiment id.
+
+    The id must be in :data:`DRIVERS`, and only the module the table
+    names may register it.
+    """
+    if experiment_id not in DRIVERS:
+        raise ConfigurationError(
+            f"experiment id {experiment_id!r} has no entry in DRIVERS"
+        )
+    module = f"repro.experiments.{DRIVERS[experiment_id]}"
 
     def deco(func: Callable[..., ExperimentResult]):
-        if experiment_id in registry:
+        if func.__module__ != module:
+            raise ConfigurationError(
+                f"experiment id {experiment_id!r} belongs to {module}, "
+                f"not {func.__module__}"
+            )
+        if experiment_id in registry._runs:
             raise ConfigurationError(f"duplicate experiment id {experiment_id}")
-        registry[experiment_id] = func
+        registry._runs[experiment_id] = func
         return func
 
     return deco
@@ -136,6 +200,7 @@ def run_experiment(
     including work merged back from worker processes) lands in a
     :class:`~repro.obs.manifest.RunManifest` attached to the result.
     ``manifest_out`` additionally writes the manifest to that path.
+    The first call for an id imports its driver module inside the span.
     """
     if experiment_id not in registry:
         raise ConfigurationError(

@@ -17,8 +17,9 @@ from __future__ import annotations
 from repro.designs import off_chip_ddr3, on_chip_ddr3
 from repro.experiments.base import ExperimentResult, Row, register
 from repro.pdn.config import TSVLocation
+from repro.pdn.stackup import build_stack
 from repro.pdn.tsv import distributed_tsv_points, mean_alignment_distance
-from repro.perf.cache import cached_build_stack
+from repro.perf.cache import assembly_session
 from repro.tech.calibration import DEFAULT_TECH
 
 
@@ -42,10 +43,14 @@ def run(fast: bool = True) -> ExperimentResult:
                 dedicated_tsv=False,
             )
             for aligned, atag in ((False, "misaligned"), (True, "aligned")):
-                stack = cached_build_stack(
+                # Every sweep point is a distinct stack no caller asks for
+                # again: build it outside the stack cache, so its
+                # factorization is freed once it is solved.
+                stack = build_stack(
                     bench.stack,
                     config.with_options(tsv_aligned=aligned),
                     tech=DEFAULT_TECH,
+                    session=assembly_session(),
                 )
                 res = stack.solve_state(state)
                 values[f"{tag}_{atag}_mv"] = res.dram_max_mv

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize as spopt
@@ -29,8 +29,8 @@ from repro.cost import config_cost
 from repro.designs import BenchmarkSpec
 from repro.errors import OptimizationError
 from repro.pdn.config import PDNConfig
-from repro.perf.cache import cached_build_stack
-from repro.power.state import MemoryState
+from repro.pdn.stackup import build_stack
+from repro.perf.cache import assembly_session, cached_build_stack
 from repro.regress.model import (
     DiscreteKey,
     IRDropSurrogate,
@@ -100,18 +100,29 @@ class CoOptimizer:
             surrogate = IRDropSurrogate()
             surrogate.fit(samples, sample_time_s=elapsed)
         self.surrogate = surrogate
+        #: verified worst DRAM drop per config this optimizer solved.
+        self._verified: Dict[PDNConfig, float] = {}
 
-    def _verify(self, config: PDNConfig, state: MemoryState) -> float:
-        """Full R-Mesh worst DRAM drop of one config (cached).
+    def _verify(self, config: PDNConfig) -> float:
+        """Full R-Mesh worst DRAM drop of one config in the benchmark's
+        reference state, solved once.
 
-        Alpha sweeps often converge on the same winning config, and
-        fig9/table9 re-verify configs across runs, so the keyed stack
-        cache makes repeats free.
+        Alpha sweeps often converge on the same winning config, so the
+        drop is memoized per optimizer.  The stack is built outside the
+        process-global stack cache: no other caller asks for a verified
+        pick, so a cached entry would only hold its factorization.
         """
-        stack = cached_build_stack(
-            self.bench.stack, config, tech=self.tech, pitch=self.pitch
-        )
-        return stack.solve_state(state).dram_max_mv
+        if config not in self._verified:
+            stack = build_stack(
+                self.bench.stack,
+                config,
+                tech=self.tech,
+                pitch=self.pitch,
+                session=assembly_session(),
+            )
+            state = self.bench.reference_state()
+            self._verified[config] = stack.solve_state(state).dram_max_mv
+        return self._verified[config]
 
     # -- inner continuous optimization ---------------------------------------
 
@@ -174,7 +185,7 @@ class CoOptimizer:
         cost = config_cost(config, self.bench.package_cost).total
         verified = predicted
         if verify:
-            verified = self._verify(config, self.bench.reference_state())
+            verified = self._verify(config)
         return OptimizationResult(
             alpha=alpha,
             config=config,
@@ -187,7 +198,12 @@ class CoOptimizer:
     def baseline_result(self) -> OptimizationResult:
         """The benchmark's industry baseline evaluated the same way."""
         config = self.bench.baseline
-        ir = self._verify(config, self.bench.reference_state())
+        # Other experiments solve the baseline too (fig9, table2, table5,
+        # table6): it goes through the stack cache, where they share it.
+        stack = cached_build_stack(
+            self.bench.stack, config, tech=self.tech, pitch=self.pitch
+        )
+        ir = stack.solve_state(self.bench.reference_state()).dram_max_mv
         cost = config_cost(config, self.bench.package_cost).total
         return OptimizationResult(
             alpha=float("nan"),

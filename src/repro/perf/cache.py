@@ -7,9 +7,13 @@ process-global caches sit in front of it:
 
 * **Stack cache** -- maps ``(stack spec, PDNConfig, tech, pitch)`` to
   the built :class:`~repro.pdn.stackup.PDNStack`, which lazily holds its
-  SuperLU factorization.  The co-optimizer re-checks its picks on the
-  stacks earlier experiments built, so repeated configurations across
-  experiments reuse the build and the factorization.
+  SuperLU factorization.  Experiments that revisit a configuration (a
+  baseline solved in many states, fig9's Table 7 cases that later tables
+  solve again) reuse the build and the factorization.  Each entry holds
+  ~8 MiB of factors, so call sites whose stacks nobody asks for again
+  build with ``build_stack`` and leave no entry: fig5's TSV-count sweep,
+  and the co-optimizer's verified picks, which it memoizes itself and
+  no longer re-checks on cached stacks (its baseline stays cached).
 * **Power-map cache** -- maps ``(floorplan and power spec, state, die,
   grid, vdd, activity override)`` (DRAM) or ``(floorplan and power
   spec, grid, vdd, scale)`` (logic) to the rasterized per-node current

@@ -3,15 +3,17 @@
 The combos x grid sweep behind Table 9 is embarrassingly parallel: every
 design point builds, factorizes, and solves its own stack.
 :func:`map_design_points` submits each item to a ``ProcessPoolExecutor``
-as its own future, returns the results in input order, and runs a plain
-serial loop when one worker is requested.
+as its own future, at most one per worker in flight, returns the
+results in input order, and runs a plain serial loop when one worker is
+requested.
 
 It handles the one failure a pool really meets, a dead worker (the OOM
 killer, an injected ``worker_crash``): the broken pool is shut down and
-rebuilt, only the items still in flight are re-queued, and completed
-results are kept.  After :data:`POOL_REBUILDS` rebuilds, or when no pool
-can start at all (sandboxes, restricted containers), the remaining items
-finish serially in this process.  An exception raised by the function
+rebuilt, only the items that were in flight (at most one per worker)
+are re-queued, and completed results are kept.  After
+:data:`POOL_REBUILDS` rebuilds, or when no pool can start at all
+(sandboxes, restricted containers), the remaining items finish serially
+in this process.  An exception raised by the function
 itself is deterministic, so it fails its item at once and the
 lowest-index one is re-raised after the run.  What a run survived lands
 in the ``resil.{pool_rebuilds,task_failures,serial_fallbacks}`` counters.
@@ -55,6 +57,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import warnings
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -207,9 +210,15 @@ def _run_pooled(
     results: List[Any],
     failures: Dict[int, Exception],
 ) -> None:
-    """Fill ``results``/``failures`` over a pool rebuilt on worker death."""
+    """Fill ``results``/``failures`` over a pool rebuilt on worker death.
+
+    At most ``workers`` items are in flight; the next is submitted as
+    each result merges.  A dead worker breaks every unfinished future
+    of its pool, so the window bounds what one crash re-queues to the
+    items that were running.
+    """
     task = _Task(fn)
-    todo = list(range(len(items)))
+    todo = deque(range(len(items)))
     tries = [0] * len(items)
     for rebuild in range(POOL_REBUILDS + 1):
         try:
@@ -222,9 +231,14 @@ def _run_pooled(
             )
             break
         try:
-            pending = {_submit(pool, task, (i, tries[i], items[i])): i for i in todo}
-            todo = []
-            while pending:
+            pending: Dict[Future, int] = {}
+            requeued: List[int] = []
+            while pending or (todo and not requeued):
+                # Once a crash is seen the pool is broken: submit nothing
+                # more, collect what was in flight, then rebuild.
+                while todo and not requeued and len(pending) < workers:
+                    i = todo.popleft()
+                    pending[_submit(pool, task, (i, tries[i], items[i]))] = i
                 # Futures are dropped as they are merged, so no task's
                 # telemetry delta outlives its merge.
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -234,7 +248,7 @@ def _run_pooled(
                         results[i] = _merge_worker_return(fut.result())
                     except BrokenProcessPool:
                         tries[i] += 1
-                        todo.append(i)
+                        requeued.append(i)
                     except Exception as exc:
                         failures[i] = exc
         except BaseException:
@@ -242,9 +256,9 @@ def _run_pooled(
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         pool.shutdown(wait=True)
-        if not todo:
+        if not requeued:
             return
-        todo.sort()
+        todo = deque(sorted(requeued + list(todo)))
         if rebuild == POOL_REBUILDS:
             _log.warning(
                 "pool rebuild budget exhausted; finishing %d tasks serially",
@@ -257,8 +271,8 @@ def _run_pooled(
         _log.warning(
             "process pool broke; rebuilding (%d rebuilds left, %d tasks re-queued)",
             left,
-            len(todo),
-            extra={"fields": {"rebuilds_left": left, "requeued": len(todo)}},
+            len(requeued),
+            extra={"fields": {"rebuilds_left": left, "requeued": len(requeued)}},
         )
     _metrics.inc("resil.serial_fallbacks")
     _run_serial(fn, items, todo, results, failures)

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 
 _log = get_logger("resil.faults")
@@ -136,7 +135,6 @@ class FaultPlan:
         """Evaluate every rule at one decision point; may not return."""
         for rule in self.rules:
             if _uniform_draw(rule.seed, site, key, attempt) < rule.p:
-                _metrics.inc("resil.faults_injected")
                 # worker_crash: die like the OOM killer struck.
                 os._exit(CRASH_EXIT_CODE)
 

@@ -58,6 +58,28 @@ def test_cli_import_and_parser_load_no_numerics():
     assert _loaded_after(code, heavy) == []
 
 
+def _driver_modules() -> tuple:
+    from repro.experiments import DRIVERS
+
+    return tuple(f"repro.experiments.{module}" for module in DRIVERS.values())
+
+
+def test_experiments_package_loads_no_driver():
+    loaded = _loaded_after("import repro.experiments", _driver_modules() + ("scipy.optimize",))
+    assert loaded == []
+
+
+def test_registry_lookup_loads_that_driver_only():
+    code = "from repro.experiments import registry\nregistry['ext_hmc']"
+    loaded = _loaded_after(code, _driver_modules() + ("repro.opt", "scipy.optimize"))
+    assert loaded == ["repro.experiments.ext_hmc_scheduling"]
+
+
+def test_list_loads_no_driver():
+    code = "from repro.cli import main\nmain(['list'])"
+    assert _loaded_after(code, _driver_modules() + ("scipy.optimize",)) == []
+
+
 def test_sim_loads_no_optimizer_or_driver():
     code = f"from repro.cli import main\nmain(['sim', '--trace', {str(TRACE)!r}])"
     loaded = _loaded_after(

@@ -9,10 +9,13 @@ is pinned to ``tests/golden/experiment_rows_full.json`` by the
 (``pytest -m slow`` runs it, ~150 s).
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import ExperimentResult, Row, registry, run_experiment
+from repro.experiments import DRIVERS, ExperimentResult, Row, registry, run_experiment
 from repro.experiments.base import register
 
 
@@ -32,6 +35,29 @@ class TestFramework:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError):
             register("table1")(lambda fast=True: None)
+
+    def test_unknown_experiment_lists_ids(self):
+        with pytest.raises(ConfigurationError) as info:
+            run_experiment("bogus")
+        assert all(repr(exp_id) in str(info.value) for exp_id in DRIVERS)
+
+    def test_register_rejects_id_missing_from_table(self):
+        with pytest.raises(ConfigurationError, match="no entry in DRIVERS"):
+            register("table7")
+
+    def test_driver_table_matches_registered_ids(self):
+        # Import every module of the package: a driver registering an id
+        # the table lacks raises here, and a table entry whose module
+        # registers nothing leaves its id unfilled.
+        package = importlib.import_module("repro.experiments")
+        modules = {m.name for m in pkgutil.iter_modules(package.__path__)}
+        drivers = modules - {"base", "common"}
+        for name in sorted(drivers):
+            importlib.import_module(f"repro.experiments.{name}")
+        assert set(DRIVERS.values()) == drivers
+        assert set(registry._runs) == set(DRIVERS)
+        for exp_id, module in DRIVERS.items():
+            assert registry[exp_id].__module__ == f"repro.experiments.{module}"
 
     def test_row_deviation(self):
         row = Row("x", paper={"v": 10.0}, model={"v": 11.0})

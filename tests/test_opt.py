@@ -4,8 +4,9 @@ import pytest
 
 from repro.designs import off_chip_ddr3
 from repro.errors import OptimizationError
-from repro.opt import CoOptimizer, ir_cost
+from repro.opt import CoOptimizer, cooptimizer, ir_cost
 from repro.pdn import TSVLocation
+from repro.perf.cache import stack_cache
 
 
 class TestIRCost:
@@ -82,3 +83,23 @@ class TestOptimize:
 
     def test_brute_force_projection_large(self, optimizer):
         assert optimizer.brute_force_size() > 100_000
+
+    def test_alpha_sweep_verifies_outside_the_stack_cache(self, optimizer, monkeypatch):
+        # A fresh optimizer on the shared surrogate: a repeated alpha
+        # picks the same config, which is built and solved once, and the
+        # process-global stack cache is neither read nor written.
+        fresh = CoOptimizer(optimizer.bench, surrogate=optimizer.surrogate)
+        built = []
+        real_build = cooptimizer.build_stack
+
+        def counting_build(spec, config, **kwargs):
+            built.append(config)
+            return real_build(spec, config, **kwargs)
+
+        monkeypatch.setattr(cooptimizer, "build_stack", counting_build)
+        stats = stack_cache.stats()
+        first, again = fresh.alpha_sweep((1.0, 1.0))
+        assert first.config == again.config
+        assert again.verified_ir_mv == first.verified_ir_mv
+        assert built == [first.config]
+        assert stack_cache.stats() == stats

@@ -9,7 +9,9 @@ the tier-1 time budget.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro import envcfg
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
+from repro.perf import parallel
 from repro.perf.parallel import POOL_REBUILDS, map_design_points
 from repro.resil import faults
 from repro.rmesh.solve import StackSolver
@@ -89,7 +92,7 @@ def test_serial_path_draws_no_faults(monkeypatch):
     before = obs_metrics.snapshot()
     faults.check_task("0")
     assert map_design_points(abs, [-1, -2, -3], workers=1) == [1, 2, 3]
-    assert "resil.faults_injected" not in _counters_since(before)
+    assert "resil.pool_rebuilds" not in _counters_since(before)
 
 
 # -- ReproError context across processes --------------------------------------
@@ -220,6 +223,44 @@ def test_crash_loop_bounded_by_rebuild_budget(monkeypatch):
     assert counters.get("resil.pool_rebuilds") == POOL_REBUILDS
     assert counters.get("resil.serial_fallbacks") == 1
     assert multiprocessing.active_children() == []
+
+
+class _CrashOnce:
+    """Squares its item after a short nap; the first call on ``crash_on``
+    kills the worker (a marker file makes it exactly one crash across
+    processes).  The nap keeps the other items unfinished when it dies."""
+
+    def __init__(self, marker, crash_on):
+        self.marker = str(marker)
+        self.crash_on = crash_on
+
+    def __call__(self, x):
+        if x == self.crash_on and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(faults.CRASH_EXIT_CODE)
+        time.sleep(0.05)
+        return x * x
+
+
+def test_one_crash_requeues_at_most_the_window(monkeypatch, tmp_path):
+    # A dead worker breaks every unfinished future of its pool; with at
+    # most `workers` items in flight, one crash re-submits at most that
+    # many, not every item not yet finished.
+    submitted = []
+    real_submit = parallel._submit
+
+    def counting_submit(pool, task, payload):
+        submitted.append(payload[0])
+        return real_submit(pool, task, payload)
+
+    monkeypatch.setattr(parallel, "_submit", counting_submit)
+    items = list(range(12))
+    before = obs_metrics.snapshot()
+    result = map_design_points(_CrashOnce(tmp_path / "crashed", 0), items, workers=2)
+    assert result == [x * x for x in items]
+    assert _counters_since(before).get("resil.pool_rebuilds") == 1
+    assert sorted(set(submitted)) == items
+    assert 1 <= len(submitted) - len(items) <= 2
 
 
 def test_map_design_points_preserves_order_under_chaos(monkeypatch):
