@@ -2,9 +2,13 @@
 
 Runs the fig5 TSV-count experiment in two interleaved legs:
 
-* **base** -- profiler stopped;
-* **telemetry** -- background resource sampler running at its default
-  interval (``REPRO_PROFILE_INTERVAL_MS``).
+* **base** -- profiling off (``REPRO_PROFILE`` unset): a span close
+  records timing only;
+* **telemetry** -- profiling enabled (``REPRO_PROFILE=1``): every span
+  close also reads RSS, ``getrusage`` and GC counts onto its record.
+
+What is measured is the cost of that per-span reading on a run whose
+spans are as dense as a real experiment's.
 
 Each timed *window* runs the experiment ``INNER_RUNS`` times back to
 back, long enough (~0.5 s) to time against the several-ms scheduler
@@ -63,10 +67,13 @@ def _rows_of(result) -> list:
 def run_benchmark() -> dict:
     from repro.experiments import run_experiment
     from repro.obs import profile as _profile
+    from repro.obs import trace as _trace
 
     def _window(telemetry: bool):
+        # Each leg sets the switch itself, whatever the caller's was.
+        saved = os.environ.pop(_profile.PROFILE_ENV, None)
         if telemetry:
-            _profile.start_profiler()
+            os.environ[_profile.PROFILE_ENV] = "1"
         try:
             rows_seen = []
             t0 = time.perf_counter()
@@ -74,12 +81,14 @@ def run_benchmark() -> dict:
                 rows_seen.append(_rows_of(run_experiment("fig5", fast=True)))
             wall = time.perf_counter() - t0
         finally:
-            if telemetry:
-                _profile.stop_profiler(final_sample=False)
+            os.environ.pop(_profile.PROFILE_ENV, None)
+            if saved is not None:
+                os.environ[_profile.PROFILE_ENV] = saved
         return wall, rows_seen
 
     for _ in range(WARMUP_RUNS):
         run_experiment("fig5", fast=True)
+    spans_before = _trace.span_count()
 
     base_walls, telem_walls = [], []
     reference_rows = None
@@ -100,7 +109,7 @@ def run_benchmark() -> dict:
     base = min(base_walls)
     telem = min(telem_walls)
     overhead_pct = (telem - base) / base * 100.0
-    sample_count = _profile.sample_count()
+    sample_count = _profile.summary(_trace.spans(spans_before)).get("samples", 0)
 
     result = {
         "benchmark": "telemetry overhead on fig5",

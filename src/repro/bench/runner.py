@@ -36,6 +36,7 @@ from repro.bench.registry import (
 from repro.obs import metrics as _metrics
 from repro.obs.log import get_logger
 from repro.obs.manifest import build_manifest
+from repro.obs.profile import rusage
 from repro.obs.trace import span
 
 _log = get_logger("bench")
@@ -46,16 +47,6 @@ FAST_ENV = "REPRO_FAST"
 
 #: Histogram whose max is the suite's headline physics number.
 IR_HIST = "ir.dram_max_mv"
-
-
-def _peak_rss_kb() -> Optional[float]:
-    """Process peak RSS in KiB (Linux semantics); None where unsupported."""
-    try:
-        import resource
-
-        return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    except (ImportError, ValueError, OSError):  # pragma: no cover
-        return None
 
 
 class _PedanticShim:
@@ -186,7 +177,7 @@ def run_bench(
         merge_into.merge(delta)
     entry.wall_s_all = [round(w, 6) for w in walls]
     entry.wall_s = round(statistics.median(walls), 6)
-    entry.peak_rss_kb = _peak_rss_kb()
+    entry.peak_rss_kb = rusage()[0]
     entry.counters = dict(sorted(delta.get("counters", {}).items()))
     # Structural provenance: every stack plan this bench touched.
     from repro.pdn.plan import plans_from_counters

@@ -37,7 +37,7 @@ from typing import List, Optional
 from repro.obs.log import configure, get_logger
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import write_metrics
-from repro.obs.profile import PROFILE_ENV, start_profiler
+from repro.obs.profile import PROFILE_ENV
 from repro.obs.store import IR_DRIFT_MV, PERF_REL_TOL
 from repro.obs.trace import span, write_chrome_trace
 from repro.perf.parallel import WORKERS_ENV
@@ -699,7 +699,7 @@ def _global_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--profile",
         action="store_true",
-        help="sample RSS/CPU/GC on a background thread for the whole run "
+        help="sample RSS/CPU/GC at every span end "
         f"(sets {PROFILE_ENV}=1 so worker processes profile too); samples "
         "land in the manifest and interleave with --trace-out as counter "
         "tracks",
@@ -1111,10 +1111,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # flag reaches every sweep without threading it through each API.
         os.environ[WORKERS_ENV] = str(args.workers)
     if args.profile:
-        # Environment first so worker processes inherit the switch, then
-        # the sampler itself for this process.
+        # Span closes read the switch from the environment, and worker
+        # processes inherit it.
         os.environ[PROFILE_ENV] = "1"
-        start_profiler()
     with span(f"cli.{args.command}") as sp:
         code = args.func(args)
     if args.perf_report:

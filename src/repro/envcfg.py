@@ -1,9 +1,9 @@
 """Validated environment-knob parsing with warn-and-default semantics.
 
 Environment variables are the project's cross-process configuration
-channel: the CLI sets them so spawned workers inherit the knobs.  That
+channel: the CLI sets them so worker processes inherit the knobs.  That
 channel has a failure mode argument parsing does not -- a typo'd value
-(``REPRO_PROFILE_INTERVAL_MS=2O``) is not discovered at the shell prompt but
+(``REPRO_WORKERS=2O``) is not discovered at the shell prompt but
 deep inside a sweep, where a raised ``ValueError`` throws away every
 completed solve.  For *environment* knobs the robust contract is
 therefore warn-and-default: log one structured warning naming the
@@ -62,27 +62,6 @@ def reset_warnings() -> None:
     """Forget which (variable, value) pairs already warned (tests)."""
     with _warned_lock:
         _warned.clear()
-
-
-def env_float(
-    name: str,
-    default: float,
-    minimum: Optional[float] = None,
-) -> float:
-    """Read a float env knob; malformed or out-of-range values warn and
-    fall back to ``default`` instead of raising mid-sweep."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        _warn_invalid(name, raw, default, "not a number")
-        return default
-    if minimum is not None and value < minimum:
-        _warn_invalid(name, raw, default, f"below minimum {minimum}")
-        return default
-    return value
 
 
 def env_int(

@@ -13,8 +13,9 @@ Gives every run a complete, machine-readable account of itself:
   (``--metrics-out``);
 * :mod:`repro.obs.manifest` -- per-experiment provenance records (git
   SHA, config hash, seeds, environment, metric delta, span digest);
-* :mod:`repro.obs.profile` -- background resource sampler (RSS, CPU
-  time, GC stats) whose samples attach to the active span tree and
+* :mod:`repro.obs.profile` -- resource samples (RSS, peak RSS, CPU
+  time, GC collections) read at each span end under ``--profile`` and
+  stored on the span record, so they ship with the spans and
   interleave with trace exports as Perfetto counter tracks;
 * :mod:`repro.obs.store` -- append-only run-history store with
   run-vs-run drift attribution (``repro3d obs``);
@@ -49,14 +50,7 @@ from repro.obs.metrics import (
     reset_metrics,
     write_metrics,
 )
-from repro.obs.profile import (
-    ProfileSample,
-    ensure_profiler,
-    profiling_enabled,
-    reset_profile,
-    start_profiler,
-    stop_profiler,
-)
+from repro.obs.profile import profiling_enabled
 from repro.obs.store import RunHistoryStore, diff_runs
 from repro.obs.trace import (
     SpanRecord,
@@ -69,7 +63,6 @@ from repro.obs.trace import (
 __all__ = [
     "JsonLinesFormatter",
     "MetricsRegistry",
-    "ProfileSample",
     "RunHistoryStore",
     "RunManifest",
     "SpanRecord",
@@ -78,7 +71,6 @@ __all__ = [
     "config_hash_of",
     "configure",
     "diff_runs",
-    "ensure_profiler",
     "full_snapshot",
     "get_logger",
     "git_revision",
@@ -87,12 +79,9 @@ __all__ = [
     "profiling_enabled",
     "registry",
     "reset_metrics",
-    "reset_profile",
     "reset_trace",
     "resolve_level",
     "span",
-    "start_profiler",
-    "stop_profiler",
     "to_chrome_trace",
     "validate_manifest",
     "write_chrome_trace",

@@ -233,8 +233,8 @@ def build_manifest(
     ``metrics_snapshot`` defaults to the global registry's current state;
     callers that track a per-run delta (``run_experiment`` does) pass it
     explicitly.  ``workers`` defaults to the resolved ``REPRO_WORKERS``
-    setting, matching what the sweeps actually used.  The profiler
-    digest is included whenever samples exist.
+    setting, matching what the sweeps actually used.  The profile
+    digest is included whenever a recorded span carries a sample.
     """
     # Lazy imports: repro.perf depends on repro.obs, not the reverse.
     from repro.obs import metrics as _metrics
@@ -267,7 +267,7 @@ def build_manifest(
         metrics=metrics,
         plans=_plans_of(metrics),
         attribution=_attributions_of(),
-        profile=_profile.summary() if _profile.sample_count() else {},
+        profile=_profile.summary(_trace.spans()),
         timers={
             name: {"total_s": total, "count": count}
             for name, (total, count) in sorted(timers_snapshot().items())

@@ -1,88 +1,52 @@
-"""Background resource profiler: RSS / CPU / GC samples on the span timebase.
+"""Resource profile read at span boundaries: RSS / CPU / GC on the span timebase.
 
 A run that slows down under load needs more than span durations to
-debug: *what* grew while the slow span ran?  This module samples the
-process's resident set size, cumulative CPU time, and garbage-collector
-activity on a background thread at a configurable interval and attaches
-each sample to the active span tree -- every sample records the deepest
-span open at the instant it was taken, and its timestamp shares the
-span timebase, so samples interleave exactly with the trace
-(:func:`repro.obs.trace.to_chrome_trace` renders them as Perfetto
-counter tracks above the span lanes).
+debug: *what* grew while the slow span ran?  With profiling on, every
+span close (:func:`repro.obs.trace.span`) stores one :func:`read_sample`
+on its record: the current resident set size, the process's peak RSS
+and CPU time (one ``getrusage`` call), and the garbage collector's
+collection count.  The sample's timestamp is the span's end, so samples
+interleave exactly with the trace (:func:`repro.obs.trace.to_chrome_trace`
+renders them as Perfetto counter tracks above the span lanes).
 
-The sampler is passive: it reads ``/proc/self/statm`` (or falls back to
-``resource.getrusage``), ``time.process_time`` and ``gc.get_stats``,
-and never calls ``gc.collect`` or touches solver state -- recorded
-physics is bitwise identical with profiling on or off.
+The reading is passive: ``/proc/self/statm`` (peak-RSS fallback
+elsewhere), ``getrusage`` and ``gc.get_stats``; it never calls
+``gc.collect`` or touches solver state, so recorded physics is bitwise
+identical with profiling on or off.  With profiling off a span close
+stores nothing.
 
-Sample volume is bounded by *uniform decimation*: when the buffer
-reaches :data:`PROFILE_SAMPLE_CAP`, every other sample is dropped and
-the effective stride doubles -- first and latest samples are always
-retained, so a long run degrades to a coarser curve instead of a
-truncated one (the same trade the metrics histograms make with their
-sample reservoirs).
+Samples live on the span records, so they cross process boundaries with
+the spans: :mod:`repro.perf.parallel` ships each worker task's spans
+home and the parent absorbs them, each keeping its own pid.  Everything
+else here is a read-only view over profiled spans: :func:`summary` (the
+manifest digest) and :func:`counter_events` (the Perfetto tracks).
 
-Cross-process: :mod:`repro.perf.parallel` ships each worker task's new
-samples back with the task result and the parent absorbs them
-(:func:`export_samples` / :func:`absorb_samples`), so a ``--workers N``
-sweep's profile covers the workers too, each keeping its own pid and
-timebase -- the same contract trace spans follow.
+Resolution follows the spans.  A long leaf span (the single ``sim.run``
+around the engine) is one step on the RSS curve, not a series; in
+exchange the peak RSS it carries (``ru_maxrss``) catches transient peaks
+inside it, such as a SuperLU factorization's, that a periodic sampler
+can miss between two ticks.
 
-Enable with ``repro3d --profile`` or ``REPRO_PROFILE=1`` (worker
-processes inherit the environment and start their own sampler);
-``REPRO_PROFILE_INTERVAL_MS`` tunes the cadence (default 20 ms).
+Enable with ``repro3d --profile`` or ``REPRO_PROFILE=1``; pool workers
+inherit the environment, so their spans carry samples too.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import threading
-import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro import envcfg
-from repro.obs import trace as _trace
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.trace import SpanRecord
 
-#: Environment switch: any value but ""/"0" enables the sampler.
+#: Environment switch: any value but ""/"0" enables profiling.
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: Environment override for the sampling interval, in milliseconds.
-PROFILE_INTERVAL_ENV = "REPRO_PROFILE_INTERVAL_MS"
-
-#: Default sampling cadence (seconds); coarse enough to stay invisible
-#: in wall time, fine enough to resolve per-solve memory ramps.
-DEFAULT_INTERVAL_S = 0.020
-
-#: Buffer cap before uniform decimation halves the sample density.
-PROFILE_SAMPLE_CAP = 8192
+#: Max points carried by a manifest/store profile curve.
+SUMMARY_CURVE_CAP = 256
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
-
-_lock = threading.Lock()
-_samples: List["ProfileSample"] = []
-#: How many raw ticks one retained sample currently represents.
-_stride = 1
-#: Identity keys of absorbed foreign samples (re-absorb de-duplication).
-_absorbed_keys: set = set()
-
-
-@dataclass
-class ProfileSample:
-    """One instantaneous resource reading on the span timebase."""
-
-    ts_us: float
-    pid: int
-    #: Resident set size at the sample instant (KiB).
-    rss_kb: float
-    #: Cumulative process CPU time, user+system, all threads (seconds).
-    cpu_s: float
-    #: Cumulative GC collections across all generations.
-    gc_collections: int
-    #: Deepest span open when the sample was taken (None between spans).
-    span: Optional[str] = None
-    depth: int = 0
 
 
 def profiling_enabled() -> bool:
@@ -90,14 +54,12 @@ def profiling_enabled() -> bool:
     return os.environ.get(PROFILE_ENV, "") not in ("", "0")
 
 
-def profile_interval() -> float:
-    """Sampling interval in seconds (env override in ms, floor 1 ms).
+def rusage() -> Tuple[float, float]:
+    """(peak RSS in KiB, user+system CPU seconds) from one ``getrusage``."""
+    import resource  # deferred: a CLI cold start imports this module
 
-    A malformed value warns and falls back to the default
-    (:mod:`repro.envcfg`).
-    """
-    ms = envcfg.env_float(PROFILE_INTERVAL_ENV, DEFAULT_INTERVAL_S * 1e3)
-    return max(ms, 1.0) / 1e3
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return float(ru.ru_maxrss), ru.ru_utime + ru.ru_stime
 
 
 def _read_rss_kb() -> float:
@@ -106,195 +68,57 @@ def _read_rss_kb() -> float:
         with open("/proc/self/statm", "rb") as fh:
             return int(fh.read().split()[1]) * _PAGE_SIZE / 1024.0
     except (OSError, ValueError, IndexError):  # pragma: no cover - non-Linux
-        try:
-            import resource
-
-            return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-        except (ImportError, ValueError, OSError):
-            return 0.0
+        return rusage()[0]
 
 
-def take_sample() -> ProfileSample:
-    """One reading of the current process (also used by the thread loop)."""
-    collections = sum(s.get("collections", 0) for s in gc.get_stats())
-    active = _trace.current_span()
-    return ProfileSample(
-        ts_us=_trace.now_us(),
-        pid=os.getpid(),
-        rss_kb=_read_rss_kb(),
-        cpu_s=time.process_time(),
-        gc_collections=collections,
-        span=active.name if active is not None else None,
-        depth=active.depth if active is not None else 0,
+def read_sample() -> Dict[str, float]:
+    """One reading of this process, as stored on a closing span."""
+    peak_rss_kb, cpu_s = rusage()
+    return {
+        "rss_kb": _read_rss_kb(),
+        "peak_rss_kb": peak_rss_kb,
+        "cpu_s": cpu_s,
+        "gc_collections": sum(s.get("collections", 0) for s in gc.get_stats()),
+    }
+
+
+def _profiled(records: Sequence["SpanRecord"]) -> List["SpanRecord"]:
+    """Spans carrying a sample, by (pid, end time)."""
+    return sorted(
+        (r for r in records if r.sample is not None),
+        key=lambda r: (r.pid, r.ts_us + r.dur_us),
     )
 
 
-def _record(sample: ProfileSample) -> None:
-    global _stride
-    with _lock:
-        _samples.append(sample)
-        if len(_samples) >= PROFILE_SAMPLE_CAP:
-            # Uniform decimation: keep even indices (index 0 -- the first
-            # sample -- survives every pass) plus the newest sample.
-            last = _samples[-1]
-            thinned = _samples[:-1:2]
-            if not thinned or thinned[-1] is not last:
-                thinned.append(last)
-            _samples[:] = thinned
-            _stride *= 2
-
-
-class _Sampler(threading.Thread):
-    """Daemon thread reading one sample per interval until stopped."""
-
-    def __init__(self, interval_s: float) -> None:
-        super().__init__(name="repro-obs-profiler", daemon=True)
-        self.interval_s = interval_s
-        # Not named _stop: threading.Thread owns a private _stop() method.
-        self._halt = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - timing-dependent loop body
-        while not self._halt.wait(self.interval_s):
-            _record(take_sample())
-
-    def stop(self) -> None:
-        self._halt.set()
-
-
-_sampler: Optional[_Sampler] = None
-
-
-def start_profiler(interval_s: Optional[float] = None) -> bool:
-    """Start the background sampler (idempotent); returns True if running.
-
-    An initial sample is taken synchronously so even a short-lived run
-    has at least one data point.
-    """
-    global _sampler
-    with _lock:
-        already = _sampler is not None and _sampler.is_alive()
-    if already:
-        return True
-    sampler = _Sampler(interval_s if interval_s is not None else profile_interval())
-    _record(take_sample())
-    sampler.start()
-    with _lock:
-        _sampler = sampler
-    return True
-
-
-def stop_profiler(final_sample: bool = True) -> None:
-    """Stop the background sampler; optionally record a closing sample."""
-    global _sampler
-    with _lock:
-        sampler = _sampler
-        _sampler = None
-    if sampler is not None:
-        sampler.stop()
-        sampler.join(timeout=1.0)
-        if final_sample:
-            _record(take_sample())
-
-
-def ensure_profiler() -> bool:
-    """Start the sampler iff the environment enables it (worker entry)."""
-    if not profiling_enabled():
-        return False
-    return start_profiler()
-
-
-def profiler_running() -> bool:
-    with _lock:
-        return _sampler is not None and _sampler.is_alive()
-
-
-def reset_profile() -> None:
-    """Drop every buffered sample and restore full sampling density."""
-    global _stride
-    with _lock:
-        _samples.clear()
-        _absorbed_keys.clear()
-        _stride = 1
-
-
-def sample_count() -> int:
-    with _lock:
-        return len(_samples)
-
-
-def samples(since: int = 0) -> List[ProfileSample]:
-    """Copy of the sample buffer (optionally from an index)."""
-    with _lock:
-        return list(_samples[since:])
-
-
-def stride() -> int:
-    """Current decimation stride (1 until the cap is first reached)."""
-    with _lock:
-        return _stride
-
-
-def export_samples(since: int = 0) -> List[Dict[str, object]]:
-    """Samples as plain dicts -- picklable across process boundaries."""
-    return [asdict(s) for s in samples(since)]
-
-
-def _sample_key(data: Dict[str, object]) -> tuple:
-    return (data.get("pid"), data.get("ts_us"), data.get("cpu_s"))
-
-
-def absorb_samples(records: List[Dict[str, object]]) -> None:
-    """Merge samples exported by another process into this buffer.
-
-    Foreign samples keep their own pid/timebase (Perfetto shows each pid
-    as its own counter lane); the batch is ordered by (pid, timestamp)
-    and de-duplicated on re-absorb, mirroring ``absorb_spans``.
-    """
-    ordered = sorted(
-        records, key=lambda d: (d.get("pid", 0), d.get("ts_us", 0.0))
-    )
-    fresh = []
-    with _lock:
-        for data in ordered:
-            key = _sample_key(data)
-            if key in _absorbed_keys:
-                continue
-            _absorbed_keys.add(key)
-            fresh.append(ProfileSample(**data))
-        _samples.extend(fresh)
-
-
-def summary(since: int = 0) -> Dict[str, object]:
+def summary(records: Sequence["SpanRecord"]) -> Dict[str, object]:
     """Compact profile digest for manifests and the run-history store.
 
-    ``curve`` is a bounded ``[ts_us, rss_kb, cpu_s]`` series (at most
-    :data:`SUMMARY_CURVE_CAP` points, endpoints preserved) -- enough to
-    plot a memory/CPU trajectory without carrying the raw buffer.
+    Empty when no span in ``records`` carries a sample.  ``peak_rss_kb``
+    is the highest peak over every process; ``cpu_s`` is this process's
+    CPU time between its first and last sampled span end.  ``curve`` is
+    this process's bounded ``[ts_us, rss_kb, cpu_s, gc_collections]``
+    series (at most :data:`SUMMARY_CURVE_CAP` points, endpoints kept).
     """
-    buffered = samples(since)
-    out: Dict[str, object] = {
-        "enabled": profiling_enabled() or bool(buffered),
-        "samples": len(buffered),
-        "stride": stride(),
-        "interval_ms": round(profile_interval() * 1e3, 3),
+    profiled = _profiled(records)
+    if not profiled:
+        return {}
+    own = [r for r in profiled if r.pid == os.getpid()] or profiled
+    keep = _downsample_indices(len(own), SUMMARY_CURVE_CAP)
+    return {
+        "samples": len(profiled),
+        "peak_rss_kb": round(max(r.sample["peak_rss_kb"] for r in profiled), 1),
+        "cpu_s": round(own[-1].sample["cpu_s"] - own[0].sample["cpu_s"], 6),
+        "pids": sorted({r.pid for r in profiled}),
+        "curve": [
+            [
+                round(own[i].ts_us + own[i].dur_us, 1),
+                round(own[i].sample["rss_kb"], 1),
+                round(own[i].sample["cpu_s"], 6),
+                own[i].sample["gc_collections"],
+            ]
+            for i in keep
+        ],
     }
-    if not buffered:
-        return out
-    own = [s for s in buffered if s.pid == os.getpid()] or buffered
-    out["peak_rss_kb"] = round(max(s.rss_kb for s in buffered), 1)
-    out["cpu_s"] = round(own[-1].cpu_s - own[0].cpu_s, 6)
-    out["pids"] = sorted({s.pid for s in buffered})
-    keep = _downsample_indices(len(buffered), SUMMARY_CURVE_CAP)
-    out["curve"] = [
-        [round(buffered[i].ts_us, 1), round(buffered[i].rss_kb, 1),
-         round(buffered[i].cpu_s, 6)]
-        for i in keep
-    ]
-    return out
-
-
-#: Max points carried by a manifest/store profile curve.
-SUMMARY_CURVE_CAP = 256
 
 
 def _downsample_indices(n: int, cap: int) -> List[int]:
@@ -308,27 +132,28 @@ def _downsample_indices(n: int, cap: int) -> List[int]:
     return sorted(keep)
 
 
-def counter_events() -> List[Dict[str, object]]:
-    """The sample buffer as Chrome trace-event counter (``ph: C``) events.
+def counter_events(records: Sequence["SpanRecord"]) -> List[Dict[str, object]]:
+    """Profiled spans as Chrome trace-event counter (``ph: C``) events.
 
-    Three tracks per pid -- RSS, CPU time, and GC collections -- on the
-    same microsecond timebase as the span events, so the unified export
+    Three tracks per pid -- RSS, CPU time, and GC collections -- each
+    point at its span's end on the span timebase, so the unified export
     interleaves resource curves with the span tree.
     """
     events: List[Dict[str, object]] = []
-    for s in samples():
-        base = {"ph": "C", "ts": s.ts_us, "pid": s.pid, "tid": 0}
+    for r in _profiled(records):
+        s = r.sample
+        base = {"ph": "C", "ts": r.ts_us + r.dur_us, "pid": r.pid, "tid": 0}
         events.append(
-            {**base, "name": "profile.rss_kb", "args": {"rss_kb": s.rss_kb}}
+            {**base, "name": "profile.rss_kb", "args": {"rss_kb": s["rss_kb"]}}
         )
         events.append(
-            {**base, "name": "profile.cpu_s", "args": {"cpu_s": s.cpu_s}}
+            {**base, "name": "profile.cpu_s", "args": {"cpu_s": s["cpu_s"]}}
         )
         events.append(
             {
                 **base,
                 "name": "profile.gc_collections",
-                "args": {"collections": s.gc_collections},
+                "args": {"collections": s["gc_collections"]},
             }
         )
     return events

@@ -299,9 +299,9 @@ class RunHistoryStore:
         record = normalize_manifest(data, source=source, kind=kind)
         if not record["profile"]:
             from repro.obs import profile as _profile
+            from repro.obs import trace as _trace
 
-            if _profile.sample_count():
-                record["profile"] = _profile.summary()
+            record["profile"] = _profile.summary(_trace.spans())
         from repro.perf.cache import stack_cache
 
         for stack in stack_cache.values():
@@ -1005,9 +1005,10 @@ def export_chrome_trace(record: Mapping[str, object]) -> Dict[str, object]:
     """A stored record as Chrome trace-event JSON.
 
     Root spans from the record's trace digest become ``ph: X`` duration
-    events; the profiler's bounded RSS/CPU curve becomes ``ph: C``
+    events; the profile's bounded RSS/CPU/GC curve becomes ``ph: C``
     counter tracks on the same timebase -- the offline equivalent of the
-    live :func:`repro.obs.trace.to_chrome_trace` export.
+    live :func:`repro.obs.trace.to_chrome_trace` export.  Curves recorded
+    before the GC column existed give the RSS and CPU tracks only.
     """
     events: List[Dict[str, object]] = []
     trace = record.get("trace") or {}
@@ -1036,6 +1037,14 @@ def export_chrome_trace(record: Mapping[str, object]) -> Dict[str, object]:
         events.append(
             {**base, "name": "profile.cpu_s", "args": {"cpu_s": cpu}}
         )
+        if len(point) > 3:
+            events.append(
+                {
+                    **base,
+                    "name": "profile.gc_collections",
+                    "args": {"collections": point[3]},
+                }
+            )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

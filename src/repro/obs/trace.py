@@ -15,7 +15,9 @@ recorded into a process-global buffer and can be
   (:mod:`repro.perf.timers`) is the per-name aggregate of this buffer.
 
 Because every one of those is a span, the buffer is the only record of
-"what ran" that crosses a process boundary.
+"what ran" that crosses a process boundary.  With profiling on
+(:mod:`repro.obs.profile`), each span close also stores a resource
+sample on the record, so the resource profile crosses with the spans.
 
 The span stack is thread-local (concurrent threads nest independently);
 the completed-span buffer is shared and lock-protected.  Worker spans
@@ -33,18 +35,13 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional
 
+from repro.obs import profile as _profile
+
 _lock = threading.Lock()
 _spans: List["SpanRecord"] = []
 _dropped = 0
 _t0: Optional[float] = None
 _tls = threading.local()
-#: Live span stacks by thread ident -- lets the resource profiler
-#: (:mod:`repro.obs.profile`) attach samples to the active span tree
-#: without touching thread-local state it does not own.
-_active_stacks: Dict[int, List["SpanRecord"]] = {}
-#: Identity keys of spans absorbed from other processes, so a repeated
-#: absorb of the same worker export is a no-op instead of a duplicate.
-_absorbed_keys: set = set()
 
 #: Buffer cap: long sweeps produce tens of thousands of solve spans; the
 #: cap bounds memory while keeping every realistic run complete.
@@ -66,6 +63,9 @@ class SpanRecord:
     #: solve of k right-hand sides counts as k events in one span).
     count: int = 1
     attrs: Dict[str, object] = field(default_factory=dict)
+    #: Resource reading at span end (:func:`repro.obs.profile.read_sample`);
+    #: None unless profiling is on.
+    sample: Optional[Dict[str, float]] = None
 
     @property
     def duration(self) -> float:
@@ -87,35 +87,7 @@ def _stack() -> List[SpanRecord]:
     stack = getattr(_tls, "stack", None)
     if stack is None:
         stack = _tls.stack = []
-        with _lock:
-            _active_stacks[threading.get_ident()] = stack
     return stack
-
-
-def now_us() -> float:
-    """Microseconds since this process's trace epoch (span timebase)."""
-    return (time.perf_counter() - _origin()) * 1e6
-
-
-def current_span() -> Optional[SpanRecord]:
-    """The deepest span currently open in any thread, if one exists.
-
-    List append/pop are atomic under the GIL, so reading another
-    thread's stack is safe; a pop racing the read is caught and treated
-    as "no span".  Used by the resource profiler to label each sample
-    with the region it fell inside.
-    """
-    with _lock:
-        stacks = list(_active_stacks.values())
-    best: Optional[SpanRecord] = None
-    for stack in stacks:
-        try:
-            candidate = stack[-1]
-        except IndexError:
-            continue
-        if best is None or candidate.depth > best.depth:
-            best = candidate
-    return best
 
 
 @contextmanager
@@ -126,7 +98,8 @@ def span(name: str, count: int = 1, **attrs: object) -> Iterator[SpanRecord]:
     ``sp.count`` adjusted for batched work; ``sp.duration`` is valid
     after the block exits.  The span is recorded even when the block
     raises, so failed regions still show up in the trace and the timer
-    aggregate.
+    aggregate.  With profiling on, the close stores a resource sample on
+    the record (``sp.sample``), read after the duration is taken.
     """
     stack = _stack()
     rec = SpanRecord(
@@ -147,6 +120,8 @@ def span(name: str, count: int = 1, **attrs: object) -> Iterator[SpanRecord]:
     finally:
         rec.dur_us = (time.perf_counter() - start) * 1e6
         stack.pop()
+        if _profile.profiling_enabled():
+            rec.sample = _profile.read_sample()
         _record(rec)
 
 
@@ -164,7 +139,6 @@ def reset_trace() -> None:
     global _dropped, _t0
     with _lock:
         _spans.clear()
-        _absorbed_keys.clear()
         _dropped = 0
         _t0 = None
 
@@ -192,17 +166,6 @@ def export_spans(since: int = 0) -> List[Dict[str, object]]:
     return [asdict(rec) for rec in spans(since)]
 
 
-def _span_key(data: Dict[str, object]) -> tuple:
-    """Identity of an absorbed span: where and when it ran."""
-    return (
-        data.get("pid"),
-        data.get("tid"),
-        data.get("name"),
-        data.get("ts_us"),
-        data.get("dur_us"),
-    )
-
-
 def absorb_spans(records: List[Dict[str, object]]) -> None:
     """Merge spans exported by another process into this buffer.
 
@@ -210,13 +173,11 @@ def absorb_spans(records: List[Dict[str, object]]) -> None:
     separate lanes.  Used by ``map_design_points`` to stitch parallel
     runs into one trace.
 
-    Two guarantees beyond a blind append: the absorbed batch lands in
-    monotonic start-time order (workers record spans in *completion*
-    order, so a parent's per-task digests would otherwise interleave
-    children before the parents that contain them), and a span already
-    absorbed -- a caller merging the same worker return twice -- is
-    dropped instead of duplicated, so trace-derived aggregates stay
-    exact under re-absorption.
+    The absorbed batch lands in monotonic start-time order: workers
+    record spans in *completion* order, so a parent's per-task digests
+    would otherwise interleave children before the parents that contain
+    them.  Each worker return is merged exactly once, so nothing here
+    de-duplicates.
     """
     global _dropped
     ordered = sorted(
@@ -224,11 +185,7 @@ def absorb_spans(records: List[Dict[str, object]]) -> None:
     )
     with _lock:
         for data in ordered:
-            key = _span_key(data)
-            if key in _absorbed_keys:
-                continue
             if len(_spans) < MAX_SPANS:
-                _absorbed_keys.add(key)
                 _spans.append(SpanRecord(**data))
             else:
                 _dropped += 1
@@ -264,15 +221,16 @@ def summary() -> Dict[str, object]:
 def to_chrome_trace() -> Dict[str, object]:
     """The buffer as a Chrome trace-event JSON object.
 
-    Spans become ``ph: X`` duration events; when the resource profiler
-    (:mod:`repro.obs.profile`) has samples, they are interleaved as
-    ``ph: C`` counter tracks (RSS, CPU time, GC collections) on the
-    same per-process timebase -- Perfetto renders them as counter lanes
-    above each process's span lanes, so a memory ramp lines up with the
-    span that caused it.
+    Spans become ``ph: X`` duration events; the resource samples of
+    profiled spans (:mod:`repro.obs.profile`) are interleaved as ``ph: C``
+    counter tracks (RSS, CPU time, GC collections) on the same
+    per-process timebase -- Perfetto renders them as counter lanes above
+    each process's span lanes, so a memory ramp lines up with the span
+    that caused it.
     """
+    records = spans()
     events = []
-    for rec in spans():
+    for rec in records:
         args: Dict[str, object] = dict(rec.attrs)
         if rec.parent is not None:
             args["parent"] = rec.parent
@@ -289,10 +247,7 @@ def to_chrome_trace() -> Dict[str, object]:
                 "args": args,
             }
         )
-    # Imported lazily: profile builds on trace, not the reverse.
-    from repro.obs.profile import counter_events
-
-    events.extend(counter_events())
+    events.extend(_profile.counter_events(records))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -13,8 +13,9 @@ the design space grows:
   configurations across experiments reuse work instead of rebuilding.
 * :mod:`repro.perf.parallel` -- process-level fan-out with a serial
   fallback, used by design-space sampling and the co-optimizer.  Each
-  worker task ships its spans, metric delta and profiler samples back
-  in one return with one merge, so parallel runs report true totals.
+  worker task ships its spans (profile samples included) and metric
+  delta back in one return with one merge, so parallel runs report
+  true totals.
 
 This package builds on :mod:`repro.obs`: every ``timed`` region is a
 trace span, and the caches/fan-out report into the metrics registry.

@@ -18,18 +18,13 @@ itself is deterministic, so it fails its item at once and the
 lowest-index one is re-raised after the run.  What a run survived lands
 in the ``resil.{pool_rebuilds,task_failures,serial_fallbacks}`` counters.
 
-Pools are forked, except while the resource profiler's sampler thread
-runs (``--profile``): that thread takes the trace and profile locks, and
-a fork landing while it holds one would hand the child a lock nobody
-releases, deadlocking the child on its first span.  Those pools are
-spawned instead.
-
-Observability crosses the process boundary on one path: each worker
-task runs inside :class:`_Task`, which marks the span buffer, the
-metrics registry and the profiler buffer before the call and ships
-what the task added back with the result.  Spans carry everything
-about "what ran" -- the ``--perf-report`` timers are their per-name
-sums -- and the metric delta carries the labelled
+Pools are forked.  Observability crosses the process boundary on one
+path: each worker task runs inside :class:`_Task`, which marks the span
+buffer and the metrics registry before the call and ships what the task
+added back with the result.  Spans carry everything about "what ran" --
+the ``--perf-report`` timers are their per-name sums, and under
+``--profile`` each span carries its resource sample -- and the metric
+delta carries the labelled
 ``plan.touch.<benchmark>.<hash>`` counters, so the parent's single
 :func:`_merge_worker_return` makes ``--perf-report``, ``--metrics-out``,
 ``--trace-out`` and manifests report true totals for parallel runs:
@@ -54,7 +49,6 @@ items, and a sweep that resolves to one worker runs serially.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
 from collections import deque
@@ -65,7 +59,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import envcfg
 from repro.obs import metrics as _metrics
-from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 from repro.perf.timers import timed
@@ -118,7 +111,6 @@ class _WorkerReturn:
     result: Any
     spans: List[Dict[str, object]] = field(default_factory=list)
     metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    profile: List[Dict[str, object]] = field(default_factory=list)
 
 
 class _Task:
@@ -127,12 +119,9 @@ class _Task:
     Called with ``(index, tries, item)``: the fault-injection draw is
     keyed by the item *and* its submission count, so a re-queued item
     re-rolls instead of crashing identically forever.  Marking (rather
-    than reset-and-export) keeps the telemetry delta correct under both
-    fork (workers inherit parent buffer state) and spawn (fresh
-    buffers), and across the items one worker runs.  The resource
-    profiler is started lazily in the worker when ``REPRO_PROFILE``
-    asks for it -- spawn children don't inherit the parent's sampler
-    thread.
+    than reset-and-export) keeps the telemetry delta correct although
+    forked workers inherit the parent's buffers, and across the items
+    one worker runs.
     """
 
     def __init__(self, fn: Callable[[T], R]) -> None:
@@ -140,17 +129,14 @@ class _Task:
 
     def __call__(self, payload: Tuple[int, int, T]) -> _WorkerReturn:
         index, tries, item = payload
-        _profile.ensure_profiler()
         spans_before = _trace.span_count()
         metrics_before = _metrics.snapshot()
-        samples_before = _profile.sample_count()
         _faults.check_task(str(index), attempt=tries)
         result = self.fn(item)
         return _WorkerReturn(
             result=result,
             spans=_trace.export_spans(since=spans_before),
             metrics=_metrics.registry.diff(metrics_before, _metrics.snapshot()),
-            profile=_profile.export_samples(since=samples_before),
         )
 
 
@@ -158,19 +144,8 @@ def _merge_worker_return(wr: _WorkerReturn) -> Any:
     """Fold one worker's telemetry into this process; return the result."""
     _trace.absorb_spans(wr.spans)
     _metrics.merge(wr.metrics)
-    _profile.absorb_samples(wr.profile)
     _metrics.inc("parallel.worker_tasks_merged")
     return wr.result
-
-
-def _new_pool(max_workers: int) -> ProcessPoolExecutor:
-    """A process pool: forked, or spawned while the profiler thread runs."""
-    if _profile.profiler_running():
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _submit(pool: ProcessPoolExecutor, task: _Task, payload: tuple) -> Future:
@@ -222,7 +197,7 @@ def _run_pooled(
     tries = [0] * len(items)
     for rebuild in range(POOL_REBUILDS + 1):
         try:
-            pool = _new_pool(workers)
+            pool = ProcessPoolExecutor(max_workers=workers)
         except OSError as exc:
             warnings.warn(
                 f"process pool unavailable ({exc}); falling back to serial",
@@ -292,8 +267,8 @@ def map_design_points(
     and a single resolved worker runs the loop in this process.  ``fn``
     and the items must be picklable when that count exceeds 1.  A dead
     worker costs a pool rebuild and a re-run of the items in flight,
-    never completed results (see the module docstring).  Worker spans,
-    metrics and profiler samples are merged back into this process, so
+    never completed results (see the module docstring).  Worker spans
+    (with their profile samples) and metrics are merged back into this process, so
     observability output matches a serial run.  Every worker has exited
     when this returns.
 

@@ -13,9 +13,8 @@ metrics registry counts factorizations and solved right-hand sides,
 histograms the RHS batch sizes, and gauges the solve's relative
 residual norm ``||Gx - b|| / ||b||`` as a numerical health check.  The
 residual gauge costs a full sparse matvec, so it is *sampled* (every
-:data:`RESIDUAL_SAMPLE_EVERY`-th solve per solver; override with
-``REPRO_RESIDUAL_EVERY``, ``1`` restores always-on) -- the LUT-build hot
-loop no longer pays O(nnz) per right-hand side.  Residuals are computed
+:data:`RESIDUAL_SAMPLE_EVERY`-th solve per solver) -- the LUT-build hot
+loop does not pay O(nnz) per right-hand side.  Residuals are computed
 on the already-solved vector, so recorded IR drops are bitwise
 unaffected by the sampling rate.
 """
@@ -27,7 +26,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro import envcfg
 from repro.errors import SolverError
 from repro.geometry import Point
 from repro.obs import metrics as _metrics
@@ -38,10 +36,8 @@ from repro.rmesh.stack import StackModel
 from repro.units import to_mv
 
 #: Record the residual-norm gauge on every Nth solve per solver (the
-#: first solve is always sampled).  ``REPRO_RESIDUAL_EVERY`` overrides.
+#: first solve is always sampled).
 RESIDUAL_SAMPLE_EVERY = 16
-
-RESIDUAL_ENV = "REPRO_RESIDUAL_EVERY"
 
 #: Columns per SuperLU call in :meth:`StackSolver.solve_block`.  SuperLU's
 #: multi-column triangular solves call dense BLAS kernels; blocks of 4 or
@@ -50,10 +46,6 @@ RESIDUAL_ENV = "REPRO_RESIDUAL_EVERY"
 #: ~110 ms, its four 4-column chunks ~7 ms together).  Chunks of 4 give
 #: the same bits as the 16-column block there; chunks of 1-3 do not.
 BLOCK_CHUNK_COLUMNS = 4
-
-
-def _residual_every() -> int:
-    return envcfg.env_int(RESIDUAL_ENV, RESIDUAL_SAMPLE_EVERY, minimum=1)
 
 
 @dataclass
@@ -216,7 +208,7 @@ class StackSolver:
         cheap counters are recorded unconditionally.
         """
         k = 1 if rhs.ndim == 1 else rhs.shape[1]
-        sampled = self._solve_count % _residual_every() == 0
+        sampled = self._solve_count % RESIDUAL_SAMPLE_EVERY == 0
         self._solve_count += 1
         _metrics.inc("solver.rhs_solved", k)
         _metrics.observe("solver.rhs_batch_size", k)

@@ -1,11 +1,10 @@
-"""Tests for the deep-telemetry layer: profiler, run-history store,
+"""Tests for the deep-telemetry layer: resource profile, run-history store,
 drift attribution, atomic writes, span absorption."""
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -30,105 +29,51 @@ from repro.obs.store import (
 
 
 @pytest.fixture
-def clean_profile():
-    obs_profile.stop_profiler(final_sample=False)
-    obs_profile.reset_profile()
+def clean_profile(monkeypatch):
+    """Profiling off and an empty span buffer (samples live on spans)."""
+    monkeypatch.delenv(obs_profile.PROFILE_ENV, raising=False)
+    obs_trace.reset_trace()
     yield
-    obs_profile.stop_profiler(final_sample=False)
-    obs_profile.reset_profile()
+    obs_trace.reset_trace()
 
 
-# -- resource profiler --------------------------------------------------------
+def _profiled_span(name, ts, pid, rss_kb=1234.0, cpu_s=0.5):
+    """An exported span dict, as a profiled worker ships it home."""
+    return {
+        "name": name, "ts_us": ts, "dur_us": 5.0, "pid": pid, "tid": 1,
+        "depth": 1, "parent": None, "count": 1, "attrs": {},
+        "sample": {
+            "rss_kb": rss_kb, "peak_rss_kb": rss_kb + 1.0, "cpu_s": cpu_s,
+            "gc_collections": 3,
+        },
+    }
+
+
+# -- resource profile ---------------------------------------------------------
 
 
 class TestProfiler:
-    def test_start_stop_collects_samples(self, clean_profile):
-        assert obs_profile.start_profiler(interval_s=0.002)
-        time.sleep(0.03)
-        obs_profile.stop_profiler()
-        assert not obs_profile.profiler_running()
-        n = obs_profile.sample_count()
-        assert n >= 2  # initial + closing sample at minimum
-        samples = obs_profile.samples()
-        assert all(s.pid == os.getpid() for s in samples)
-        assert all(s.rss_kb > 0 for s in samples)
-        ts = [s.ts_us for s in samples]
-        assert ts == sorted(ts)
+    def test_cross_process_samples_keep_foreign_pid(self, clean_profile):
+        obs_trace.absorb_spans([_profiled_span("worker.task", 10.0, 999_999)])
+        assert obs_trace.spans()[-1].pid == 999_999
+        events = obs_profile.counter_events(obs_trace.spans())
+        assert {e["pid"] for e in events} == {999_999}
+        assert {e["ts"] for e in events} == {15.0}  # the span's end
+        assert obs_profile.summary(obs_trace.spans())["pids"] == [999_999]
 
-    def test_start_is_idempotent(self, clean_profile):
-        obs_profile.start_profiler(interval_s=0.05)
-        thread_count_after_first = obs_profile.sample_count()
-        obs_profile.start_profiler(interval_s=0.05)
-        # Second start takes no extra synchronous sample.
-        assert obs_profile.sample_count() == thread_count_after_first
-        obs_profile.stop_profiler(final_sample=False)
-
-    def test_samples_attach_to_active_span(self, clean_profile):
+    def test_summary_and_counter_events(self, clean_profile, monkeypatch):
+        monkeypatch.setenv(obs_profile.PROFILE_ENV, "1")
         with obs_trace.span("telemetry.outer"):
             with obs_trace.span("telemetry.inner"):
-                sample = obs_profile.take_sample()
-        assert sample.span == "telemetry.inner"
-        assert sample.depth == 1
-        after = obs_profile.take_sample()
-        assert after.depth == 0
-
-    def test_export_absorb_roundtrip_and_dedup(self, clean_profile):
-        obs_profile.start_profiler(interval_s=0.002)
-        time.sleep(0.02)
-        obs_profile.stop_profiler()
-        exported = obs_profile.export_samples()
-        n = len(exported)
-        assert n >= 2
-        obs_profile.reset_profile()
-        obs_profile.absorb_samples(exported)
-        assert obs_profile.sample_count() == n
-        # Re-absorbing the same export is a no-op, not a duplication.
-        obs_profile.absorb_samples(exported)
-        assert obs_profile.sample_count() == n
-        # Round-trip preserves content.
-        assert obs_profile.export_samples() == sorted(
-            exported, key=lambda d: (d["pid"], d["ts_us"])
-        )
-
-    def test_cross_process_samples_keep_foreign_pid(self, clean_profile):
-        foreign = [
-            {
-                "ts_us": 10.0,
-                "pid": 999_999,
-                "rss_kb": 1234.0,
-                "cpu_s": 0.5,
-                "gc_collections": 3,
-                "span": "worker.task",
-                "depth": 1,
-            }
-        ]
-        obs_profile.absorb_samples(foreign)
-        assert obs_profile.samples()[-1].pid == 999_999
-        events = obs_profile.counter_events()
-        assert any(e["pid"] == 999_999 for e in events)
-
-    def test_buffer_decimation_bounds_memory(self, clean_profile):
-        for i in range(obs_profile.PROFILE_SAMPLE_CAP + 100):
-            obs_profile._record(
-                obs_profile.ProfileSample(
-                    ts_us=float(i), pid=1, rss_kb=1.0, cpu_s=0.0,
-                    gc_collections=0,
-                )
-            )
-        assert obs_profile.sample_count() < obs_profile.PROFILE_SAMPLE_CAP
-        assert obs_profile.stride() >= 2
-        samples = obs_profile.samples()
-        assert samples[0].ts_us == 0.0  # first sample survives decimation
-
-    def test_summary_and_counter_events(self, clean_profile):
-        obs_profile.start_profiler(interval_s=0.002)
-        time.sleep(0.02)
-        obs_profile.stop_profiler()
-        digest = obs_profile.summary()
-        assert digest["samples"] == obs_profile.sample_count()
+                pass
+        records = obs_trace.spans()
+        digest = obs_profile.summary(records)
+        assert digest["samples"] == 2
         assert digest["peak_rss_kb"] > 0
-        assert len(digest["curve"]) <= obs_profile.SUMMARY_CURVE_CAP
-        events = obs_profile.counter_events()
+        assert digest["cpu_s"] >= 0.0
+        assert digest["pids"] == [os.getpid()]
+        assert [len(point) for point in digest["curve"]] == [4, 4]
+        events = obs_profile.counter_events(records)
         assert len(events) == 3 * digest["samples"]
         assert {e["name"] for e in events} == {
             "profile.rss_kb", "profile.cpu_s", "profile.gc_collections",
@@ -138,28 +83,60 @@ class TestProfiler:
         names = {e["name"] for e in doc["traceEvents"]}
         assert "profile.rss_kb" in names
 
-    def test_ensure_profiler_respects_env(self, clean_profile, monkeypatch):
-        monkeypatch.delenv(obs_profile.PROFILE_ENV, raising=False)
-        assert not obs_profile.ensure_profiler()
-        monkeypatch.setenv(obs_profile.PROFILE_ENV, "0")
-        assert not obs_profile.ensure_profiler()
+    def test_summary_curve_is_bounded_and_keeps_endpoints(self, clean_profile):
+        n = obs_profile.SUMMARY_CURVE_CAP * 2 + 7
+        obs_trace.absorb_spans(
+            [_profiled_span("s", float(i), 4242, cpu_s=float(i)) for i in range(n)]
+        )
+        digest = obs_profile.summary(obs_trace.spans())
+        assert digest["samples"] == n
+        curve = digest["curve"]
+        assert len(curve) <= obs_profile.SUMMARY_CURVE_CAP
+        assert curve[0][0] == 5.0 and curve[-1][0] == n - 1 + 5.0
+        assert digest["cpu_s"] == n - 1
+
+    def test_span_sample_follows_the_env_switch(self, clean_profile, monkeypatch):
+        for value in (None, "0"):
+            if value is not None:
+                monkeypatch.setenv(obs_profile.PROFILE_ENV, value)
+            with obs_trace.span("telemetry.plain") as sp:
+                pass
+            assert sp.sample is None
+            assert obs_trace.export_spans()[-1]["sample"] is None
+        assert obs_profile.summary(obs_trace.spans()) == {}
+        assert obs_profile.counter_events(obs_trace.spans()) == []
         monkeypatch.setenv(obs_profile.PROFILE_ENV, "1")
-        assert obs_profile.ensure_profiler()
-        assert obs_profile.profiler_running()
+        with obs_trace.span("telemetry.profiled") as sp:
+            pass
+        assert set(sp.sample) == {
+            "rss_kb", "peak_rss_kb", "cpu_s", "gc_collections",
+        }
+        assert sp.sample["rss_kb"] > 0 and sp.sample["peak_rss_kb"] > 0
+
+    def test_profiled_fig4_starts_no_thread(self, clean_profile, monkeypatch, tmp_path):
+        import threading
+
+        from repro.cli import main
+
+        # Recorded so the switch the CLI sets is undone after the test.
+        monkeypatch.setenv(obs_profile.PROFILE_ENV, "")
+        threads = threading.active_count()
+        out = tmp_path / "fig4.manifest.json"
+        argv = ["--profile", "--quiet", "--manifest-out", str(out), "run", "fig4"]
+        assert main(argv) == 0
+        assert threading.active_count() == threads
+        assert load_manifest(out).profile["samples"] > 0
 
     def test_physics_bitwise_identical_with_profiler(
-        self, clean_profile, ddr3_stack, ddr3_floorplan
+        self, clean_profile, monkeypatch, ddr3_stack, ddr3_floorplan
     ):
         from repro.power.state import MemoryState
 
         state = MemoryState.from_string("0-0-0-2", ddr3_floorplan)
         baseline = ddr3_stack.solve_state(state)
-        obs_profile.start_profiler(interval_s=0.001)
-        try:
-            profiled = ddr3_stack.solve_state(state)
-        finally:
-            obs_profile.stop_profiler()
-        assert obs_profile.sample_count() > 0
+        monkeypatch.setenv(obs_profile.PROFILE_ENV, "1")
+        profiled = ddr3_stack.solve_state(state)
+        assert obs_profile.summary(obs_trace.spans())["samples"] > 0
         assert np.array_equal(baseline.raw.drops, profiled.raw.drops)
 
 
@@ -224,13 +201,6 @@ class TestAbsorbSpans:
         obs_trace.absorb_spans(out_of_order)
         absorbed = obs_trace.spans(since=base)
         assert [r.name for r in absorbed] == ["early", "middle", "late"]
-
-    def test_reabsorb_is_deduplicated(self):
-        base = obs_trace.span_count()
-        batch = [self._fake_span("dup", 50.0, pid=777)]
-        obs_trace.absorb_spans(batch)
-        obs_trace.absorb_spans(batch)  # same worker return merged twice
-        assert len(obs_trace.spans(since=base)) == 1
 
 
 # -- run-history store --------------------------------------------------------
@@ -488,14 +458,11 @@ class TestDriftAttribution:
 # -- cross-process merge through map_design_points ----------------------------
 
 
-def _square_with_profile(x: int) -> int:
-    # Worker-side: ensure_profiler() inside the pool task starts the sampler
-    # (REPRO_PROFILE is inherited); one explicit sample guarantees at
-    # least one record regardless of task duration.
-    from repro.obs import profile as p
-
-    p._record(p.take_sample())
-    return x * x
+def _square_in_span(x: int) -> int:
+    # Worker-side: REPRO_PROFILE is inherited, so this span's close
+    # stores a sample that ships home with the span.
+    with obs_trace.span("telemetry.square"):
+        return x * x
 
 
 class TestCrossProcessMerge:
@@ -503,15 +470,21 @@ class TestCrossProcessMerge:
         from repro.perf.parallel import map_design_points
 
         monkeypatch.setenv(obs_profile.PROFILE_ENV, "1")
-        before = obs_profile.sample_count()
-        results = map_design_points(_square_with_profile, list(range(6)), workers=2)
+        results = map_design_points(_square_in_span, list(range(6)), workers=2)
         assert results == [x * x for x in range(6)]
-        assert obs_profile.sample_count() > before
+        squares = [r for r in obs_trace.spans() if r.name == "telemetry.square"]
+        assert len(squares) == 6
+        assert all(r.sample["rss_kb"] > 0 for r in squares)
+        assert all(r.sample["cpu_s"] > 0 for r in squares)
+        workers = {r.pid for r in squares}
+        assert os.getpid() not in workers
+        digest = obs_profile.summary(obs_trace.spans())
+        assert workers <= set(digest["pids"])
 
     def test_serial_path_unaffected(self, clean_profile):
         from repro.perf.parallel import map_design_points
 
-        results = map_design_points(_square_with_profile, [1, 2], workers=1)
+        results = map_design_points(_square_in_span, [1, 2], workers=1)
         assert results == [1, 4]
 
 
@@ -519,10 +492,10 @@ class TestCrossProcessMerge:
 
 
 class TestManifestTelemetryFields:
-    def test_manifest_carries_profile(self, clean_profile, tmp_path):
-        obs_profile.start_profiler(interval_s=0.002)
-        time.sleep(0.01)
-        obs_profile.stop_profiler()
+    def test_manifest_carries_profile(self, clean_profile, monkeypatch, tmp_path):
+        monkeypatch.setenv(obs_profile.PROFILE_ENV, "1")
+        with obs_trace.span("telemetry.fields"):
+            pass
         manifest = build_manifest("telemetry.fields")
         assert manifest.profile["samples"] > 0
         # Round-trips through the validated write/load path.

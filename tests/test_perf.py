@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 
 import numpy as np
 import pytest
@@ -289,32 +288,18 @@ def test_parallel_timer_counts_match_serial():
 # -- pool start method --------------------------------------------------------
 
 
-@pytest.fixture
-def profiler_off():
-    obs_profile.stop_profiler(final_sample=False)
-    obs_profile.reset_profile()
-    yield
-    obs_profile.stop_profiler(final_sample=False)
-    obs_profile.reset_profile()
+def _worker_threading(_) -> tuple:
+    import threading
+
+    return multiprocessing.get_start_method(), threading.active_count()
 
 
-def test_pool_forks_unless_profiler_thread_runs(monkeypatch, profiler_off):
-    from repro.perf import parallel
-
-    calls = []
-
-    def probe(**kwargs):  # records the pool's kwargs, never starts one
-        calls.append(kwargs)
-        raise OSError("probe: no pool")
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", probe)
-    with pytest.warns(RuntimeWarning):
-        assert map_design_points(_square, [1, 2], workers=2) == [1, 4]
-    assert "mp_context" not in calls[-1]
-    obs_profile.start_profiler(interval_s=0.05)
-    with pytest.warns(RuntimeWarning):
-        assert map_design_points(_square, [1, 2], workers=2) == [1, 4]
-    assert calls[-1]["mp_context"].get_start_method() == "spawn"
+def test_pool_forks_whether_profiling_or_not(monkeypatch):
+    """Profiling starts no thread, so workers fork either way."""
+    for profile in ("", "1"):
+        monkeypatch.setenv(obs_profile.PROFILE_ENV, profile)
+        seen = map_design_points(_worker_threading, [0, 1], workers=2)
+        assert seen == [("fork", 1)] * 2
 
 
 def test_no_worker_outlives_the_call():
@@ -322,21 +307,19 @@ def test_no_worker_outlives_the_call():
     assert multiprocessing.active_children() == []
 
 
-def _sleepy_square(x: int) -> int:
-    time.sleep(0.03)
-    return x * x
-
-
-def test_profiled_fanout_spawns_and_merges_samples(monkeypatch, profiler_off):
+def test_profiled_fanout_merges_worker_samples(monkeypatch):
+    """Worker spans come home carrying their RSS/CPU samples."""
     monkeypatch.setenv(obs_profile.PROFILE_ENV, "1")
-    monkeypatch.setenv(obs_profile.PROFILE_INTERVAL_ENV, "1")
-    obs_profile.start_profiler()
-    items = list(range(4))
-    assert map_design_points(_sleepy_square, items, workers=2) == [
-        i * i for i in items
+    before = obs_trace.span_count()
+    assert map_design_points(_timed_square, list(range(4)), workers=2) == [
+        i * i for i in range(4)
     ]
-    obs_profile.stop_profiler(final_sample=False)
-    assert {s.pid for s in obs_profile.samples()} - {os.getpid()}
+    merged = [r for r in obs_trace.spans(before) if r.name == "unit.fanout"]
+    assert len(merged) == 4
+    assert all(r.sample["rss_kb"] > 0 and r.sample["cpu_s"] > 0 for r in merged)
+    workers = {r.pid for r in merged}
+    assert os.getpid() not in workers
+    assert workers <= set(obs_profile.summary(obs_trace.spans(before))["pids"])
 
 
 # -- LUT batching and serialization ------------------------------------------

@@ -14,17 +14,14 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro import envcfg
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.perf import parallel
 from repro.perf.parallel import POOL_REBUILDS, map_design_points
 from repro.resil import faults
-from repro.rmesh.solve import StackSolver
 
 
 @pytest.fixture(autouse=True)
@@ -130,18 +127,6 @@ def test_repro_error_context_through_spawn_workers():
 # -- env knob validation ------------------------------------------------------
 
 
-def test_solver_env_knobs_warn_and_default(monkeypatch, ddr3_stack):
-    envcfg.reset_warnings()
-    model = ddr3_stack.model
-    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "abc")
-    before = obs_metrics.snapshot()
-    # The sampling knob is read on every solve: a real one completes.
-    result = StackSolver(model).solve_currents(np.full(model.num_nodes, 1e-4))
-    assert np.all(np.isfinite(result.drops))
-    delta = obs_metrics.diff(before, obs_metrics.snapshot())
-    assert delta["counters"].get("env.invalid_values") == 1
-
-
 def test_workers_env_invalid_degrades_to_default(monkeypatch):
     from repro.perf.parallel import resolve_workers
 
@@ -155,10 +140,15 @@ def test_workers_env_invalid_degrades_to_default(monkeypatch):
 
 
 def test_env_invalid_values_counted(monkeypatch):
+    from repro.perf.parallel import resolve_workers
+
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    default = resolve_workers(None)
     envcfg.reset_warnings()
     before = obs_metrics.snapshot()
-    monkeypatch.setenv(obs_profile.PROFILE_INTERVAL_ENV, "nope")
-    assert obs_profile.profile_interval() == obs_profile.DEFAULT_INTERVAL_S
+    monkeypatch.setenv("REPRO_WORKERS", "nope")
+    assert resolve_workers(None) == default
+    assert resolve_workers(None) == default  # warned and counted once
     delta = obs_metrics.diff(before, obs_metrics.snapshot())
     assert delta["counters"].get("env.invalid_values") == 1
 

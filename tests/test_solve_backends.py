@@ -22,6 +22,7 @@ from repro.geometry import Point
 from repro.obs import metrics as obs_metrics
 from repro.perf.cache import cached_build_stack, clear_caches
 from repro.power.state import MemoryState
+from repro.rmesh import solve as solve_mod
 from repro.rmesh.backends import make_operator
 from repro.rmesh.solve import IRDropResult, StackSolver
 
@@ -32,11 +33,6 @@ def _spd_matrix(n: int = 16) -> sp.csc_matrix:
     main[0] += 1.0  # supply link -> nonsingular
     off = np.full(n - 1, -1.0)
     return sp.diags([off, main, off], [-1, 0, 1], format="csc")
-
-
-@pytest.fixture(autouse=True)
-def _clean_residual_env(monkeypatch):
-    monkeypatch.delenv("REPRO_RESIDUAL_EVERY", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -181,18 +177,19 @@ def _residual_count() -> int:
     return hist["count"] if hist else 0
 
 
-def test_residual_gauge_is_sampled(workload, monkeypatch):
-    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "4")
+def test_residual_gauge_is_sampled(workload):
+    every = solve_mod.RESIDUAL_SAMPLE_EVERY
+    assert every == 16
     solver = StackSolver(workload.model)
     before = _residual_count()
-    for _ in range(8):
+    for _ in range(every + 1):
         solver.solve_currents(workload.currents)
-    assert _residual_count() - before == 2  # solves 0 and 4
+    assert _residual_count() - before == 2  # solves 0 and 16
     assert obs_metrics.get_gauge("solver.residual_norm") < 1e-8
 
 
 def test_residual_every_one_restores_always_on(workload, monkeypatch):
-    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "1")
+    monkeypatch.setattr(solve_mod, "RESIDUAL_SAMPLE_EVERY", 1)
     solver = StackSolver(workload.model)
     before = _residual_count()
     for _ in range(3):
@@ -200,20 +197,22 @@ def test_residual_every_one_restores_always_on(workload, monkeypatch):
     assert _residual_count() - before == 3
 
 
-def test_cheap_counters_recorded_even_when_unsampled(workload, monkeypatch):
-    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "1000")
+def test_cheap_counters_recorded_even_when_unsampled(workload):
     solver = StackSolver(workload.model)
+    solver.solve_currents(workload.currents)  # solve 0 is sampled
     before = obs_metrics.snapshot()
+    residuals = _residual_count()
     for _ in range(3):
         solver.solve_currents(workload.currents)
     delta = obs_metrics.diff(before, obs_metrics.snapshot())
     assert delta["counters"].get("solver.rhs_solved") == 3
+    assert _residual_count() == residuals  # solves 1-3 unsampled
 
 
 def test_sampling_rate_does_not_change_results(workload, monkeypatch):
-    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "1")
+    monkeypatch.setattr(solve_mod, "RESIDUAL_SAMPLE_EVERY", 1)
     always = StackSolver(workload.model).solve_currents(workload.currents)
-    monkeypatch.setenv("REPRO_RESIDUAL_EVERY", "1000")
+    monkeypatch.setattr(solve_mod, "RESIDUAL_SAMPLE_EVERY", 1000)
     sampled = StackSolver(workload.model).solve_currents(workload.currents)
     np.testing.assert_array_equal(always.drops, sampled.drops)
 
