@@ -115,17 +115,16 @@ def _configured(benchmark_name: str, args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from repro.pdn.stackup import build_stack
+    from repro.experiments.common import solve_design
     from repro.power.state import MemoryState
 
     bench, config = _configured(args.benchmark, args)
-    stack = build_stack(bench.stack, config)
     state = (
         MemoryState.from_string(args.state, bench.stack.dram_floorplan)
         if args.state
         else bench.reference_state()
     )
-    result = stack.solve_state(state)
+    result = solve_design(bench, config, state)
     _log.info("%s [%s]", bench.title, config.label())
     _log.info("  %s", result)
     for die, mv in result.per_die_mv.items():

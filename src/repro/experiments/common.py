@@ -19,11 +19,13 @@ def solve_design(
 ):
     """Build a stack for (benchmark, config) and solve one state.
 
-    Stacks come from the keyed solver cache: experiments that revisit a
-    configuration (e.g. the same baseline across many states) reuse the
-    assembled network and its factorization.
+    Reads the keyed stack cache, so a design an earlier experiment kept
+    (fig9's Table 7 cases, the table5/table6 baselines) reuses its
+    factorization; a miss builds and solves once and is not kept.
     """
-    stack = cached_build_stack(bench.stack, config, tech=DEFAULT_TECH, pitch=pitch)
+    stack = cached_build_stack(
+        bench.stack, config, tech=DEFAULT_TECH, pitch=pitch, fill=False
+    )
     return stack.solve_state(state)
 
 
@@ -38,13 +40,15 @@ def explain_design(
     Returns a :class:`repro.pdn.diagnose.DesignDiagnosis`: branch
     currents recovered and KCL-checked, the worst-node supply path
     decomposed by component, and every branch attributed to its plan op.
-    The stack comes from the same keyed cache as :func:`solve_design`,
-    so explaining a design an experiment just solved reuses its
-    factorization.
+    Like :func:`solve_design` it reads the keyed stack cache and leaves
+    no entry, so it reuses a factorization only where a stack-reusing
+    experiment kept one.
     """
     from repro.pdn.diagnose import diagnose_stack
 
-    stack = cached_build_stack(bench.stack, config, tech=DEFAULT_TECH, pitch=pitch)
+    stack = cached_build_stack(
+        bench.stack, config, tech=DEFAULT_TECH, pitch=pitch, fill=False
+    )
     return diagnose_stack(stack, state)
 
 

@@ -289,11 +289,13 @@ class RunHistoryStore:
         """Ingest the *current process's* run: manifest plus live buffers.
 
         Beyond the manifest content, this persists the bodies of the
-        run's plans still held by the stack cache (content-addressed, so
-        repeats are free) and backfills the profile from the live buffer
-        when the manifest predates it.  Sampled stacks bypass that cache,
-        so the stored bodies do not depend on the worker count; a plan
-        built outside it keeps only its hash in ``plans``.
+        run's plans that passed through ``cached_build_stack``, kept in
+        the stack cache or not (``repro.perf.cache.looked_up_plans``;
+        content-addressed, so repeats are free), and backfills the
+        profile from the live buffer when the manifest predates it.
+        Sampled stacks bypass that function, so the stored bodies do not
+        depend on the worker count; a plan built outside it keeps only
+        its hash in ``plans``.
         """
         data = manifest.to_dict() if hasattr(manifest, "to_dict") else dict(manifest)
         record = normalize_manifest(data, source=source, kind=kind)
@@ -302,11 +304,11 @@ class RunHistoryStore:
             from repro.obs import trace as _trace
 
             record["profile"] = _profile.summary(_trace.spans())
-        from repro.perf.cache import stack_cache
+        from repro.perf.cache import looked_up_plans
 
-        for stack in stack_cache.values():
-            if stack.plan.plan_hash in record["plans"]:
-                self.store_plan(stack.plan)
+        for plan in looked_up_plans():
+            if plan.plan_hash in record["plans"]:
+                self.store_plan(plan)
         return self.append(record)
 
     def store_plan(self, plan) -> Path:

@@ -7,13 +7,14 @@ process-global caches sit in front of it:
 
 * **Stack cache** -- maps ``(stack spec, PDNConfig, tech, pitch)`` to
   the built :class:`~repro.pdn.stackup.PDNStack`, which lazily holds its
-  SuperLU factorization.  Experiments that revisit a configuration (a
-  baseline solved in many states, fig9's Table 7 cases that later tables
-  solve again) reuse the build and the factorization.  Each entry holds
-  ~8 MiB of factors, so call sites whose stacks nobody asks for again
-  build with ``build_stack`` and leave no entry: fig5's TSV-count sweep,
-  and the co-optimizer's verified picks, which it memoizes itself and
-  no longer re-checks on cached stacks (its baseline stays cached).
+  SuperLU factorization.  Only call sites that solve the same stack
+  again fill it: the LUT loops of fig9's Table 7 cases, table5 and
+  table6, whose entries later tables hit.  Each entry holds ~8 MiB of
+  factors, so call sites that solve a design once
+  (``experiments.common.solve_design``/``explain_design``,
+  ``CoOptimizer.baseline_result``) only read it (``fill=False``), and
+  those whose stacks nobody asks for at all build with ``build_stack``:
+  fig5's TSV-count sweep and the co-optimizer's verified picks.
 * **Power-map cache** -- maps ``(floorplan and power spec, state, die,
   grid, vdd, activity override)`` (DRAM) or ``(floorplan and power
   spec, grid, vdd, scale)`` (logic) to the rasterized per-node current
@@ -90,10 +91,6 @@ class LRUCache:
     def clear(self) -> None:
         self._data.clear()
 
-    def values(self) -> List[Any]:
-        """The cached values, least recently used first."""
-        return list(self._data.values())
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -117,6 +114,11 @@ power_map_cache = LRUCache(maxsize=256, name="power_map")
 #: Lazily created shared assembly session (incremental sweep reassembly).
 _assembly_session: Optional[Any] = None
 
+#: The plan of every stack :func:`cached_build_stack` returned, by hash.
+#: Plans only (~18 KB for ddr3_off, ~180 KB for hmc), so a stack that was
+#: not kept frees its factorization; ``--history`` stores these bodies.
+_looked_up_plans: Dict[str, Any] = {}
+
 
 def assembly_session():
     """The process-global :class:`~repro.pdn.assemble.AssemblySession`."""
@@ -133,13 +135,18 @@ def cached_build_stack(
     config: Any,
     tech: Any = None,
     pitch: Optional[float] = None,
+    *,
+    fill: bool = True,
 ) -> "PDNStack":
     """Memoized :func:`repro.pdn.stackup.build_stack` (same arguments).
 
     Returns the *same* ``PDNStack`` object for repeated identical keys;
     treat the result as read-only (every library path does).  A hit
     records its plan use just as a build does, so per-run plan counters
-    name every structure a run solved, built or reused.
+    name every structure a run solved, built or reused.  With
+    ``fill=False`` (a call site that solves the design once) a hit is
+    served the same way, but a miss's stack is not inserted, so its
+    factorization is freed with the caller's last reference.
     """
     # Imported lazily: stackup imports this module for the power-map
     # cache, so a module-level import would be circular.
@@ -156,10 +163,18 @@ def cached_build_stack(
             stack = stackup.build_stack(
                 spec, config, tech=tech, pitch=pitch, session=assembly_session()
             )
-            stack_cache.put(key, stack)
+            if fill:
+                stack_cache.put(key, stack)
         else:
             record_plan_use(stack.plan)
+        _looked_up_plans[stack.plan.plan_hash] = stack.plan
         return stack
+
+
+def looked_up_plans() -> List[Any]:
+    """The plans of the stacks :func:`cached_build_stack` returned since
+    the last :func:`clear_caches`, kept or not (no counters)."""
+    return list(_looked_up_plans.values())
 
 
 def _cached_map(kind: str, key: Tuple, grid: Any, build: Callable[[], Any], **attrs: Any):
@@ -238,6 +253,7 @@ def clear_caches() -> None:
     """Drop all cached plans, stacks, and power maps (frees factorizations)."""
     stack_cache.clear()
     power_map_cache.clear()
+    _looked_up_plans.clear()
     if _assembly_session is not None:
         _assembly_session.clear()
 

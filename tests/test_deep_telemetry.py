@@ -612,6 +612,38 @@ class TestObsCli:
         assert len(runs) == 1
         assert runs[0]["experiment_id"] == "table8"
 
+    def test_history_solve_pair_renders_the_plan_diff(self, tmp_path):
+        """The docs/observability.md worked example, each command a fresh
+        process as from the shell: every ``--history solve`` stores its
+        plan body, so attributing the pair renders the op-level plan
+        diff, not only the two hashes."""
+        import subprocess
+        import sys
+
+        root = Path(__file__).resolve().parents[1]
+        history = tmp_path / "history"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(root / "src"), REPRO_HISTORY_DIR=str(history))
+
+        def repro3d(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                cwd=root, env=env, check=True, capture_output=True, text=True,
+                timeout=300,
+            ).stdout
+
+        repro3d("--history", "solve", "ddr3_off")
+        repro3d("--history", "solve", "ddr3_off", "--f2f")
+        store = RunHistoryStore(history)
+        assert {path.stem for path in store.plans_dir.glob("*.json")} == {
+            "f98670cee3d3cd88",
+            "8af1ef30b482d766",
+        }
+        out = repro3d("obs", "attribute", "last~1", "last")
+        assert "drift: structural" in out
+        assert "## Plan diff (structural evidence)" in out
+        assert "plan f98670cee3d3cd88 -> 8af1ef30b482d766: 23 ops unchanged, -3 +3" in out
+
     def test_history_plan_bodies_independent_of_workers(self, tmp_path):
         """``--history`` stores the bodies of the plans the stack cache
         holds; sampled stacks bypass it, so a pooled run stores exactly

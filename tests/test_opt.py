@@ -6,7 +6,7 @@ from repro.designs import off_chip_ddr3
 from repro.errors import OptimizationError
 from repro.opt import CoOptimizer, cooptimizer, ir_cost
 from repro.pdn import TSVLocation
-from repro.perf.cache import stack_cache
+from repro.perf.cache import cached_build_stack, clear_caches, stack_cache
 
 
 class TestIRCost:
@@ -68,6 +68,27 @@ class TestOptimize:
         base = optimizer.baseline_result()
         assert base.cost == pytest.approx(0.35, abs=0.01)  # Table 9
         assert base.verified_ir_mv > 0
+
+    def test_baseline_result_leaves_no_stack_cache_entry(self, optimizer):
+        # Solved once per run: a miss builds the baseline, solves it and
+        # keeps nothing, so its factorization is freed.
+        clear_caches()
+        optimizer.baseline_result()
+        assert len(stack_cache) == 0
+
+    def test_baseline_result_reuses_a_kept_baseline(self, optimizer):
+        # A baseline another experiment kept is read with exactly one hit.
+        clear_caches()
+        bench = optimizer.bench
+        kept = cached_build_stack(
+            bench.stack, bench.baseline, tech=optimizer.tech, pitch=optimizer.pitch
+        )
+        hits = stack_cache.hits
+        base = optimizer.baseline_result()
+        assert stack_cache.hits == hits + 1
+        assert len(stack_cache) == 1
+        assert base.verified_ir_mv == kept.solve_state(bench.reference_state()).dram_max_mv
+        clear_caches()
 
     def test_optimum_beats_baseline_at_its_alpha(self, optimizer):
         """The alpha=0.3 solution dominates the baseline on the objective."""

@@ -11,6 +11,7 @@ import pytest
 from repro.controller import IRDropLUT
 from repro.controller.lut import StaticIRDropLUT
 from repro.errors import SolverError
+from repro.experiments.common import explain_design, solve_design
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
@@ -21,6 +22,7 @@ from repro.perf.cache import (
     cached_dram_power_map,
     cached_logic_power_map,
     clear_caches,
+    looked_up_plans,
     stack_cache,
 )
 from repro.perf.parallel import (
@@ -111,6 +113,52 @@ def test_cache_distinguishes_configs(ddr3_off_bench):
     assert base is not wider
     state = bench.reference_state()
     assert wider.dram_max_mv(state) < base.dram_max_mv(state)
+
+
+@pytest.mark.parametrize("call", [solve_design, explain_design])
+def test_one_off_design_solves_read_but_never_fill_the_cache(call, ddr3_off_bench):
+    # solve_design and explain_design solve a design once: a miss keeps
+    # no entry, and a stack a reusing call site kept is read with one hit.
+    clear_caches()
+    bench = ddr3_off_bench
+    state = bench.reference_state()
+    cold = call(bench, bench.baseline, state)
+    assert len(stack_cache) == 0
+    kept = cached_build_stack(bench.stack, bench.baseline)
+    hits = stack_cache.hits
+    warm = call(bench, bench.baseline, state)
+    assert stack_cache.hits == hits + 1
+    assert len(stack_cache) == 1
+    if call is solve_design:
+        assert warm.dram_max_mv == cold.dram_max_mv == kept.solve_state(state).dram_max_mv
+    else:
+        assert warm.to_json() == cold.to_json()
+        assert warm.plan is kept.plan
+    clear_caches()
+
+
+def test_looked_up_plans_record_kept_and_unkept_stacks(ddr3_off_bench):
+    # The record --history stores plan bodies from: every stack the
+    # memo returned, kept or not, with no counters of its own.
+    clear_caches()
+    assert looked_up_plans() == []
+    bench = ddr3_off_bench
+    wider = bench.baseline.with_options(m3_usage=0.40)
+    before = obs_metrics.snapshot()["counters"]
+    kept = cached_build_stack(bench.stack, bench.baseline)
+    unkept = cached_build_stack(bench.stack, wider, fill=False)
+    cached_build_stack(bench.stack, bench.baseline)
+    after = obs_metrics.snapshot()["counters"]
+    moved = {
+        name: after[name] - before.get(name, 0)
+        for name in after
+        if name.startswith("cache.") and after[name] != before.get(name, 0)
+    }
+    assert moved == {"cache.stack.misses": 2, "cache.stack.hits": 1}
+    assert looked_up_plans() == [kept.plan, unkept.plan]
+    assert len(stack_cache) == 1
+    clear_caches()
+    assert looked_up_plans() == []
 
 
 def test_lru_eviction_and_stats():
