@@ -1,7 +1,7 @@
 """The event-driven engine is pinned to frozen controller decisions.
 
 ``tests/golden/controller_decisions.json`` holds the full
-:class:`SimResult` of 26 seeded runs and the DDR3 IR-drop LUT they ran
+:class:`SimResult` of 31 seeded runs and the DDR3 IR-drop LUT they ran
 under, as ``IRDropLUT.to_json`` text.  Fifteen of them -- 3 seeds x 3
 policies, refresh + 2 channels + 20% writes per policy, a 3-state
 occupancy cap, refresh at seed 13, and ``repro3d sim`` on
@@ -27,7 +27,10 @@ priority every scheduling iteration, under the same golden LUT.
 The seven ``shape/*`` cases (see :class:`TestEngineShapes`) were
 recorded at commit 3d918bc2602c11056a9d971c5350fe29366eec5f, where the
 engine still re-partitioned each channel's queue and re-sorted it by die
-load whenever the queue or the counts changed.
+load whenever the queue or the counts changed.  The five
+``shape/hmc_refresh/*`` and ``shape/hmc_shed/*`` cases were recorded at
+commit 38c109afdc2244982e910d52354f6a5eea0ebd02, where the engine still
+evaluated every channel on every scheduling iteration.
 """
 
 import itertools
@@ -156,12 +159,35 @@ def _hmc_lut():
     return StaticIRDropLUT(table, num_dies=4, max_banks_per_die=8)
 
 
+#: extra IR of a state by its number of dies with an active bank: a
+#: state whose banks sit on one to three dies carries ``4 mV`` more than
+#: one spread over all four.
+_IO_SHARE_MV = (0.0, 4.0, 4.0, 4.0, 0.0)
+
+
+def _hmc_io_lut():
+    """:func:`_hmc_lut` plus an I/O-share term (:data:`_IO_SHARE_MV`),
+    so that the last bank of a die closing *raises* the IR drop: a state
+    reached by admitted ACTs can drift into a violation, and the
+    IR-aware policies shed banks to leave it."""
+    table = {
+        counts: 1.25 * sum(counts)
+        + 0.5 * max(counts)
+        + _IO_SHARE_MV[sum(1 for n in counts if n)]
+        for counts in itertools.product(range(9), repeat=4)
+    }
+    return StaticIRDropLUT(table, num_dies=4, max_banks_per_die=8)
+
+
 def _shape_case(name, timing, golden_lut):
     """``(SimConfig, policy, workload, report LUT)`` of a ``shape/*`` case."""
     group, policy_name = name.split("/")[1:]
-    if group == "hmc":
+    if group.startswith("hmc"):
         # ext_hmc's controller shape: 16 channels, 32 banks per die, up
         # to 8 active banks per die (2 per channel), saturating traffic.
+        # "hmc_refresh" adds refresh over a longer stream; "hmc_shed"
+        # runs under the I/O-share LUT at a constraint low enough that
+        # closes drift into violating states.
         hmc_timing = TimingParams.hmc_2500()
         cfg = SimConfig(
             timing=hmc_timing,
@@ -170,16 +196,21 @@ def _shape_case(name, timing, golden_lut):
             num_channels=16,
             max_banks_per_die=8,
             max_banks_per_channel=2,
+            refresh_enabled=group == "hmc_refresh",
         )
+        num_requests, seed, constraint_mv, lut = {
+            "hmc": (2000, 41, 26.0, _hmc_lut()),
+            "hmc_refresh": (6000, 43, 26.0, _hmc_lut()),
+            "hmc_shed": (2000, 53, 15.0, _hmc_io_lut()),
+        }[group]
         wc = WorkloadConfig(
-            num_requests=2000,
+            num_requests=num_requests,
             banks_per_die=32,
             arrival_interval=1,
-            seed=41,
+            seed=seed,
             write_fraction=0.2,
         )
-        lut = _hmc_lut()
-        policy = _make_policy(policy_name, hmc_timing, lut, 26.0)
+        policy = _make_policy(policy_name, hmc_timing, lut, constraint_mv)
         return cfg, policy, generate_workload(wc), lut
     if group == "qd2_refresh":
         cfg = SimConfig(timing=timing, queue_depth=2, refresh_enabled=True)
@@ -198,17 +229,25 @@ def _shape_case(name, timing, golden_lut):
     return cfg, policy, generate_workload(wc), golden_lut
 
 
-SHAPE_CASES = [f"shape/hmc/{p}" for p in POLICIES] + [
-    "shape/qd2_refresh/ir_distr"
-] + [f"shape/conflict_cw0/{p}" for p in POLICIES]
+SHAPE_CASES = (
+    [f"shape/hmc/{p}" for p in POLICIES]
+    + [f"shape/hmc_refresh/{p}" for p in POLICIES]
+    + [f"shape/hmc_shed/{p}" for p in POLICIES[1:]]
+    + ["shape/qd2_refresh/ir_distr"]
+    + [f"shape/conflict_cw0/{p}" for p in POLICIES]
+)
 
 
 class TestEngineShapes:
     """Shapes the cases above leave out: ext_hmc's 16-channel shape,
-    where DistR's die loads span 0..8, under a closed-form LUT; DistR
-    with a two-entry queue and refresh; and a write-heavy stream over
-    three rows per bank with ``close_window=0``, where banks are often
-    due to close while a queued request still wants their open row."""
+    where DistR's die loads span 0..8, under a closed-form LUT -- as is,
+    with refresh (per-die blackouts and the tRRD/tFAW window ending on
+    many channels at once), and under an I/O-share LUT at 15 mV, where
+    the IR-aware policies shed banks and a PRE on one channel admits an
+    ACT on a later channel in the same cycle; DistR with a two-entry
+    queue and refresh; and a write-heavy stream over three rows per bank
+    with ``close_window=0``, where banks are often due to close while a
+    queued request still wants their open row."""
 
     @pytest.mark.parametrize("name", SHAPE_CASES)
     def test_shape_case(self, timing, golden_lut, assert_golden, name):
@@ -255,6 +294,7 @@ GENERIC_CASES = (
     [f"base/{p}/seed={s}" for p in POLICIES for s in SEEDS]
     + sorted(DISTR_CASES)
     + [f"shape/hmc/{p}" for p in POLICIES]
+    + [f"shape/hmc_shed/{p}" for p in POLICIES[1:]]
 )
 
 
