@@ -280,6 +280,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         StandardJEDEC,
     )
     from repro.controller.request import TraceMapping, read_trace
+    from repro.errors import ConfigurationError
     from repro.power.model import (
         DDR3_POWER,
         HMC_POWER,
@@ -289,19 +290,23 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     )
 
     timing = _sim_timing(args.timing)
-    mapping = TraceMapping(
-        num_dies=args.dies, banks_per_die=args.banks_per_die
-    )
-    config = SimConfig(
-        timing=timing,
-        num_dies=args.dies,
-        banks_per_die=args.banks_per_die,
-        num_channels=args.channels,
-        queue_depth=args.queue_depth,
-        max_banks_per_die=args.max_banks_per_die,
-        close_window=args.close_window,
-        refresh_enabled=args.refresh,
-    )
+    try:
+        config = SimConfig(
+            timing=timing,
+            num_dies=args.dies,
+            banks_per_die=args.banks_per_die,
+            num_channels=args.channels,
+            queue_depth=args.queue_depth,
+            max_banks_per_die=args.max_banks_per_die,
+            close_window=args.close_window,
+            refresh_enabled=args.refresh,
+        )
+        mapping = TraceMapping(
+            num_dies=args.dies, banks_per_die=args.banks_per_die
+        )
+    except ConfigurationError as exc:
+        _log.error("%s", exc)
+        return 2
 
     lut = None
     if args.lut:

@@ -5,7 +5,8 @@ and the benchmarks run it.  It implements the *decision logic* of
 the paper's controller (section 2.3) -- per-bank FSMs, one command per
 channel per cycle, tRRD/tFAW or IR-LUT admission -- with flat per-bank
 state lists and an event queue that jumps straight to the next cycle
-at which anything can change.  Its decisions are pinned to recorded
+at which anything can change; within a cycle it evaluates only the
+channels that can act.  Its decisions are pinned to recorded
 reference results: ``tests/golden/controller_decisions.json`` holds the
 full :class:`SimResult` recorded from a per-cycle reference loop on seeded
 workloads across all shipped policies, and
@@ -18,46 +19,74 @@ Design
   lists local to the run loop, indexed ``die * banks_per_die + bank``:
   FSM code (0 idle, 1 activating, 2 active, 3 precharging), open row,
   next-ready cycle, ACT cycle, last column-op cycle, and last-activity
-  cycle (the idle-close deadline base).  Every read and write is a
-  plain index; nothing mirrors them.
+  cycle (the idle-close deadline base).  Every read and write is a plain
+  index; nothing mirrors them.
 
 * **Event skipping.**  When no command issues, the next interesting
   cycle is the minimum over bank deadlines (state transitions,
-  tCCD/tRAS/tWR windows, idle-close deadlines), channel command/data
-  bus free times, the next arrival, refresh deadlines, and the policy's
-  activation window.  The bank term scans only the transient and open
-  banks, a small subset even on a 128-bank part (the active-bank caps
-  bound the open ones).
+  tCCD/tRAS/tWR windows, idle-close deadlines), channel command/data bus
+  free times, the next arrival, refresh deadlines, and the policy's
+  activation window.  Transient banks sit in a heap by ``rdy``; the bank
+  term scans only the open banks, a small subset even on a 128-bank part
+  (the active-bank caps bound them).
 
 * **One channel-partitioned issue pass over per-event bookkeeping.**
   Within one cycle, whether a command issues on channel ``c`` depends
-  only on ``c``'s buses, ``c``'s banks, and the active counts.  Every
-  policy runs on this pass.  The queue (``RequestQueue``) keeps, per
-  channel, arrival-ordered *ready* (bank open at the entry's row) and
-  *waiting* lists -- one pair per die under DistR -- plus each bank's
-  queued entries and hit count.  An arrival, a bank opening or closing,
-  or a column command moves only that bank's entries, so an event costs
-  work on the event, not on the queue.  FCFS policies read the ready
-  list as it stands and hand ``act_candidates`` the oldest
-  ``act_lookahead`` waiting requests.  For ``IRAwareDistR``, recognised
-  by type, the order is the dies grouped by active-bank count, least
-  loaded group first, merged by arrival within a group (the stable sort
-  by die load); each channel's ready order and waiting head are cached
-  until an entry moves or the grouping changes.  The engine hands
-  ``act_candidates`` the first ``act_lookahead`` entries of that order
-  (skipping DistR's re-sort while the grouping is the one the order
-  was built under) and ranks channels for activation by their head's
-  (die load, arrival).  A bank's hit count answers both "does a queued
-  request still want this open row?" questions: before a PRE on a row
-  mismatch and before an idle close.
+  only on ``c``'s buses, ``c``'s banks, the active counts and the
+  policy's activation window.  Every policy runs on this pass; which
+  channels it evaluates is the next bullet's concern.  The queue
+  (``RequestQueue``) keeps, per channel, arrival-ordered *ready* (bank
+  open at the entry's row) and *waiting* lists -- one pair per die under
+  DistR -- plus each bank's queued entries and hit count.  An arrival, a
+  bank opening or closing, or a column command moves only that bank's
+  entries, so an event costs work on the event, not on the queue.  FCFS
+  policies read the ready list as it stands and hand ``act_candidates``
+  the oldest ``act_lookahead`` waiting requests.  For ``IRAwareDistR``,
+  recognised by type, the order is the dies grouped by active-bank
+  count, least loaded group first, merged by arrival within a group (the
+  stable sort by die load); each channel's ready order and waiting head
+  are cached until an entry moves or the grouping changes.  The engine
+  hands ``act_candidates`` the first ``act_lookahead`` entries of that
+  order (re-sorting it, as DistR's ``act_candidates`` does, only once
+  the grouping is no longer the one the order was built under) and ranks
+  channels for activation by their head's (die load, arrival).  A bank's
+  hit count answers both "does a queued request still want this open
+  row?" questions: before a PRE on a row mismatch and before an idle
+  close.
+
+* **Channel waits.**  A channel whose evaluation issued nothing is not
+  evaluated again until something that blocked it can have changed.
+  Pass 1 (column commands) and pass 2 (ACT/PRE) each keep a wake cycle per
+  channel: the earliest cycle at which a time block the evaluation met
+  can lift -- bank or bus busy (``rdy``, tCCD, the data bus, ACT or PRE
+  transit), tRAS/tWR, StandardJEDEC's tRRD/tFAW window (only an ACT
+  moves it, and only later), a refresh blackout's tRFC.  Shared-state
+  blocks are named waits instead: the IR-LUT read hold, and an IR-LUT
+  ACT denial or a die cap on die ``d`` (a channel cap lifts only on the
+  channel's own PRE, which marks it).  An arrival, a bank opening or
+  closing, a column command that takes a bank's last hit, or a change of
+  the dies due for refresh marks a channel due.  An ACT or PRE re-checks
+  the waits on its counts -- for the dies with waiters only, and only in
+  the admission caches, so the LUT is asked what it would be asked if
+  every channel were evaluated every cycle -- and gives a lifted waiter
+  a pass-2 turn: later in the same pass if it ranks behind the channel
+  that issued, else at the next pass 2.  Such a turn is skipped if, by
+  then, every wait the channel met still holds.  Pass-2 ranks and order
+  are those of a full evaluation, so every decision is too.  The waits
+  hold only for the stock hooks the engine recognises by type and on
+  more than one channel; a policy overriding ``may_read``,
+  ``may_activate`` or (other than DistR's) ``act_candidates``, or a
+  single-channel part, has every channel evaluated every cycle.
+  ``sim.channel_scans`` counts pass-1 read scans plus pass-2 window
+  examinations.
 
 * **Gated per-cycle blocks.**  Transient-bank sync runs only once the
   earliest transient ``rdy`` is reached, the refresh block only once the
   earliest refresh deadline is, and idle close only while some channel
   is still free and either a refresh is due, the state must shed, or a
-  conservative-low close deadline has passed.  That deadline skips
-  banks with queued hits (they cannot close idle) and is lowered when a
-  bank's last hit issues.
+  conservative-low close deadline has passed.  That deadline skips banks
+  with queued hits (they cannot close idle) and is lowered when a bank's
+  last hit issues.
 
 * **Streaming workloads.**  The engine consumes any iterable of
   :class:`~repro.controller.request.ReadRequest` through one pull-ahead
@@ -67,17 +96,17 @@ Design
   holding the whole trace's request objects alive.  Such a stream is
   consumed by one run; a second run raises ``SimulationError``.
 
-* **Bounded state tracking.**  ``SimResult.state_occupancy`` is a
-  sparse histogram capped at ``SimConfig.max_tracked_states`` distinct
-  states; cycles spent in states beyond the cap are counted in
+* **Bounded state tracking.**  ``SimResult.state_occupancy`` is a sparse
+  histogram capped at ``SimConfig.max_tracked_states`` distinct states;
+  cycles spent in states beyond the cap are counted in
   ``SimResult.states_dropped`` (and the ``sim.states.dropped`` metric)
-  instead of growing memory without bound on long trace runs.
-"""
+  instead of growing memory without bound on long trace runs."""
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import (
     Dict,
     Iterable,
@@ -98,7 +127,7 @@ from repro.controller.policies import (
 )
 from repro.controller.request import ReadRequest
 from repro.dram.timing import TimingParams
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
 
@@ -143,6 +172,31 @@ class SimConfig:
     #: unbounded set of states).  The paper's 4-die / 2-bank studies
     #: have at most 3^4 = 81 states, so the default never binds there.
     max_tracked_states: int = 4096
+
+    def __post_init__(self) -> None:
+        for name in (
+            "num_dies",
+            "banks_per_die",
+            "num_channels",
+            "queue_depth",
+            "max_banks_per_die",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(
+                    f"SimConfig.{name} must be at least 1, got {value}"
+                )
+        cap = self.max_banks_per_channel
+        if cap is not None and cap < 1:
+            raise ConfigurationError(
+                f"SimConfig.max_banks_per_channel must be at least 1 when "
+                f"set, got {cap}"
+            )
+        if self.close_window < 0:
+            raise ConfigurationError(
+                f"SimConfig.close_window must be at least 0, got "
+                f"{self.close_window}"
+            )
 
     def channel_of(self, bank: int) -> int:
         """Bank -> channel mapping (banks striped across channels)."""
@@ -473,6 +527,9 @@ class EventDrivenEngine:
         # After a column command a bank cannot close before this many
         # cycles (the idle window and tWR both restart at it).
         col_close = max(close_window, tWR)
+        # A column command can issue once now + this reaches the data
+        # bus's free time (reads need tCL, writes tCWL).
+        col_lat = max(tCL, tCWL)
         depth = cfg.queue_depth
         max_per_die = cfg.max_banks_per_die
         max_per_chan = cfg.max_banks_per_channel
@@ -517,6 +574,16 @@ class EventDrivenEngine:
         else:
             ma_kind = 0
         ma_cache: Dict[Tuple[int, ...], List[Optional[bool]]] = {}
+        # Channel waits (module docstring) hold only for the stock hooks
+        # recognised above; an arbitrary override is evaluated on every
+        # channel every iteration.  So is a single channel: there the
+        # waits' bookkeeping costs more than the evaluations it saves.
+        skip = (
+            C > 1
+            and mr_kind != 2
+            and ma_kind != 0
+            and (stock_distr or not own_window)
+        )
 
         # Flat per-bank state, indexed die * B + bank (module docstring).
         # Timestamps start far in the past, so no window binds at cycle 0.
@@ -570,8 +637,10 @@ class EventDrivenEngine:
         groups = grouping(counts_t)
         nonidle = [0] * D  # banks not in IDLE (includes PRECHARGING)
         act_by_die_chan = [[0] * C for _ in range(D)]
-        transient: Set[int] = set()  # banks in state 1 or 3
-        trans_next = _FAR  # conservative-low min of transient rdy
+        # Banks in state 1 or 3 as (rdy, bank), a heap: a transient bank's
+        # rdy never moves (refresh waits for its die to be idle).
+        transient: List[Tuple[int, int]] = []
+        trans_next = _FAR  # min of transient rdy
         open_set: Set[int] = set()  # banks in state 2
         # Conservative-low idle-close deadline over open banks without
         # queued hits (a bank with hits only closes while shedding or for
@@ -579,6 +648,97 @@ class EventDrivenEngine:
         min_close = _FAR
         used_mark = [0] * C  # used_mark[c] == gen: channel issued this cycle
         gen = 0
+
+        # Channel waits (module docstring).  Pass 1 evaluates channel c
+        # once now reaches wake1[c]; c takes a pass-2 turn once now
+        # reaches wake2[c].  An evaluation that issues nothing sets its
+        # wake to the earliest cycle a time block it met can lift (bank
+        # or bus busy, tRAS/tWR, tRRD/tFAW, refresh blackout) and enters
+        # the channel in the set of each shared-state block it met
+        # (below).  An event on the channel marks the pass it can change
+        # (wake = now); a lifted shared-state block gives the channel a
+        # pass-2 turn.
+        wake1 = [0] * C
+        wake2 = [0] * C
+        # Pass-2 shared-state waits, one set of channels per code:
+        # IR-LUT denial on die d (code d), may_activate(d, counts) must
+        # turn true; die cap on die d (code D + d), counts[d] must fall.
+        waits: List[Set[int]] = [set() for _ in range(2 * D)]
+        lut_wait = waits[:D]
+        cap_wait = waits[D:]
+        # The codes of the waits each channel met at its last turn.
+        regs: List[List[int]] = [[] for _ in range(C)]
+        # Pass 1's shared-state wait, IR-LUT read hold: may_read(counts)
+        # must turn true.
+        read_wait: Set[int] = set()
+        # Channels with a lifted die-cap or IR-LUT wait whose pass-2 turn
+        # is due at the next pass 2.
+        pending: Set[int] = set()
+        # DistR: the channel's window is the first act_lookahead of more
+        # waiting entries, so it depends on the load grouping it was
+        # built under (wait_groups[c]).
+        grp_dep = [False] * C
+        in_p2 = [0] * C  # in_p2[c] == gen: c takes a turn in this pass 2
+        done2 = [0] * C  # done2[c] == gen: c has taken it
+        # lazy[c] == gen: c takes its turn for a lifted wait only, and
+        # is examined only if one of its waits (regs[c]) has lifted by
+        # then.
+        lazy = [0] * C
+        # Each channel's last pass-2 rank.  Under FCFS order it holds
+        # until the channel's waiting list moves, which marks it.
+        rank_of: List[Tuple[int, int, int]] = [(0, 0, 0)] * C
+        scans = 0
+
+        def release(counts_t: Tuple[int, ...], fell: int, now: int) -> List[int]:
+            """After an ACT or PRE: the channels whose die-cap (``fell``,
+            the die whose count fell, or -1) or IR-LUT waits the counts
+            ``counts_t`` can have lifted.  Read holds the counts can have
+            lifted are marked here.  Admission is re-checked, for the
+            dies with waiters only, in the caches: a state the policy
+            was never asked about lifts the wait, and the waiter's turn
+            asks, so the LUT sees the lookups it would see if every
+            channel were evaluated every iteration."""
+            lifted: List[int] = []
+            if fell >= 0 and cap_wait[fell]:
+                lifted += cap_wait[fell]
+                cap_wait[fell].clear()
+            if ma_kind == 2:
+                row = ma_cache.get(counts_t)
+                for d in range(D):
+                    ws = lut_wait[d]
+                    if ws and (row is None or row[d] is not False):
+                        lifted += ws
+                        ws.clear()
+            if read_wait and mr_cache.get(counts_t) is not False:
+                for x in read_wait:
+                    wake1[x] = now
+                read_wait.clear()
+            return lifted
+
+        def late_rank(
+            x: int,
+            now: int,
+            gen: int,
+            groups_p1: _Groups,
+            counts_p1: Tuple[int, ...],
+        ) -> Optional[Tuple[int, int, int]]:
+            """Pass-2 rank of channel ``x``, not evaluated at pass 1,
+            as pass 1 would have ranked it; None when it cannot take a
+            turn."""
+            if used_mark[x] == gen or now < cmd_free[x]:
+                return None
+            if q_ready_n[x] >= q_size[x]:
+                return None
+            if wait_groups[x] is not groups_p1:
+                cache_nr[x] = queue.waiting_head(x, groups_p1, lookahead)
+                wait_groups[x] = groups_p1
+            head = cache_nr[x][0]
+            rank = rank_of[x] = (
+                counts_p1[head[2].die] if balance else 0,
+                head[0],
+                x,
+            )
+            return rank
 
         next_refresh = [(d + 1) * tREFI // D for d in range(D)]
         refresh_next = min(next_refresh) if refresh_enabled else _FAR
@@ -633,8 +793,10 @@ class EventDrivenEngine:
                         rowv[i] if st[i] == 2 else -1,
                     ):
                         ready_groups[c] = None
+                        wake1[c] = now
                     else:
                         wait_groups[c] = None
+                        wake2[c] = now
                     q_len += 1
                     arrived += 1
                     next_req = next(source, None)
@@ -644,13 +806,8 @@ class EventDrivenEngine:
 
             # --- sync transient banks; occupancy accounting ----------------
             if now >= trans_next:
-                nxt = _FAR
-                for i in tuple(transient):
-                    v = rdy[i]
-                    if v > now:
-                        if v < nxt:
-                            nxt = v
-                        continue
+                while transient and transient[0][0] <= now:
+                    i = heappop(transient)[1]
                     if st[i] == 1:
                         st[i] = 2
                         open_set.add(i)
@@ -658,6 +815,7 @@ class EventDrivenEngine:
                         if queue.open_bank(c, i, rowv[i]):
                             ready_groups[c] = None
                             wait_groups[c] = None
+                            wake1[c] = wake2[c] = now
                         else:
                             # No queued request wants the row (a policy's
                             # own act_candidates may name one that is not
@@ -668,8 +826,7 @@ class EventDrivenEngine:
                     else:  # state 3: precharge finished
                         st[i] = 0
                         nonidle[i // B] -= 1
-                    transient.discard(i)
-                trans_next = nxt
+                trans_next = transient[0][0] if transient else _FAR
             if last_state is not None and now > prev_now:
                 w = now - prev_now
                 occ.add(last_state, w)
@@ -684,7 +841,11 @@ class EventDrivenEngine:
 
             # --- refresh (per die, staggered deadlines) --------------------
             if now >= refresh_next:
-                refresh_due = [now >= next_refresh[d] for d in range(D)]
+                due = [now >= next_refresh[d] for d in range(D)]
+                if due != refresh_due:
+                    # Refresh blackout starts or ends on some die.
+                    wake1[:] = wake2[:] = [now] * C
+                refresh_due = due
                 any_due = True
                 for d in range(D):
                     if not refresh_due[d] or nonidle[d]:
@@ -705,14 +866,18 @@ class EventDrivenEngine:
                         issued_any = True
                 refresh_next = min(next_refresh)
             else:
-                refresh_due = no_refresh_due
+                if refresh_due is not no_refresh_due:
+                    if any(refresh_due):
+                        wake1[:] = wake2[:] = [now] * C
+                    refresh_due = no_refresh_due
                 any_due = False
 
             # --- issue phase -----------------------------------------------
             # Pass 1: opportunistic column commands to open rows, in
             # policy order.  Pass 2: per free channel, one activation
             # candidate chosen by the policy may ACT, or PRE its bank on
-            # a row mismatch.
+            # a row mismatch.  Only channels whose wake1 or wake2 has come
+            # are evaluated (see the channel waits above).
             if q_len:
                 if mr_kind == 1:
                     if mr_counts is not counts_t:
@@ -727,32 +892,79 @@ class EventDrivenEngine:
                 else:
                     reads_possible = True
                 p2: List[Tuple[int, int, int]] = []
+                counts_p1 = counts_t
+                groups_p1 = groups
                 for c in range(C):
-                    if not q_size[c] or used_mark[c] == gen or now < cmd_free[c]:
+                    if skip:
+                        due1 = wake1[c] <= now
+                        due2 = wake2[c] <= now or (
+                            grp_dep[c] and wait_groups[c] is not groups
+                        )
+                        if not (due1 or due2):
+                            continue
+                    else:
+                        due1 = due2 = True
+                    if not q_size[c]:
+                        wake1[c] = wake2[c] = _FAR  # an arrival marks it
                         continue
+                    if used_mark[c] == gen:
+                        continue
+                    if now < cmd_free[c]:
+                        if due1:
+                            wake1[c] = cmd_free[c]
+                        if due2:
+                            wake2[c] = cmd_free[c]
+                        continue
+                    if due1:
+                        scans += 1
+                        if skip:
+                            read_wait.discard(c)
+                    w = _FAR
                     issued_here = False
-                    if reads_possible and q_ready_n[c]:
-                        r_ok = now + tCL >= data_free[c]
-                        w_ok = now + tCWL >= data_free[c]
-                        if r_ok or w_ok:
+                    if due1 and q_ready_n[c]:
+                        df = data_free[c]
+                        if not reads_possible:
+                            # IR-LUT read hold.
+                            if skip:
+                                read_wait.add(c)
+                        elif now + col_lat < df:
+                            # Data bus busy for reads and writes alike.
+                            w = df - col_lat
+                        else:
                             if ready_groups[c] is not groups:
                                 cache_ready[c] = queue.ready_order(c, groups)
                                 ready_groups[c] = groups
+                            r_ok = now + tCL >= df
+                            w_ok = now + tCWL >= df
                             for e in cache_ready[c]:
                                 req = e[2]
                                 i = e[1]
-                                if now < rdy[i] or now < col[i] + tCCD:
-                                    continue
-                                if req.is_write:
-                                    if not w_ok:
-                                        continue
-                                elif not r_ok:
+                                if (
+                                    now < rdy[i]
+                                    or now < col[i] + tCCD
+                                    or not (w_ok if req.is_write else r_ok)
+                                ):
+                                    if skip:
+                                        # Bank or bus busy: the bank's rdy
+                                        # and tCCD, the data bus for this
+                                        # direction.
+                                        v = rdy[i]
+                                        t = col[i] + tCCD
+                                        if t > v:
+                                            v = t
+                                        t = df - (tCWL if req.is_write else tCL)
+                                        if t > v:
+                                            v = t
+                                        if v < w:
+                                            w = v
                                     continue
                                 if mr_kind == 2 and not policy.may_read(
                                     req.die, now, counts_t
                                 ):
                                     continue
                                 if refresh_due[req.die]:
+                                    # Refresh blackout: its end marks
+                                    # every channel.
                                     continue
                                 cmd_free[c] = now + 1
                                 if req.is_write:
@@ -769,7 +981,10 @@ class EventDrivenEngine:
                                 latency_sum += end - req.arrival_cycle
                                 if not queue.pop(c, e):
                                     # The bank's last hit went out: it
-                                    # may close once idle.
+                                    # may close once idle, and a waiting
+                                    # entry may PRE it.
+                                    if queue.by_bank[i]:
+                                        wake2[c] = now
                                     dl = now + col_close
                                     v = act[i] + tRAS
                                     if v > dl:
@@ -788,51 +1003,142 @@ class EventDrivenEngine:
                                 issued_any = True
                                 issued_here = True
                                 break
-                    if not issued_here and q_ready_n[c] < q_size[c]:
-                        if wait_groups[c] is not groups:
-                            cache_nr[c] = queue.waiting_head(c, groups, lookahead)
-                            wait_groups[c] = groups
-                        head = cache_nr[c][0]
-                        load = counts_t[head[2].die] if balance else 0
-                        p2.append((load, head[0], c))
+                    if issued_here:
+                        # The next column command waits for the data bus.
+                        v = data_free[c] - col_lat
+                        wake1[c] = v if v > now else now
+                        continue
+                    if due1:
+                        wake1[c] = w
+                    if due2:
+                        if q_ready_n[c] < q_size[c]:
+                            if wait_groups[c] is not groups:
+                                cache_nr[c] = queue.waiting_head(
+                                    c, groups, lookahead
+                                )
+                                wait_groups[c] = groups
+                            head = cache_nr[c][0]
+                            load = counts_t[head[2].die] if balance else 0
+                            rank_of[c] = rank = (load, head[0], c)
+                            p2.append(rank)
+                            in_p2[c] = gen
+                            if balance:
+                                grp_dep[c] = (
+                                    q_size[c] - q_ready_n[c] > lookahead
+                                )
+                        else:
+                            wake2[c] = _FAR  # a waiting entry marks it
                 # Pass 2: channels take turns by the rank of their
                 # waiting list's head, (die load, arrival) under DistR and
-                # plain arrival otherwise.  The policy picks the window
-                # from the list's first act_lookahead entries under the
-                # counts as they stand now.
+                # plain arrival otherwise, both as they stood at pass 1.
+                # The policy picks the window from the list's first
+                # act_lookahead entries under the counts as they stand
+                # now.  A channel not evaluated at pass 1 takes a turn
+                # when a die-cap or IR-LUT wait of its has lifted: since
+                # the last pass 2 (pending), or by an ACT or PRE ahead of
+                # it in this one.
+                act_ok = ma_kind != 1 or now >= act_window
+                if pending:
+                    for x in list(pending):
+                        if in_p2[x] != gen:
+                            if balance:
+                                rank = late_rank(x, now, gen, groups_p1, counts_p1)
+                            elif (
+                                used_mark[x] == gen
+                                or now < cmd_free[x]
+                                or q_ready_n[x] >= q_size[x]
+                            ):
+                                rank = None
+                            else:
+                                rank = rank_of[x]
+                            if rank is not None:
+                                p2.append(rank)
+                                in_p2[x] = gen
+                                lazy[x] = gen
+                            elif q_ready_n[x] < q_size[x]:
+                                continue  # busy this cycle: keep it pending
+                        pending.discard(x)
                 if p2:
                     if len(p2) > 1:
                         p2.sort()
-                    act_ok = ma_kind != 1 or now >= act_window
-                    for _, _, c in p2:
+                    k = 0
+                    while k < len(p2):
+                        turn = p2[k]
+                        k += 1
+                        c = turn[2]
+                        done2[c] = gen
+                        if lazy[c] == gen:
+                            row = ma_cache.get(counts_t)
+                            for code in regs[c]:
+                                if code < D:
+                                    if row is None or row[code] is not False:
+                                        break
+                                elif counts[code - D] < max_per_die:
+                                    break
+                            else:
+                                # Every wait c met at its last turn still
+                                # holds: a command ahead of it blocked
+                                # the die again.
+                                for code in regs[c]:
+                                    waits[code].add(c)
+                                continue
+                        scans += 1
+                        if regs[c]:
+                            for code in regs[c]:
+                                waits[code].discard(c)
+                            regs[c].clear()
                         window = cache_nr[c]
-                        if own_window and not (
-                            stock_distr and wait_groups[c] is groups
-                        ):
+                        if stock_distr:
+                            if wait_groups[c] is not groups:
+                                # DistR's act_candidates: the window
+                                # re-sorted (stably) by the counts now.
+                                window = sorted(
+                                    window, key=lambda e, n=counts_t: n[e[2].die]
+                                )
+                        elif own_window:
                             window = [
                                 (0, r.die * B + r.bank, r)
                                 for r in policy.act_candidates(
                                     [e[2] for e in window], counts_t
                                 )
                             ]
+                        w = wake2[c]
+                        if w <= now:
+                            w = _FAR
+                        fell = -1
                         for e in window:
                             req = e[2]
                             i = e[1]
                             d = req.die
                             if st[i] == 0 and now >= rdy[i]:
                                 if not act_ok:
+                                    # tRRD/tFAW: lifts at act_window.
+                                    if act_window < w:
+                                        w = act_window
                                     continue
                                 if counts[d] >= max_per_die:
+                                    # Die cap.
+                                    if skip:
+                                        cap_wait[d].add(c)
+                                        regs[c].append(D + d)
                                     continue
                                 if (
                                     max_per_chan is not None
                                     and act_by_die_chan[d][c] >= max_per_chan
                                 ):
+                                    # Channel cap: only this channel's
+                                    # own PRE lifts it, and marks it.
                                     continue
                                 if refresh_enabled and (
                                     refresh_due[d]
                                     or now < refresh_blocked_until[d]
                                 ):
+                                    # Refresh blackout: tRFC ends at
+                                    # refresh_blocked_until; a change of
+                                    # refresh_due marks every channel.
+                                    v = refresh_blocked_until[d]
+                                    if now < v < w:
+                                        w = v
                                     continue
                                 if ma_kind == 2:
                                     if ma_counts is not counts_t:
@@ -846,6 +1152,10 @@ class EventDrivenEngine:
                                             d, now, counts_t
                                         )
                                     if not ok:
+                                        # IR-LUT denial.
+                                        if skip:
+                                            lut_wait[d].add(c)
+                                            regs[c].append(d)
                                         continue
                                 elif ma_kind == 0 and not policy.may_activate(
                                     d, now, counts_t
@@ -856,54 +1166,81 @@ class EventDrivenEngine:
                                 act[i] = now
                                 rdy[i] = now + tRCD
                                 lact[i] = now
-                                transient.add(i)
+                                heappush(transient, (now + tRCD, i))
                                 if now + tRCD < trans_next:
                                     trans_next = now + tRCD
                                 nonidle[d] += 1
                                 counts[d] += 1
                                 act_by_die_chan[d][c] += 1
-                                counts_t = tuple(counts)
-                                if balance:
-                                    groups = grouping(counts_t)
-                                cmd_free[c] = now + 1
                                 policy.on_activate(d, now)
                                 if std_policy is not None:
                                     act_window = std_policy.earliest_activate(
                                         now
                                     )
                                     act_ok = False  # tRRD re-armed at now
-                                command_states.add(counts_t)
                                 activations += 1
-                                used_mark[c] = gen
-                                used_n += 1
-                                issued_any = True
                                 break
-                            if (
-                                st[i] == 2
-                                and rowv[i] != req.row
-                                and now >= act[i] + tRAS
-                                and now >= col[i] + tWR
-                            ):
+                            if st[i] == 2 and rowv[i] != req.row:
+                                v = act[i] + tRAS
+                                t = col[i] + tWR
+                                if t > v:
+                                    v = t
+                                if now < v:
+                                    # Bank busy: tRAS / tWR.
+                                    if v < w:
+                                        w = v
+                                    continue
                                 if hits[i]:
+                                    # Queued hits hold the row; this
+                                    # channel's own reads lift it.
                                     continue
                                 st[i] = 3
                                 rowv[i] = -1
                                 rdy[i] = now + tRP
                                 open_set.discard(i)
-                                transient.add(i)
+                                heappush(transient, (now + tRP, i))
                                 if now + tRP < trans_next:
                                     trans_next = now + tRP
                                 counts[d] -= 1
                                 act_by_die_chan[d][c] -= 1
-                                counts_t = tuple(counts)
-                                if balance:
-                                    groups = grouping(counts_t)
-                                cmd_free[c] = now + 1
                                 precharges += 1
-                                used_mark[c] = gen
-                                used_n += 1
-                                issued_any = True
+                                fell = d
                                 break
+                            # Bank busy: in ACT/PRE transit, or held by
+                            # a refresh.
+                            v = rdy[i]
+                            if now < v < w:
+                                w = v
+                        else:
+                            wake2[c] = w
+                            continue
+                        # An ACT or PRE issued on c.
+                        counts_t = tuple(counts)
+                        if balance:
+                            groups = grouping(counts_t)
+                        if fell < 0:
+                            command_states.add(counts_t)
+                        cmd_free[c] = now + 1
+                        used_mark[c] = gen
+                        used_n += 1
+                        issued_any = True
+                        wake2[c] = now
+                        if not skip:
+                            continue
+                        for x in release(counts_t, fell, now):
+                            if in_p2[x] == gen:
+                                # Its turn is still to come, or it comes
+                                # at the next pass 2.
+                                if done2[x] == gen:
+                                    pending.add(x)
+                                continue
+                            rank = late_rank(x, now, gen, groups_p1, counts_p1)
+                            if rank is not None and rank > turn:
+                                insort(p2, rank)
+                                in_p2[x] = gen
+                                lazy[x] = gen
+                            else:
+                                pending.add(x)
 
             # --- idle close ("a few cycles" without reads) -----------------
             # Gated on a conservative-low deadline so quiescent cycles
@@ -944,7 +1281,7 @@ class EventDrivenEngine:
                         rowv[i] = -1
                         rdy[i] = now + tRP
                         open_set.discard(i)
-                        transient.add(i)
+                        heappush(transient, (now + tRP, i))
                         if now + tRP < trans_next:
                             trans_next = now + tRP
                         counts[d] -= 1
@@ -955,10 +1292,16 @@ class EventDrivenEngine:
                         used_n += 1
                         issued_any = True
                         closed = True
+                        wake2[c] = now
+                        if skip and cap_wait[d]:
+                            pending.update(cap_wait[d])
+                            cap_wait[d].clear()
                     if closed:
                         counts_t = tuple(counts)
                         if balance:
                             groups = grouping(counts_t)
+                        if skip:
+                            pending.update(release(counts_t, -1, now))
                     # Recompute the deadline floor for the skip gate: each
                     # open bank without queued hits cannot close before
                     # its window elapses AND tRAS/tWR are met (bus
@@ -993,10 +1336,8 @@ class EventDrivenEngine:
                     v = now + 1
                 if v < best:
                     best = v
-            for i in transient:
-                v = rdy[i]
-                if now < v < best:
-                    best = v
+            if now < trans_next < best:
+                best = trans_next
             for i in open_set:
                 v = col[i] + tCCD
                 if rdy[i] > v:
@@ -1046,6 +1387,7 @@ class EventDrivenEngine:
         # Final occupancy flush.
         if last_state is not None and now > prev_now:
             occ.add(last_state, now - prev_now)
+        _metrics.inc("sim.channel_scans", scans)
 
         finished = next_req is None and completed >= arrived
         cycles = now

@@ -168,6 +168,28 @@ class TestExplainCommand:
         assert "attribution: unchanged" in out
 
 
+class TestChannelScans:
+    #: channel evaluations of a fast ``run ext_hmc`` when the engine
+    #: evaluated every channel on every scheduling iteration: 258,596
+    #: (standard) + 122,902 (IR-FCFS) + 121,810 (IR-DistR).
+    EVERY_CHANNEL = 503_308
+
+    def test_run_ext_hmc_evaluates_a_quarter_of_the_channels(self, tmp_path):
+        """``sim.channel_scans`` counts pass-1 read scans plus pass-2
+        window examinations; skipping channels that cannot act keeps it
+        at most a quarter of the every-channel count."""
+        import json
+
+        from repro.obs.metrics import reset_metrics
+
+        reset_metrics()
+        out = tmp_path / "metrics.json"
+        assert main(["--metrics-out", str(out), "run", "ext_hmc"]) == 0
+        counters = json.loads(out.read_text())["metrics"]["counters"]
+        assert counters["sim.runs"] == 3
+        assert 0 < counters["sim.channel_scans"] <= self.EVERY_CHANNEL // 4
+
+
 class TestSimCommand:
     FIXTURE = "tests/data/ramulator_1k.trace"
     CSV_FIXTURE = "tests/data/drampower_1k.csv"
@@ -223,6 +245,24 @@ class TestSimCommand:
         assert main(["sim", "--trace", self.FIXTURE, "--policy", "ir_fcfs"]) == 2
         captured = capsys.readouterr()
         assert "--lut" in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--channels", "0", "num_channels"),
+            ("--queue-depth", "0", "queue_depth"),
+            ("--max-banks-per-die", "0", "max_banks_per_die"),
+            ("--dies", "0", "num_dies"),
+        ],
+    )
+    def test_sim_rejects_impossible_structure(self, capsys, flag, value, field):
+        """One error line naming the field and exit code 2, before the
+        run starts (these used to die inside it)."""
+        assert main(["sim", "--trace", self.FIXTURE, flag, value]) == 2
+        captured = capsys.readouterr()
+        lines = [ln for ln in (captured.out + captured.err).splitlines() if ln]
+        assert len(lines) == 1
+        assert f"SimConfig.{field} must be at least 1" in lines[0]
 
     def test_sim_ir_policy_with_lut(self, capsys, tmp_path, ddr3_lut_json):
         lut_path = tmp_path / "lut.json"

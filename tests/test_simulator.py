@@ -16,7 +16,7 @@ from repro.controller import (
     generate_workload,
 )
 from repro.dram.timing import TimingParams
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +161,38 @@ class TestEventSkipping:
         ).run(max_cycles=100)
         assert not res.finished
         assert res.cycles <= 101
+
+
+class TestSimConfigValidation:
+    """A structure the engine cannot run is refused when the config is
+    built, naming the field, instead of failing inside the run."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_dies", 0),
+            ("banks_per_die", 0),
+            ("num_channels", 0),
+            ("queue_depth", 0),
+            ("max_banks_per_die", 0),
+            ("max_banks_per_channel", 0),
+            ("close_window", -1),
+        ],
+    )
+    def test_rejects_impossible_field(self, timing, field, value):
+        with pytest.raises(ConfigurationError, match=f"SimConfig.{field} "):
+            SimConfig(timing=timing, **{field: value})
+
+    def test_accepts_the_smallest_legal_structure(self, timing):
+        cfg = SimConfig(
+            timing=timing,
+            num_dies=1,
+            banks_per_die=1,
+            num_channels=1,
+            queue_depth=1,
+            max_banks_per_die=1,
+            max_banks_per_channel=1,
+            close_window=0,
+        )
+        wl = small_workload(n=50, num_dies=1, banks_per_die=1)
+        assert run_policy(cfg, StandardJEDEC(timing), wl).completed == 50
