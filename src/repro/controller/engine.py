@@ -684,9 +684,6 @@ class EventDrivenEngine:
         # is examined only if one of its waits (regs[c]) has lifted by
         # then.
         lazy = [0] * C
-        # Each channel's last pass-2 rank.  Under FCFS order it holds
-        # until the channel's waiting list moves, which marks it.
-        rank_of: List[Tuple[int, int, int]] = [(0, 0, 0)] * C
         scans = 0
 
         def release(counts_t: Tuple[int, ...], fell: int, now: int) -> List[int]:
@@ -733,12 +730,7 @@ class EventDrivenEngine:
                 cache_nr[x] = queue.waiting_head(x, groups_p1, lookahead)
                 wait_groups[x] = groups_p1
             head = cache_nr[x][0]
-            rank = rank_of[x] = (
-                counts_p1[head[2].die] if balance else 0,
-                head[0],
-                x,
-            )
-            return rank
+            return (counts_p1[head[2].die] if balance else 0, head[0], x)
 
         next_refresh = [(d + 1) * tREFI // D for d in range(D)]
         refresh_next = min(next_refresh) if refresh_enabled else _FAR
@@ -1019,8 +1011,7 @@ class EventDrivenEngine:
                                 wait_groups[c] = groups
                             head = cache_nr[c][0]
                             load = counts_t[head[2].die] if balance else 0
-                            rank_of[c] = rank = (load, head[0], c)
-                            p2.append(rank)
+                            p2.append((load, head[0], c))
                             in_p2[c] = gen
                             if balance:
                                 grp_dep[c] = (
@@ -1041,16 +1032,7 @@ class EventDrivenEngine:
                 if pending:
                     for x in list(pending):
                         if in_p2[x] != gen:
-                            if balance:
-                                rank = late_rank(x, now, gen, groups_p1, counts_p1)
-                            elif (
-                                used_mark[x] == gen
-                                or now < cmd_free[x]
-                                or q_ready_n[x] >= q_size[x]
-                            ):
-                                rank = None
-                            else:
-                                rank = rank_of[x]
+                            rank = late_rank(x, now, gen, groups_p1, counts_p1)
                             if rank is not None:
                                 p2.append(rank)
                                 in_p2[x] = gen
