@@ -331,7 +331,11 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         arrival_interval=args.arrival_interval,
     )
     start = time.perf_counter()
-    engine = EventDrivenEngine(config, policy, workload, lut)
+    try:
+        engine = EventDrivenEngine(config, policy, workload, lut)
+    except ConfigurationError as exc:
+        _log.error("%s", exc)
+        return 2
     result = engine.run(max_cycles=args.max_cycles)
     wall_s = time.perf_counter() - start
 

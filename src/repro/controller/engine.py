@@ -40,16 +40,16 @@ Design
   DistR -- plus each bank's queued entries and hit count.  An arrival, a
   bank opening or closing, or a column command moves only that bank's
   entries, so an event costs work on the event, not on the queue.  FCFS
-  policies read the ready list as it stands and hand ``act_candidates``
-  the oldest ``act_lookahead`` waiting requests.  For ``IRAwareDistR``,
-  recognised by type, the order is the dies grouped by active-bank
-  count, least loaded group first, merged by arrival within a group (the
-  stable sort by die load); each channel's ready order and waiting head
-  are cached until an entry moves or the grouping changes.  The engine
-  hands ``act_candidates`` the first ``act_lookahead`` entries of that
-  order (re-sorting it, as DistR's ``act_candidates`` does, only once
-  the grouping is no longer the one the order was built under) and ranks
-  channels for activation by their head's (die load, arrival).  A bank's
+  policies read the ready list as it stands and take the oldest
+  ``act_lookahead`` waiting requests as the activation window.  For
+  ``IRAwareDistR`` the order is the dies grouped by active-bank count,
+  least loaded group first, merged by arrival within a group (the stable
+  sort by die load); each channel's ready order and waiting head are
+  cached until an entry moves or the grouping changes.  The window is
+  the first ``act_lookahead`` entries of that order, stably re-sorted by
+  die load only once the grouping is no longer the one the order was
+  built under, and channels rank for activation by their head's (die
+  load, arrival).  A bank's
   hit count answers both "does a queued request still want this open
   row?" questions: before a PRE on a row mismatch and before an idle
   close.
@@ -73,12 +73,18 @@ Design
   that issued, else at the next pass 2.  Such a turn is skipped if, by
   then, every wait the channel met still holds.  Pass-2 ranks and order
   are those of a full evaluation, so every decision is too.  The waits
-  hold only for the stock hooks the engine recognises by type and on
-  more than one channel; a policy overriding ``may_read``,
-  ``may_activate`` or (other than DistR's) ``act_candidates``, or a
-  single-channel part, has every channel evaluated every cycle.
-  ``sim.channel_scans`` counts pass-1 read scans plus pass-2 window
-  examinations.
+  need more than one channel: a single-channel part has its channel
+  evaluated every cycle.  ``sim.channel_scans`` counts pass-1 read scans
+  plus pass-2 window examinations.
+
+* **Three policies, one admission path.**  The engine serves exactly
+  ``StandardJEDEC`` (tRRD/tFAW through ``earliest_activate``, IR-blind),
+  ``IRAwareFCFS`` and ``IRAwareDistR`` (``may_read``, ``may_activate``
+  and ``must_shed`` cached per active-count state).  Any other policy,
+  or a subclass that overrides one of their admission hooks, is
+  rejected with :class:`~repro.errors.ConfigurationError` when the
+  engine is built, as is an IR-drop LUT for a different die count.
+  Subclasses that only observe (``reset``, ``on_activate``) run.
 
 * **Gated per-cycle blocks.**  Transient-bank sync runs only once the
   earliest transient ``rdy`` is reached, the refresh block only once the
@@ -417,6 +423,35 @@ def _merge_groups(
     return out
 
 
+#: The policies the engine serves, most derived first.
+_POLICIES = (IRAwareDistR, IRAwareFCFS, StandardJEDEC)
+
+#: Scheduling hooks the engine answers from its own caches and windows,
+#: never through a subclass.  A class that resolves one differently from
+#: its stock policy is rejected; a hook the stock policy lacks counts as
+#: overridden once defined.
+_FIXED_HOOKS = ("may_read", "may_activate", "act_candidates")
+
+
+def _check_policy(policy: ReadPolicy) -> None:
+    """Raise :class:`ConfigurationError` unless ``policy`` is one of
+    the three policies, with its admission hooks as shipped.  Subclasses
+    that only observe (``reset``, ``on_activate``) pass."""
+    cls = type(policy)
+    stock = next((k for k in _POLICIES if isinstance(policy, k)), None)
+    if stock is None:
+        raise ConfigurationError(
+            f"{cls.__name__} is not a controller policy: the engine "
+            f"serves StandardJEDEC, IRAwareFCFS and IRAwareDistR"
+        )
+    for hook in _FIXED_HOOKS:
+        if getattr(cls, hook, None) is not getattr(stock, hook, None):
+            raise ConfigurationError(
+                f"{cls.__name__} overrides {hook}: the engine schedules "
+                f"{stock.__name__} by its own rules and would ignore it"
+            )
+
+
 class EventDrivenEngine:
     """Event-driven controller simulation (see module docstring).
 
@@ -431,6 +466,13 @@ class EventDrivenEngine:
         workload: Iterable[ReadRequest],
         report_lut: Optional[IRDropLUT | StaticIRDropLUT] = None,
     ) -> None:
+        _check_policy(policy)
+        for lut in (getattr(policy, "lut", None), report_lut):
+            if lut is not None and lut.num_dies != config.num_dies:
+                raise ConfigurationError(
+                    f"the IR-drop LUT is for {lut.num_dies} dies, the "
+                    f"simulated stack has {config.num_dies}"
+                )
         self.config = config
         self.policy = policy
         self.report_lut = report_lut
@@ -535,55 +577,25 @@ class EventDrivenEngine:
         max_per_chan = cfg.max_banks_per_channel
         refresh_enabled = cfg.refresh_enabled
         chan_of_bank = [cfg.channel_of(b) for b in range(B)]
+        # One of the three policies (_check_policy).  StandardJEDEC always
+        # reads and admits an ACT by act_window alone; the IR-aware ones
+        # answer may_read and may_activate from the active counts (and
+        # the die, for an ACT), so the answers are cached per state.
         std_policy = policy if isinstance(policy, StandardJEDEC) else None
+        ir_policy = policy if isinstance(policy, IRAwareFCFS) else None
         # DistR ranks waiting requests by their die's active-bank count.
         balance = isinstance(policy, IRAwareDistR)
         # Earliest cycle the JEDEC tRRD/tFAW windows admit an ACT.  Only
         # on_activate moves the windows, so this is recomputed once per
         # ACT instead of every scheduling iteration.
         act_window = 0
-
-        # may_read dispatch: the always-true default, the IR-aware
-        # counts-only check (uniform across dies, cacheable per state), or
-        # an arbitrary override called per request.
         lookahead = policy.act_lookahead
-        mr_fn = type(policy).may_read
-        if mr_fn is ReadPolicy.may_read:
-            mr_kind = 0  # always True
-        elif mr_fn is IRAwareFCFS.may_read:
-            mr_kind = 1  # depends only on active counts: cache per state
-        else:
-            mr_kind = 2  # arbitrary override: call per request
         mr_cache: Dict[Tuple[int, ...], bool] = {}
-        # The stock act_candidates would return the FCFS window unchanged;
-        # skipping the call matters at 16 channels.  DistR's stock one
-        # re-sorts the window by the current counts, a no-op while the
-        # dies' load grouping is the one the channel's order was built
-        # under.
-        own_window = type(policy).act_candidates is not ReadPolicy.act_candidates
-        stock_distr = type(policy).act_candidates is IRAwareDistR.act_candidates
-        # may_activate dispatch: StandardJEDEC's is die- and
-        # counts-independent, so one evaluation covers the whole cycle (an
-        # ACT re-arms tRRD, blocking further ACTs this cycle); IRAwareFCFS's
-        # depends only on (counts, die), so it caches.
-        ma_fn = type(policy).may_activate
-        if ma_fn is StandardJEDEC.may_activate:
-            ma_kind = 1
-        elif ma_fn is IRAwareFCFS.may_activate:
-            ma_kind = 2
-        else:
-            ma_kind = 0
         ma_cache: Dict[Tuple[int, ...], List[Optional[bool]]] = {}
-        # Channel waits (module docstring) hold only for the stock hooks
-        # recognised above; an arbitrary override is evaluated on every
-        # channel every iteration.  So is a single channel: there the
-        # waits' bookkeeping costs more than the evaluations it saves.
-        skip = (
-            C > 1
-            and mr_kind != 2
-            and ma_kind != 0
-            and (stock_distr or not own_window)
-        )
+        # Channel waits (module docstring).  A single channel is
+        # evaluated every iteration: there the waits' bookkeeping costs
+        # more than the evaluations it saves.
+        skip = C > 1
 
         # Flat per-bank state, indexed die * B + bank (module docstring).
         # Timestamps start far in the past, so no window binds at cycle 0.
@@ -699,7 +711,7 @@ class EventDrivenEngine:
             if fell >= 0 and cap_wait[fell]:
                 lifted += cap_wait[fell]
                 cap_wait[fell].clear()
-            if ma_kind == 2:
+            if ir_policy is not None:
                 row = ma_cache.get(counts_t)
                 for d in range(D):
                     ws = lut_wait[d]
@@ -804,17 +816,12 @@ class EventDrivenEngine:
                         st[i] = 2
                         open_set.add(i)
                         c = chan_of_bank[i % B]
-                        if queue.open_bank(c, i, rowv[i]):
-                            ready_groups[c] = None
-                            wait_groups[c] = None
-                            wake1[c] = wake2[c] = now
-                        else:
-                            # No queued request wants the row (a policy's
-                            # own act_candidates may name one that is not
-                            # queued): the bank may close once idle.
-                            dl = lact[i] + close_window
-                            if dl < min_close:
-                                min_close = dl
+                        # The ACT was for a queued request, so the row
+                        # has at least one hit.
+                        queue.open_bank(c, i, rowv[i])
+                        ready_groups[c] = None
+                        wait_groups[c] = None
+                        wake1[c] = wake2[c] = now
                     else:  # state 3: precharge finished
                         st[i] = 0
                         nonidle[i // B] -= 1
@@ -871,11 +878,11 @@ class EventDrivenEngine:
             # a row mismatch.  Only channels whose wake1 or wake2 has come
             # are evaluated (see the channel waits above).
             if q_len:
-                if mr_kind == 1:
+                if ir_policy is not None:
                     if mr_counts is not counts_t:
                         known = mr_cache.get(counts_t)
                         if known is None:
-                            known = mr_cache[counts_t] = policy.may_read(
+                            known = mr_cache[counts_t] = ir_policy.may_read(
                                 0, now, counts_t
                             )
                         mr_val = known
@@ -949,10 +956,6 @@ class EventDrivenEngine:
                                             v = t
                                         if v < w:
                                             w = v
-                                    continue
-                                if mr_kind == 2 and not policy.may_read(
-                                    req.die, now, counts_t
-                                ):
                                     continue
                                 if refresh_due[req.die]:
                                     # Refresh blackout: its end marks
@@ -1028,7 +1031,7 @@ class EventDrivenEngine:
                 # when a die-cap or IR-LUT wait of its has lifted: since
                 # the last pass 2 (pending), or by an ACT or PRE ahead of
                 # it in this one.
-                act_ok = ma_kind != 1 or now >= act_window
+                act_ok = std_policy is None or now >= act_window
                 if pending:
                     for x in list(pending):
                         if in_p2[x] != gen:
@@ -1070,20 +1073,12 @@ class EventDrivenEngine:
                                 waits[code].discard(c)
                             regs[c].clear()
                         window = cache_nr[c]
-                        if stock_distr:
-                            if wait_groups[c] is not groups:
-                                # DistR's act_candidates: the window
-                                # re-sorted (stably) by the counts now.
-                                window = sorted(
-                                    window, key=lambda e, n=counts_t: n[e[2].die]
-                                )
-                        elif own_window:
-                            window = [
-                                (0, r.die * B + r.bank, r)
-                                for r in policy.act_candidates(
-                                    [e[2] for e in window], counts_t
-                                )
-                            ]
+                        if balance and wait_groups[c] is not groups:
+                            # DistR: the window re-sorted (stably) by the
+                            # counts now.
+                            window = sorted(
+                                window, key=lambda e, n=counts_t: n[e[2].die]
+                            )
                         w = wake2[c]
                         if w <= now:
                             w = _FAR
@@ -1122,7 +1117,7 @@ class EventDrivenEngine:
                                     if now < v < w:
                                         w = v
                                     continue
-                                if ma_kind == 2:
+                                if ir_policy is not None:
                                     if ma_counts is not counts_t:
                                         ma_row = ma_cache.setdefault(
                                             counts_t, [None] * D
@@ -1130,7 +1125,7 @@ class EventDrivenEngine:
                                         ma_counts = counts_t
                                     ok = ma_row[d]
                                     if ok is None:
-                                        ok = ma_row[d] = policy.may_activate(
+                                        ok = ma_row[d] = ir_policy.may_activate(
                                             d, now, counts_t
                                         )
                                     if not ok:
@@ -1139,10 +1134,6 @@ class EventDrivenEngine:
                                             lut_wait[d].add(c)
                                             regs[c].append(d)
                                         continue
-                                elif ma_kind == 0 and not policy.may_activate(
-                                    d, now, counts_t
-                                ):
-                                    continue
                                 st[i] = 1
                                 rowv[i] = req.row
                                 act[i] = now

@@ -1,65 +1,46 @@
 """Read scheduling policies (paper section 5.2).
 
-A policy answers two questions each cycle:
+The controller has exactly three policies.  The engine
+(``repro.controller.engine``) applies their rules itself and, when it is
+built, refuses any other policy and any subclass that changes their
+admission or activation window:
 
-1. which waiting requests may be considered for a new activation, and
-2. may a new bank activation issue on die ``d`` right now?
+* ``StandardJEDEC`` admits an ACT by the DDR3 tRRD/tFAW rules -- applied
+  per channel, because the standard controller treats the stack as one
+  rank and is "not aware of 3D stacking" (section 5.2).  It is IR-blind:
+  reads always issue and banks are never shed.
+* ``IRAwareFCFS`` admits an ACT whenever the resulting memory state
+  stays under the IR-drop constraint in the look-up table, holds reads
+  while the state violates it, and sheds banks to leave such a state.
+* ``IRAwareDistR`` admits like ``IRAwareFCFS`` but orders requests by
+  their target die's load.
 
-``StandardJEDEC`` answers (2) with the DDR3 tRRD/tFAW rules -- applied per
-channel, because the standard controller treats the stack as one rank and
-is "not aware of 3D stacking" (section 5.2).  The IR-drop-aware policies
-answer it with the look-up table: activation is allowed whenever the
-resulting memory state stays under the IR-drop constraint.
-
-Requests are considered in arrival order, except under
-``IRAwareDistR``: the engine recognises it by type and orders each
-channel's queue by its target die's active-bank count, least loaded die
-first and arrival order within equal loads (see
-``repro.controller.engine``).  Either way a policy's
-:meth:`ReadPolicy.act_candidates` sees the first ``act_lookahead``
-waiting requests of that order.
+Requests are considered in arrival order, except under ``IRAwareDistR``
+(see its docstring).  Either way a channel's activation window is the
+first ``act_lookahead`` waiting requests of that order.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import deque
-from typing import Deque, List, Sequence, Tuple
+from typing import Deque, Tuple
 
 from repro.controller.lut import IRDropLUT
-from repro.controller.request import ReadRequest
 from repro.dram.timing import TimingParams
 from repro.errors import ConfigurationError
 
 
-class ReadPolicy(ABC):
-    """Base class: activation window + admission."""
+class ReadPolicy:
+    """Base class of the three policies: activation window and the
+    engine's per-run hooks."""
 
     name: str = "base"
 
     def reset(self) -> None:
         """Clear any per-run state (called once per simulation)."""
 
-    @abstractmethod
-    def may_activate(
-        self, die: int, now: int, active_counts: Tuple[int, ...]
-    ) -> bool:
-        """May an ACT issue on ``die`` at ``now`` given current counts?
-
-        ``active_counts`` counts banks that are active *before* the new
-        activation.
-        """
-
     def on_activate(self, die: int, now: int) -> None:
         """Notification that an ACT issued (for window bookkeeping)."""
-
-    def may_read(self, die: int, now: int, active_counts: Tuple[int, ...]) -> bool:
-        """May a READ issue in the current state?  The paper's condition
-        (3) applies to every request sent to memory, so an IR-aware
-        controller holds reads while the state violates the constraint
-        (e.g. after banks elsewhere closed and raised this die's I/O
-        share).  The standard policy is IR-blind and always reads."""
-        return True
 
     #: how many waiting requests the activation stage may consider per
     #: channel per cycle.  The controller issues opportunistic READs to
@@ -68,25 +49,12 @@ class ReadPolicy(ABC):
     #: high-priority requests partially block the activation slot.
     act_lookahead: int = 4
 
-    def act_candidates(
-        self,
-        non_ready: Sequence[ReadRequest],
-        active_counts: Tuple[int, ...],
-    ) -> List[ReadRequest]:
-        """Waiting requests considered for a new activation this cycle,
-        best first.
-
-        ``non_ready`` is the first ``act_lookahead`` of one channel's
-        waiting requests in the engine's priority order: the oldest for
-        FCFS policies, the least loaded dies' oldest for DistR.  The
-        default keeps them as given."""
-        return list(non_ready[: self.act_lookahead])
-
     def must_shed(self, active_counts: Tuple[int, ...]) -> bool:
         """Should the controller close banks to leave a violating state?
         Escape hatch for states reached by drift (bank closures elsewhere
         raising the surviving dies' I/O activity)."""
         return False
+
 
 class StandardJEDEC(ReadPolicy):
     """JEDEC DDR3 standard policy: tRRD + tFAW, FCFS order.
@@ -105,21 +73,12 @@ class StandardJEDEC(ReadPolicy):
     def __init__(self, timing: TimingParams) -> None:
         self.timing = timing
         self._last_act: int = -(10**9)
-        self._act_history: Deque[int] = deque()
+        #: the last four ACT cycles (tFAW looks back four ACTs).
+        self._act_history: Deque[int] = deque(maxlen=4)
 
     def reset(self) -> None:
         self._last_act = -(10**9)
         self._act_history.clear()
-
-    def may_activate(
-        self, die: int, now: int, active_counts: Tuple[int, ...]
-    ) -> bool:
-        if now < self._last_act + self.timing.tRRD:
-            return False
-        # Four-activate window: at most 4 ACTs in any tFAW span.
-        while self._act_history and self._act_history[0] <= now - self.timing.tFAW:
-            self._act_history.popleft()
-        return len(self._act_history) < 4
 
     def on_activate(self, die: int, now: int) -> None:
         self._last_act = now
@@ -151,6 +110,9 @@ class IRAwareFCFS(ReadPolicy):
     def may_activate(
         self, die: int, now: int, active_counts: Tuple[int, ...]
     ) -> bool:
+        """May an ACT issue on ``die`` given ``active_counts``, the banks
+        active *before* it?  The engine caches the answer per (state,
+        die)."""
         new_counts = tuple(
             c + 1 if d == die else c for d, c in enumerate(active_counts)
         )
@@ -159,6 +121,11 @@ class IRAwareFCFS(ReadPolicy):
         return self.lut.allows(new_counts, self.constraint_mv)
 
     def may_read(self, die: int, now: int, active_counts: Tuple[int, ...]) -> bool:
+        """May a READ issue in the current state?  The paper's condition
+        (3) applies to every request sent to memory, so the controller
+        holds reads while the state violates the constraint (e.g. after
+        banks elsewhere closed and raised this die's I/O share).  The
+        engine caches the answer per state."""
         return self.lut.allows(active_counts, self.constraint_mv)
 
     def must_shed(self, active_counts: Tuple[int, ...]) -> bool:
@@ -166,33 +133,24 @@ class IRAwareFCFS(ReadPolicy):
             active_counts, self.constraint_mv
         )
 
+
 class IRAwareDistR(IRAwareFCFS):
     """IR-drop-aware distributed-read policy.
 
     "The read request, whose target die has the least number of active
     banks, has the highest priority" (section 5.2): balancing reads across
     dies raises die-level parallelism under the same IR-drop constraint.
+
+    The engine orders each channel's waiting requests by their target
+    die's active-bank count, least loaded die first and arrival order
+    within equal loads (a stable sort by die load), and takes the first
+    ``act_lookahead`` of that order as the activation window.  The window
+    therefore holds the requests on the least-loaded dies drawn from the
+    entire channel queue -- not a re-sort of the oldest few: a young
+    request to an idle die activates ahead of older requests to loaded
+    dies, however many of those are queued.  When an ACT or PRE earlier
+    in the same cycle has changed the dies' load grouping, the window is
+    stably re-sorted by the counts as they stand then.
     """
 
     name = "ir_distr"
-
-    def act_candidates(
-        self,
-        non_ready: Sequence[ReadRequest],
-        active_counts: Tuple[int, ...],
-    ) -> List[ReadRequest]:
-        """Distributed read: the first ``act_lookahead`` requests of
-        ``non_ready``, re-sorted by the current active counts (stable, so
-        arrival order breaks ties within a die-load class).
-
-        The engine passes the first ``act_lookahead`` entries of the
-        channel's whole waiting list ordered by die load (the engine's
-        cached order), so the window holds the requests on the
-        least-loaded dies drawn from the entire channel queue -- not a
-        re-sort of the oldest few.  A young request to an idle die
-        therefore activates ahead of older requests to loaded dies,
-        however many of those are queued.  The re-sort only matters when
-        an earlier channel's ACT or PRE in the same cycle has changed the
-        dies' load grouping; otherwise the engine skips this call."""
-        window = list(non_ready[: self.act_lookahead])
-        return sorted(window, key=lambda r: active_counts[r.die])

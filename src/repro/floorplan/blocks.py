@@ -131,12 +131,6 @@ class DieFloorplan:
             return 0
         return max(b.channel for b in banks) + 1
 
-    def total_block_area(self) -> float:
-        """Sum of block areas in mm^2 (diagnostic; may exceed outline area
-        only if non-bank blocks overlap, which is legal for e.g. TSV
-        regions drawn over periphery)."""
-        return sum(b.rect.area for b in self.blocks)
-
     def edge_distance(self, p: Point) -> float:
         """Distance from ``p`` to the nearest die edge (used to rank banks
         for worst-case 'edge' placement)."""

@@ -23,18 +23,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def table_markdown(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """A plain markdown table from pre-formatted cells.
-
-    Cells are used verbatim.
-    """
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
-    lines.append("|" + "---|" * len(headers))
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines)
-
-
 def row_to_markdown(row: Row, metric_keys: Sequence[str]) -> str:
     """One markdown table row: label, then paper/model cell per metric."""
     cells = [row.label]

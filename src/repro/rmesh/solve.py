@@ -66,9 +66,6 @@ class IRDropResult:
         """Worst IR drop anywhere in the stack, volts."""
         return float(self.drops.max())
 
-    def max_drop_mv(self) -> float:
-        return to_mv(self.max_drop())
-
     def die_max_drop(self, die: str) -> float:
         """Worst IR drop on one die, volts."""
         return float(self.drops[self.model.die_node_ids(die)].max())

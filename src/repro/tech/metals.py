@@ -98,10 +98,6 @@ class MetalStack:
             raise ValueError(f"duplicate layer names in stack: {names}")
 
     @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
     def names(self) -> List[str]:
         return [layer.name for layer in self.layers]
 

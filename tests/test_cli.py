@@ -188,6 +188,9 @@ class TestChannelScans:
         counters = json.loads(out.read_text())["metrics"]["counters"]
         assert counters["sim.runs"] == 3
         assert 0 < counters["sim.channel_scans"] <= self.EVERY_CHANNEL // 4
+        # The channel waits ask the LUT exactly what a full evaluation
+        # would (docs/performance.md).
+        assert counters["lut.entries_superposed"] == 970
 
 
 class TestSimCommand:
@@ -263,6 +266,25 @@ class TestSimCommand:
         lines = [ln for ln in (captured.out + captured.err).splitlines() if ln]
         assert len(lines) == 1
         assert f"SimConfig.{field} must be at least 1" in lines[0]
+
+    @pytest.mark.parametrize(
+        "policy, dies", [("ir_fcfs", "8"), ("ir_distr", "2"), ("standard", "8")]
+    )
+    def test_sim_rejects_lut_for_other_die_count(
+        self, capsys, tmp_path, golden_decisions, policy, dies
+    ):
+        """A 4-die LUT on another die count: one error line and exit
+        code 2 before the run starts (the IR-aware runs used to crash in
+        ``StaticIRDropLUT.lookup``, the standard one at the end)."""
+        lut_path = tmp_path / "lut.json"
+        lut_path.write_text(golden_decisions["lut"])
+        argv = ["sim", "--trace", self.FIXTURE, "--policy", policy]
+        argv += ["--lut", str(lut_path), "--dies", dies]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = [ln for ln in (captured.out + captured.err).splitlines() if ln]
+        assert len(lines) == 1
+        assert f"LUT is for 4 dies, the simulated stack has {dies}" in lines[0]
 
     def test_sim_ir_policy_with_lut(self, capsys, tmp_path, ddr3_lut_json):
         lut_path = tmp_path / "lut.json"

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.controller import IRAwareDistR, IRAwareFCFS, StandardJEDEC
-from repro.controller.request import ReadRequest
+from repro.controller import IRAwareFCFS, StandardJEDEC
 from repro.dram.timing import TimingParams
 from repro.errors import ConfigurationError
 
@@ -13,18 +12,16 @@ def timing():
     return TimingParams.ddr3_1600()
 
 
-def reqs(*dies):
-    return [ReadRequest(i, die, 0, 0, i) for i, die in enumerate(dies)]
-
-
 class TestStandardJEDEC:
     def test_trrd_enforced(self, timing):
         policy = StandardJEDEC(timing)
         policy.reset()
-        assert policy.may_activate(0, 100, (0, 0, 0, 0))
+        assert policy.earliest_activate(100) == 100
         policy.on_activate(0, 100)
-        assert not policy.may_activate(1, 100 + timing.tRRD - 1, (1, 0, 0, 0))
-        assert policy.may_activate(1, 100 + timing.tRRD, (1, 0, 0, 0))
+        assert policy.earliest_activate(100 + timing.tRRD - 1) == (
+            100 + timing.tRRD
+        )
+        assert policy.earliest_activate(100 + timing.tRRD) == 100 + timing.tRRD
 
     def test_tfaw_enforced(self):
         # tRRD=2 makes tFAW the binding window: four ACTs in 8 cycles,
@@ -37,11 +34,11 @@ class TestStandardJEDEC:
         policy = StandardJEDEC(timing)
         policy.reset()
         for t in (0, 2, 4, 6):
-            assert policy.may_activate(0, t, (0,) * 4)
+            assert policy.earliest_activate(t) == t
             policy.on_activate(0, t)
-        assert not policy.may_activate(0, 8, (0,) * 4)
-        assert not policy.may_activate(0, 31, (0,) * 4)
-        assert policy.may_activate(0, 32, (0,) * 4)
+        assert policy.earliest_activate(8) == 32
+        assert policy.earliest_activate(31) == 32
+        assert policy.earliest_activate(32) == 32
 
     def test_earliest_activate(self, timing):
         policy = StandardJEDEC(timing)
@@ -50,18 +47,10 @@ class TestStandardJEDEC:
             policy.on_activate(0, k * timing.tRRD)
         earliest = policy.earliest_activate(25)
         assert earliest == timing.tFAW  # first ACT leaves the window then
-        assert policy.may_activate(0, earliest, (0,) * 4)
-
-    def test_fcfs_act_window(self, timing):
-        # The engine hands FCFS policies their waiting requests in
-        # arrival order; the standard window keeps the oldest two as is.
-        policy = StandardJEDEC(timing)
-        queued = reqs(3, 1, 2)
-        assert policy.act_candidates(queued, (0, 0, 0, 2)) == queued[:2]
+        assert policy.earliest_activate(earliest) == earliest
 
     def test_ir_blind(self, timing):
         policy = StandardJEDEC(timing)
-        assert policy.may_read(0, 0, (2, 2, 2, 2))
         assert not policy.must_shed((2, 2, 2, 2))
 
     def test_reset_clears_history(self, timing):
@@ -69,7 +58,7 @@ class TestStandardJEDEC:
         for k in range(4):
             policy.on_activate(0, k)
         policy.reset()
-        assert policy.may_activate(0, 0, (0,) * 4)
+        assert policy.earliest_activate(0) == 0
 
 
 class TestIRAware:
@@ -98,17 +87,3 @@ class TestIRAware:
         assert policy.may_read(0, 0, good)
         assert not policy.must_shed(good)
         assert not policy.must_shed((0, 0, 0, 0))  # idle is never shed
-
-    def test_fcfs_act_candidates_head_of_line(self, ddr3_lut):
-        policy = IRAwareFCFS(ddr3_lut, 24.0)
-        waiting = reqs(3, 3, 0, 1, 2, 0)
-        window = policy.act_candidates(waiting, (0, 0, 0, 0))
-        assert window == waiting[: policy.act_lookahead]
-
-    def test_distr_prioritizes_least_loaded_die(self, ddr3_lut):
-        policy = IRAwareDistR(ddr3_lut, 24.0)
-        waiting = reqs(3, 0, 1)
-        # Die 3 already busy; dies 0/1 idle -> they come first, in age order.
-        ordered = policy.act_candidates(waiting, (0, 0, 0, 2))
-        assert [r.die for r in ordered] == [0, 1, 3]
-

@@ -43,6 +43,7 @@ from repro.controller import (
     EventDrivenEngine,
     IRAwareDistR,
     IRAwareFCFS,
+    ReadPolicy,
     SimConfig,
     StandardJEDEC,
     WorkloadConfig,
@@ -56,7 +57,7 @@ from repro.controller.engine import (
 from repro.controller.lut import StaticIRDropLUT
 from repro.controller.request import ReadRequest
 from repro.dram import TimingParams
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 SEEDS = (1, 20150607, 999)
 POLICIES = ("standard", "ir_fcfs", "ir_distr")
@@ -256,81 +257,6 @@ class TestEngineShapes:
         assert_golden(name, result)
 
 
-class _PlainHooks:
-    """Mixin overriding ``may_read`` and ``may_activate`` with plain
-    ``super()`` calls."""
-
-    def may_read(self, die, now, active_counts):
-        return super().may_read(die, now, active_counts)
-
-    def may_activate(self, die, now, active_counts):
-        return super().may_activate(die, now, active_counts)
-
-
-class _PlainJEDEC(_PlainHooks, StandardJEDEC):
-    pass
-
-
-class _PlainFCFS(_PlainHooks, IRAwareFCFS):
-    pass
-
-
-class _PlainDistR(_PlainHooks, IRAwareDistR):
-    def act_candidates(self, non_ready, active_counts):
-        return super().act_candidates(non_ready, active_counts)
-
-
-def _plain(policy):
-    """``policy``'s twin whose hooks are overrides that only call
-    ``super()``."""
-    if isinstance(policy, IRAwareDistR):
-        return _PlainDistR(policy.lut, policy.constraint_mv)
-    if isinstance(policy, IRAwareFCFS):
-        return _PlainFCFS(policy.lut, policy.constraint_mv)
-    return _PlainJEDEC(policy.timing)
-
-
-GENERIC_CASES = (
-    [f"base/{p}/seed={s}" for p in POLICIES for s in SEEDS]
-    + sorted(DISTR_CASES)
-    + [f"shape/hmc/{p}" for p in POLICIES]
-    + [f"shape/hmc_shed/{p}" for p in POLICIES[1:]]
-)
-
-
-class TestGenericPolicyDispatch:
-    """The engine recognises the stock hooks by identity and caches
-    them: ``may_read`` once per active-count state, ``may_activate``
-    per (state, die) or once per cycle, and DistR's ``act_candidates``
-    skipped while the load grouping is unchanged.  A policy that
-    overrides a hook takes the generic branch instead, one plain call
-    per use.  With overrides that only call ``super()``, every run must
-    match the golden the stock policy is pinned to, field for field."""
-
-    @pytest.mark.parametrize("name", GENERIC_CASES)
-    def test_plain_overrides_match_golden(
-        self, timing, golden_lut, assert_golden, name
-    ):
-        streamed = False
-        if name.startswith("shape/"):
-            cfg, policy, workload, lut = _shape_case(name, timing, golden_lut)
-        elif name.startswith("distr/"):
-            overrides, wc, constraint_mv, streamed = DISTR_CASES[name]
-            cfg = SimConfig(timing=timing, **overrides)
-            policy = IRAwareDistR(golden_lut, constraint_mv)
-            workload, lut = generate_workload(wc), golden_lut
-        else:
-            cfg = SimConfig(timing=timing)
-            policy = _make_policy(name.split("/")[1], timing, golden_lut)
-            seed = int(name.rsplit("=", 1)[1])
-            wc = WorkloadConfig(num_requests=1200, seed=seed)
-            workload, lut = generate_workload(wc), golden_lut
-        result = EventDrivenEngine(
-            cfg, _plain(policy), iter(workload) if streamed else workload, lut
-        ).run()
-        assert_golden(name, result)
-
-
 class _ActLog:
     """Mixin recording every ACT as ``(die, cycle)``."""
 
@@ -390,6 +316,66 @@ class TestDistRScheduling:
         assert first.issue_cycle == timing.tRCD
         assert hit.issue_cycle is not None
         assert policy.acts == [(0, 0), (3, timing.tRCD + 1)]
+
+
+class _StandardLog(_ActLog, StandardJEDEC):
+    pass
+
+
+class _MayRead(IRAwareFCFS):
+    def may_read(self, die, now, active_counts):
+        return True
+
+
+class _MayActivate(StandardJEDEC):
+    def may_activate(self, die, now, active_counts):
+        return True
+
+
+class _OwnWindow(IRAwareDistR):
+    def act_candidates(self, non_ready, active_counts):
+        return list(non_ready)
+
+
+class _Bare(ReadPolicy):
+    name = "bare"
+
+
+class TestPolicyGuard:
+    """The engine serves the three policies with its own admission and
+    window rules, so a policy it would not call as written is refused
+    when the engine is built, naming the class and the hook."""
+
+    @pytest.mark.parametrize(
+        "cls, hook",
+        [
+            (_MayRead, "may_read"),
+            (_MayActivate, "may_activate"),
+            (_OwnWindow, "act_candidates"),
+        ],
+    )
+    def test_override_is_rejected(self, timing, golden_lut, cls, hook):
+        if issubclass(cls, StandardJEDEC):
+            policy = cls(timing)
+        else:
+            policy = cls(golden_lut, 24.0)
+        with pytest.raises(
+            ConfigurationError, match=f"{cls.__name__} overrides {hook}"
+        ):
+            EventDrivenEngine(SimConfig(timing=timing), policy, [])
+
+    def test_other_policy_is_rejected(self, timing):
+        with pytest.raises(ConfigurationError, match="_Bare is not"):
+            EventDrivenEngine(SimConfig(timing=timing), _Bare(), [])
+
+    def test_observer_runs(self, timing):
+        """Overriding ``reset`` and ``on_activate`` only observes (the
+        IR-aware observers run in :class:`TestDistRScheduling`)."""
+        policy = _StandardLog(timing)
+        wl = generate_workload(WorkloadConfig(num_requests=200, seed=5))
+        result = EventDrivenEngine(SimConfig(timing=timing), policy, wl).run()
+        assert result.finished
+        assert len(policy.acts) == result.activations > 0
 
 
 class TestStreamingWorkload:

@@ -163,6 +163,25 @@ class TestEventSkipping:
         assert res.cycles <= 101
 
 
+class TestLUTDieCount:
+    """An IR-drop LUT built for another die count is refused when the
+    engine is built (it used to fail inside the run, or at its end)."""
+
+    @pytest.mark.parametrize("dies", [2, 8])
+    def test_policy_lut_must_match(self, timing, golden_lut, dies):
+        cfg = SimConfig(timing=timing, num_dies=dies)
+        wl = small_workload(n=50, num_dies=dies)
+        for cls in (IRAwareFCFS, IRAwareDistR):
+            with pytest.raises(ConfigurationError, match="LUT is for 4 dies"):
+                EventDrivenEngine(cfg, cls(golden_lut, 24.0), wl)
+
+    def test_report_lut_must_match(self, timing, golden_lut):
+        cfg = SimConfig(timing=timing, num_dies=8)
+        wl = small_workload(n=50, num_dies=8)
+        with pytest.raises(ConfigurationError, match="has 8"):
+            EventDrivenEngine(cfg, StandardJEDEC(timing), wl, golden_lut)
+
+
 class TestSimConfigValidation:
     """A structure the engine cannot run is refused when the config is
     built, naming the field, instead of failing inside the run."""
