@@ -31,6 +31,10 @@ load whenever the queue or the counts changed.  The five
 ``shape/hmc_refresh/*`` and ``shape/hmc_shed/*`` cases were recorded at
 commit 38c109afdc2244982e910d52354f6a5eea0ebd02, where the engine still
 evaluated every channel on every scheduling iteration.
+
+``trace/ddr3_mixed_distr`` (see :class:`TestTraceStream`) was recorded at
+commit 14bd7912a6f84ba263844a1f5ed8499eeb5d5d0b, before the engine's
+per-state records, run-length occupancy and cached DistR waiting heads.
 """
 
 import itertools
@@ -55,7 +59,11 @@ from repro.controller.engine import (
     load_groups,
 )
 from repro.controller.lut import StaticIRDropLUT
-from repro.controller.request import ReadRequest
+from repro.controller.request import (
+    ReadRequest,
+    read_trace,
+    write_ramulator_trace,
+)
 from repro.dram import TimingParams
 from repro.errors import ConfigurationError, SimulationError
 
@@ -255,6 +263,22 @@ class TestEngineShapes:
         cfg, policy, workload, lut = _shape_case(name, timing, golden_lut)
         result = EventDrivenEngine(cfg, policy, workload, lut).run()
         assert_golden(name, result)
+
+
+class TestTraceStream:
+    """The shape of ``repro3d sim --trace`` on stacked DDR3: one channel,
+    IR-DistR at 24 mV, refresh on, a 30%-write ramulator trace streamed
+    through :func:`read_trace` (one request per cycle)."""
+
+    def test_ddr3_mixed_distr(self, tmp_path, timing, golden_lut, assert_golden):
+        path = tmp_path / "mixed.trace"
+        wc = WorkloadConfig(num_requests=5000, seed=1, write_fraction=0.3)
+        write_ramulator_trace(path, generate_workload(wc))
+        cfg = SimConfig(timing=timing, refresh_enabled=True)
+        result = EventDrivenEngine(
+            cfg, IRAwareDistR(golden_lut, 24.0), read_trace(path), golden_lut
+        ).run()
+        assert_golden("trace/ddr3_mixed_distr", result)
 
 
 class _ActLog:
