@@ -288,6 +288,41 @@ def load_groups(counts: Tuple[int, ...]) -> _Groups:
     return tuple(tuple(by_load[load]) for load in sorted(by_load))
 
 
+class _State:
+    """One visited active-count state, interned per run.
+
+    It holds what the engine asks of a state -- its load grouping, the
+    policy's ``may_read``, ``may_activate`` row and ``must_shed``
+    answers (None until first asked) -- its neighbours one bank up or
+    down on each die, once visited, and whether a read or a command
+    issued in it (the states the reported max IR covers)."""
+
+    __slots__ = (
+        "counts",
+        "groups",
+        "may_read",
+        "may_act",
+        "shed",
+        "up",
+        "down",
+        "read",
+        "command",
+    )
+
+    def __init__(
+        self, counts: Tuple[int, ...], groups: _Groups, reads_free: bool
+    ) -> None:
+        self.counts = counts
+        self.groups = groups
+        self.may_read: Optional[bool] = True if reads_free else None
+        self.may_act: List[Optional[bool]] = [None] * len(counts)
+        self.shed: Optional[bool] = None
+        self.up: List[Optional[_State]] = [None] * len(counts)
+        self.down: List[Optional[_State]] = [None] * len(counts)
+        self.read = False
+        self.command = False
+
+
 class RequestQueue:
     """The controller's request queue, kept ready for scheduling.
 
@@ -486,7 +521,8 @@ class EventDrivenEngine:
             self._total = len(workload)
             self._requests = workload
         else:
-            self._stream = map(self._validate, workload)
+            # Validated as the run pulls it.
+            self._stream = iter(workload)
 
     def _validate(self, req: ReadRequest) -> ReadRequest:
         cfg = self.config
@@ -580,7 +616,7 @@ class EventDrivenEngine:
         # One of the three policies (_check_policy).  StandardJEDEC always
         # reads and admits an ACT by act_window alone; the IR-aware ones
         # answer may_read and may_activate from the active counts (and
-        # the die, for an ACT), so the answers are cached per state.
+        # the die, for an ACT), so the answers are kept per state.
         std_policy = policy if isinstance(policy, StandardJEDEC) else None
         ir_policy = policy if isinstance(policy, IRAwareFCFS) else None
         # DistR ranks waiting requests by their die's active-bank count.
@@ -590,8 +626,6 @@ class EventDrivenEngine:
         # ACT instead of every scheduling iteration.
         act_window = 0
         lookahead = policy.act_lookahead
-        mr_cache: Dict[Tuple[int, ...], bool] = {}
-        ma_cache: Dict[Tuple[int, ...], List[Optional[bool]]] = {}
         # Channel waits (module docstring).  A single channel is
         # evaluated every iteration: there the waits' bookkeeping costs
         # more than the evaluations it saves.
@@ -612,9 +646,15 @@ class EventDrivenEngine:
         data_free = [0] * C
 
         # Workload cursor: one pulled-ahead request, None once drained.
+        # A request is validated as it is pulled.
         arrived = 0
         next_req = next(source, None)
-        next_arrival = _FAR if next_req is None else next_req.arrival_cycle
+        if next_req is None:
+            next_arrival = _FAR
+        else:
+            next_arrival = next_req.arrival_cycle
+            if not (0 <= next_req.die < D and 0 <= next_req.bank < B):
+                self._validate(next_req)
 
         # Request queue, bucketed per (channel, die) under DistR and per
         # channel otherwise (see RequestQueue).
@@ -630,23 +670,36 @@ class EventDrivenEngine:
         ready_groups: List[Optional[_Groups]] = [None] * C
         cache_nr: List[List[_Entry]] = [[] for _ in range(C)]
         wait_groups: List[Optional[_Groups]] = [None] * C
-        # counts -> load grouping, interned so that equal groupings are
-        # one object and a cache check is an identity test.
-        groups_of: Dict[Tuple[int, ...], _Groups] = {}
-        interned: Dict[_Groups, _Groups] = {}
 
-        def grouping(counts_t: Tuple[int, ...]) -> _Groups:
-            g = groups_of.get(counts_t)
-            if g is None:
+        # Visited states (_State), interned by counts; equal groupings
+        # are one object, so that a cache check is an identity test.
+        states: Dict[Tuple[int, ...], _State] = {}
+        interned: Dict[_Groups, _Groups] = {}
+        reads_free = ir_policy is None
+
+        def visit(counts_t: Tuple[int, ...]) -> _State:
+            s = states.get(counts_t)
+            if s is None:
                 g = load_groups(counts_t)
-                g = groups_of[counts_t] = interned.setdefault(g, g)
-            return g
+                s = states[counts_t] = _State(
+                    counts_t, interned.setdefault(g, g), reads_free
+                )
+            return s
+
+        def moved(s: _State, d: int, delta: int) -> _State:
+            """The state one bank up (``delta`` 1) or down (-1) on die
+            ``d`` from ``s``, linked for the next time."""
+            counts_l = list(s.counts)
+            counts_l[d] += delta
+            n = visit(tuple(counts_l))
+            (s.up if delta > 0 else s.down)[d] = n
+            return n
 
         # Incremental bookkeeping.
         counts = [0] * D  # is_active (ACTIVATING|ACTIVE) banks per die
-        counts_t = tuple(counts)
+        cur = visit(tuple(counts))
         # FCFS policies keep the all-idle grouping throughout.
-        groups = grouping(counts_t)
+        groups = cur.groups
         nonidle = [0] * D  # banks not in IDLE (includes PRECHARGING)
         act_by_die_chan = [[0] * C for _ in range(D)]
         # Banks in state 1 or 3 as (rdy, bank), a heap: a transient bank's
@@ -698,27 +751,27 @@ class EventDrivenEngine:
         lazy = [0] * C
         scans = 0
 
-        def release(counts_t: Tuple[int, ...], fell: int, now: int) -> List[int]:
+        def release(s: _State, fell: int, now: int) -> List[int]:
             """After an ACT or PRE: the channels whose die-cap (``fell``,
-            the die whose count fell, or -1) or IR-LUT waits the counts
-            ``counts_t`` can have lifted.  Read holds the counts can have
-            lifted are marked here.  Admission is re-checked, for the
-            dies with waiters only, in the caches: a state the policy
-            was never asked about lifts the wait, and the waiter's turn
-            asks, so the LUT sees the lookups it would see if every
-            channel were evaluated every iteration."""
+            the die whose count fell, or -1) or IR-LUT waits the state
+            ``s`` can have lifted.  Read holds the state can have lifted
+            are marked here.  Admission is re-checked, for the dies with
+            waiters only, in the state's answers: one the policy was
+            never asked lifts the wait, and the waiter's turn asks, so
+            the LUT sees the lookups it would see if every channel were
+            evaluated every iteration."""
             lifted: List[int] = []
             if fell >= 0 and cap_wait[fell]:
                 lifted += cap_wait[fell]
                 cap_wait[fell].clear()
             if ir_policy is not None:
-                row = ma_cache.get(counts_t)
+                row = s.may_act
                 for d in range(D):
                     ws = lut_wait[d]
-                    if ws and (row is None or row[d] is not False):
+                    if ws and row[d] is not False:
                         lifted += ws
                         ws.clear()
-            if read_wait and mr_cache.get(counts_t) is not False:
+            if read_wait and s.may_read is not False:
                 for x in read_wait:
                     wake1[x] = now
                 read_wait.clear()
@@ -747,12 +800,12 @@ class EventDrivenEngine:
         next_refresh = [(d + 1) * tREFI // D for d in range(D)]
         refresh_next = min(next_refresh) if refresh_enabled else _FAR
         refresh_blocked_until = [0] * D
+        blocked_last = 0  # the latest refresh_blocked_until
         no_refresh_due = [False] * D
         refresh_due = no_refresh_due
 
         occ = OccupancyAccumulator(cfg.max_tracked_states)
         occ_cycles = 0
-        occ_samples = 0
         completed = 0
         activations = 0
         precharges = 0
@@ -760,20 +813,16 @@ class EventDrivenEngine:
         reads_n = 0
         writes_n = 0
         latency_sum = 0
-        read_states: Set[Tuple[int, ...]] = set()
-        command_states: Set[Tuple[int, ...]] = set()
-        shed_cache: Dict[Tuple[int, ...], bool] = {}
-        # The caches above are keyed by counts; the last lookup of each
-        # is reused while counts_t is the same object.
-        mr_counts: Optional[Tuple[int, ...]] = None
-        shed_counts: Optional[Tuple[int, ...]] = None
-        ma_counts: Optional[Tuple[int, ...]] = None
-        mr_val = True
-        shedding = False
-        ma_row: List[Optional[bool]] = []
+        # States a read or a command issued in, in first-visit order.
+        read_order: List[Tuple[int, ...]] = []
+        command_order: List[Tuple[int, ...]] = []
         now = 0
         prev_now = 0
-        last_state: Optional[Tuple[int, ...]] = None
+        # Occupancy is charged once per run of one state: each visited
+        # cycle's gap since the previous one goes to the state the
+        # previous one started in.
+        run_state: Optional[_State] = None
+        run_start = 0
 
         while True:
             if next_req is None and completed >= arrived:
@@ -782,31 +831,53 @@ class EventDrivenEngine:
                 break
 
             # --- arrivals (stall when the queue is full) -------------------
-            if next_arrival <= now and q_len < depth:
-                while (
-                    next_req is not None
-                    and q_len < depth
-                    and next_req.arrival_cycle <= now
-                ):
-                    b = next_req.bank
-                    i = next_req.die * B + b
-                    c = chan_of_bank[b]
-                    if queue.push(
-                        c,
-                        (arrived, i, next_req),
-                        rowv[i] if st[i] == 2 else -1,
-                    ):
+            while next_arrival <= now and q_len < depth:
+                req = next_req
+                b = req.bank
+                d = req.die
+                i = d * B + b
+                c = chan_of_bank[b]
+                entry = (arrived, i, req)
+                if queue.push(c, entry, rowv[i] if st[i] == 2 else -1):
+                    wake1[c] = now
+                    if ready_groups[c] is not groups:
                         ready_groups[c] = None
-                        wake1[c] = now
-                    else:
+                    elif balance:
+                        # The cached order stays valid: the entry, the
+                        # newest, goes after every entry of a die loaded
+                        # no more than its own.  (FCFS reads the live
+                        # list, which already holds it.)
+                        order = cache_ready[c]
+                        load = counts[d]
+                        j = len(order)
+                        while j and counts[order[j - 1][2].die] > load:
+                            j -= 1
+                        order.insert(j, entry)
+                else:
+                    wake2[c] = now
+                    if wait_groups[c] is not groups:
                         wait_groups[c] = None
-                        wake2[c] = now
-                    q_len += 1
-                    arrived += 1
-                    next_req = next(source, None)
-                next_arrival = (
-                    _FAR if next_req is None else next_req.arrival_cycle
-                )
+                    else:
+                        # Likewise for the waiting head, which keeps
+                        # only its first act_lookahead entries.
+                        head = cache_nr[c]
+                        j = len(head)
+                        if balance:
+                            load = counts[d]
+                            while j and counts[head[j - 1][2].die] > load:
+                                j -= 1
+                        if j < lookahead:
+                            head.insert(j, entry)
+                            del head[lookahead:]
+                q_len += 1
+                arrived += 1
+                next_req = next(source, None)
+                if next_req is None:
+                    next_arrival = _FAR
+                else:
+                    next_arrival = next_req.arrival_cycle
+                    if not (0 <= next_req.die < D and 0 <= next_req.bank < B):
+                        self._validate(next_req)
 
             # --- sync transient banks; occupancy accounting ----------------
             if now >= trans_next:
@@ -826,13 +897,13 @@ class EventDrivenEngine:
                         st[i] = 0
                         nonidle[i // B] -= 1
                 trans_next = transient[0][0] if transient else _FAR
-            if last_state is not None and now > prev_now:
-                w = now - prev_now
-                occ.add(last_state, w)
-                occ_cycles += q_len * w
-                occ_samples += w
+            occ_cycles += q_len * (now - prev_now)
             prev_now = now
-            last_state = counts_t
+            if cur is not run_state:
+                if run_state is not None:
+                    occ.add(run_state.counts, now - run_start)
+                run_state = cur
+                run_start = now
 
             issued_any = False
             gen += 1
@@ -854,12 +925,12 @@ class EventDrivenEngine:
                         cmd_free[c0] = now + 1
                         used_mark[c0] = gen
                         used_n += 1
-                        blocked = now + tRFC
-                        refresh_blocked_until[d] = blocked
+                        blocked_last = now + tRFC
+                        refresh_blocked_until[d] = blocked_last
                         base = d * B
                         for j in range(base, base + B):
-                            if rdy[j] < blocked:
-                                rdy[j] = blocked
+                            if rdy[j] < blocked_last:
+                                rdy[j] = blocked_last
                         next_refresh[d] += tREFI
                         refreshes += 1
                         issued_any = True
@@ -878,20 +949,14 @@ class EventDrivenEngine:
             # a row mismatch.  Only channels whose wake1 or wake2 has come
             # are evaluated (see the channel waits above).
             if q_len:
-                if ir_policy is not None:
-                    if mr_counts is not counts_t:
-                        known = mr_cache.get(counts_t)
-                        if known is None:
-                            known = mr_cache[counts_t] = ir_policy.may_read(
-                                0, now, counts_t
-                            )
-                        mr_val = known
-                        mr_counts = counts_t
-                    reads_possible = mr_val
-                else:
-                    reads_possible = True
+                reads_possible = cur.may_read
+                if reads_possible is None:
+                    assert ir_policy is not None  # reads_free otherwise
+                    reads_possible = cur.may_read = ir_policy.may_read(
+                        0, now, cur.counts
+                    )
                 p2: List[Tuple[int, int, int]] = []
-                counts_p1 = counts_t
+                counts_p1 = cur.counts
                 groups_p1 = groups
                 for c in range(C):
                     if skip:
@@ -992,7 +1057,9 @@ class EventDrivenEngine:
                                     cache_ready[c].remove(e)
                                 q_len -= 1
                                 completed += 1
-                                read_states.add(counts_t)
+                                if not cur.read:
+                                    cur.read = True
+                                    read_order.append(cur.counts)
                                 used_mark[c] = gen
                                 used_n += 1
                                 issued_any = True
@@ -1012,9 +1079,10 @@ class EventDrivenEngine:
                                     c, groups, lookahead
                                 )
                                 wait_groups[c] = groups
-                            head = cache_nr[c][0]
-                            load = counts_t[head[2].die] if balance else 0
-                            p2.append((load, head[0], c))
+                            head = cache_nr[c]
+                            e = head[0]
+                            load = counts[e[2].die] if balance else 0
+                            p2.append((load, e[0], c))
                             in_p2[c] = gen
                             if balance:
                                 grp_dep[c] = (
@@ -1053,10 +1121,10 @@ class EventDrivenEngine:
                         c = turn[2]
                         done2[c] = gen
                         if lazy[c] == gen:
-                            row = ma_cache.get(counts_t)
+                            row = cur.may_act
                             for code in regs[c]:
                                 if code < D:
-                                    if row is None or row[code] is not False:
+                                    if row[code] is not False:
                                         break
                                 elif counts[code - D] < max_per_die:
                                     break
@@ -1077,7 +1145,7 @@ class EventDrivenEngine:
                             # DistR: the window re-sorted (stably) by the
                             # counts now.
                             window = sorted(
-                                window, key=lambda e, n=counts_t: n[e[2].die]
+                                window, key=lambda e, n=counts: n[e[2].die]
                             )
                         w = wake2[c]
                         if w <= now:
@@ -1118,15 +1186,11 @@ class EventDrivenEngine:
                                         w = v
                                     continue
                                 if ir_policy is not None:
-                                    if ma_counts is not counts_t:
-                                        ma_row = ma_cache.setdefault(
-                                            counts_t, [None] * D
-                                        )
-                                        ma_counts = counts_t
+                                    ma_row = cur.may_act
                                     ok = ma_row[d]
                                     if ok is None:
                                         ok = ma_row[d] = ir_policy.may_activate(
-                                            d, now, counts_t
+                                            d, now, cur.counts
                                         )
                                     if not ok:
                                         # IR-LUT denial.
@@ -1145,6 +1209,10 @@ class EventDrivenEngine:
                                 nonidle[d] += 1
                                 counts[d] += 1
                                 act_by_die_chan[d][c] += 1
+                                cur = cur.up[d] or moved(cur, d, 1)
+                                if not cur.command:
+                                    cur.command = True
+                                    command_order.append(cur.counts)
                                 policy.on_activate(d, now)
                                 if std_policy is not None:
                                     act_window = std_policy.earliest_activate(
@@ -1176,6 +1244,7 @@ class EventDrivenEngine:
                                     trans_next = now + tRP
                                 counts[d] -= 1
                                 act_by_die_chan[d][c] -= 1
+                                cur = cur.down[d] or moved(cur, d, -1)
                                 precharges += 1
                                 fell = d
                                 break
@@ -1188,11 +1257,8 @@ class EventDrivenEngine:
                             wake2[c] = w
                             continue
                         # An ACT or PRE issued on c.
-                        counts_t = tuple(counts)
                         if balance:
-                            groups = grouping(counts_t)
-                        if fell < 0:
-                            command_states.add(counts_t)
+                            groups = cur.groups
                         cmd_free[c] = now + 1
                         used_mark[c] = gen
                         used_n += 1
@@ -1200,7 +1266,7 @@ class EventDrivenEngine:
                         wake2[c] = now
                         if not skip:
                             continue
-                        for x in release(counts_t, fell, now):
+                        for x in release(cur, fell, now):
                             if in_p2[x] == gen:
                                 # Its turn is still to come, or it comes
                                 # at the next pass 2.
@@ -1222,80 +1288,74 @@ class EventDrivenEngine:
             # still want their rows (window permitting).  Nothing can
             # close once every channel has issued this cycle.
             if open_set and used_n < C:
-                if shed_counts is not counts_t:
-                    known = shed_cache.get(counts_t)
-                    if known is None:
-                        known = shed_cache[counts_t] = policy.must_shed(counts_t)
-                    shedding = known
-                    shed_counts = counts_t
+                shedding = cur.shed
+                if shedding is None:
+                    shedding = cur.shed = policy.must_shed(cur.counts)
                 if shedding or any_due or now >= min_close:
                     closed = False
-                    for i in sorted(open_set):
-                        if st[i] != 2:
-                            continue
-                        d = i // B
-                        c = chan_of_bank[i % B]
-                        if used_mark[c] == gen:
-                            continue
-                        force_close = refresh_due[d]
-                        if not (force_close or now - lact[i] >= close_window):
-                            continue
-                        if now < act[i] + tRAS or now < col[i] + tWR:
-                            continue
-                        if hits[i] and not (shedding or force_close):
-                            continue
-                        if now < cmd_free[c]:
-                            continue
-                        if hits[i]:
-                            queue.close_bank(c, i, rowv[i])
-                            ready_groups[c] = None
-                            wait_groups[c] = None
-                        st[i] = 3
-                        rowv[i] = -1
-                        rdy[i] = now + tRP
-                        open_set.discard(i)
-                        heappush(transient, (now + tRP, i))
-                        if now + tRP < trans_next:
-                            trans_next = now + tRP
-                        counts[d] -= 1
-                        act_by_die_chan[d][c] -= 1
-                        cmd_free[c] = now + 1
-                        precharges += 1
-                        used_mark[c] = gen
-                        used_n += 1
-                        issued_any = True
-                        closed = True
-                        wake2[c] = now
-                        if skip and cap_wait[d]:
-                            pending.update(cap_wait[d])
-                            cap_wait[d].clear()
-                    if closed:
-                        counts_t = tuple(counts)
-                        if balance:
-                            groups = grouping(counts_t)
-                        if skip:
-                            pending.update(release(counts_t, -1, now))
-                    # Recompute the deadline floor for the skip gate: each
-                    # open bank without queued hits cannot close before
-                    # its window elapses AND tRAS/tWR are met (bus
-                    # contention only delays further, and lact/col/act
-                    # never move backward, so the min over these maxima
-                    # stays a valid lower bound).  A bank whose last hit
-                    # issues later lowers the floor then.
+                    # The same pass recomputes the deadline floor for the
+                    # gate over the banks left open: each one without
+                    # queued hits cannot close before its window elapses
+                    # AND tRAS/tWR are met (bus contention only delays
+                    # further, and lact/col/act never move backward, so
+                    # the min over these maxima stays a valid lower
+                    # bound).  A bank whose last hit issues later lowers
+                    # the floor then.
                     mn = _FAR
-                    for i in open_set:
+                    for i in sorted(open_set):
+                        c = chan_of_bank[i % B]
+                        d = i // B
+                        if used_mark[c] != gen:
+                            force_close = refresh_due[d]
+                            if (
+                                (force_close or now - lact[i] >= close_window)
+                                and now >= act[i] + tRAS
+                                and now >= col[i] + tWR
+                                and (not hits[i] or shedding or force_close)
+                                and now >= cmd_free[c]
+                            ):
+                                if hits[i]:
+                                    queue.close_bank(c, i, rowv[i])
+                                    ready_groups[c] = None
+                                    wait_groups[c] = None
+                                st[i] = 3
+                                rowv[i] = -1
+                                rdy[i] = now + tRP
+                                open_set.discard(i)
+                                heappush(transient, (now + tRP, i))
+                                if now + tRP < trans_next:
+                                    trans_next = now + tRP
+                                counts[d] -= 1
+                                act_by_die_chan[d][c] -= 1
+                                cur = cur.down[d] or moved(cur, d, -1)
+                                cmd_free[c] = now + 1
+                                precharges += 1
+                                used_mark[c] = gen
+                                used_n += 1
+                                issued_any = True
+                                closed = True
+                                wake2[c] = now
+                                if skip and cap_wait[d]:
+                                    pending.update(cap_wait[d])
+                                    cap_wait[d].clear()
+                                continue
                         if hits[i]:
                             continue
-                        dl2 = lact[i] + close_window
-                        v2 = act[i] + tRAS
-                        if v2 > dl2:
-                            dl2 = v2
-                        v2 = col[i] + tWR
-                        if v2 > dl2:
-                            dl2 = v2
-                        if dl2 < mn:
-                            mn = dl2
+                        dl = lact[i] + close_window
+                        v = act[i] + tRAS
+                        if v > dl:
+                            dl = v
+                        v = col[i] + tWR
+                        if v > dl:
+                            dl = v
+                        if dl < mn:
+                            mn = dl
                     min_close = mn
+                    if closed:
+                        if balance:
+                            groups = cur.groups
+                        if skip:
+                            pending.update(release(cur, -1, now))
 
             # --- advance time ----------------------------------------------
             if issued_any:
@@ -1339,12 +1399,19 @@ class EventDrivenEngine:
             if std_policy is not None and now < act_window < best:
                 best = act_window
             if refresh_enabled:
-                for v in next_refresh:
-                    if now < v < best:
-                        best = v
-                for v in refresh_blocked_until:
-                    if now < v < best:
-                        best = v
+                # refresh_next is the min of next_refresh, and
+                # blocked_last the max of refresh_blocked_until.
+                if now < refresh_next:
+                    if refresh_next < best:
+                        best = refresh_next
+                else:
+                    for v in next_refresh:
+                        if now < v < best:
+                            best = v
+                if now < blocked_last:
+                    for v in refresh_blocked_until:
+                        if now < v < best:
+                            best = v
             if best == _FAR:
                 if q_len == 0 and next_req is None:
                     # All work drained; only in-flight bursts remain.
@@ -1358,13 +1425,15 @@ class EventDrivenEngine:
             now = best
 
         # Final occupancy flush.
-        if last_state is not None and now > prev_now:
-            occ.add(last_state, now - prev_now)
+        if run_state is not None and now > run_start:
+            occ.add(run_state.counts, now - run_start)
         _metrics.inc("sim.channel_scans", scans)
 
         finished = next_req is None and completed >= arrived
         cycles = now
-        max_ir = self._max_visited_ir(read_states | command_states)
+        # Every visited cycle's gap was charged: prev_now in all.
+        occ_samples = prev_now
+        max_ir = self._max_visited_ir(set(read_order) | set(command_order))
         return SimResult(
             policy_name=policy.name,
             cycles=cycles,

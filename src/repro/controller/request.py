@@ -255,16 +255,25 @@ def read_ramulator_trace(
     if arrival_interval < 0:
         raise ConfigurationError("arrival interval must be >= 0")
     path = Path(path)
+    # TraceMapping.decode, inlined: this loop runs once per trace line.
+    line_bytes = mapping.line_bytes
+    banks = mapping.banks_per_die
+    dies = mapping.num_dies
+    rows = mapping.num_rows
+    # A whole-cycle interval steps arrivals by integer addition, equal to
+    # int(req_id * arrival_interval) while the product stays below 2**53.
+    whole = float(arrival_interval).is_integer() and arrival_interval < 2**20
+    step = int(arrival_interval) if whole else 0
     with path.open("r", encoding="utf-8") as fh:
         req_id = 0
+        arrival = 0
         for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split()
-            if len(fields) != 2:
+            fields = raw.split()
+            if len(fields) != 2 or fields[0][0] == "#":
+                if not fields or fields[0][0] == "#":
+                    continue
                 raise TraceError(
-                    f"expected '<hex address> <R|W>', got {text!r}",
+                    f"expected '<hex address> <R|W>', got {raw.strip()!r}",
                     path=str(path),
                     line=lineno,
                 )
@@ -283,23 +292,27 @@ def read_ramulator_trace(
                     path=str(path),
                     line=lineno,
                 )
-            op_u = op.upper()
-            if op_u not in ("R", "W"):
+            if op == "R" or op == "r":
+                is_write = False
+            elif op == "W" or op == "w":
+                is_write = True
+            else:
                 raise TraceError(
                     f"bad op {op!r} (expected R or W)",
                     path=str(path),
                     line=lineno,
                 )
-            die, bank, row = mapping.decode(addr)
+            block = addr // line_bytes
             yield ReadRequest(
-                req_id=req_id,
-                die=die,
-                bank=bank,
-                row=row,
-                arrival_cycle=int(req_id * arrival_interval),
-                is_write=op_u == "W",
+                req_id,
+                (block // banks) % dies,
+                block % banks,
+                (block // (banks * dies)) % rows,
+                arrival if step else int(req_id * arrival_interval),
+                is_write,
             )
             req_id += 1
+            arrival += step
 
 
 def read_drampower_trace(path: Union[str, Path]) -> Iterator[ReadRequest]:
