@@ -294,8 +294,8 @@ class _State:
     It holds what the engine asks of a state -- its load grouping, the
     policy's ``may_read``, ``may_activate`` row and ``must_shed``
     answers (None until first asked) -- its neighbours one bank up or
-    down on each die, once visited, and whether a read or a command
-    issued in it (the states the reported max IR covers)."""
+    down on each die, once visited, whether a read or a command issued
+    in it (the states the reported max IR covers), and its occupancy."""
 
     __slots__ = (
         "counts",
@@ -307,6 +307,7 @@ class _State:
         "down",
         "read",
         "command",
+        "cycles",
     )
 
     def __init__(
@@ -321,6 +322,8 @@ class _State:
         self.down: List[Optional[_State]] = [None] * len(counts)
         self.read = False
         self.command = False
+        #: occupancy charged so far (the histogram is built at the end).
+        self.cycles = 0
 
 
 class RequestQueue:
@@ -804,7 +807,6 @@ class EventDrivenEngine:
         no_refresh_due = [False] * D
         refresh_due = no_refresh_due
 
-        occ = OccupancyAccumulator(cfg.max_tracked_states)
         occ_cycles = 0
         completed = 0
         activations = 0
@@ -820,9 +822,11 @@ class EventDrivenEngine:
         prev_now = 0
         # Occupancy is charged once per run of one state: each visited
         # cycle's gap since the previous one goes to the state the
-        # previous one started in.
+        # previous one started in.  States enter the histogram in the
+        # order they were first charged.
         run_state: Optional[_State] = None
         run_start = 0
+        charged: List[_State] = []
 
         while True:
             if next_req is None and completed >= arrived:
@@ -901,7 +905,9 @@ class EventDrivenEngine:
             prev_now = now
             if cur is not run_state:
                 if run_state is not None:
-                    occ.add(run_state.counts, now - run_start)
+                    if not run_state.cycles:
+                        charged.append(run_state)
+                    run_state.cycles += now - run_start
                 run_state = cur
                 run_start = now
 
@@ -995,27 +1001,31 @@ class EventDrivenEngine:
                             # Data bus busy for reads and writes alike.
                             w = df - col_lat
                         else:
-                            if ready_groups[c] is not groups:
-                                cache_ready[c] = queue.ready_order(c, groups)
+                            built = ready_groups[c]
+                            if built is not groups:
+                                if built is None:
+                                    cache_ready[c] = queue.ready_order(c, groups)
+                                elif len(cache_ready[c]) > 1:
+                                    # Same entries, another grouping:
+                                    # by die load, then arrival.
+                                    cache_ready[c].sort(
+                                        key=lambda e, n=counts: (n[e[2].die], e[0])
+                                    )
                                 ready_groups[c] = groups
                             r_ok = now + tCL >= df
                             w_ok = now + tCWL >= df
                             for e in cache_ready[c]:
                                 req = e[2]
                                 i = e[1]
-                                if (
-                                    now < rdy[i]
-                                    or now < col[i] + tCCD
-                                    or not (w_ok if req.is_write else r_ok)
+                                # A ready entry's bank is open, so its
+                                # rdy has passed.
+                                if now < col[i] + tCCD or not (
+                                    w_ok if req.is_write else r_ok
                                 ):
                                     if skip:
-                                        # Bank or bus busy: the bank's rdy
-                                        # and tCCD, the data bus for this
-                                        # direction.
-                                        v = rdy[i]
-                                        t = col[i] + tCCD
-                                        if t > v:
-                                            v = t
+                                        # Bank or bus busy: tCCD, the data
+                                        # bus for this direction.
+                                        v = col[i] + tCCD
                                         t = df - (tCWL if req.is_write else tCL)
                                         if t > v:
                                             v = t
@@ -1114,10 +1124,9 @@ class EventDrivenEngine:
                 if p2:
                     if len(p2) > 1:
                         p2.sort()
-                    k = 0
-                    while k < len(p2):
-                        turn = p2[k]
-                        k += 1
+                    # A lifted channel inserted while the turns run ranks
+                    # behind the current one, so the iteration meets it.
+                    for turn in p2:
                         c = turn[2]
                         done2[c] = gen
                         if lazy[c] == gen:
@@ -1303,18 +1312,25 @@ class EventDrivenEngine:
                     # the floor then.
                     mn = _FAR
                     for i in sorted(open_set):
-                        c = chan_of_bank[i % B]
+                        h = hits[i]
                         d = i // B
-                        if used_mark[c] != gen:
-                            force_close = refresh_due[d]
-                            if (
-                                (force_close or now - lact[i] >= close_window)
-                                and now >= act[i] + tRAS
-                                and now >= col[i] + tWR
-                                and (not hits[i] or shedding or force_close)
-                                and now >= cmd_free[c]
-                            ):
-                                if hits[i]:
+                        force_close = refresh_due[d]
+                        if h and not (shedding or force_close):
+                            continue
+                        # Earliest close: tRAS and tWR met, and the idle
+                        # window elapsed unless a refresh forces it.
+                        dl = act[i] + tRAS
+                        v = col[i] + tWR
+                        if v > dl:
+                            dl = v
+                        if not force_close:
+                            v = lact[i] + close_window
+                            if v > dl:
+                                dl = v
+                        if now >= dl:
+                            c = chan_of_bank[i % B]
+                            if used_mark[c] != gen and now >= cmd_free[c]:
+                                if h:
                                     queue.close_bank(c, i, rowv[i])
                                     ready_groups[c] = None
                                     wait_groups[c] = None
@@ -1339,15 +1355,12 @@ class EventDrivenEngine:
                                     pending.update(cap_wait[d])
                                     cap_wait[d].clear()
                                 continue
-                        if hits[i]:
+                        if h:
                             continue
-                        dl = lact[i] + close_window
-                        v = act[i] + tRAS
-                        if v > dl:
-                            dl = v
-                        v = col[i] + tWR
-                        if v > dl:
-                            dl = v
+                        if force_close:
+                            v = lact[i] + close_window
+                            if v > dl:
+                                dl = v
                         if dl < mn:
                             mn = dl
                     min_close = mn
@@ -1372,9 +1385,9 @@ class EventDrivenEngine:
             if now < trans_next < best:
                 best = trans_next
             for i in open_set:
+                # An open bank's rdy has passed (it opened at rdy, and a
+                # refresh waits for its die to be idle).
                 v = col[i] + tCCD
-                if rdy[i] > v:
-                    v = rdy[i]
                 if now < v < best:
                     best = v
                 v = act[i] + tRAS
@@ -1426,7 +1439,12 @@ class EventDrivenEngine:
 
         # Final occupancy flush.
         if run_state is not None and now > run_start:
-            occ.add(run_state.counts, now - run_start)
+            if not run_state.cycles:
+                charged.append(run_state)
+            run_state.cycles += now - run_start
+        occ = OccupancyAccumulator(cfg.max_tracked_states)
+        for s in charged:
+            occ.add(s.counts, s.cycles)
         _metrics.inc("sim.channel_scans", scans)
 
         finished = next_req is None and completed >= arrived
