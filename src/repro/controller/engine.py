@@ -1076,11 +1076,13 @@ class EventDrivenEngine:
                                 issued_here = True
                                 break
                     if issued_here:
-                        # The next column command waits for the data bus.
-                        v = data_free[c] - col_lat
-                        wake1[c] = v if v > now else now
+                        if skip:
+                            # The next column command waits for the data
+                            # bus.
+                            v = data_free[c] - col_lat
+                            wake1[c] = v if v > now else now
                         continue
-                    if due1:
+                    if skip and due1:
                         wake1[c] = w
                     if due2:
                         if q_ready_n[c] < q_size[c]:
@@ -1093,12 +1095,13 @@ class EventDrivenEngine:
                             e = head[0]
                             load = counts[e[2].die] if balance else 0
                             p2.append((load, e[0], c))
-                            in_p2[c] = gen
-                            if balance:
-                                grp_dep[c] = (
-                                    q_size[c] - q_ready_n[c] > lookahead
-                                )
-                        else:
+                            if skip:
+                                in_p2[c] = gen
+                                if balance:
+                                    grp_dep[c] = (
+                                        q_size[c] - q_ready_n[c] > lookahead
+                                    )
+                        elif skip:
                             wake2[c] = _FAR  # a waiting entry marks it
                 # Pass 2: channels take turns by the rank of their
                 # waiting list's head, (die load, arrival) under DistR and
@@ -1128,27 +1131,28 @@ class EventDrivenEngine:
                     # behind the current one, so the iteration meets it.
                     for turn in p2:
                         c = turn[2]
-                        done2[c] = gen
-                        if lazy[c] == gen:
-                            row = cur.may_act
-                            for code in regs[c]:
-                                if code < D:
-                                    if row[code] is not False:
-                                        break
-                                elif counts[code - D] < max_per_die:
-                                    break
-                            else:
-                                # Every wait c met at its last turn still
-                                # holds: a command ahead of it blocked
-                                # the die again.
+                        if skip:
+                            done2[c] = gen
+                            if lazy[c] == gen:
+                                row = cur.may_act
                                 for code in regs[c]:
-                                    waits[code].add(c)
-                                continue
+                                    if code < D:
+                                        if row[code] is not False:
+                                            break
+                                    elif counts[code - D] < max_per_die:
+                                        break
+                                else:
+                                    # Every wait c met at its last turn
+                                    # still holds: a command ahead of it
+                                    # blocked the die again.
+                                    for code in regs[c]:
+                                        waits[code].add(c)
+                                    continue
+                            if regs[c]:
+                                for code in regs[c]:
+                                    waits[code].discard(c)
+                                regs[c].clear()
                         scans += 1
-                        if regs[c]:
-                            for code in regs[c]:
-                                waits[code].discard(c)
-                            regs[c].clear()
                         window = cache_nr[c]
                         if balance and wait_groups[c] is not groups:
                             # DistR: the window re-sorted (stably) by the
@@ -1164,7 +1168,8 @@ class EventDrivenEngine:
                             req = e[2]
                             i = e[1]
                             d = req.die
-                            if st[i] == 0 and now >= rdy[i]:
+                            fsm = st[i]
+                            if fsm == 0 and now >= rdy[i]:
                                 if not act_ok:
                                     # tRRD/tFAW: lifts at act_window.
                                     if act_window < w:
@@ -1230,7 +1235,7 @@ class EventDrivenEngine:
                                     act_ok = False  # tRRD re-armed at now
                                 activations += 1
                                 break
-                            if st[i] == 2 and rowv[i] != req.row:
+                            if fsm == 2 and rowv[i] != req.row:
                                 v = act[i] + tRAS
                                 t = col[i] + tWR
                                 if t > v:
