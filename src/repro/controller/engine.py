@@ -447,17 +447,16 @@ def _merge_groups(
     group, merged by arrival within a group."""
     out: List[_Entry] = []
     for grp in groups:
-        need = k - len(out)
-        if need <= 0:
-            break
         if len(grp) == 1:
-            out += buckets[grp[0]][:need]
-            continue
-        part: List[_Entry] = []
-        for d in grp:
-            part += buckets[d][:need]
-        part.sort()
-        out += part[:need]
+            out += buckets[grp[0]][: k - len(out)]
+        else:
+            part: List[_Entry] = []
+            for d in grp:
+                part += buckets[d][:k]
+            part.sort()
+            out += part[: k - len(out)]
+        if len(out) >= k:
+            break
     return out
 
 
@@ -709,7 +708,7 @@ class EventDrivenEngine:
         # rdy never moves (refresh waits for its die to be idle).
         transient: List[Tuple[int, int]] = []
         trans_next = _FAR  # min of transient rdy
-        open_set: Set[int] = set()  # banks in state 2
+        open_banks: List[int] = []  # banks in state 2, ascending
         # Conservative-low idle-close deadline over open banks without
         # queued hits (a bank with hits only closes while shedding or for
         # refresh, which run the block anyway).
@@ -889,7 +888,7 @@ class EventDrivenEngine:
                     i = heappop(transient)[1]
                     if st[i] == 1:
                         st[i] = 2
-                        open_set.add(i)
+                        insort(open_banks, i)
                         c = chan_of_bank[i % B]
                         # The ACT was for a queued request, so the row
                         # has at least one hit.
@@ -1252,7 +1251,7 @@ class EventDrivenEngine:
                                 st[i] = 3
                                 rowv[i] = -1
                                 rdy[i] = now + tRP
-                                open_set.discard(i)
+                                open_banks.remove(i)
                                 heappush(transient, (now + tRP, i))
                                 if now + tRP < trans_next:
                                     trans_next = now + tRP
@@ -1301,7 +1300,7 @@ class EventDrivenEngine:
             # IR-aware policies *shed* banks even if queued requests
             # still want their rows (window permitting).  Nothing can
             # close once every channel has issued this cycle.
-            if open_set and used_n < C:
+            if open_banks and used_n < C:
                 shedding = cur.shed
                 if shedding is None:
                     shedding = cur.shed = policy.must_shed(cur.counts)
@@ -1316,7 +1315,7 @@ class EventDrivenEngine:
                     # bound).  A bank whose last hit issues later lowers
                     # the floor then.
                     mn = _FAR
-                    for i in sorted(open_set):
+                    for i in open_banks[:]:
                         h = hits[i]
                         d = i // B
                         force_close = refresh_due[d]
@@ -1342,7 +1341,7 @@ class EventDrivenEngine:
                                 st[i] = 3
                                 rowv[i] = -1
                                 rdy[i] = now + tRP
-                                open_set.discard(i)
+                                open_banks.remove(i)
                                 heappush(transient, (now + tRP, i))
                                 if now + tRP < trans_next:
                                     trans_next = now + tRP
@@ -1389,7 +1388,7 @@ class EventDrivenEngine:
                     best = v
             if now < trans_next < best:
                 best = trans_next
-            for i in open_set:
+            for i in open_banks:
                 # An open bank's rdy has passed (it opened at rdy, and a
                 # refresh waits for its die to be idle).
                 v = col[i] + tCCD
