@@ -280,7 +280,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         StandardJEDEC,
     )
     from repro.controller.request import TraceMapping, read_trace
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, TraceError
     from repro.power.model import (
         DDR3_POWER,
         HMC_POWER,
@@ -308,35 +308,45 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         _log.error("%s", exc)
         return 2
 
+    # Every bad input -- an unreadable or malformed LUT or trace, an
+    # impossible constraint -- ends in one error line and exit code 2.
     lut = None
     if args.lut:
-        lut = IRDropLUT.from_json(Path(args.lut).read_text())
-    if args.policy == "standard":
-        policy = StandardJEDEC(timing)
-    else:
-        if lut is None:
-            _log.error(
-                "policy %s needs an IR-drop table: pass --lut FILE "
-                "(serialize one with IRDropLUT.to_json)",
-                args.policy,
-            )
+        try:
+            lut = IRDropLUT.from_json(Path(args.lut).read_text())
+        except (OSError, ValueError, KeyError) as exc:
+            _log.error("cannot load --lut %s: %s", args.lut, exc)
             return 2
-        cls = IRAwareFCFS if args.policy == "ir_fcfs" else IRAwareDistR
-        policy = cls(lut, constraint_mv=args.constraint)
-
-    workload = read_trace(
-        args.trace,
-        fmt=args.format,
-        mapping=mapping,
-        arrival_interval=args.arrival_interval,
-    )
-    start = time.perf_counter()
     try:
+        if args.policy == "standard":
+            policy = StandardJEDEC(timing)
+        else:
+            if lut is None:
+                _log.error(
+                    "policy %s needs an IR-drop table: pass --lut FILE "
+                    "(serialize one with IRDropLUT.to_json)",
+                    args.policy,
+                )
+                return 2
+            cls = IRAwareFCFS if args.policy == "ir_fcfs" else IRAwareDistR
+            policy = cls(lut, constraint_mv=args.constraint)
+        workload = read_trace(
+            args.trace,
+            fmt=args.format,
+            mapping=mapping,
+            arrival_interval=args.arrival_interval,
+        )
+        start = time.perf_counter()
         engine = EventDrivenEngine(config, policy, workload, lut)
-    except ConfigurationError as exc:
+        # The trace streams, so a missing file or a malformed line only
+        # shows once the run reaches it.
+        result = engine.run(max_cycles=args.max_cycles)
+    except (ConfigurationError, TraceError) as exc:
         _log.error("%s", exc)
         return 2
-    result = engine.run(max_cycles=args.max_cycles)
+    except OSError as exc:
+        _log.error("cannot read --trace %s: %s", args.trace, exc)
+        return 2
     wall_s = time.perf_counter() - start
 
     _log.info("trace: %s", args.trace)

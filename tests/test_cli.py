@@ -298,10 +298,44 @@ class TestSimCommand:
         assert "ir_distr" in out
         assert "max IR drop:" in out
 
-    def test_sim_malformed_trace_reports_context(self, tmp_path):
-        from repro.errors import TraceError
+    @staticmethod
+    def _one_error_line(capsys):
+        captured = capsys.readouterr()
+        lines = [ln for ln in (captured.out + captured.err).splitlines() if ln]
+        assert len(lines) == 1, lines
+        return lines[0]
 
+    def test_sim_malformed_trace_reports_context(self, capsys, tmp_path):
+        """A malformed line deep in the trace surfaces mid-run: one error
+        line naming the file and the line, and exit code 2."""
         bad = tmp_path / "bad.trace"
         bad.write_text("0x0 R\nnot a line\n")
-        with pytest.raises(TraceError):
-            main(["sim", "--trace", str(bad)])
+        assert main(["sim", "--trace", str(bad)]) == 2
+        line = self._one_error_line(capsys)
+        assert "expected '<hex address> <R|W>'" in line
+        assert f"path={bad}" in line and "line=2" in line
+
+    def test_sim_missing_trace(self, capsys, tmp_path):
+        missing = tmp_path / "missing.trace"
+        assert main(["sim", "--trace", str(missing)]) == 2
+        line = self._one_error_line(capsys)
+        assert f"cannot read --trace {missing}" in line
+
+    def test_sim_missing_lut(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        argv = ["sim", "--trace", self.FIXTURE, "--policy", "ir_distr"]
+        assert main(argv + ["--lut", str(missing)]) == 2
+        line = self._one_error_line(capsys)
+        assert f"cannot load --lut {missing}" in line
+
+    @pytest.mark.parametrize("policy", ["ir_fcfs", "ir_distr"])
+    def test_sim_rejects_zero_constraint(
+        self, capsys, tmp_path, golden_decisions, policy
+    ):
+        lut_path = tmp_path / "lut.json"
+        lut_path.write_text(golden_decisions["lut"])
+        argv = ["sim", "--trace", self.FIXTURE, "--policy", policy]
+        argv += ["--lut", str(lut_path), "--constraint", "0"]
+        assert main(argv) == 2
+        line = self._one_error_line(capsys)
+        assert "IR-drop constraint must be positive" in line

@@ -195,3 +195,101 @@ class TestStreamingBehavior:
         assert second.is_write
         with pytest.raises(TraceError):
             next(it)
+
+
+def _reference_parse(path, mapping=TraceMapping(), arrival_interval=1.0):
+    """A plain line-by-line ramulator parse: the definition the reader's
+    inlined loop must reproduce request for request."""
+    out = []
+    for raw in Path(path).read_text().splitlines():
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        addr_s, op = text.split()
+        die, bank, row = mapping.decode(int(addr_s, 16))
+        req_id = len(out)
+        out.append(
+            ReadRequest(
+                req_id=req_id,
+                die=die,
+                bank=bank,
+                row=row,
+                arrival_cycle=int(req_id * arrival_interval),
+                is_write=op.upper() == "W",
+            )
+        )
+    return out
+
+
+def _fields(r):
+    return (
+        r.req_id, r.die, r.bank, r.row, r.arrival_cycle, r.is_write,
+        r.issue_cycle, r.complete_cycle,
+    )
+
+
+class TestReaderFastPath:
+    """The ramulator reader decodes inline and steps whole-cycle arrivals
+    by addition; it must stream exactly the requests a plain parse
+    yields, and fail exactly as before."""
+
+    @pytest.mark.parametrize("interval", [1.0, 0.5, 3, 2.5, 0.0])
+    def test_fixture_matches_reference(self, interval):
+        path = DATA / "ramulator_1k.trace"
+        got = list(read_ramulator_trace(path, arrival_interval=interval))
+        want = _reference_parse(path, arrival_interval=interval)
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [TraceMapping(), TraceMapping(num_dies=3, banks_per_die=5, num_rows=7)],
+    )
+    def test_generated_mixed_trace_matches_reference(self, tmp_path, mapping):
+        path = tmp_path / "mixed.trace"
+        wl = generate_workload(
+            WorkloadConfig(num_requests=3000, seed=9, write_fraction=0.3)
+        )
+        write_ramulator_trace(path, wl)
+        got = list(read_ramulator_trace(path, mapping=mapping))
+        want = _reference_parse(path, mapping=mapping)
+        assert len(got) == 3000
+        assert sum(r.is_write for r in got) > 600
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]
+
+    def test_lowercase_ops_comments_and_blank_lines(self, tmp_path):
+        p = tmp_path / "t.trace"
+        p.write_text(
+            "# header comment\n"
+            "\n"
+            "0x0 r\n"
+            "   \t\n"
+            "  # indented comment\n"
+            "\t0x40\tw  \n"
+            "#0x80 R\n"
+            "0X80 R\n"
+        )
+        got = list(read_ramulator_trace(p))
+        assert [_fields(r) for r in got] == [_fields(r) for r in _reference_parse(p)]
+        assert [(r.bank, r.is_write, r.arrival_cycle) for r in got] == [
+            (0, False, 0), (1, True, 1), (2, False, 2),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, message, lineno",
+        [
+            ("0x0 R\n0x40\n", "expected '<hex address> <R|W>', got '0x40'", 2),
+            ("0x0 R\n  0x40 R W  \n", "expected '<hex address> <R|W>', got '0x40 R W'", 2),
+            ("\n# c\n0xzz R\n", "bad address '0xzz'", 3),
+            ("0x0 R\n-0x40 W\n", "negative address '-0x40'", 2),
+            ("0x0 R\n0x40 X\n", "bad op 'X' (expected R or W)", 2),
+            ("0x0 RW\n", "bad op 'RW' (expected R or W)", 1),
+        ],
+    )
+    def test_errors_keep_message_path_and_line(self, tmp_path, text, message, lineno):
+        p = tmp_path / "bad.trace"
+        p.write_text(text)
+        with pytest.raises(TraceError) as exc_info:
+            list(read_ramulator_trace(p))
+        err = exc_info.value
+        assert err.args == (message,)
+        assert err.context == {"path": str(p), "line": lineno}
