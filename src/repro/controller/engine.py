@@ -460,6 +460,9 @@ def _merge_groups(
     return out
 
 
+#: The pass-2 turn of a single-channel part, which ranks against no one.
+_SOLE_TURN = (0, 0, 0)
+
 #: The policies the engine serves, most derived first.
 _POLICIES = (IRAwareDistR, IRAwareFCFS, StandardJEDEC)
 
@@ -805,6 +808,9 @@ class EventDrivenEngine:
         blocked_last = 0  # the latest refresh_blocked_until
         no_refresh_due = [False] * D
         refresh_due = no_refresh_due
+        # Per die, the refresh blackout an ACT meets: _FAR while a
+        # refresh is due, else the end of the last one's tRFC.
+        act_block = [0] * D
 
         occ_cycles = 0
         completed = 0
@@ -940,11 +946,14 @@ class EventDrivenEngine:
                         refreshes += 1
                         issued_any = True
                 refresh_next = min(next_refresh)
+                for d in range(D):
+                    act_block[d] = _FAR if due[d] else refresh_blocked_until[d]
             else:
                 if refresh_due is not no_refresh_due:
                     if any(refresh_due):
                         wake1[:] = wake2[:] = [now] * C
                     refresh_due = no_refresh_due
+                    act_block[:] = refresh_blocked_until
                 any_due = False
 
             # --- issue phase -----------------------------------------------
@@ -1090,16 +1099,18 @@ class EventDrivenEngine:
                                     c, groups, lookahead
                                 )
                                 wait_groups[c] = groups
-                            head = cache_nr[c]
-                            e = head[0]
-                            load = counts[e[2].die] if balance else 0
-                            p2.append((load, e[0], c))
                             if skip:
+                                e = cache_nr[c][0]
+                                load = counts[e[2].die] if balance else 0
+                                p2.append((load, e[0], c))
                                 in_p2[c] = gen
                                 if balance:
                                     grp_dep[c] = (
                                         q_size[c] - q_ready_n[c] > lookahead
                                     )
+                            else:
+                                # One channel: no rank to compare.
+                                p2.append(_SOLE_TURN)
                         elif skip:
                             wake2[c] = _FAR  # a waiting entry marks it
                 # Pass 2: channels take turns by the rank of their
@@ -1112,6 +1123,7 @@ class EventDrivenEngine:
                 # the last pass 2 (pending), or by an ACT or PRE ahead of
                 # it in this one.
                 act_ok = std_policy is None or now >= act_window
+                w = _FAR  # a turn's wake2 (channel waits only)
                 if pending:
                     for x in list(pending):
                         if in_p2[x] != gen:
@@ -1159,9 +1171,10 @@ class EventDrivenEngine:
                             window = sorted(
                                 window, key=lambda e, n=counts: n[e[2].die]
                             )
-                        w = wake2[c]
-                        if w <= now:
-                            w = _FAR
+                        if skip:
+                            w = wake2[c]
+                            if w <= now:
+                                w = _FAR
                         fell = -1
                         for e in window:
                             req = e[2]
@@ -1171,7 +1184,7 @@ class EventDrivenEngine:
                             if fsm == 0 and now >= rdy[i]:
                                 if not act_ok:
                                     # tRRD/tFAW: lifts at act_window.
-                                    if act_window < w:
+                                    if skip and act_window < w:
                                         w = act_window
                                     continue
                                 if counts[d] >= max_per_die:
@@ -1187,16 +1200,14 @@ class EventDrivenEngine:
                                     # Channel cap: only this channel's
                                     # own PRE lifts it, and marks it.
                                     continue
-                                if refresh_enabled and (
-                                    refresh_due[d]
-                                    or now < refresh_blocked_until[d]
-                                ):
+                                if now < act_block[d]:
                                     # Refresh blackout: tRFC ends at
                                     # refresh_blocked_until; a change of
                                     # refresh_due marks every channel.
-                                    v = refresh_blocked_until[d]
-                                    if now < v < w:
-                                        w = v
+                                    if skip:
+                                        v = refresh_blocked_until[d]
+                                        if now < v < w:
+                                            w = v
                                     continue
                                 if ir_policy is not None:
                                     ma_row = cur.may_act
@@ -1241,7 +1252,7 @@ class EventDrivenEngine:
                                     v = t
                                 if now < v:
                                     # Bank busy: tRAS / tWR.
-                                    if v < w:
+                                    if skip and v < w:
                                         w = v
                                     continue
                                 if hits[i]:
@@ -1263,11 +1274,13 @@ class EventDrivenEngine:
                                 break
                             # Bank busy: in ACT/PRE transit, or held by
                             # a refresh.
-                            v = rdy[i]
-                            if now < v < w:
-                                w = v
+                            if skip:
+                                v = rdy[i]
+                                if now < v < w:
+                                    w = v
                         else:
-                            wake2[c] = w
+                            if skip:
+                                wake2[c] = w
                             continue
                         # An ACT or PRE issued on c.
                         if balance:
