@@ -678,14 +678,16 @@ class EventDrivenEngine:
 
         # Visited states (_State), interned by counts; equal groupings
         # are one object, so that a cache check is an identity test.
+        # FCFS policies keep the all-idle grouping throughout.
         states: Dict[Tuple[int, ...], _State] = {}
-        interned: Dict[_Groups, _Groups] = {}
+        idle_groups = load_groups((0,) * D)
+        interned: Dict[_Groups, _Groups] = {idle_groups: idle_groups}
         reads_free = ir_policy is None
 
         def visit(counts_t: Tuple[int, ...]) -> _State:
             s = states.get(counts_t)
             if s is None:
-                g = load_groups(counts_t)
+                g = load_groups(counts_t) if balance else idle_groups
                 s = states[counts_t] = _State(
                     counts_t, interned.setdefault(g, g), reads_free
                 )
@@ -703,7 +705,6 @@ class EventDrivenEngine:
         # Incremental bookkeeping.
         counts = [0] * D  # is_active (ACTIVATING|ACTIVE) banks per die
         cur = visit(tuple(counts))
-        # FCFS policies keep the all-idle grouping throughout.
         groups = cur.groups
         nonidle = [0] * D  # banks not in IDLE (includes PRECHARGING)
         act_by_die_chan = [[0] * C for _ in range(D)]
