@@ -45,7 +45,10 @@ Design
   ``IRAwareDistR`` the order is the dies grouped by active-bank count,
   least loaded group first, merged by arrival within a group (the stable
   sort by die load); each channel's ready order and waiting head are
-  cached until an entry moves or the grouping changes.  The window is
+  cached until an entry moves or the grouping changes.  An arrival, the
+  newest entry, is placed into a cached order rather than invalidating
+  it, and a ready order left stale by a regrouping alone is re-sorted
+  in place.  The window is
   the first ``act_lookahead`` entries of that order, stably re-sorted by
   die load only once the grouping is no longer the one the order was
   built under, and channels rank for activation by their head's (die
@@ -80,11 +83,18 @@ Design
 * **Three policies, one admission path.**  The engine serves exactly
   ``StandardJEDEC`` (tRRD/tFAW through ``earliest_activate``, IR-blind),
   ``IRAwareFCFS`` and ``IRAwareDistR`` (``may_read``, ``may_activate``
-  and ``must_shed`` cached per active-count state).  Any other policy,
+  and ``must_shed`` kept per active-count state).  Any other policy,
   or a subclass that overrides one of their admission hooks, is
   rejected with :class:`~repro.errors.ConfigurationError` when the
   engine is built, as is an IR-drop LUT for a different die count.
   Subclasses that only observe (``reset``, ``on_activate``) run.
+
+* **One record per visited state.**  Each active-count state the run
+  visits is one interned record (``_State``): its load grouping, the
+  policy's answers, links to the states one ACT or PRE away, whether a
+  read or command issued in it, and its occupancy, charged once per run
+  of the state rather than per visited cycle.  An ACT or PRE follows a
+  link instead of building and hashing a counts tuple.
 
 * **Gated per-cycle blocks.**  Transient-bank sync runs only once the
   earliest transient ``rdy`` is reached, the refresh block only once the
