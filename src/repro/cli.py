@@ -280,7 +280,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         StandardJEDEC,
     )
     from repro.controller.request import TraceMapping, read_trace
-    from repro.errors import ConfigurationError, TraceError
+    from repro.errors import ConfigurationError, SimulationError, TraceError
     from repro.power.model import (
         DDR3_POWER,
         HMC_POWER,
@@ -308,8 +308,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         _log.error("%s", exc)
         return 2
 
-    # Every bad input -- an unreadable or malformed LUT or trace, an
-    # impossible constraint -- ends in one error line and exit code 2.
+    # Every bad input -- an unreadable or malformed LUT or trace, a
+    # request outside the stack, an impossible constraint -- ends in one
+    # error line and exit code 2.
     lut = None
     if args.lut:
         try:
@@ -341,7 +342,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         # The trace streams, so a missing file or a malformed line only
         # shows once the run reaches it.
         result = engine.run(max_cycles=args.max_cycles)
-    except (ConfigurationError, TraceError) as exc:
+    except (ConfigurationError, SimulationError, TraceError) as exc:
         _log.error("%s", exc)
         return 2
     except OSError as exc:

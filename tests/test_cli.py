@@ -315,6 +315,15 @@ class TestSimCommand:
         assert "expected '<hex address> <R|W>'" in line
         assert f"path={bad}" in line and "line=2" in line
 
+    def test_sim_request_outside_the_stack(self, capsys, tmp_path):
+        """A DRAMPower trace names its dies outright; one past the
+        stack is refused when the run pulls it."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cycle,command,die,bank,row\n1,RD,0,0,5\n2,RD,9,0,5\n")
+        assert main(["sim", "--trace", str(bad)]) == 2
+        line = self._one_error_line(capsys)
+        assert "request 1: die 9 out of range" in line
+
     def test_sim_missing_trace(self, capsys, tmp_path):
         missing = tmp_path / "missing.trace"
         assert main(["sim", "--trace", str(missing)]) == 2

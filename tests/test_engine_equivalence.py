@@ -1,7 +1,7 @@
 """The event-driven engine is pinned to frozen controller decisions.
 
 ``tests/golden/controller_decisions.json`` holds the full
-:class:`SimResult` of 31 seeded runs and the DDR3 IR-drop LUT they ran
+:class:`SimResult` of 32 seeded runs and the DDR3 IR-drop LUT they ran
 under, as ``IRDropLUT.to_json`` text.  Fifteen of them -- 3 seeds x 3
 policies, refresh + 2 channels + 20% writes per policy, a 3-state
 occupancy cap, refresh at seed 13, and ``repro3d sim`` on
