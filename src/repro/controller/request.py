@@ -255,18 +255,9 @@ def read_ramulator_trace(
     if arrival_interval < 0:
         raise ConfigurationError("arrival interval must be >= 0")
     path = Path(path)
-    # TraceMapping.decode, inlined: this loop runs once per trace line.
-    line_bytes = mapping.line_bytes
-    banks = mapping.banks_per_die
-    dies = mapping.num_dies
-    rows = mapping.num_rows
-    # A whole-cycle interval steps arrivals by integer addition, equal to
-    # int(req_id * arrival_interval) while the product stays below 2**53.
-    whole = float(arrival_interval).is_integer() and arrival_interval < 2**20
-    step = int(arrival_interval) if whole else 0
+    decode = mapping.decode
     with path.open("r", encoding="utf-8") as fh:
         req_id = 0
-        arrival = 0
         for lineno, raw in enumerate(fh, start=1):
             fields = raw.split()
             if len(fields) != 2 or fields[0][0] == "#":
@@ -302,17 +293,16 @@ def read_ramulator_trace(
                     path=str(path),
                     line=lineno,
                 )
-            block = addr // line_bytes
+            die, bank, row = decode(addr)
             yield ReadRequest(
                 req_id,
-                (block // banks) % dies,
-                block % banks,
-                (block // (banks * dies)) % rows,
-                arrival if step else int(req_id * arrival_interval),
+                die,
+                bank,
+                row,
+                int(req_id * arrival_interval),
                 is_write,
             )
             req_id += 1
-            arrival += step
 
 
 def read_drampower_trace(path: Union[str, Path]) -> Iterator[ReadRequest]:
