@@ -280,7 +280,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         StandardJEDEC,
     )
     from repro.controller.request import TraceMapping, read_trace
-    from repro.errors import ConfigurationError, SimulationError, TraceError
+    from repro.errors import ConfigurationError, RequestRangeError, TraceError
     from repro.power.model import (
         DDR3_POWER,
         HMC_POWER,
@@ -310,7 +310,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
     # Every bad input -- an unreadable or malformed LUT or trace, a
     # request outside the stack, an impossible constraint -- ends in one
-    # error line and exit code 2.
+    # error line and exit code 2.  A fault of the engine itself, such as
+    # a stall, keeps its traceback.
     lut = None
     if args.lut:
         try:
@@ -342,7 +343,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         # The trace streams, so a missing file or a malformed line only
         # shows once the run reaches it.
         result = engine.run(max_cycles=args.max_cycles)
-    except (ConfigurationError, SimulationError, TraceError) as exc:
+    except (ConfigurationError, RequestRangeError, TraceError) as exc:
         _log.error("%s", exc)
         return 2
     except OSError as exc:

@@ -143,7 +143,11 @@ from repro.controller.policies import (
 )
 from repro.controller.request import ReadRequest
 from repro.dram.timing import TimingParams
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    RequestRangeError,
+    SimulationError,
+)
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span
 
@@ -542,11 +546,11 @@ class EventDrivenEngine:
     def _validate(self, req: ReadRequest) -> ReadRequest:
         cfg = self.config
         if not (0 <= req.die < cfg.num_dies):
-            raise SimulationError(
+            raise RequestRangeError(
                 f"request {req.req_id}: die {req.die} out of range"
             )
         if not (0 <= req.bank < cfg.banks_per_die):
-            raise SimulationError(
+            raise RequestRangeError(
                 f"request {req.req_id}: bank {req.bank} out of range"
             )
         return req
@@ -831,9 +835,6 @@ class EventDrivenEngine:
         reads_n = 0
         writes_n = 0
         latency_sum = 0
-        # States a read or a command issued in, in first-visit order.
-        read_order: List[Tuple[int, ...]] = []
-        command_order: List[Tuple[int, ...]] = []
         now = 0
         prev_now = 0
         # Occupancy is charged once per run of one state: each visited
@@ -1086,9 +1087,7 @@ class EventDrivenEngine:
                                     cache_ready[c].remove(e)
                                 q_len -= 1
                                 completed += 1
-                                if not cur.read:
-                                    cur.read = True
-                                    read_order.append(cur.counts)
+                                cur.read = True
                                 used_mark[c] = gen
                                 used_n += 1
                                 issued_any = True
@@ -1245,9 +1244,7 @@ class EventDrivenEngine:
                                 counts[d] += 1
                                 act_by_die_chan[d][c] += 1
                                 cur = cur.up[d] or moved(cur, d, 1)
-                                if not cur.command:
-                                    cur.command = True
-                                    command_order.append(cur.counts)
+                                cur.command = True
                                 policy.on_activate(d, now)
                                 if std_policy is not None:
                                     act_window = std_policy.earliest_activate(
@@ -1479,7 +1476,9 @@ class EventDrivenEngine:
         cycles = now
         # Every visited cycle's gap was charged: prev_now in all.
         occ_samples = prev_now
-        max_ir = self._max_visited_ir(set(read_order) | set(command_order))
+        max_ir = self._max_visited_ir(
+            {s.counts for s in states.values() if s.read or s.command}
+        )
         return SimResult(
             policy_name=policy.name,
             cycles=cycles,

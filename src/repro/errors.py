@@ -70,6 +70,10 @@ class SimulationError(ReproError):
     """The memory controller simulation reached an inconsistent state."""
 
 
+class RequestRangeError(SimulationError):
+    """A workload request names a die or bank outside the simulated stack."""
+
+
 class TraceError(ReproError):
     """A memory trace file could not be parsed.
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.designs import all_benchmarks
+from repro.errors import SimulationError
 from repro.experiments import registry
 
 
@@ -348,3 +349,14 @@ class TestSimCommand:
         assert main(argv) == 2
         line = self._one_error_line(capsys)
         assert "IR-drop constraint must be positive" in line
+
+    def test_sim_stall_keeps_traceback(self, tmp_path, golden_decisions):
+        """A constraint no active state meets stalls the engine: that is
+        the engine's own fault report, not a bad-input line, so it
+        propagates with its traceback."""
+        lut_path = tmp_path / "lut.json"
+        lut_path.write_text(golden_decisions["lut"])
+        argv = ["sim", "--trace", self.FIXTURE, "--policy", "ir_distr"]
+        argv += ["--lut", str(lut_path), "--constraint", "0.001"]
+        with pytest.raises(SimulationError, match="simulation stalled"):
+            main(argv)

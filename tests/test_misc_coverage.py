@@ -19,12 +19,16 @@ class TestErrorHierarchy:
             errors.MeshError,
             errors.SolverError,
             errors.SimulationError,
+            errors.RequestRangeError,
             errors.RegressionError,
             errors.OptimizationError,
         ]
         for err in error_types:
             assert issubclass(err, errors.ReproError)
             assert issubclass(err, Exception)
+
+    def test_request_range_is_a_simulation_error(self):
+        assert issubclass(errors.RequestRangeError, errors.SimulationError)
 
     def test_catch_all(self):
         with pytest.raises(errors.ReproError):
