@@ -199,7 +199,7 @@ class TestStreamingBehavior:
 
 def _reference_parse(path, mapping=TraceMapping(), arrival_interval=1.0):
     """A plain line-by-line ramulator parse: the definition the reader's
-    inlined loop must reproduce request for request."""
+    loop must reproduce request for request."""
     out = []
     for raw in Path(path).read_text().splitlines():
         text = raw.strip()
@@ -229,8 +229,8 @@ def _fields(r):
 
 
 class TestReaderFastPath:
-    """The ramulator reader decodes inline and steps whole-cycle arrivals
-    by addition; it must stream exactly the requests a plain parse
+    """The ramulator reader splits each line once and builds requests
+    positionally; it must stream exactly the requests a plain parse
     yields, and fail exactly as before."""
 
     @pytest.mark.parametrize("interval", [1.0, 0.5, 3, 2.5, 0.0])
